@@ -639,7 +639,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(rec *MetricsRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m, err := NewMinerWithMetrics(LCM, 0, rec)
+			m, err := newInstrumentedMiner(LCM, 0, rec, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

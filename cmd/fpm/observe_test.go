@@ -20,8 +20,16 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/serve"
 	"fpm/internal/telemetry"
 )
+
+// newServeServer hosts the production serve wiring for the serve-API
+// tests, which drive the handler without a listener or signals.
+func newServeServer() (*telemetry.Server, *telemetry.Store) {
+	inst := serve.NewInstance(serve.Config{})
+	return inst.Server, inst.Store
+}
 
 // normEvent is one trace event with its nondeterministic fields zeroed;
 // field order fixes the serialized form for golden comparison.

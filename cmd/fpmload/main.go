@@ -2,9 +2,8 @@
 // taxonomy (internal/loadgen) over real HTTP, records HDR-style latency
 // summaries (p50/p95/p99/max), throughput and outcome counts, splits
 // queue-wait from mine-time, and emits the results as machine-readable
-// BENCH_serve.json — the serving layer's counterpart to
-// BENCH_partition.json, so the service's performance trajectory is a
-// tracked artifact. Each workload is gated against its latency SLO
+// BENCH_serve.json, so the service's performance trajectory is a tracked
+// artifact. Each workload is gated against its latency SLO
 // budget; a violation exits 1, which is the CI regression gate.
 //
 // Usage:
@@ -42,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"fpm/internal/hdr"
 	"fpm/internal/loadgen"
 	"fpm/internal/serve"
 )
@@ -189,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// histogram across the main-loop workloads (the cache-compare baseline
 	// runs against a twin instance whose metrics the final scrape cannot
 	// see, so it stays out).
-	var srvE2E loadgen.Hist
+	var srvE2E hdr.Hist
 	for _, spec := range specs {
 		if ctx.Err() != nil {
 			break
@@ -311,7 +311,7 @@ func selfHost(cfg serve.Config) (string, func(), error) {
 // identical int64 (job Finished − Submitted) into the same HDR geometry,
 // so agreement within 1/32 relative error is a hard invariant, not a
 // statistical hope.
-func finalScrape(ctx context.Context, c *loadgen.Client, h *loadgen.Hist, selfHosted bool) loadgen.ScrapeFinal {
+func finalScrape(ctx context.Context, c *loadgen.Client, h *hdr.Hist, selfHosted bool) loadgen.ScrapeFinal {
 	sf := loadgen.ScrapeFinal{
 		LoadgenCount: int64(h.Count()),
 		LoadgenP99MS: float64(h.Quantile(0.99)) / 1e6,

@@ -321,18 +321,9 @@ type (
 )
 
 // NewMetricsRecorder returns an enabled recorder to thread through
-// NewMinerWithMetrics / ParallelMetrics; call Start before mining, Stop
-// after, and Snapshot to freeze the totals.
+// WithMetrics / ParallelMetrics; call Start before mining, Stop after, and
+// Snapshot to freeze the totals.
 func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
-
-// NewMinerWithMetrics is NewMiner with run-time counter recording into rec.
-// The LCM, Eclat and FP-Growth kernels record nodes expanded, support
-// countings, itemsets emitted and candidate prunes; the Apriori baseline is
-// not internally instrumented (wrap its collector, as WithMetrics does, to
-// count emissions). A nil rec behaves exactly like NewMiner.
-func NewMinerWithMetrics(algo Algorithm, patterns PatternSet, rec *MetricsRecorder) (Miner, error) {
-	return newInstrumentedMiner(algo, patterns, rec, nil, nil)
-}
 
 // newInstrumentedMiner constructs a kernel with counter recording, optional
 // kernel-span tracing and optional cooperative cancellation. tr must only
@@ -391,9 +382,6 @@ func ParallelTrace(tr *TraceRecorder) ParallelOption { return parallel.WithTrace
 // with the partial-progress Snapshot attached. A context that can never be
 // cancelled (context.Background()) adds no cost.
 func WithContext(ctx context.Context) ParallelOption { return parallel.WithContext(ctx) }
-
-// NewHMineRecording is NewHMine with counter recording into rec.
-func NewHMineRecording(rec *MetricsRecorder) Miner { return hmine.NewRecording(rec) }
 
 // ParallelMetrics routes the work-stealing scheduler's counters (tasks
 // spawned/offered/stolen, steal failures, shard-merge time, per-worker

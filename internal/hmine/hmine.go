@@ -31,16 +31,12 @@ type Miner struct {
 // New returns an H-mine miner.
 func New() *Miner { return &Miner{} }
 
-// NewRecording returns an H-mine miner that records run-time counters into
-// rec: nodes expanded (header tables processed), support countings (queue
-// lengths read), itemsets emitted and candidate prunes. A nil rec is the
-// same as New.
-func NewRecording(rec *metrics.Recorder) *Miner { return &Miner{rec: rec} }
-
-// NewInstrumented is NewRecording plus coarse kernel tracing: one span per
-// first-level subtree is recorded into tr. Only construct tracing miners
-// for sequential runs — under the scheduler the worker task spans own the
-// timeline. The track is cached on the Miner and reused across Mine calls,
+// NewInstrumented returns an H-mine miner that records run-time counters
+// into rec — nodes expanded (header tables processed), support countings
+// (queue lengths read), itemsets emitted and candidate prunes — and one
+// coarse kernel span per first-level subtree into tr. Only construct
+// tracing miners for sequential runs — under the scheduler the worker task
+// spans own the timeline. The track is cached on the Miner and reused across Mine calls,
 // so a tracing Miner must not run concurrent Mines. cf, when non-nil, is
 // polled at every header-table item: once it trips, the recursion unwinds
 // and Mine returns cf.Err(). Any argument may be nil.

@@ -1,3 +1,15 @@
+// Package loadgen drives `fpm serve` under synthetic traffic: a T1–T5
+// workload taxonomy, an open/closed-loop arrival controller, and latency
+// recorded in internal/hdr histograms producing p50/p95/p99/max
+// summaries. The server records its per-job latencies into the same
+// geometry, which is what makes the harness's cross-check of
+// server-reported quantiles against its own (-scrape-final) valid within
+// one shared 1/32 error bound. cmd/fpmload emits the results
+// as BENCH_serve.json and gates them against declared latency SLO
+// budgets, so the service's performance trajectory is a tracked artifact
+// — the paper's thesis applied to the serving layer: an
+// architecture-level pattern only counts when it is measured on the real
+// hot path.
 package loadgen
 
 import (
@@ -6,6 +18,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fpm/internal/hdr"
 )
 
 // RunConfig shapes one workload run.
@@ -29,7 +43,7 @@ type RunConfig struct {
 	// fpm_job_e2e_seconds histogram). The caller owns the accumulator and
 	// can merge runs, then cross-check its quantiles against a final
 	// /metrics scrape.
-	ServerE2E *Hist
+	ServerE2E *hdr.Hist
 }
 
 // collector accumulates one worker's samples; workers never share state,
@@ -37,10 +51,10 @@ type RunConfig struct {
 // discipline the mining layer uses for its shard arenas, and the property
 // the histogram tests pin.
 type collector struct {
-	admit, e2e, queue, mine Hist
+	admit, e2e, queue, mine hdr.Hist
 	// srv mirrors the server's own e2e recording: queue + mine from the
 	// job's timestamps, excluding the client's polling overhead.
-	srv         Hist
+	srv         hdr.Hist
 	counts      map[string]int
 	hotCounts   map[int]int
 	cacheServed int

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+
+	"fpm/internal/hdr"
 )
 
 // WorkloadResult is one workload's measured outcome — the unit of the
@@ -37,11 +39,11 @@ type WorkloadResult struct {
 	// ServerE2E is queue+mine — the job's server-side submitted→terminal
 	// span, the same quantity the server's own fpm_job_e2e_seconds
 	// histogram records (E2E additionally includes client polling).
-	Admit     Summary `json:"admit"`
-	E2E       Summary `json:"e2e"`
-	QueueWait Summary `json:"queue_wait"`
-	MineTime  Summary `json:"mine_time"`
-	ServerE2E Summary `json:"server_e2e"`
+	Admit     hdr.Summary `json:"admit"`
+	E2E       hdr.Summary `json:"e2e"`
+	QueueWait hdr.Summary `json:"queue_wait"`
+	MineTime  hdr.Summary `json:"mine_time"`
+	ServerE2E hdr.Summary `json:"server_e2e"`
 
 	// CacheServed counts completed jobs the server answered from its
 	// result cache (served_from_cache in the job record) — T3's hot keys
@@ -89,8 +91,8 @@ type ScrapeFinal struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Report is the BENCH_serve.json artifact schema, shaped like
-// BENCH_partition.json: tool + toolchain identity, then results.
+// Report is the BENCH_serve.json artifact schema: tool + toolchain
+// identity, then results.
 type Report struct {
 	Tool      string           `json:"tool"`
 	GoVersion string           `json:"go_version"`

@@ -9,38 +9,28 @@ package partition
 // the crashed run completed: a kill -9 loses at most the chunk that was in
 // flight.
 //
-// Durability discipline: the sidecar is written to a temp file in the same
-// directory and renamed into place, so a crash mid-write can never tear the
-// previous checkpoint; the payload carries a CRC32 so a torn or bit-flipped
-// file is detected and reported as ErrCheckpointCorrupt instead of
-// poisoning a resume. Identity is (input size, FNV-64a of the input's first
-// 64 KiB, kernel signature, minSupport, memory budget, total transaction
-// count): chunk boundaries are a pure function of the byte budget and the
-// starting transaction, so matching identity guarantees the resumed run
-// reproduces exactly the chunks the original would have mined.
+// The sidecar is an FPCK frame written through internal/durable (see
+// DESIGN.md §16): a crash mid-write never tears the previous checkpoint,
+// and a torn or bit-flipped file is reported as ErrCheckpointCorrupt
+// instead of poisoning a resume. Identity is (input size, FNV-64a of the
+// input's first 64 KiB, kernel signature, minSupport, memory budget, total
+// transaction count): chunk boundaries are a pure function of the byte
+// budget and the starting transaction, so matching identity guarantees the
+// resumed run reproduces exactly the chunks the original would have mined.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
-	"io"
 	"os"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 )
 
 const (
 	ckptMagic   = "FPCK"
 	ckptVersion = 1
-	// identityPrefixBytes is how much of the input participates in the
-	// identity hash. A full-file hash would cost a fourth streaming pass;
-	// the prefix plus the exact byte size catches every realistic mismatch
-	// (different file, appended rows, re-sorted rows).
-	identityPrefixBytes = 64 << 10
 )
 
 // ErrCheckpointCorrupt reports a sidecar that is not a well-formed
@@ -48,6 +38,8 @@ const (
 // fails structural validation. It is a clean error — corrupt input never
 // panics (FuzzCheckpointDecode asserts this).
 var ErrCheckpointCorrupt = errors.New("partition: checkpoint corrupt")
+
+var ckptFormat = durable.Format{Magic: ckptMagic, Version: ckptVersion, Corrupt: ErrCheckpointCorrupt}
 
 // Checkpoint is one persisted progress record. The identity fields bind it
 // to an (input, config) pair; the progress fields say where to pick up.
@@ -84,48 +76,35 @@ type Checkpoint struct {
 // from the mutable-form encoder, only the node numbering differs (DFS
 // prefix order), which the decoder never relied on.
 func (ck *Checkpoint) encode() []byte {
-	var pay bytes.Buffer
-	var vb [binary.MaxVarintLen64]byte
-	wu := func(v uint64) { pay.Write(vb[:binary.PutUvarint(vb[:], v)]) }
-	wi := func(v int64) { pay.Write(vb[:binary.PutVarint(vb[:], v)]) }
-
-	wi(ck.InputSize)
-	wu(ck.InputHash)
-	wu(uint64(len(ck.Kernel)))
-	pay.WriteString(ck.Kernel)
-	wi(int64(ck.MinSupport))
-	wi(ck.MemBudget)
-	wi(int64(ck.TotalTx))
-	wu(uint64(ck.Phase))
-	wi(int64(ck.ChunksDone))
-	wi(int64(ck.TxConsumed))
+	e := ckptFormat.NewEncoder()
+	e.Varint(ck.InputSize)
+	e.Uvarint(ck.InputHash)
+	e.String(ck.Kernel)
+	e.Varint(int64(ck.MinSupport))
+	e.Varint(ck.MemBudget)
+	e.Varint(int64(ck.TotalTx))
+	e.Uvarint(uint64(ck.Phase))
+	e.Varint(int64(ck.ChunksDone))
+	e.Varint(int64(ck.TxConsumed))
 
 	t := ck.trie
 	nNodes := len(t.cand)
-	wu(uint64(nNodes))
-	wu(uint64(t.cands))
+	e.Uvarint(uint64(nNodes))
+	e.Uvarint(uint64(t.cands))
 	for n := 0; n < nNodes; n++ {
-		wi(int64(t.cand[n]))
+		e.Varint(int64(t.cand[n]))
 		lo, hi := t.start[n], t.start[n+1]
-		wu(uint64(hi - lo))
+		e.Uvarint(uint64(hi - lo))
 		for ci := lo; ci < hi; ci++ {
-			wu(uint64(t.keys[ci]))
-			wu(uint64(t.child[ci]))
+			e.Uvarint(uint64(t.keys[ci]))
+			e.Uvarint(uint64(t.child[ci]))
 		}
 	}
-	wu(uint64(len(ck.counts)))
+	e.Uvarint(uint64(len(ck.counts)))
 	for _, v := range ck.counts {
-		wu(uint64(v))
+		e.Uvarint(uint64(v))
 	}
-
-	out := make([]byte, 0, len(ckptMagic)+1+4+pay.Len())
-	out = append(out, ckptMagic...)
-	out = append(out, ckptVersion)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(pay.Bytes()))
-	out = append(out, crcb[:]...)
-	out = append(out, pay.Bytes()...)
-	return out
+	return e.Seal()
 }
 
 // DecodeCheckpoint parses and validates a serialised checkpoint. Any
@@ -134,66 +113,26 @@ func (ck *Checkpoint) encode() []byte {
 // than the input size warrants (counts claimed by the header are bounded by
 // the remaining payload bytes before allocation).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	corrupt := func(what string) (*Checkpoint, error) {
-		return nil, fmt.Errorf("%w: %s", ErrCheckpointCorrupt, what)
-	}
-	if len(data) < len(ckptMagic)+1+4 {
-		return corrupt("file shorter than header")
-	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return corrupt("bad magic")
-	}
-	if v := data[len(ckptMagic)]; v != ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, v)
-	}
-	crc := binary.LittleEndian.Uint32(data[len(ckptMagic)+1:])
-	pay := data[len(ckptMagic)+1+4:]
-	if crc32.ChecksumIEEE(pay) != crc {
-		return corrupt("payload CRC mismatch")
-	}
-
-	r := bytes.NewReader(pay)
-	var rerr error
-	ru := func() uint64 {
-		if rerr != nil {
-			return 0
-		}
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			rerr = err
-		}
-		return v
-	}
-	ri := func() int64 {
-		if rerr != nil {
-			return 0
-		}
-		v, err := binary.ReadVarint(r)
-		if err != nil {
-			rerr = err
-		}
-		return v
+	corrupt := func(what string) (*Checkpoint, error) { return nil, ckptFormat.Reject(what) }
+	r, err := ckptFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 
 	ck := &Checkpoint{}
-	ck.InputSize = ri()
-	ck.InputHash = ru()
-	klen := ru()
-	if rerr != nil || klen > uint64(r.Len()) {
+	ck.InputSize = r.Varint()
+	ck.InputHash = r.Uvarint()
+	ck.Kernel = r.String()
+	if r.Err() != nil {
 		return corrupt("truncated kernel signature")
 	}
-	kb := make([]byte, klen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return corrupt("truncated kernel signature")
-	}
-	ck.Kernel = string(kb)
-	ck.MinSupport = int(ri())
-	ck.MemBudget = ri()
-	ck.TotalTx = int(ri())
-	ck.Phase = int(ru())
-	ck.ChunksDone = int(ri())
-	ck.TxConsumed = int(ri())
-	if rerr != nil {
+	ck.MinSupport = int(r.Varint())
+	ck.MemBudget = r.Varint()
+	ck.TotalTx = int(r.Varint())
+	ck.Phase = int(r.Uvarint())
+	ck.ChunksDone = int(r.Varint())
+	ck.TxConsumed = int(r.Varint())
+	if r.Err() != nil {
 		return corrupt("truncated header fields")
 	}
 	if ck.Phase != 1 && ck.Phase != 2 {
@@ -208,9 +147,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	// here, because the bytes may be hostile. The decoder accepts any
 	// valid node numbering (old mutable-order sidecars decode fine), not
 	// only the DFS prefix order the current encoder emits.
-	nNodes := ru()
-	nCands := ru()
-	if rerr != nil {
+	nNodes := r.Uvarint()
+	nCands := r.Uvarint()
+	if r.Err() != nil {
 		return corrupt("truncated trie header")
 	}
 	// Each node costs at least 2 payload bytes (cand varint + child count),
@@ -226,9 +165,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	seenCand := make([]bool, nCands)
 	for i := uint64(0); i < nNodes; i++ {
-		cand := ri()
-		nch := ru()
-		if rerr != nil {
+		cand := r.Varint()
+		nch := r.Uvarint()
+		if r.Err() != nil {
 			return corrupt("truncated trie node")
 		}
 		if cand < -1 || cand >= int64(nCands) {
@@ -247,9 +186,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		t.cand[i] = int32(cand)
 		prevItem := int64(-1)
 		for k := uint64(0); k < nch; k++ {
-			item := ru()
-			ref := ru()
-			if rerr != nil {
+			item := r.Uvarint()
+			ref := r.Uvarint()
+			if r.Err() != nil {
 				return corrupt("truncated trie child")
 			}
 			// Child rows must be strictly increasing by item (the lockstep
@@ -287,8 +226,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck.trie = t
 
-	nCounts := ru()
-	if rerr != nil || nCounts > uint64(r.Len()) {
+	nCounts := r.Uvarint()
+	if r.Err() != nil || nCounts > uint64(r.Len()) {
 		return corrupt("implausible counts size")
 	}
 	if ck.Phase == 2 {
@@ -301,8 +240,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if nCounts > 0 {
 		ck.counts = make([]uint32, nCounts)
 		for i := range ck.counts {
-			v := ru()
-			if rerr != nil || v > uint64(^uint32(0)) {
+			v := r.Uvarint()
+			if r.Err() != nil || v > uint64(^uint32(0)) {
 				return corrupt("truncated counts")
 			}
 			ck.counts[i] = uint32(v)
@@ -314,36 +253,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// SaveCheckpoint atomically persists ck to path: full write to a temp file
-// in the same directory, fsync, then rename over path. A crash at any point
-// leaves either the previous checkpoint or the new one, never a torn file.
-// The partition.checkpoint.write failpoint fires before any byte is
-// written, so injected write failures also leave the previous sidecar
-// intact.
+// SaveCheckpoint atomically persists ck to path (durable.WriteFile: temp
+// file, fsync, rename), so a crash at any point leaves either the previous
+// checkpoint or the new one. The partition.checkpoint.write failpoint
+// fires before any byte is written, so injected write failures also leave
+// the previous sidecar intact.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	if err := failpoint.Hit(failpoint.PartitionCheckpointWrite); err != nil {
 		return err
 	}
-	data := ck.encode()
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("partition: checkpoint: %w", err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("partition: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("partition: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(path, ck.encode(), nil); err != nil {
 		return fmt.Errorf("partition: checkpoint: %w", err)
 	}
 	return nil
@@ -364,19 +283,4 @@ func removeCheckpoint(path string) {
 	if path != "" {
 		os.Remove(path)
 	}
-}
-
-// inputIdentity fingerprints the open input file: its exact byte size plus
-// an FNV-64a hash of its first identityPrefixBytes. The caller rewinds
-// afterwards (the read advances the file position).
-func inputIdentity(f *os.File) (size int64, hash uint64, err error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("partition: checkpoint: %w", err)
-	}
-	h := fnv.New64a()
-	if _, err := io.Copy(h, io.LimitReader(f, identityPrefixBytes)); err != nil {
-		return 0, 0, fmt.Errorf("partition: checkpoint: %w", err)
-	}
-	return fi.Size(), h.Sum64(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -529,5 +530,29 @@ func TestCancelLeavesSidecarForResume(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatal("resume after cancellation diverges")
+	}
+}
+
+// TestCheckpointGoldenBytes pins the FPCK wire format: the encodings of
+// both phases' fixed checkpoints must stay byte-identical to the hex
+// captured from the format's first encoder, and must decode back to the
+// same bytes, so sidecars written by any earlier build still resume.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	golden := map[int]string{
+		1: "4650434b01bad0e664f2c001fe95bff7dbd5370f6c636d28224c65787c53494d4422290e80808001ce0f0106820506050103010102040305000102020401050306000200080000",
+		2: "4650434b0150974d3df2c001fe95bff7dbd5370f6c636d28224c65787c53494d4422290e80808001ce0f02068205060501030101020403050001020204010503060002000800050a141e2832",
+	}
+	for phase, want := range golden {
+		if got := hex.EncodeToString(testCheckpoint(phase).encode()); got != want {
+			t.Fatalf("phase %d encoding drifted:\n got %s\nwant %s", phase, got, want)
+		}
+		data, _ := hex.DecodeString(want)
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("phase %d golden does not decode: %v", phase, err)
+		}
+		if !bytes.Equal(ck.encode(), data) {
+			t.Fatalf("phase %d golden does not re-encode to itself", phase)
+		}
 	}
 }

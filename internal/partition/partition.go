@@ -37,6 +37,7 @@ import (
 
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 	"fpm/internal/fimi"
 	"fpm/internal/lexorder"
@@ -180,12 +181,11 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 	var inSize int64
 	var inHash uint64
 	if cfg.Checkpoint != "" {
-		if inSize, inHash, err = inputIdentity(f); err != nil {
-			return err
+		id, _, err := durable.FileIdentity(path, false)
+		if err != nil {
+			return fmt.Errorf("partition: checkpoint: %w", err)
 		}
-		if err := rewind(f); err != nil {
-			return err
-		}
+		inSize, inHash = id.Size, id.Hash
 	}
 	var resumed *Checkpoint
 	if cfg.Resume && cfg.Checkpoint != "" {

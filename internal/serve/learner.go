@@ -5,7 +5,7 @@ import (
 	"os"
 	"sync"
 
-	"fpm/internal/servecache"
+	"fpm/internal/durable"
 	"fpm/internal/telemetry"
 )
 
@@ -33,7 +33,7 @@ const (
 // with the dataset, and folding thresholds in would shatter the stream
 // into cold singletons.
 type learnKey struct {
-	ID   servecache.Identity
+	ID   durable.Identity
 	Algo string
 }
 
@@ -52,7 +52,7 @@ type learnEntry struct {
 type identStamp struct {
 	size    int64
 	modTime int64
-	id      servecache.Identity
+	id      durable.Identity
 }
 
 // FootprintLearner closes the admission loop: it folds each mined job's
@@ -78,10 +78,10 @@ func NewFootprintLearner() *FootprintLearner {
 }
 
 // identity resolves path to its content identity through the memo.
-func (l *FootprintLearner) identity(path string) (servecache.Identity, bool) {
+func (l *FootprintLearner) identity(path string) (durable.Identity, bool) {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return servecache.Identity{}, false
+		return durable.Identity{}, false
 	}
 	l.mu.Lock()
 	st, ok := l.idents[path]
@@ -89,9 +89,9 @@ func (l *FootprintLearner) identity(path string) (servecache.Identity, bool) {
 	if ok && st.size == fi.Size() && st.modTime == fi.ModTime().UnixNano() {
 		return st.id, true
 	}
-	id, err := servecache.FileIdentity(path)
+	id, _, err := durable.FileIdentity(path, false)
 	if err != nil {
-		return servecache.Identity{}, false
+		return durable.Identity{}, false
 	}
 	l.mu.Lock()
 	if len(l.idents) >= learnerMaxEntries {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/durable"
 	"fpm/internal/servecache"
 	"fpm/internal/telemetry"
 )
@@ -141,15 +142,6 @@ func (inst *Instance) Close(ctx context.Context) error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// New builds a telemetry server with an attached job store running the
-// real miner. The caller owns shutdown ordering: Store.Shutdown (or
-// Close) first, then Server.Shutdown. Kept for callers that do not need
-// the cache handle; NewInstance returns the full stack.
-func New(cfg Config) (*telemetry.Server, *telemetry.Store) {
-	inst := NewInstance(cfg)
-	return inst.Server, inst.Store
 }
 
 // NewInstance builds the full serving stack described by cfg.
@@ -330,7 +322,7 @@ func recoverJournals(dir string) (pending []telemetry.PendingJob, files []string
 		}
 		for _, p := range telemetry.PendingRequests(recs) {
 			key := recKey{req: p.Req}
-			if id, err := servecache.FileIdentity(p.Req.Path); err == nil {
+			if id, _, err := durable.FileIdentity(p.Req.Path, false); err == nil {
 				key.id = id.String()
 			}
 			if seen[key] {
@@ -376,13 +368,13 @@ func (inst *Instance) mineJob(ctx context.Context, req telemetry.JobRequest, rec
 // mining paths, so the job's counters stream into rec while it runs. ctx
 // threads the job's cancellation and deadline into the run: both the
 // in-memory and partitioned paths unwind cooperatively when it trips.
-// This entry point is cache-free; the store built by New/NewInstance
+// This entry point is cache-free; the store built by NewInstance
 // runs jobs through the serving caches.
 func MineJob(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder) (telemetry.MineResult, error) {
 	return mineWithCaches(ctx, req, rec, nil, false)
 }
 
-func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, durable bool) (telemetry.MineResult, error) {
+func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, persist bool) (telemetry.MineResult, error) {
 	if req.MinSupport < 1 {
 		return telemetry.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
 	}
@@ -404,7 +396,7 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 	var key servecache.ResultKey
 	haveKey := false
 	if caches != nil && caches.Results != nil {
-		if id, err := servecache.FileIdentity(req.Path); err == nil {
+		if id, _, err := durable.FileIdentity(req.Path, false); err == nil {
 			key = servecache.ResultKey{ID: id, Algo: req.Algo, Patterns: strconv.FormatUint(uint64(ps), 10)}
 			haveKey = true
 			if sets, outcome, ok := caches.Results.ServeTraced(key, req.MinSupport); ok {
@@ -453,20 +445,19 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 	}
 	if haveKey {
 		stored := false
-		if durable {
+		if persist {
 			// Durable insert: stamp the listing with its origin file and
-			// that file's full-content FNV-64a, computed here — once, after
-			// the mine, never on the cache-hit path. Restore validates the
-			// hash against the live file, which closes the Identity
-			// collision window (same size, same 64 KiB prefix, same mtime)
-			// on the persistence path. If the file changed while we mined,
-			// the identity no longer matches the key and the listing stays
-			// memory-only under its (now unreachable) pre-mine key.
-			if fh, err := servecache.FullFileHash(req.Path); err == nil {
-				if id, err := servecache.FileIdentity(req.Path); err == nil && id == key.ID {
-					caches.Results.InsertDurable(key, req.MinSupport, sets, req.Path, fh)
-					stored = true
-				}
+			// that file's full-content FNV-64a, computed here in one read
+			// with the identity — after the mine, never on the cache-hit
+			// path. Restore validates the hash against the live file, which
+			// closes the Identity collision window (same size, same 64 KiB
+			// prefix, same mtime) on the persistence path. If the file
+			// changed while we mined, the identity no longer matches the key
+			// and the listing stays memory-only under its (now unreachable)
+			// pre-mine key.
+			if id, fh, err := durable.FileIdentity(req.Path, true); err == nil && id == key.ID {
+				caches.Results.InsertDurable(key, req.MinSupport, sets, req.Path, fh)
+				stored = true
 			}
 		}
 		if !stored {

@@ -218,7 +218,8 @@ func TestServeDrainMidStorm(t *testing.T) {
 	path := testDataset(t, 8000, 2)
 	before := runtime.NumGoroutine()
 
-	srv, store := New(Config{QueueCap: 16})
+	inst := NewInstance(Config{QueueCap: 16})
+	srv, store := inst.Server, inst.Store
 	ts := httptest.NewServer(srv.Handler())
 
 	// Flood with slow jobs, cancelling some, until the drain signal.

@@ -1,3 +1,25 @@
+// Package servecache holds the shared state that makes `fpm serve`
+// multi-tenant: a ref-counted dataset cache so concurrent and repeated
+// jobs against the same input file share one parsed database instead of
+// re-running the FIMI parse per job, and a result cache whose entries
+// answer not just exact repeats but any query at a higher support
+// threshold (support-threshold subsumption: a minsup=100 listing filtered
+// to support >= 150 is exactly the minsup=150 listing, because mining is
+// complete). Both caches key on durable.Identity, account their resident
+// bytes so the serving layer's admission control can weigh cached state
+// against running jobs under one global memory budget, and evict cold
+// entries LRU-first when that budget (or their own cap) bites.
+//
+// The result cache can additionally be persisted across restarts: a
+// Persister snapshots the cache into an FPRS sidecar and Restore
+// pre-warms a fresh cache from it, validating each entry against the
+// live input file's full content hash so a stale listing can never be
+// resurrected from disk.
+//
+// The package deliberately sits below the serving layer: it imports only
+// the dataset/fimi/mine core plus the durable-file and failpoint
+// packages, so the telemetry job store, the serve wiring and the tests
+// can all compose it without import cycles.
 package servecache
 
 // Caches bundles the two serving-layer caches; either may be nil

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 	"fpm/internal/fimi"
 )
@@ -23,7 +24,7 @@ import (
 type DatasetCache struct {
 	mu       sync.Mutex
 	maxBytes int64
-	entries  map[Identity]*Dataset
+	entries  map[durable.Identity]*Dataset
 	lru      *list.List // cold (refs==0) entries only; back = coldest
 	resident int64
 	stats    DatasetStats
@@ -45,7 +46,7 @@ type DatasetStats struct {
 // Dataset is one cached parsed database. The handle stays valid while the
 // caller holds a reference (between Acquire and Release).
 type Dataset struct {
-	ID    Identity
+	ID    durable.Identity
 	DB    *dataset.DB
 	Bytes int64
 
@@ -67,7 +68,7 @@ func (d *Dataset) Evicted() bool { return d.evicted }
 func NewDatasetCache(maxBytes int64) *DatasetCache {
 	return &DatasetCache{
 		maxBytes: maxBytes,
-		entries:  make(map[Identity]*Dataset),
+		entries:  make(map[durable.Identity]*Dataset),
 		lru:      list.New(),
 	}
 }
@@ -88,7 +89,7 @@ func (c *DatasetCache) Acquire(path string) (*Dataset, error) {
 // "hit" (the parse was already resident), "coalesced" (another job's
 // in-flight parse was joined), or "miss" (this call ran the parse).
 func (c *DatasetCache) AcquireTraced(path string) (*Dataset, string, error) {
-	id, err := FileIdentity(path)
+	id, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		return nil, "", err
 	}

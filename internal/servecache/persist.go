@@ -2,10 +2,10 @@ package servecache
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 )
 
@@ -35,7 +35,7 @@ type PersistStats struct {
 }
 
 // Persister periodically snapshots a ResultCache's durable entries into
-// an atomic sidecar file (temp + fsync + rename, the FPCK discipline).
+// an atomic sidecar file (durable.WriteFile).
 // Writes are debounced — a tick writes only when the cache mutated since
 // the last successful write — and ordered after removals: the rename is
 // taken under the cache lock only if no entry was removed since the
@@ -179,39 +179,21 @@ func (p *Persister) writeAtomic(data []byte, removeGen uint64) error {
 	if err := failpoint.Hit(failpoint.ServecachePersistWrite); err != nil {
 		return err
 	}
-	tmp := p.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("servecache: snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("servecache: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("servecache: snapshot: %w", err)
-	}
 	// The commit point. Under the cache lock: a removal (evict, shed,
 	// replace) after the encode makes this snapshot stale in the dangerous
 	// direction — it still contains the removed entry — so it must not
 	// land. Removals bump removeGen under the same lock, which makes the
 	// check and the rename one atomic step against them.
-	p.cache.mu.Lock()
-	if p.cache.removeGen != removeGen {
-		p.cache.mu.Unlock()
-		os.Remove(tmp)
-		return errSnapshotRaced
-	}
-	err = os.Rename(tmp, p.path)
-	p.cache.mu.Unlock()
-	if err != nil {
-		os.Remove(tmp)
+	err := durable.WriteFile(p.path, data, func(rename func() error) error {
+		p.cache.mu.Lock()
+		defer p.cache.mu.Unlock()
+		if p.cache.removeGen != removeGen {
+			return errSnapshotRaced
+		}
+		return rename()
+	})
+	if err != nil && err != errSnapshotRaced {
 		return fmt.Errorf("servecache: snapshot: %w", err)
 	}
-	return nil
+	return err
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 )
 
@@ -230,7 +231,7 @@ func TestSnapshotShedOrderingUnderConcurrency(t *testing.T) {
 	// Every persisted entry must still be resident and serveable: a shed
 	// entry surviving on disk would resurrect on the next restart.
 	for _, e := range snap.Entries {
-		id, err := FileIdentity(e.Path)
+		id, _, err := durable.FileIdentity(e.Path, false)
 		if err != nil {
 			t.Fatal(err)
 		}

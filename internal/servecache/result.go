@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"fpm/internal/durable"
 	"fpm/internal/mine"
 )
 
@@ -19,7 +20,7 @@ import (
 // answer, but a cache must not be the thing that hides it if one ever
 // did.
 type ResultKey struct {
-	ID       Identity
+	ID       durable.Identity
 	Algo     string
 	Patterns string
 }

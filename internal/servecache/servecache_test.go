@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/fimi"
 	"fpm/internal/mine"
 )
@@ -48,15 +49,15 @@ func TestFileIdentity(t *testing.T) {
 	b := writeFIMI(t, dir, "b.dat", 10) // same bytes, different path
 	c := writeFIMI(t, dir, "c.dat", 11)
 
-	ida, err := FileIdentity(a)
+	ida, _, err := durable.FileIdentity(a, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := FileIdentity(b)
+	idb, _, err := durable.FileIdentity(b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idc, err := FileIdentity(c)
+	idc, _, err := durable.FileIdentity(c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFileIdentity(t *testing.T) {
 	if ida.Size == 0 || ida.Hash == 0 {
 		t.Fatalf("degenerate identity %s", ida)
 	}
-	if _, err := FileIdentity(filepath.Join(dir, "missing.dat")); err == nil {
+	if _, _, err := durable.FileIdentity(filepath.Join(dir, "missing.dat"), false); err == nil {
 		t.Fatal("FileIdentity of a missing file must error")
 	}
 }
@@ -94,7 +95,7 @@ func TestFileIdentityInPlaceEditPastPrefix(t *testing.T) {
 	if err := os.Chtimes(path, t0, t0); err != nil {
 		t.Fatal(err)
 	}
-	before, err := FileIdentity(path)
+	before, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestFileIdentityInPlaceEditPastPrefix(t *testing.T) {
 	if err := os.Chtimes(path, t1, t1); err != nil {
 		t.Fatal(err)
 	}
-	after, err := FileIdentity(path)
+	after, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func listing(ss []mine.Itemset) string {
 
 func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 	c := NewResultCache(0)
-	key := ResultKey{ID: Identity{Size: 9, Hash: 7}, Algo: "lcm", Patterns: "3"}
+	key := ResultKey{ID: durable.Identity{Size: 9, Hash: 7}, Algo: "lcm", Patterns: "3"}
 	// Deliberately unordered, with unsorted items: the cache canonicalizes.
 	c.Insert(key, 2, sets(
 		[]dataset.Item{3, 1}, 4,
@@ -367,7 +368,7 @@ func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 
 func TestResultCacheLowerThresholdReplaces(t *testing.T) {
 	c := NewResultCache(0)
-	key := ResultKey{ID: Identity{Size: 1, Hash: 1}, Algo: "lcm"}
+	key := ResultKey{ID: durable.Identity{Size: 1, Hash: 1}, Algo: "lcm"}
 	c.Insert(key, 5, sets([]dataset.Item{1}, 9))
 	c.Insert(key, 7, sets([]dataset.Item{1}, 9)) // higher threshold: dropped
 	if _, ok := c.Serve(key, 5); !ok {
@@ -387,7 +388,7 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 	one := sets([]dataset.Item{1, 2, 3}, 5)
 	cost := setsBytes(Canonicalize(one))
 	c := NewResultCache(2 * cost)
-	k := func(i uint64) ResultKey { return ResultKey{ID: Identity{Size: 1, Hash: i}, Algo: "lcm"} }
+	k := func(i uint64) ResultKey { return ResultKey{ID: durable.Identity{Size: 1, Hash: i}, Algo: "lcm"} }
 	c.Insert(k(1), 2, one)
 	c.Insert(k(2), 2, one)
 	c.Serve(k(1), 2)       // touch k1: k2 becomes LRU
@@ -419,7 +420,7 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 // listing afterwards must not corrupt what the cache serves.
 func TestResultCacheCopiesOnInsert(t *testing.T) {
 	c := NewResultCache(0)
-	key := ResultKey{ID: Identity{Size: 2, Hash: 2}, Algo: "lcm"}
+	key := ResultKey{ID: durable.Identity{Size: 2, Hash: 2}, Algo: "lcm"}
 	in := sets([]dataset.Item{5, 1}, 3)
 	c.Insert(key, 3, in)
 	in[0].Items[0] = 99

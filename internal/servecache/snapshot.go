@@ -1,13 +1,12 @@
 package servecache
 
 // Result-cache persistence: the cache's durable entries serialise into a
-// small sidecar file so a restarted server starts with a warm result
-// cache — a hot key stays hot across a kill -9. The wire format follows
-// the FPCK checkpoint discipline from internal/partition: magic, version
-// byte, CRC32 of the payload, then a varint-packed payload; the decoder
-// treats the bytes as hostile (it validates every count against the
-// remaining payload before allocating, never panics, and wraps every
-// malformation in ErrSnapshotCorrupt so callers degrade to a cold cache).
+// small FPRS sidecar file (an internal/durable frame, see DESIGN.md §16)
+// so a restarted server starts with a warm result cache — a hot key stays
+// hot across a kill -9. The decoder treats the payload as hostile: it
+// validates every count against the remaining payload before allocating,
+// never panics, and wraps every malformation in ErrSnapshotCorrupt so
+// callers degrade to a cold cache.
 //
 // A snapshot entry carries the listing's origin — the input file path and
 // that file's full-content FNV-64a at mine time — instead of the
@@ -20,15 +19,11 @@ package servecache
 // stale listing from disk.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/mine"
 )
 
@@ -43,6 +38,8 @@ const (
 // (FuzzCacheSnapshotDecode asserts this); callers treat it as "no
 // snapshot" and start cold.
 var ErrSnapshotCorrupt = errors.New("servecache: snapshot corrupt")
+
+var snapFormat = durable.Format{Magic: snapMagic, Version: snapVersion, Corrupt: ErrSnapshotCorrupt}
 
 // SnapshotEntry is one persisted listing: the request coordinates that
 // key it, the origin file with its full-content hash, and the canonical
@@ -65,35 +62,24 @@ type Snapshot struct {
 // payload (entry count, then per entry the varint-packed fields and the
 // listing).
 func (s *Snapshot) Encode() []byte {
-	var pay bytes.Buffer
-	var vb [binary.MaxVarintLen64]byte
-	wu := func(v uint64) { pay.Write(vb[:binary.PutUvarint(vb[:], v)]) }
-	ws := func(str string) { wu(uint64(len(str))); pay.WriteString(str) }
-
-	wu(uint64(len(s.Entries)))
-	for _, e := range s.Entries {
-		ws(e.Path)
-		ws(e.Algo)
-		ws(e.Patterns)
-		wu(uint64(e.MinSupport))
-		wu(e.FullHash)
-		wu(uint64(len(e.Sets)))
-		for _, set := range e.Sets {
-			wu(uint64(set.Support))
-			wu(uint64(len(set.Items)))
+	e := snapFormat.NewEncoder()
+	e.Uvarint(uint64(len(s.Entries)))
+	for _, ent := range s.Entries {
+		e.String(ent.Path)
+		e.String(ent.Algo)
+		e.String(ent.Patterns)
+		e.Uvarint(uint64(ent.MinSupport))
+		e.Uvarint(ent.FullHash)
+		e.Uvarint(uint64(len(ent.Sets)))
+		for _, set := range ent.Sets {
+			e.Uvarint(uint64(set.Support))
+			e.Uvarint(uint64(len(set.Items)))
 			for _, it := range set.Items {
-				wu(uint64(it))
+				e.Uvarint(uint64(it))
 			}
 		}
 	}
-
-	out := make([]byte, 0, len(snapMagic)+1+4+pay.Len())
-	out = append(out, snapMagic...)
-	out = append(out, snapVersion)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(pay.Bytes()))
-	out = append(out, crcb[:]...)
-	return append(out, pay.Bytes()...)
+	return e.Seal()
 }
 
 // DecodeSnapshot parses and validates a serialised snapshot. Any
@@ -102,55 +88,15 @@ func (s *Snapshot) Encode() []byte {
 // count claimed by the payload is bounded by the remaining bytes before
 // allocation).
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	corrupt := func(what string) (*Snapshot, error) {
-		return nil, fmt.Errorf("%w: %s", ErrSnapshotCorrupt, what)
-	}
-	if len(data) < len(snapMagic)+1+4 {
-		return corrupt("file shorter than header")
-	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return corrupt("bad magic")
-	}
-	if v := data[len(snapMagic)]; v != snapVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrSnapshotCorrupt, v)
-	}
-	crc := binary.LittleEndian.Uint32(data[len(snapMagic)+1:])
-	pay := data[len(snapMagic)+1+4:]
-	if crc32.ChecksumIEEE(pay) != crc {
-		return corrupt("payload CRC mismatch")
-	}
-
-	r := bytes.NewReader(pay)
-	var rerr error
-	ru := func() uint64 {
-		if rerr != nil {
-			return 0
-		}
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			rerr = err
-		}
-		return v
-	}
-	rs := func() string {
-		n := ru()
-		if rerr != nil || n > uint64(r.Len()) {
-			if rerr == nil {
-				rerr = errors.New("string length beyond payload")
-			}
-			return ""
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			rerr = err
-			return ""
-		}
-		return string(b)
+	corrupt := func(what string) (*Snapshot, error) { return nil, snapFormat.Reject(what) }
+	r, err := snapFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 
 	snap := &Snapshot{}
-	nEntries := ru()
-	if rerr != nil {
+	nEntries := r.Uvarint()
+	if r.Err() != nil {
 		return corrupt("truncated entry count")
 	}
 	// Each entry costs at least 6 payload bytes (three string lengths,
@@ -162,13 +108,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	snap.Entries = make([]SnapshotEntry, 0, nEntries)
 	for i := uint64(0); i < nEntries; i++ {
 		var e SnapshotEntry
-		e.Path = rs()
-		e.Algo = rs()
-		e.Patterns = rs()
-		minsup := ru()
-		e.FullHash = ru()
-		nSets := ru()
-		if rerr != nil {
+		e.Path = r.String()
+		e.Algo = r.String()
+		e.Patterns = r.String()
+		minsup := r.Uvarint()
+		e.FullHash = r.Uvarint()
+		nSets := r.Uvarint()
+		if r.Err() != nil {
 			return corrupt("truncated entry header")
 		}
 		if e.Path == "" {
@@ -185,9 +131,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		e.Sets = make([]mine.Itemset, 0, nSets)
 		prevItems := []dataset.Item(nil)
 		for k := uint64(0); k < nSets; k++ {
-			sup := ru()
-			nItems := ru()
-			if rerr != nil {
+			sup := r.Uvarint()
+			nItems := r.Uvarint()
+			if r.Err() != nil {
 				return corrupt("truncated itemset header")
 			}
 			if sup < uint64(e.MinSupport) || sup > uint64(int(^uint(0)>>1)) {
@@ -202,8 +148,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			items := make([]dataset.Item, nItems)
 			prev := int64(-1)
 			for j := uint64(0); j < nItems; j++ {
-				it := ru()
-				if rerr != nil {
+				it := r.Uvarint()
+				if r.Err() != nil {
 					return corrupt("truncated items")
 				}
 				if it > uint64(^uint32(0)>>1) || int64(it) <= prev {
@@ -285,12 +231,7 @@ func (c *ResultCache) RestoreSnapshot(data []byte) (RestoreStats, error) {
 	}
 	var st RestoreStats
 	for _, e := range snap.Entries {
-		id, err := FileIdentity(e.Path)
-		if err != nil {
-			st.DroppedUnreadable++
-			continue
-		}
-		fh, err := FullFileHash(e.Path)
+		id, fh, err := durable.FileIdentity(e.Path, true)
 		if err != nil {
 			st.DroppedUnreadable++
 			continue

@@ -6,6 +6,8 @@ package servecache
 // Identity cannot see), mtime-drift re-keying, and hostile-input decoding.
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/mine"
 )
 
@@ -35,11 +38,7 @@ func sets2() []mine.Itemset {
 // full-content hash, returning the key it is cached under.
 func durableInsert(t *testing.T, c *ResultCache, path, algo string, minsup int, sets []mine.Itemset) ResultKey {
 	t.Helper()
-	id, err := FileIdentity(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := FullFileHash(path)
+	id, fh, err := durable.FileIdentity(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestSnapshotRoundTripAndRestore(t *testing.T) {
 	ka := durableInsert(t, c, pa, "lcm", 4, sets1())
 	kb := durableInsert(t, c, pb, "eclat", 3, sets2())
 	// A memory-only listing must not be persisted.
-	c.Insert(ResultKey{ID: Identity{Size: 1, Hash: 2}, Algo: "lcm"}, 2, sets1())
+	c.Insert(ResultKey{ID: durable.Identity{Size: 1, Hash: 2}, Algo: "lcm"}, 2, sets1())
 
 	data, _, _ := c.EncodeSnapshot()
 	snap, err := DecodeSnapshot(data)
@@ -162,7 +161,7 @@ func TestSnapshotRestoreDropsIdentityCollision(t *testing.T) {
 	// Identity cannot tell the files apart.
 	buf[len(buf)-2] = '9'
 	write()
-	id, err := FileIdentity(path)
+	id, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestSnapshotRestoreRekeysMtimeDrift(t *testing.T) {
 	if err := os.Chtimes(path, newPin, newPin); err != nil {
 		t.Fatal(err)
 	}
-	newID, err := FileIdentity(path)
+	newID, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,5 +301,33 @@ func TestDecodeSnapshotHostile(t *testing.T) {
 
 	if _, err := DecodeSnapshot(valid); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+}
+
+// TestSnapshotGoldenBytes pins the FPRS wire format: a fixed snapshot must
+// encode byte-identically to the hex captured from the format's first
+// encoder and decode back to the same bytes, so a restarted server keeps
+// reading snapshots an earlier build wrote.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	const want = "4650525301cc7a5cc6020a2f746d702f612e646174036c636d013302effdb6f50d02090101020201020a2f746d702f622e6461740565636c617400010001010307090b"
+	snap := &Snapshot{Entries: []SnapshotEntry{
+		{Path: "/tmp/a.dat", Algo: "lcm", Patterns: "3", MinSupport: 2, FullHash: 0xdeadbeef,
+			Sets: []mine.Itemset{
+				{Items: []dataset.Item{1}, Support: 9},
+				{Items: []dataset.Item{1, 2}, Support: 2},
+			}},
+		{Path: "/tmp/b.dat", Algo: "eclat", MinSupport: 1,
+			Sets: []mine.Itemset{{Items: []dataset.Item{7, 9, 11}, Support: 1}}},
+	}}
+	if got := hex.EncodeToString(snap.Encode()); got != want {
+		t.Fatalf("encoding drifted:\n got %s\nwant %s", got, want)
+	}
+	data, _ := hex.DecodeString(want)
+	dec, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("golden does not decode: %v", err)
+	}
+	if !bytes.Equal(dec.Encode(), data) {
+		t.Fatal("golden does not re-encode to itself")
 	}
 }

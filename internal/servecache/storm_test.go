@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fpm/internal/dataset"
+	"fpm/internal/durable"
 	"fpm/internal/fimi"
 	"fpm/internal/mine"
 )
@@ -108,7 +109,7 @@ func TestResultCacheStorm(t *testing.T) {
 	c := NewResultCache(8 * setsBytes(Canonicalize(one(20))))
 	keys := make([]ResultKey, 6)
 	for i := range keys {
-		keys[i] = ResultKey{ID: Identity{Size: int64(i + 1), Hash: uint64(i)}, Algo: "lcm"}
+		keys[i] = ResultKey{ID: durable.Identity{Size: int64(i + 1), Hash: uint64(i)}, Algo: "lcm"}
 	}
 
 	const workers = 10

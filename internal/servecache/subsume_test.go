@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"fpm"
+	"fpm/internal/durable"
 	"fpm/internal/servecache"
 )
 
@@ -85,7 +86,7 @@ func TestSubsumptionPropertyAllKernels(t *testing.T) {
 			if err := fpm.WriteFIMIFile(path, tc.db); err != nil {
 				t.Fatal(err)
 			}
-			id, err := servecache.FileIdentity(path)
+			id, _, err := durable.FileIdentity(path, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func waitState(t *testing.T, get func(int) (Job, bool), id int, state string) Jo
 
 func TestStoreCancelRunningJob(t *testing.T) {
 	started := make(chan int, 1)
-	st := NewStore(ctxMiner(started), nil)
+	st := NewStoreWithConfig(ctxMiner(started), nil, StoreConfig{})
 	defer st.Close()
 	job, err := st.Submit(JobRequest{Path: "x", Algo: "lcm", MinSupport: 2})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestStoreCancelRunningJob(t *testing.T) {
 
 func TestStoreCancelQueuedJob(t *testing.T) {
 	started := make(chan int, 1)
-	st := NewStore(ctxMiner(started), nil)
+	st := NewStoreWithConfig(ctxMiner(started), nil, StoreConfig{})
 	first, err := st.Submit(JobRequest{Path: "x", Algo: "lcm", MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestStoreCancelQueuedJob(t *testing.T) {
 }
 
 func TestStoreJobTimeout(t *testing.T) {
-	st := NewStore(ctxMiner(nil), nil)
+	st := NewStoreWithConfig(ctxMiner(nil), nil, StoreConfig{})
 	defer st.Close()
 	job, err := st.Submit(JobRequest{Path: "x", Algo: "lcm", MinSupport: 2, TimeoutMS: 20})
 	if err != nil {
@@ -113,7 +113,7 @@ func TestStoreJobTimeout(t *testing.T) {
 // submissions are refused.
 func TestStoreShutdown(t *testing.T) {
 	started := make(chan int, 1)
-	st := NewStore(ctxMiner(started), nil)
+	st := NewStoreWithConfig(ctxMiner(started), nil, StoreConfig{})
 	running, err := st.Submit(JobRequest{Path: "x", Algo: "lcm", MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestStoreShutdown(t *testing.T) {
 func TestServerDeleteJob(t *testing.T) {
 	started := make(chan int, 1)
 	srv := NewServer()
-	st := NewStore(ctxMiner(started), srv.SetRecorder)
+	st := NewStoreWithConfig(ctxMiner(started), srv.SetRecorder, StoreConfig{})
 	srv.AttachJobs(st)
 	defer st.Shutdown()
 	ts := httptest.NewServer(srv.Handler())

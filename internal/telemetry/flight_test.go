@@ -148,7 +148,7 @@ func TestEventsEndpoint(t *testing.T) {
 		Emit(ctx, Event{Type: "mine_start"})
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStoreWithConfig(mine, nil, StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
 	srv.AttachJobs(st)
@@ -246,7 +246,7 @@ func TestJobHistogramsRendered(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStoreWithConfig(mine, nil, StoreConfig{})
 	const jobs = 5
 	for i := 0; i < jobs; i++ {
 		job, err := st.Submit(JobRequest{MinSupport: 1})
@@ -367,7 +367,7 @@ func TestMetricsEndpointHasJobHistograms(t *testing.T) {
 	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStoreWithConfig(mine, nil, StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
 	srv.AttachJobs(st)

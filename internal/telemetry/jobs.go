@@ -154,20 +154,13 @@ type Store struct {
 	retryBase  time.Duration
 	retryMax   time.Duration
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []*Job
-	pending []int // queued job ids, FIFO
-	memUsed int64 // admission reservations of running jobs
-	// admitted counts jobs popped by next() whose run() has not yet
-	// finished. It is what admission waits on: unlike stats.Running
-	// (incremented only once run() re-locks), it is bumped in the same
-	// critical section that pops the queue, so two runners can never both
-	// observe "nothing in flight" and force-admit oversized jobs
-	// concurrently.
-	admitted int
-	closed   bool // queue closed; no further submissions
-	aborting bool // Shutdown in progress; queued jobs drain as cancelled
+	mu       sync.Mutex
+	cond     *sync.Cond
+	jobs     []*Job
+	pending  []int // queued job ids, FIFO
+	memUsed  int64 // admission reservations of running jobs
+	closed   bool  // queue closed; no further submissions
+	aborting bool  // Shutdown in progress; queued jobs drain as cancelled
 	stats    StoreStats
 
 	// hists are the server-side latency and footprint histograms, one
@@ -238,7 +231,8 @@ type StoreStats struct {
 	Requeued  uint64 `json:"requeued"`
 }
 
-// DefaultQueueCap bounds the pending-job queue when NewStore is used.
+// DefaultQueueCap bounds the pending-job queue when StoreConfig.QueueCap
+// is zero.
 const DefaultQueueCap = 64
 
 // StoreConfig shapes a job store.
@@ -307,20 +301,8 @@ const (
 	DefaultRetryMaxDelay  = time.Second
 )
 
-// NewStore starts a single-runner store with the default queue cap.
-// onStart may be nil.
-func NewStore(mine MineFunc, onStart func(*metrics.Recorder)) *Store {
-	return NewStoreWithConfig(mine, onStart, StoreConfig{})
-}
-
-// NewStoreWithCap starts a single-runner store with room for queueCap
-// pending jobs (minimum 1); submissions beyond the cap are rejected with
-// ErrQueueFull so callers see backpressure instead of unbounded growth.
-func NewStoreWithCap(mine MineFunc, onStart func(*metrics.Recorder), queueCap int) *Store {
-	return NewStoreWithConfig(mine, onStart, StoreConfig{QueueCap: queueCap})
-}
-
-// NewStoreWithConfig starts the runner pool described by cfg.
+// NewStoreWithConfig starts the runner pool described by cfg. onStart may
+// be nil.
 func NewStoreWithConfig(mine MineFunc, onStart func(*metrics.Recorder), cfg StoreConfig) *Store {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = DefaultQueueCap
@@ -570,18 +552,22 @@ func (st *Store) Cancel(id int) (Job, bool) {
 func (st *Store) runner() {
 	defer st.wg.Done()
 	for {
-		id, est, ok := st.next()
+		job, ctx, cancel, ok := st.next()
 		if !ok {
 			return
 		}
-		st.run(id, est)
+		st.run(ctx, job, cancel)
 	}
 }
 
 // next blocks until the head of the queue is admitted to this runner (or
-// the store drains; ok is then false). Admission claims est bytes of the
-// memory budget; run releases them.
-func (st *Store) next() (id int, est int64, ok bool) {
+// the store drains; ok is then false) and claims it: in the critical
+// section that pops the queue the job becomes "running", moves from the
+// Queued to the Running gauge, reserves its estimate of the memory budget
+// and gets the context a Cancel or Shutdown aborts it through. There is
+// no window in which a popped job still looks queued. run releases the
+// reservation and cancels ctx when the job ends.
+func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFunc, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
@@ -617,13 +603,14 @@ func (st *Store) next() (id int, est int64, ok bool) {
 		}
 		if len(st.pending) == 0 {
 			if st.closed {
-				return 0, 0, false
+				return nil, nil, nil, false
 			}
 			st.cond.Wait()
 			continue
 		}
 
-		id = st.pending[0]
+		id := st.pending[0]
+		var est int64
 		learned := false
 		if st.footprint != nil {
 			est, learned = st.footprint(st.jobs[id].Request)
@@ -658,14 +645,13 @@ func (st *Store) next() (id int, est int64, ok bool) {
 					continue // budget changed: re-check the fit
 				}
 			}
-			if st.admitted > 0 {
+			if st.stats.Running > 0 {
 				st.cond.Wait()
 				continue
 			}
 		}
 		st.pending = st.pending[1:]
 		st.memUsed += est
-		st.admitted++
 		if st.footprint != nil {
 			if learned {
 				st.stats.FootprintLearned++
@@ -673,7 +659,22 @@ func (st *Store) next() (id int, est int64, ok bool) {
 				st.stats.FootprintHeuristic++
 			}
 		}
-		return id, est, true
+		job = st.jobs[id]
+		if job.Request.TimeoutMS > 0 {
+			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(job.Request.TimeoutMS)*time.Millisecond)
+		} else {
+			ctx, cancel = context.WithCancel(context.Background())
+		}
+		ctx = WithEmitter(ctx, func(ev Event) { st.emitJob(id, ev) })
+		job.State = "running"
+		job.Started = time.Now()
+		job.cancel = cancel
+		job.MemEstimate = est
+		st.stats.Queued--
+		st.stats.Running++
+		st.emitLocked(job, Event{Type: "running", Estimate: est})
+		st.journal.Append(JournalRecord{Op: JournalOpRunning, Job: id, TS: job.Started})
+		return job, ctx, cancel, true
 	}
 }
 
@@ -693,35 +694,21 @@ func (st *Store) overBudgetLocked(est int64) int64 {
 	return used - st.memBudget
 }
 
-func (st *Store) run(id int, est int64) {
+// run mines a job next() claimed and records its terminal state.
+func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
+	defer cancel()
 	st.samplerOnce.Do(func() {
 		st.samplerWG.Add(1)
 		go st.sampler()
 	})
+	// job.Request and job.MemEstimate are only written before the claim,
+	// so they are read here without the lock.
+	req, est := job.Request, job.MemEstimate
 	heapBase := readLiveHeap()
 	st.mu.Lock()
-	job := st.jobs[id]
-	req := job.Request
-	var ctx context.Context
-	var cancelFn context.CancelFunc
-	if req.TimeoutMS > 0 {
-		ctx, cancelFn = context.WithTimeout(context.Background(), time.Duration(req.TimeoutMS)*time.Millisecond)
-	} else {
-		ctx, cancelFn = context.WithCancel(context.Background())
-	}
-	ctx = WithEmitter(ctx, func(ev Event) { st.emitJob(id, ev) })
-	job.State = "running"
-	job.Started = time.Now()
-	job.cancel = cancelFn
-	job.MemEstimate = est
 	job.heapBase = heapBase
-	job.heapPeak = heapBase
-	st.stats.Queued--
-	st.stats.Running++
-	st.emitLocked(job, Event{Type: "running", Estimate: est})
-	st.journal.Append(JournalRecord{Op: JournalOpRunning, Job: id, TS: job.Started})
+	job.heapPeak = max(job.heapPeak, heapBase)
 	st.mu.Unlock()
-	defer cancelFn()
 
 	rec := metrics.NewRecorder()
 	if st.onStart != nil {
@@ -768,7 +755,6 @@ func (st *Store) run(id int, est int64) {
 		}
 	}
 	st.stats.Running--
-	st.admitted--
 	st.memUsed -= est
 	switch {
 	case err == nil:

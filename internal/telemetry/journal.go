@@ -168,14 +168,17 @@ func PendingRequests(recs []JournalRecord) []PendingJob {
 		req      *JobRequest
 		terminal bool
 		requeue  bool
-		order    int
 	}
 	jobs := make(map[int]*lifeline)
+	// First-seen order is submission order, so recovery resubmits FIFO
+	// like the original queue.
+	var ordered []*lifeline
 	for _, rec := range recs {
 		l := jobs[rec.Job]
 		if l == nil {
-			l = &lifeline{order: len(jobs)}
+			l = &lifeline{}
 			jobs[rec.Job] = l
+			ordered = append(ordered, l)
 		}
 		switch rec.Op {
 		case JournalOpSubmitted:
@@ -191,19 +194,6 @@ func PendingRequests(recs []JournalRecord) []PendingJob {
 		}
 	}
 	pend := make([]PendingJob, 0)
-	ordered := make([]*lifeline, 0, len(jobs))
-	for _, l := range jobs {
-		ordered = append(ordered, l)
-	}
-	// Submission order, so recovery resubmits FIFO like the original
-	// queue.
-	for i := 0; i < len(ordered); i++ {
-		for j := i + 1; j < len(ordered); j++ {
-			if ordered[j].order < ordered[i].order {
-				ordered[i], ordered[j] = ordered[j], ordered[i]
-			}
-		}
-	}
 	for _, l := range ordered {
 		if l.req == nil || l.req.Path == "" {
 			continue

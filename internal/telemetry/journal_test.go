@@ -10,6 +10,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -205,9 +206,9 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 // SubmitRecovered stamps the provenance: recovered:true on the record,
 // the counter, the flight-recorder outcome, and the journal trail.
 func TestSubmitRecoveredProvenance(t *testing.T) {
-	st := NewStore(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
+	st := NewStoreWithConfig(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
-	}, nil)
+	}, nil, StoreConfig{})
 	defer st.Close()
 	job, err := st.SubmitRecovered(JobRequest{Path: "x.dat", Algo: "lcm", MinSupport: 2})
 	if err != nil {
@@ -347,6 +348,32 @@ func TestRetryDelayShape(t *testing.T) {
 			if d < window/2 || d > window {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, window/2, window)
 			}
+		}
+	}
+}
+
+// Recovery folds a journal in time linear in its length and resubmits in
+// first-seen (submission) order, not job-ID order: a long-lived server's
+// journal reaches hundreds of thousands of records.
+func TestPendingRequestsLargeJournalFIFO(t *testing.T) {
+	const n = 200000
+	recs := make([]JournalRecord, n)
+	for i := range recs {
+		// Job IDs deliberately out of order: FIFO must follow the records.
+		recs[i] = JournalRecord{Op: JournalOpSubmitted, Job: (i * 7919) % n,
+			Req: &JobRequest{Path: strconv.Itoa(i), Algo: "lcm", MinSupport: 2}}
+	}
+	start := time.Now()
+	pend := PendingRequests(recs)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("folding %d records took %v", n, d)
+	}
+	if len(pend) != n {
+		t.Fatalf("pending = %d, want %d", len(pend), n)
+	}
+	for i, p := range pend {
+		if p.Req.Path != strconv.Itoa(i) {
+			t.Fatalf("pend[%d] = %s, want %d: not FIFO", i, p.Req.Path, i)
 		}
 	}
 }

@@ -191,11 +191,10 @@ func TestSchedulerOversizedJobForceAdmitted(t *testing.T) {
 }
 
 // Oversized jobs must truly serialize: force-admission is gated on the
-// store's admitted count (bumped in the same critical section that pops
-// the queue), not on stats.Running, which lags until run() re-locks. With
-// the lagging gate, two runners could both see "nothing in flight" and
-// run two over-budget jobs at once — exactly the OOM the budget exists to
-// prevent.
+// Running gauge, which moves in the same critical section that pops the
+// queue. With a gate that lagged the pop, two runners could both see
+// "nothing in flight" and run two over-budget jobs at once — exactly the
+// OOM the budget exists to prevent.
 func TestSchedulerOversizedJobsNeverOverlap(t *testing.T) {
 	var g gate
 	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
@@ -393,5 +392,54 @@ func TestSchedulerCloseDrainsPool(t *testing.T) {
 	}
 	if _, err := st.Submit(JobRequest{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// A DELETE that lands after a runner popped a job but before it mines
+// must cancel the job once, through its context. The test claims the
+// queue head itself, as a second runner would, cancels it, then runs it.
+// When the pop left the job "queued" until run() re-locked, the cancel
+// finished it as a queued job and run() then decremented Queued a second
+// time and mined it to a second terminal state (Queued:-1, one more
+// outcome than submissions).
+func TestSchedulerCancelBetweenClaimAndMine(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	mine := func(ctx context.Context, req JobRequest, _ *metrics.Recorder) (MineResult, error) {
+		if req.Path == "blocker" {
+			close(started)
+			<-release
+			return MineResult{}, nil
+		}
+		return MineResult{}, ctx.Err()
+	}
+	st := NewStoreWithConfig(mine, nil, StoreConfig{MaxConcurrent: 1})
+	if _, err := st.Submit(JobRequest{Path: "blocker"}); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only runner is busy, so the next job waits for us
+	victim, err := st.Submit(JobRequest{Path: "victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, ctx, cancel, ok := st.next()
+	if !ok || job.ID != victim.ID {
+		t.Fatalf("claimed %+v (ok=%v), want job %d", job, ok, victim.ID)
+	}
+	st.Cancel(victim.ID)
+	st.run(ctx, job, cancel)
+	close(release)
+	st.Close()
+
+	js := st.Stats()
+	if js.Queued != 0 || js.Running != 0 || js.Done != 1 || js.Cancelled != 1 ||
+		js.Done+js.Failed+js.Cancelled != js.Submitted {
+		t.Fatalf("census after claim-window cancel = %+v", js)
+	}
+	if got, _ := st.Get(victim.ID); got.State != "cancelled" {
+		t.Fatalf("victim state = %q, want cancelled", got.State)
+	}
+	if h := st.Histograms(); h.E2E.Count() != 2 {
+		t.Fatalf("terminal transitions recorded = %d, want 2", h.E2E.Count())
 	}
 }
