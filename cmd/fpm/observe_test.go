@@ -20,13 +20,14 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/jobs"
 	"fpm/internal/serve"
 	"fpm/internal/telemetry"
 )
 
 // newServeServer hosts the production serve wiring for the serve-API
 // tests, which drive the handler without a listener or signals.
-func newServeServer() (*telemetry.Server, *telemetry.Store) {
+func newServeServer() (*telemetry.Server, *jobs.Store) {
 	inst := serve.NewInstance(serve.Config{})
 	return inst.Server, inst.Store
 }
@@ -251,7 +252,7 @@ func TestServeJobAPI(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	submit := func(body string) telemetry.Job {
+	submit := func(body string) jobs.Job {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -262,13 +263,13 @@ func TestServeJobAPI(t *testing.T) {
 			b, _ := io.ReadAll(resp.Body)
 			t.Fatalf("POST /jobs = %d: %s", resp.StatusCode, b)
 		}
-		var j telemetry.Job
+		var j jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	wait := func(id int) telemetry.Job {
+	wait := func(id int) jobs.Job {
 		t.Helper()
 		deadline := time.After(30 * time.Second)
 		for {
@@ -276,7 +277,7 @@ func TestServeJobAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var j telemetry.Job
+			var j jobs.Job
 			if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 				t.Fatal(err)
 			}
@@ -337,33 +338,33 @@ func TestServeJobTimeoutAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	submit := func(body string) telemetry.Job {
+	submit := func(body string) jobs.Job {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var j telemetry.Job
+		var j jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	get := func(id int) telemetry.Job {
+	get := func(id int) jobs.Job {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var j telemetry.Job
+		var j jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	waitFinal := func(id int) telemetry.Job {
+	waitFinal := func(id int) jobs.Job {
 		t.Helper()
 		deadline := time.After(60 * time.Second)
 		for {

@@ -33,9 +33,9 @@
 // -cache-persist, journaled as requeue-on-restart so the next boot picks
 // them up), in-flight HTTP responses drain, and the process exits 0.
 //
-// The wiring (real miner into the telemetry job store) lives in
-// internal/serve so the load harness (cmd/fpmload) can host an identical
-// server in-process.
+// The wiring (real miner into the internal/jobs scheduler, served by the
+// internal/telemetry HTTP server) lives in internal/serve so the load
+// harness (cmd/fpmload) can host an identical server in-process.
 package main
 
 import (
@@ -49,9 +49,9 @@ import (
 	"syscall"
 	"time"
 
+	"fpm/internal/jobs"
 	"fpm/internal/serve"
 	"fpm/internal/servecache"
-	"fpm/internal/telemetry"
 )
 
 // runServe runs the job-serving mode until interrupted.
@@ -59,7 +59,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fpm serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:9090", "HTTP listen address")
-	queueCap := fs.Int("queue-cap", telemetry.DefaultQueueCap, "max pending jobs before POST /jobs returns 429")
+	queueCap := fs.Int("queue-cap", jobs.DefaultQueueCap, "max pending jobs before POST /jobs returns 429")
 	maxConc := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrent job runners")
 	memBudget := fs.String("mem-budget", "0", "global memory budget for admission control, e.g. 2G (0 = unlimited)")
 	dsCache := fs.String("dataset-cache", "", "dataset cache cap, e.g. 256M; 0 disables, empty = default")

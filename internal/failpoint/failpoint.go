@@ -47,10 +47,10 @@ const (
 	// cache-miss parse runs; an armed error surfaces as a parse failure —
 	// a transient I/O fault the serve layer's retry policy must absorb.
 	ServecacheDatasetParse = "servecache.dataset.parse"
-	// TelemetryJobMine fires at the top of every mine attempt in the job
-	// store (including retries); arm FailAfter to fail the first N
-	// attempts and let a retry succeed.
-	TelemetryJobMine = "telemetry.job.mine"
+	// JobsMine fires at the top of every mine attempt in the job store
+	// (including retries); arm FailAfter to fail the first N attempts and
+	// let a retry succeed.
+	JobsMine = "jobs.mine"
 	// ServecachePersistWrite fires in the result-cache snapshot writer
 	// before any byte is written — an injected failure simulates a full
 	// disk and must leave the previous snapshot intact.

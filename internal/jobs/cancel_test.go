@@ -1,16 +1,12 @@
-package telemetry
+package jobs
 
 // Job cancellation, per-job timeout, and graceful-shutdown semantics of
-// the Store and the DELETE /jobs/{id} surface, with a fake miner that
-// honours its context the way the real kernels do.
+// the Store, with a fake miner that honours its context the way the real
+// kernels do.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -140,63 +136,4 @@ func TestStoreShutdown(t *testing.T) {
 		t.Fatalf("Submit after shutdown = %v, want ErrClosed", err)
 	}
 	st.Shutdown() // idempotent
-}
-
-// TestServerDeleteJob: the HTTP surface for cancellation — DELETE a
-// running job flips it to cancelled, DELETE on an unknown id is 404, and
-// other methods stay rejected.
-func TestServerDeleteJob(t *testing.T) {
-	started := make(chan int, 1)
-	srv := NewServer()
-	st := NewStoreWithConfig(ctxMiner(started), srv.SetRecorder, StoreConfig{})
-	srv.AttachJobs(st)
-	defer st.Shutdown()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/jobs", "application/json",
-		strings.NewReader(`{"path":"x.dat","algo":"lcm","min_support":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	<-started
-
-	del := func(id int) (*http.Response, Job) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, id), nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var j Job
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp, j
-	}
-	if resp, _ := del(99); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("DELETE /jobs/99 = %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := del(job.ID); resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE /jobs/%d = %d, want 200", job.ID, resp.StatusCode)
-	}
-	waitState(t, st.Get, job.ID, "cancelled")
-
-	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID), nil)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("PUT /jobs/{id} = %d, want 405", resp2.StatusCode)
-	}
 }

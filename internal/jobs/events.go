@@ -1,4 +1,4 @@
-package telemetry
+package jobs
 
 import (
 	"context"
@@ -55,34 +55,29 @@ type EventLog struct {
 	Events  []Event `json:"events"`
 }
 
-// DefaultEventCap bounds each job's event ring when StoreConfig.EventCap
-// is zero. Sixteen store-level events cover any admission saga; the rest
-// is headroom for serve-path cache events on churny jobs.
+// DefaultEventCap bounds each job's event ring. Sixteen store-level
+// events cover any admission saga; the rest is headroom for serve-path
+// cache events on churny jobs.
 const DefaultEventCap = 64
 
 // eventRing is a bounded drop-oldest buffer of one job's events. All
 // access is under Store.mu.
 type eventRing struct {
 	buf     []Event
-	cap     int
 	start   int
 	dropped uint64
 	seq     uint64
 }
 
-func newEventRing(cap int) *eventRing {
-	return &eventRing{cap: cap}
-}
-
 func (r *eventRing) append(ev Event) Event {
 	ev.Seq = r.seq
 	r.seq++
-	if len(r.buf) < r.cap {
+	if len(r.buf) < DefaultEventCap {
 		r.buf = append(r.buf, ev)
 		return ev
 	}
 	r.buf[r.start] = ev
-	r.start = (r.start + 1) % r.cap
+	r.start = (r.start + 1) % DefaultEventCap
 	r.dropped++
 	return ev
 }
@@ -94,10 +89,7 @@ func (r *eventRing) lastType() string {
 	if len(r.buf) == 0 {
 		return ""
 	}
-	if len(r.buf) < r.cap {
-		return r.buf[len(r.buf)-1].Type
-	}
-	return r.buf[(r.start+r.cap-1)%r.cap].Type
+	return r.buf[(r.start+len(r.buf)-1)%len(r.buf)].Type
 }
 
 // snapshot returns the ring's events oldest-first.

@@ -1,4 +1,4 @@
-package telemetry
+package jobs
 
 // Job journal: a tiny append-only WAL of job state transitions, so a
 // restarted `fpm serve` can report what a crash lost and requeue the
@@ -12,6 +12,12 @@ package telemetry
 // results, because mining is idempotent and the result cache dedupes by
 // input identity).
 //
+// Each process lifetime writes its own generation, jobs.journal.<gen>,
+// so job IDs — which restart at 0 — stay unambiguous across restarts.
+// OpenJournalDir replays every generation and opens the next one;
+// Store.Resubmit retires the replayed generations once the new one holds
+// the resubmissions on stable storage.
+//
 // Reading tolerates a torn tail: the record being appended when the
 // process died (or any later corruption) ends the parse at the last
 // well-formed line instead of failing recovery.
@@ -19,9 +25,16 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+
+	"fpm/internal/durable"
 )
 
 // Journal ops. "submitted" carries the request (the record recovery
@@ -34,6 +47,9 @@ const (
 	JournalOpTerminal  = "terminal"
 	JournalOpRequeue   = "requeue"
 )
+
+// journalPrefix names the generation files in a state directory.
+const journalPrefix = "jobs.journal."
 
 // JournalRecord is one WAL line.
 type JournalRecord struct {
@@ -58,11 +74,77 @@ type Journal struct {
 	f   *os.File
 	enc *json.Encoder
 	err error
+	// superseded lists the older generation files recovery read; retire
+	// removes them. Written only before the journal is shared.
+	superseded []string
 }
 
-// OpenJournal opens (creating if needed) the journal at path for
+// OpenJournalDir recovers the journal generations in dir and opens the
+// next generation for appending. It returns the new journal and the
+// requests a restarted server should resubmit: every job a generation
+// journaled without a terminal record, plus every job explicitly
+// requeued by a graceful drain — oldest generation first, FIFO within
+// one, and deduped across generations by request and input identity
+// (durable.FileIdentity), so the same request against the same file
+// content recovers once however many crashed generations journaled it.
+// The generations read stay on disk until Store.Resubmit retires them.
+func OpenJournalDir(dir string) (*Journal, []JobRequest, error) {
+	paths, maxGen := generations(dir)
+	type recKey struct {
+		req JobRequest
+		id  string
+	}
+	seen := make(map[recKey]bool)
+	var pending []JobRequest
+	for _, path := range paths {
+		recs, err := readJournal(path)
+		if err != nil {
+			continue
+		}
+		for _, req := range pendingRequests(recs) {
+			key := recKey{req: req}
+			if id, _, err := durable.FileIdentity(req.Path, false); err == nil {
+				key.id = id.String()
+			}
+			if !seen[key] {
+				seen[key] = true
+				pending = append(pending, req)
+			}
+		}
+	}
+	j, err := openJournal(filepath.Join(dir, fmt.Sprintf("%s%d", journalPrefix, maxGen+1)))
+	if err != nil {
+		return nil, nil, err
+	}
+	j.superseded = paths
+	return j, pending, nil
+}
+
+// generations lists dir's journal generation files in generation order
+// and returns the highest generation number seen (0 when none).
+func generations(dir string) (paths []string, maxGen int) {
+	// An unreadable dir holds no generations; opening the next one then
+	// reports why.
+	entries, _ := os.ReadDir(dir)
+	gen := make(map[string]int, len(entries))
+	for _, e := range entries {
+		suffix, ok := strings.CutPrefix(e.Name(), journalPrefix)
+		n, err := strconv.Atoi(suffix)
+		if !ok || err != nil || n < 0 {
+			continue // not ours
+		}
+		path := filepath.Join(dir, e.Name())
+		gen[path] = n
+		paths = append(paths, path)
+		maxGen = max(maxGen, n)
+	}
+	sort.Slice(paths, func(i, j int) bool { return gen[paths[i]] < gen[paths[j]] })
+	return paths, maxGen
+}
+
+// openJournal opens (creating if needed) the journal at path for
 // appending.
-func OpenJournal(path string) (*Journal, error) {
+func openJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -106,6 +188,21 @@ func (j *Journal) Sync() error {
 	return j.f.Sync()
 }
 
+// retire removes the generations this journal superseded, but only once
+// its own records are on stable storage: after a failed sync the old
+// generations are the only durable record of the jobs recovery replayed,
+// so they stay for the next boot to replay again.
+func (j *Journal) retire() {
+	if j == nil || j.Sync() != nil {
+		return
+	}
+	for _, path := range j.superseded {
+		// A generation that survives is only replayed again next boot:
+		// replay is at-least-once by design.
+		_ = os.Remove(path)
+	}
+}
+
 // Close syncs and closes the journal file.
 func (j *Journal) Close() error {
 	if j == nil {
@@ -124,11 +221,11 @@ func (j *Journal) Close() error {
 // corruption (a real record is a few hundred bytes).
 const journalMaxLine = 1 << 20
 
-// ReadJournal parses the journal at path, tolerating a torn or corrupt
+// readJournal parses the journal at path, tolerating a torn or corrupt
 // tail: parsing stops at the first malformed line and the well-formed
-// prefix is returned. A missing file returns (nil, os.ErrNotExist-style
-// error) — callers treat it as an empty journal.
-func ReadJournal(path string) ([]JournalRecord, error) {
+// prefix is returned. The error is non-nil only when the file cannot be
+// opened.
+func readJournal(path string) ([]JournalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -149,21 +246,12 @@ func ReadJournal(path string) ([]JournalRecord, error) {
 	return recs, nil
 }
 
-// PendingJob is one job a journal says was lost: submitted (or
-// explicitly requeued by a graceful drain) without reaching a terminal
-// state in that process.
-type PendingJob struct {
-	Req JobRequest
-	// Requeued marks a job a graceful shutdown drained with the explicit
-	// intent to resubmit (vs. one simply in flight at a crash).
-	Requeued bool
-}
-
-// PendingRequests folds one journal's records into the jobs a restarted
-// server should resubmit: every submitted job without a terminal record,
-// plus every job whose terminal record is an explicit requeue. Records
-// with no replayable request (torn writes, hostile edits) are skipped.
-func PendingRequests(recs []JournalRecord) []PendingJob {
+// pendingRequests folds one journal's records into the requests a
+// restarted server should resubmit: every submitted job without a
+// terminal record, plus every job whose terminal record is an explicit
+// requeue. Records with no replayable request (torn writes, hostile
+// edits) are skipped.
+func pendingRequests(recs []JournalRecord) []JobRequest {
 	type lifeline struct {
 		req      *JobRequest
 		terminal bool
@@ -189,19 +277,14 @@ func PendingRequests(recs []JournalRecord) []PendingJob {
 		case JournalOpTerminal:
 			l.terminal = true
 		case JournalOpRequeue:
-			l.terminal = true
 			l.requeue = true
 		}
 	}
-	pend := make([]PendingJob, 0)
+	pend := make([]JobRequest, 0)
 	for _, l := range ordered {
-		if l.req == nil || l.req.Path == "" {
-			continue
+		if l.req != nil && l.req.Path != "" && (!l.terminal || l.requeue) {
+			pend = append(pend, *l.req)
 		}
-		if l.terminal && !l.requeue {
-			continue
-		}
-		pend = append(pend, PendingJob{Req: *l.req, Requeued: l.requeue})
 	}
 	return pend
 }

@@ -1,15 +1,16 @@
-package telemetry
+package jobs
 
 // Job-journal and retry-policy tests: WAL round trips with torn tails,
-// pending-job recovery folding, the Shutdown drain's requeue-vs-cancel
-// split, and transparent retry with backoff under injected transient
-// faults.
+// pending-job recovery folding, multi-generation recovery and retirement,
+// the Shutdown drain's requeue-vs-cancel split, and transparent retry
+// with backoff under injected transient faults.
 
 import (
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ import (
 
 func TestJournalAppendReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal.1")
-	j, err := OpenJournal(path)
+	j, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadJournal(path)
+	recs, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 // must end the parse at the last whole line, not fail recovery.
 func TestJournalTornTailKeepsPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal.1")
-	j, err := OpenJournal(path)
+	j, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestJournalTornTailKeepsPrefix(t *testing.T) {
 	}
 	f.Close()
 
-	recs, err := ReadJournal(path)
+	recs, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestJournalTornTailKeepsPrefix(t *testing.T) {
 		t.Fatalf("torn tail: read %d records, want the 2-record prefix", len(recs))
 	}
 	// The torn terminal never landed, so recovery still sees job 0 pending.
-	pend := PendingRequests(recs)
-	if len(pend) != 1 || pend[0].Req.Path != "a.dat" {
+	pend := pendingRequests(recs)
+	if len(pend) != 1 || pend[0].Path != "a.dat" {
 		t.Fatalf("pending after torn tail = %+v", pend)
 	}
 }
@@ -99,6 +100,7 @@ func TestJournalNilSafe(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	j.retire()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +117,18 @@ func TestPendingRequests(t *testing.T) {
 		{Op: JournalOpTerminal, Job: 0, State: "done"},
 		{Op: JournalOpRequeue, Job: 2, State: "requeued"},
 	}
-	pend := PendingRequests(recs)
+	pend := pendingRequests(recs)
 	if len(pend) != 2 {
 		t.Fatalf("pending = %+v, want crashed.dat and requeued.dat", pend)
 	}
 	// FIFO by original submission order.
-	if pend[0].Req.Path != "crashed.dat" || pend[0].Requeued {
+	if pend[0].Path != "crashed.dat" {
 		t.Fatalf("pend[0] = %+v", pend[0])
 	}
-	if pend[1].Req.Path != "requeued.dat" || !pend[1].Requeued {
+	if pend[1].Path != "requeued.dat" {
 		t.Fatalf("pend[1] = %+v", pend[1])
 	}
-	if got := PendingRequests(nil); len(got) != 0 {
+	if got := pendingRequests(nil); len(got) != 0 {
 		t.Fatalf("empty journal pends %+v", got)
 	}
 }
@@ -146,7 +148,7 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 			if withJournal {
 				jnlPath = filepath.Join(t.TempDir(), "jobs.journal.1")
 				var err error
-				if jnl, err = OpenJournal(jnlPath); err != nil {
+				if jnl, err = openJournal(jnlPath); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -180,16 +182,23 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 				if err := jnl.Close(); err != nil {
 					t.Fatal(err)
 				}
-				recs, err := ReadJournal(jnlPath)
+				recs, err := readJournal(jnlPath)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The cancelled runner got a terminal record (a graceful
 				// cancel is final); only the drained queued job is pending,
 				// and it carries the explicit requeue intent.
-				pend := PendingRequests(recs)
-				if len(pend) != 1 || pend[0].Req.Path != "y.dat" || !pend[0].Requeued {
+				pend := pendingRequests(recs)
+				if len(pend) != 1 || pend[0].Path != "y.dat" {
 					t.Fatalf("journal pends %+v, want exactly the requeued job", pend)
+				}
+				requeued := false
+				for _, rec := range recs {
+					requeued = requeued || (rec.Op == JournalOpRequeue && rec.Job == queued.ID)
+				}
+				if !requeued {
+					t.Fatalf("journal %+v has no requeue record for job %d", recs, queued.ID)
 				}
 			} else {
 				if j.State != "cancelled" {
@@ -203,17 +212,18 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 	}
 }
 
-// SubmitRecovered stamps the provenance: recovered:true on the record,
-// the counter, the flight-recorder outcome, and the journal trail.
+// Resubmit stamps the provenance: recovered:true on the record, the
+// counter, the flight-recorder outcome, and the journal trail.
 func TestSubmitRecoveredProvenance(t *testing.T) {
 	st := NewStoreWithConfig(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
 	}, nil, StoreConfig{})
 	defer st.Close()
-	job, err := st.SubmitRecovered(JobRequest{Path: "x.dat", Algo: "lcm", MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
+	resubmitted := st.Resubmit([]JobRequest{{Path: "x.dat", Algo: "lcm", MinSupport: 2}})
+	if len(resubmitted) != 1 {
+		t.Fatalf("resubmitted %d jobs, want 1", len(resubmitted))
 	}
+	job := resubmitted[0]
 	if !job.Recovered {
 		t.Fatal("recovered submission not marked")
 	}
@@ -230,14 +240,10 @@ func TestSubmitRecoveredProvenance(t *testing.T) {
 	}
 }
 
-// retryStore builds a single-runner store with a tight backoff so retry
-// tests run in milliseconds.
+// retryStore builds a single-runner store that retries up to maxRetries
+// times.
 func retryStore(mine MineFunc, maxRetries int) *Store {
-	return NewStoreWithConfig(mine, nil, StoreConfig{
-		MaxRetries:     maxRetries,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  2 * time.Millisecond,
-	})
+	return NewStoreWithConfig(mine, nil, StoreConfig{MaxRetries: maxRetries})
 }
 
 // A transient fault on the first attempt is absorbed: the retry succeeds,
@@ -245,7 +251,7 @@ func retryStore(mine MineFunc, maxRetries int) *Store {
 // counter and the flight recorder.
 func TestRetryTransientFaultSucceeds(t *testing.T) {
 	reg := failpoint.New()
-	reg.FailAfter(failpoint.TelemetryJobMine, 0, errors.New("transient io fault"))
+	reg.FailAfter(failpoint.JobsMine, 0, errors.New("transient io fault"))
 	failpoint.Enable(reg)
 	defer failpoint.Disable()
 
@@ -280,7 +286,7 @@ func TestRetryTransientFaultSucceeds(t *testing.T) {
 // error after exactly MaxRetries extra attempts.
 func TestRetryExhaustsCap(t *testing.T) {
 	reg := failpoint.New()
-	reg.Fail(failpoint.TelemetryJobMine, errors.New("disk on fire"))
+	reg.Fail(failpoint.JobsMine, errors.New("disk on fire"))
 	failpoint.Enable(reg)
 	defer failpoint.Disable()
 
@@ -297,7 +303,7 @@ func TestRetryExhaustsCap(t *testing.T) {
 	if got.Retries != 2 || !strings.Contains(got.Error, "disk on fire") {
 		t.Fatalf("job = %+v, want 2 retries then the fault", got)
 	}
-	if hits := reg.Hits(failpoint.TelemetryJobMine); hits != 3 {
+	if hits := reg.Hits(failpoint.JobsMine); hits != 3 {
 		t.Fatalf("mine attempted %d times, want 1 + 2 retries", hits)
 	}
 }
@@ -337,14 +343,10 @@ func TestRetryNotOnCancelOrDeadline(t *testing.T) {
 // retryDelay must grow exponentially from the base, stay within the cap,
 // and jitter inside the upper half of the window.
 func TestRetryDelayShape(t *testing.T) {
-	st := NewStoreWithConfig(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
-		return MineResult{}, nil
-	}, nil, StoreConfig{RetryBaseDelay: 100 * time.Millisecond, RetryMaxDelay: time.Second})
-	defer st.Close()
-	for attempt, window := range []time.Duration{100, 200, 400, 800, 1000, 1000} {
+	for attempt, window := range []time.Duration{25, 50, 100, 200, 400, 800, 1000, 1000} {
 		window *= time.Millisecond
 		for i := 0; i < 50; i++ {
-			d := st.retryDelay(attempt)
+			d := retryDelay(attempt)
 			if d < window/2 || d > window {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, window/2, window)
 			}
@@ -364,7 +366,7 @@ func TestPendingRequestsLargeJournalFIFO(t *testing.T) {
 			Req: &JobRequest{Path: strconv.Itoa(i), Algo: "lcm", MinSupport: 2}}
 	}
 	start := time.Now()
-	pend := PendingRequests(recs)
+	pend := pendingRequests(recs)
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("folding %d records took %v", n, d)
 	}
@@ -372,8 +374,134 @@ func TestPendingRequestsLargeJournalFIFO(t *testing.T) {
 		t.Fatalf("pending = %d, want %d", len(pend), n)
 	}
 	for i, p := range pend {
-		if p.Req.Path != strconv.Itoa(i) {
-			t.Fatalf("pend[%d] = %s, want %d: not FIFO", i, p.Req.Path, i)
+		if p.Path != strconv.Itoa(i) {
+			t.Fatalf("pend[%d] = %s, want %d: not FIFO", i, p.Path, i)
 		}
+	}
+}
+
+// fixturePending is what recovery resubmits from testdata/journal, a
+// state directory journaled before recovery moved into this package:
+// generation 1 (a crashed runner, a finished job, a graceful requeue, a
+// queued job, a submission with no request, a cancelled job), generation
+// 3 (a replay duplicating generation 1's a.dat, a running job whose
+// terminal record is torn, a failed job) and generation 10 (ordered
+// numerically after 3, a requeue and a running job), plus a file that is
+// not a generation. The order is oldest generation first, FIFO within
+// one, with a.dat deduped across generations.
+var fixturePending = []JobRequest{
+	{Path: "a.dat", Algo: "lcm", MinSupport: 5, Workers: 1},
+	{Path: "c.dat", Algo: "fpgrowth", MinSupport: 6, Workers: 1},
+	{Path: "d.dat", Algo: "lcm", MinSupport: 3, Workers: 1},
+	{Path: "f.dat", Algo: "hmine", MinSupport: 7, Workers: 1},
+	{Path: "c.dat", Algo: "fpgrowth", MinSupport: 8, Workers: 1},
+	{Path: "g.dat", Algo: "apriori", MinSupport: 2, Workers: 1},
+}
+
+// fixtureDir copies testdata/journal into a fresh state directory.
+func fixtureDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	names, err := filepath.Glob("testdata/journal/*")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture missing: %v", err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// stateFiles lists the file names in dir.
+func stateFiles(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return strings.Join(names, ",")
+}
+
+func instantMine(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
+	return MineResult{Itemsets: 1}, nil
+}
+
+// Recovery from the multi-generation fixture resubmits exactly the pinned
+// requests, opens the generation after the highest one, and — once the
+// resubmissions are synced — retires every generation it read while
+// leaving files that are not generations alone. A restart after the
+// recovered jobs finished replays nothing.
+func TestJournalDirFixtureRecovery(t *testing.T) {
+	dir := fixtureDir(t)
+	jnl, pending, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pending, fixturePending) {
+		t.Fatalf("recovered %+v\nwant %+v", pending, fixturePending)
+	}
+	if got := stateFiles(t, dir); got != "jobs.journal.1,jobs.journal.10,jobs.journal.11,jobs.journal.3,jobs.journal.bak" {
+		t.Fatalf("state dir before retirement = %s", got)
+	}
+	st := NewStoreWithConfig(instantMine, nil, StoreConfig{Journal: jnl})
+	recovered := st.Resubmit(pending)
+	if len(recovered) != len(pending) {
+		t.Fatalf("resubmitted %d of %d", len(recovered), len(pending))
+	}
+	if got := stateFiles(t, dir); got != "jobs.journal.11,jobs.journal.bak" {
+		t.Fatalf("state dir after retirement = %s", got)
+	}
+	st.Close()
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl2, again, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl2.Close()
+	if len(again) != 0 {
+		t.Fatalf("finished recoveries replayed again: %+v", again)
+	}
+	if got := stateFiles(t, dir); got != "jobs.journal.11,jobs.journal.12,jobs.journal.bak" {
+		t.Fatalf("state dir on the next boot = %s", got)
+	}
+}
+
+// Old generations are the only durable record of the jobs recovery
+// replayed until the new generation is synced: when that sync fails they
+// must stay on disk, and the next boot replays them again.
+func TestJournalRetireNeedsDurableSync(t *testing.T) {
+	dir := fixtureDir(t)
+	jnl, pending, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.f.Close() // every later write and fsync of the new generation fails
+	st := NewStoreWithConfig(instantMine, nil, StoreConfig{Journal: jnl})
+	st.Resubmit(pending)
+	st.Close()
+	if got := stateFiles(t, dir); got != "jobs.journal.1,jobs.journal.10,jobs.journal.11,jobs.journal.3,jobs.journal.bak" {
+		t.Fatalf("a failed sync retired generations: state dir = %s", got)
+	}
+
+	jnl2, again, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl2.Close()
+	if !reflect.DeepEqual(again, fixturePending) {
+		t.Fatalf("next boot recovered %+v\nwant %+v", again, fixturePending)
 	}
 }

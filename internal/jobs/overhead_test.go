@@ -1,7 +1,8 @@
-package telemetry
+package jobs
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -39,5 +40,37 @@ func BenchmarkStoreOverhead(b *testing.B) {
 			}
 			runtime.Gosched() // single-core boxes: let the runner goroutine in
 		}
+	}
+}
+
+// BenchmarkSamplerTick measures one peak-heap sampler tick — the live-heap
+// read plus the walk it makes under the store lock — with one job running
+// and many finished ones kept for GET /jobs. The tick walks the running
+// set, so its cost (and the lock hold it imposes on admission) must stay
+// flat as the finished-job history grows.
+func BenchmarkSamplerTick(b *testing.B) {
+	for _, finished := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("finished=%d", finished), func(b *testing.B) {
+			st := NewStoreWithConfig(func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
+				return MineResult{}, nil
+			}, nil, StoreConfig{})
+			defer st.Close()
+			st.mu.Lock()
+			for i := 0; i < finished; i++ {
+				st.jobs = append(st.jobs, &Job{ID: i, State: "done"})
+			}
+			live := &Job{ID: finished, State: "running"}
+			st.jobs = append(st.jobs, live)
+			st.running[live.ID] = live
+			st.mu.Unlock()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.sampleHeap()
+			}
+			b.StopTimer()
+			st.mu.Lock()
+			delete(st.running, live.ID)
+			st.mu.Unlock()
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package telemetry
+package jobs
 
 // Concurrency battery for the multi-runner scheduler: pool-width
 // saturation, memory-budget admission (including the shed hook and the
@@ -62,6 +62,29 @@ func waitGoroutines(t *testing.T, base int) {
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// checkRunningSet asserts, under one hold of the store lock, that the
+// running set the sampler and Shutdown walk holds exactly the jobs in
+// state "running" — so its size, which Stats reports as Running, is the
+// true count of jobs on runners.
+func checkRunningSet(t *testing.T, st *Store) {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for _, j := range st.jobs {
+		if j.State != "running" {
+			continue
+		}
+		n++
+		if st.running[j.ID] != j {
+			t.Errorf("running job %d missing from the running set", j.ID)
+		}
+	}
+	if len(st.running) != n {
+		t.Errorf("running set has %d jobs, %d are in state running", len(st.running), n)
 	}
 }
 
@@ -253,6 +276,7 @@ func TestSchedulerShedWindowCancelStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				job, err := st.Submit(JobRequest{})
+				checkRunningSet(t, st)
 				if err != nil {
 					continue // queue full is fine; keep the pressure up
 				}
@@ -273,6 +297,7 @@ func TestSchedulerShedWindowCancelStorm(t *testing.T) {
 	if s.Running != 0 || s.Queued != 0 || s.MemUsed != 0 {
 		t.Fatalf("store not quiescent after drain: %+v", s)
 	}
+	checkRunningSet(t, st)
 	for _, j := range st.List() {
 		switch j.State {
 		case "done", "failed", "cancelled":
@@ -323,6 +348,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				job, err := st.Submit(JobRequest{Algo: algos[rng.Intn(len(algos))], MinSupport: 2})
+				checkRunningSet(t, st)
 				switch {
 				case err == nil:
 					submitted.Add(1)
@@ -356,6 +382,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 	if s.Running != 0 || s.Queued != 0 || s.MemUsed != 0 {
 		t.Fatalf("store not quiescent after shutdown: %+v", s)
 	}
+	checkRunningSet(t, st)
 	for _, j := range st.List() {
 		switch j.State {
 		case "done", "failed", "cancelled":
@@ -441,5 +468,45 @@ func TestSchedulerCancelBetweenClaimAndMine(t *testing.T) {
 	}
 	if h := st.Histograms(); h.E2E.Count() != 2 {
 		t.Fatalf("terminal transitions recorded = %d, want 2", h.E2E.Count())
+	}
+}
+
+func TestStoreQueueFull(t *testing.T) {
+	block := make(chan struct{})
+	st := NewStoreWithConfig(func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
+		<-block
+		return MineResult{}, nil
+	}, nil, StoreConfig{QueueCap: 4})
+	// One job occupies the runner (it drains from the queue as soon as the
+	// runner picks it up), so keep submitting until the 4-slot queue
+	// itself is full; rejections must not grow the job list.
+	var err error
+	admitted := 0
+	for i := 0; i < 50; i++ {
+		_, err = st.Submit(JobRequest{})
+		if err != nil {
+			break
+		}
+		admitted++
+	}
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit after queue full = %v, want ErrQueueFull", err)
+	}
+	if admitted > 5 {
+		t.Fatalf("admitted %d jobs through a 4-slot queue", admitted)
+	}
+	// A rejection leaves no record behind: a rejection storm must not grow
+	// the store's memory. It is visible only in the Rejected counter.
+	if got := len(st.List()); got != admitted {
+		t.Fatalf("rejected submissions left records: %d jobs listed, %d admitted", got, admitted)
+	}
+	js := st.Stats()
+	if js.Rejected != 1 || js.Submitted != uint64(admitted) || js.QueueCap != 4 {
+		t.Fatalf("Stats after rejection = %+v", js)
+	}
+	close(block)
+	st.Close()
+	if js := st.Stats(); js.Done != uint64(admitted) || js.Queued != 0 || js.Running != 0 {
+		t.Fatalf("Stats after drain = %+v", js)
 	}
 }

@@ -1,4 +1,16 @@
-package telemetry
+// Package jobs is the job scheduler behind `fpm serve`: a FIFO queue of
+// mining jobs run by a fixed pool of runner goroutines under memory-budget
+// admission control, with a bounded flight recorder per job (Event), the
+// server-side latency and footprint histograms (JobHists), transparent
+// retry of transient failures, and an append-only journal that lets a
+// restarted server resubmit the jobs a crash or a graceful drain left
+// behind (OpenJournalDir, Store.Resubmit).
+//
+// The package knows nothing about HTTP, Prometheus or the serving caches:
+// the miner, the footprint estimator and the cache hooks are injected
+// through StoreConfig and MineFunc, internal/telemetry serves the store
+// over HTTP, and internal/serve wires the real miner in.
+package jobs
 
 import (
 	"context"
@@ -120,10 +132,10 @@ type MineFunc func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (
 type FootprintFunc func(req JobRequest) (est int64, learned bool)
 
 // ErrQueueFull is returned by Submit when the job queue has no room.
-var ErrQueueFull = errors.New("telemetry: job queue full")
+var ErrQueueFull = errors.New("jobs: job queue full")
 
 // ErrClosed is returned by Submit after Close or Shutdown.
-var ErrClosed = errors.New("telemetry: job store closed")
+var ErrClosed = errors.New("jobs: job store closed")
 
 // Store queues submitted jobs and runs them on a fixed pool of runner
 // goroutines under memory-budget admission control. Jobs are admitted in
@@ -151,12 +163,15 @@ type Store struct {
 
 	journal    *Journal
 	maxRetries int
-	retryBase  time.Duration
-	retryMax   time.Duration
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     []*Job
+	mu   sync.Mutex
+	cond *sync.Cond
+	jobs []*Job
+	// running holds the jobs claimed by a runner and not yet terminal,
+	// by id: the sampler and Shutdown walk it instead of every job ever
+	// submitted, so their lock hold time does not grow with uptime. Its
+	// size is StoreStats.Running.
+	running  map[int]*Job
 	pending  []int // queued job ids, FIFO
 	memUsed  int64 // admission reservations of running jobs
 	closed   bool  // queue closed; no further submissions
@@ -169,7 +184,6 @@ type Store struct {
 	// jobs finished). Guarded by mu; Histograms() snapshots them.
 	hists JobHists
 
-	eventCap         int
 	eventSink        func(Event)
 	observeFootprint func(req JobRequest, peakBytes int64)
 
@@ -258,10 +272,6 @@ type StoreConfig struct {
 	// bytes freed; admission calls it before making the head job wait.
 	// nil means nothing can be shed.
 	Shed func(need int64) int64
-	// EventCap bounds each job's flight-recorder ring (minimum 1); the
-	// oldest events are dropped first and counted. 0 means
-	// DefaultEventCap.
-	EventCap int
 	// EventSink, when non-nil, receives every recorded event as it is
 	// appended — the hook `fpm serve -log-json` streams NDJSON through.
 	// It runs under the store's lock: keep it fast, never call back into
@@ -275,7 +285,7 @@ type StoreConfig struct {
 	ObserveFootprint func(req JobRequest, peakBytes int64)
 	// Journal, when non-nil, receives one WAL record per job state
 	// transition (submitted/running/terminal), making the store's queue
-	// recoverable across restarts: see OpenJournal / PendingRequests. A
+	// recoverable across restarts: see OpenJournalDir / Resubmit. A
 	// journal also changes Shutdown's drain semantics — queued jobs are
 	// journaled as requeue-on-restart instead of cancelled, so a rolling
 	// restart does not shed its backlog. The store appends but never
@@ -286,19 +296,14 @@ type StoreConfig struct {
 	// retries. Retries stay inside the job's "running" state and are
 	// visible as "retry" flight-recorder events and Job.Retries.
 	MaxRetries int
-	// RetryBaseDelay / RetryMaxDelay shape the capped exponential backoff
-	// between attempts (full jitter in the upper half of the window).
-	// Zero means DefaultRetryBaseDelay / DefaultRetryMaxDelay.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 }
 
-// Default retry backoff shape: base 25ms doubling to a 1s cap keeps a
-// two-retry policy well under any interactive timeout while spacing
-// attempts enough for a transient I/O fault to clear.
+// Retry backoff shape: base 25ms doubling to a 1s cap keeps a two-retry
+// policy well under any interactive timeout while spacing attempts enough
+// for a transient I/O fault to clear.
 const (
-	DefaultRetryBaseDelay = 25 * time.Millisecond
-	DefaultRetryMaxDelay  = time.Second
+	retryBaseDelay = 25 * time.Millisecond
+	retryMaxDelay  = time.Second
 )
 
 // NewStoreWithConfig starts the runner pool described by cfg. onStart may
@@ -310,24 +315,6 @@ func NewStoreWithConfig(mine MineFunc, onStart func(*metrics.Recorder), cfg Stor
 	if cfg.MaxConcurrent < 1 {
 		cfg.MaxConcurrent = 1
 	}
-	if cfg.EventCap == 0 {
-		cfg.EventCap = DefaultEventCap
-	}
-	if cfg.EventCap < 1 {
-		cfg.EventCap = 1
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = DefaultRetryBaseDelay
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = DefaultRetryMaxDelay
-	}
-	if cfg.RetryMaxDelay < cfg.RetryBaseDelay {
-		cfg.RetryMaxDelay = cfg.RetryBaseDelay
-	}
 	st := &Store{
 		mine:             mine,
 		onStart:          onStart,
@@ -336,10 +323,8 @@ func NewStoreWithConfig(mine MineFunc, onStart func(*metrics.Recorder), cfg Stor
 		shed:             cfg.Shed,
 		memBudget:        cfg.MemBudget,
 		journal:          cfg.Journal,
-		maxRetries:       cfg.MaxRetries,
-		retryBase:        cfg.RetryBaseDelay,
-		retryMax:         cfg.RetryMaxDelay,
-		eventCap:         cfg.EventCap,
+		maxRetries:       max(cfg.MaxRetries, 0),
+		running:          make(map[int]*Job),
 		eventSink:        cfg.EventSink,
 		observeFootprint: cfg.ObserveFootprint,
 		samplerStop:      make(chan struct{}),
@@ -363,6 +348,7 @@ func (st *Store) Stats() StoreStats {
 	defer st.mu.Unlock()
 	s := st.stats
 	s.MemUsed = st.memUsed
+	s.Running = len(st.running)
 	return s
 }
 
@@ -389,10 +375,8 @@ func (st *Store) Shutdown() {
 	st.aborting = true
 	st.closed = true
 	var cancels []context.CancelFunc
-	for _, j := range st.jobs {
-		if j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
+	for _, j := range st.running {
+		cancels = append(cancels, j.cancel)
 	}
 	st.mu.Unlock()
 	st.cond.Broadcast()
@@ -419,13 +403,25 @@ func (st *Store) Submit(req JobRequest) (Job, error) {
 	return st.submit(req, false)
 }
 
-// SubmitRecovered enqueues a job replayed from the journal at startup.
-// It is Submit with the recovery provenance attached: the job record
-// (and its journal trail) carries recovered:true, and StoreStats.
+// Resubmit enqueues, in order, the jobs OpenJournalDir recovered at
+// startup. Each is Submit with the recovery provenance attached: the job
+// record (and its journal trail) carries recovered:true, and StoreStats.
 // Recovered counts it — so a restarted server can report exactly what a
-// crash (or a requeue-on-restart drain) handed back to it.
-func (st *Store) SubmitRecovered(req JobRequest) (Job, error) {
-	return st.submit(req, true)
+// crash (or a requeue-on-restart drain) handed back to it. Requests the
+// queue rejects are dropped. Once the resubmissions are journaled, the
+// journal syncs and only then retires the generations recovery read: if
+// the sync fails, the old generations stay on disk and the next boot
+// replays them again, rather than losing the only durable record of these
+// jobs. Replay is therefore at-least-once.
+func (st *Store) Resubmit(reqs []JobRequest) []Job {
+	var out []Job
+	for _, req := range reqs {
+		if job, err := st.submit(req, true); err == nil {
+			out = append(out, job)
+		}
+	}
+	st.journal.retire()
+	return out
 }
 
 func (st *Store) submit(req JobRequest, recovered bool) (Job, error) {
@@ -440,7 +436,7 @@ func (st *Store) submit(req JobRequest, recovered bool) (Job, error) {
 		return Job{}, ErrQueueFull
 	}
 	job := &Job{ID: len(st.jobs), Request: req, State: "queued", Submitted: time.Now(),
-		Recovered: recovered, events: newEventRing(st.eventCap)}
+		Recovered: recovered, events: &eventRing{}}
 	st.jobs = append(st.jobs, job)
 	st.pending = append(st.pending, job.ID)
 	st.stats.Submitted++
@@ -563,10 +559,10 @@ func (st *Store) runner() {
 // next blocks until the head of the queue is admitted to this runner (or
 // the store drains; ok is then false) and claims it: in the critical
 // section that pops the queue the job becomes "running", moves from the
-// Queued to the Running gauge, reserves its estimate of the memory budget
-// and gets the context a Cancel or Shutdown aborts it through. There is
-// no window in which a popped job still looks queued. run releases the
-// reservation and cancels ctx when the job ends.
+// Queued gauge into the running set, reserves its estimate of the memory
+// budget and gets the context a Cancel or Shutdown aborts it through.
+// There is no window in which a popped job still looks queued. run
+// releases the reservation and cancels ctx when the job ends.
 func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFunc, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -645,7 +641,7 @@ func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFun
 					continue // budget changed: re-check the fit
 				}
 			}
-			if st.stats.Running > 0 {
+			if len(st.running) > 0 {
 				st.cond.Wait()
 				continue
 			}
@@ -671,7 +667,7 @@ func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFun
 		job.cancel = cancel
 		job.MemEstimate = est
 		st.stats.Queued--
-		st.stats.Running++
+		st.running[id] = job
 		st.emitLocked(job, Event{Type: "running", Estimate: est})
 		st.journal.Append(JournalRecord{Op: JournalOpRunning, Job: id, TS: job.Started})
 		return job, ctx, cancel, true
@@ -720,7 +716,7 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 		// The failpoint models a transient infrastructure fault ahead of
 		// the mine itself; evaluated per attempt, so FailAfter can fail
 		// the first N attempts and let a retry succeed.
-		if err = failpoint.Hit(failpoint.TelemetryJobMine); err == nil {
+		if err = failpoint.Hit(failpoint.JobsMine); err == nil {
 			res, err = st.mine(ctx, req, rec)
 		}
 		if err == nil || attempt >= st.maxRetries || !retryable(ctx, err) {
@@ -731,7 +727,7 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 		st.stats.Retried++
 		st.emitLocked(job, Event{Type: "retry", Attempt: attempt + 1, Error: err.Error()})
 		st.mu.Unlock()
-		if !sleepCtx(ctx, st.retryDelay(attempt)) {
+		if !sleepCtx(ctx, retryDelay(attempt)) {
 			err = ctx.Err() // cancelled or deadlined during backoff
 			break
 		}
@@ -745,16 +741,14 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 	job.ServedFromCache = res.FromCache
 	job.Stats = &snap
 	job.cancel = nil
-	if heapEnd > job.heapPeak {
-		job.heapPeak = heapEnd
-	}
+	job.heapPeak = max(job.heapPeak, heapEnd)
 	if peak := job.heapPeak - job.heapBase; peak > 0 && !res.FromCache {
 		job.PeakBytes = peak
 		if est > 0 {
 			job.EstimateRatio = float64(peak) / float64(est)
 		}
 	}
-	st.stats.Running--
+	delete(st.running, job.ID)
 	st.memUsed -= est
 	switch {
 	case err == nil:
@@ -796,20 +790,15 @@ func retryable(ctx context.Context, err error) bool {
 }
 
 // retryDelay is the backoff before retry attempt+1: exponential from
-// retryBase, capped at retryMax, with full jitter over the upper half of
-// the window so a burst of same-fault jobs does not retry in lockstep.
-func (st *Store) retryDelay(attempt int) time.Duration {
-	d := st.retryBase
-	for i := 0; i < attempt && d < st.retryMax; i++ {
+// retryBaseDelay, capped at retryMaxDelay, with full jitter over the upper
+// half of the window so a burst of same-fault jobs does not retry in
+// lockstep.
+func retryDelay(attempt int) time.Duration {
+	d := retryBaseDelay
+	for i := 0; i < attempt && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > st.retryMax {
-		d = st.retryMax
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
+	half := int64(min(d, retryMaxDelay) / 2)
 	return time.Duration(half + rand.Int63n(half+1))
 }
 
@@ -849,10 +838,8 @@ func readLiveHeap() int64 {
 	return int64(v)
 }
 
-// sampler is the store's single in-flight peak-heap observer: every tick
-// it reads the live heap once and raises the running jobs' heapPeak
-// watermarks. Started lazily by the first run(), joined by
-// Close/Shutdown.
+// sampler is the store's single in-flight peak-heap observer, started
+// lazily by the first run() and joined by Close/Shutdown.
 func (st *Store) sampler() {
 	defer st.samplerWG.Done()
 	tick := time.NewTicker(heapSampleInterval)
@@ -863,15 +850,19 @@ func (st *Store) sampler() {
 			return
 		case <-tick.C:
 		}
-		cur := readLiveHeap()
-		st.mu.Lock()
-		if st.stats.Running > 0 {
-			for _, j := range st.jobs {
-				if j.State == "running" && cur > j.heapPeak {
-					j.heapPeak = cur
-				}
-			}
-		}
-		st.mu.Unlock()
+		st.sampleHeap()
 	}
+}
+
+// sampleHeap is one sampler tick: read the live heap once and raise the
+// running jobs' heapPeak watermarks. It walks only the running set, so
+// the store lock is held for a time bounded by the runner count, not by
+// how many jobs the store has ever seen.
+func (st *Store) sampleHeap() {
+	cur := readLiveHeap()
+	st.mu.Lock()
+	for _, j := range st.running {
+		j.heapPeak = max(j.heapPeak, cur)
+	}
+	st.mu.Unlock()
 }

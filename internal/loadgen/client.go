@@ -11,12 +11,13 @@ import (
 	"strings"
 	"time"
 
+	"fpm/internal/jobs"
 	"fpm/internal/telemetry"
 )
 
 // Client speaks the `fpm serve` job API over real HTTP. It reuses the
-// telemetry package's request/record types so the wire schema is
-// single-sourced.
+// jobs package's request/record types and the telemetry package's
+// progress type so the wire schema is single-sourced.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:9090".
 	Base string
@@ -42,34 +43,34 @@ func (c *Client) hc() *http.Client {
 // code. A 429 (queue full) or 503 (shutting down) is not an error at this
 // layer: the harness counts rejections as an outcome, so err != nil only
 // for transport failures or unexpected statuses.
-func (c *Client) Submit(ctx context.Context, req telemetry.JobRequest) (telemetry.Job, int, error) {
+func (c *Client) Submit(ctx context.Context, req jobs.JobRequest) (jobs.Job, int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return telemetry.Job{}, 0, err
+		return jobs.Job{}, 0, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
 	if err != nil {
-		return telemetry.Job{}, 0, err
+		return jobs.Job{}, 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc().Do(hreq)
 	if err != nil {
-		return telemetry.Job{}, 0, err
+		return jobs.Job{}, 0, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusAccepted:
-		var job telemetry.Job
+		var job jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-			return telemetry.Job{}, resp.StatusCode, err
+			return jobs.Job{}, resp.StatusCode, err
 		}
 		return job, resp.StatusCode, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-		return telemetry.Job{}, resp.StatusCode, nil
+		return jobs.Job{}, resp.StatusCode, nil
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return telemetry.Job{}, resp.StatusCode, fmt.Errorf("POST /jobs: unexpected %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
+		return jobs.Job{}, resp.StatusCode, fmt.Errorf("POST /jobs: unexpected %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
 }
 
@@ -92,29 +93,29 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 }
 
 // Job GETs one job record.
-func (c *Client) Job(ctx context.Context, id int) (telemetry.Job, error) {
-	var job telemetry.Job
+func (c *Client) Job(ctx context.Context, id int) (jobs.Job, error) {
+	var job jobs.Job
 	err := c.getJSON(ctx, fmt.Sprintf("/jobs/%d", id), &job)
 	return job, err
 }
 
 // Cancel DELETEs a job (cooperative: the record may still read "running";
 // poll Job for the terminal state).
-func (c *Client) Cancel(ctx context.Context, id int) (telemetry.Job, error) {
+func (c *Client) Cancel(ctx context.Context, id int) (jobs.Job, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", c.Base, id), nil)
 	if err != nil {
-		return telemetry.Job{}, err
+		return jobs.Job{}, err
 	}
 	resp, err := c.hc().Do(hreq)
 	if err != nil {
-		return telemetry.Job{}, err
+		return jobs.Job{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return telemetry.Job{}, fmt.Errorf("DELETE /jobs/%d: %d: %s", id, resp.StatusCode, strings.TrimSpace(string(b)))
+		return jobs.Job{}, fmt.Errorf("DELETE /jobs/%d: %d: %s", id, resp.StatusCode, strings.TrimSpace(string(b)))
 	}
-	var job telemetry.Job
+	var job jobs.Job
 	return job, json.NewDecoder(resp.Body).Decode(&job)
 }
 
@@ -130,7 +131,7 @@ func terminal(state string) bool {
 // WaitTerminal polls a job until it reaches a terminal state. The poll
 // interval backs off geometrically from pollMin to pollMax so short jobs
 // resolve in one or two round trips without hammering long ones.
-func (c *Client) WaitTerminal(ctx context.Context, id int) (telemetry.Job, error) {
+func (c *Client) WaitTerminal(ctx context.Context, id int) (jobs.Job, error) {
 	const (
 		pollMin = 500 * time.Microsecond
 		pollMax = 50 * time.Millisecond

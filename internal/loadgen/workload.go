@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"fpm"
-	"fpm/internal/telemetry"
+	"fpm/internal/jobs"
 )
 
 // World is the on-disk corpus set a load run mines against: three Quest
@@ -124,7 +124,7 @@ type Spec struct {
 }
 
 // classify maps a terminal job record to an outcome.
-func classify(job telemetry.Job) string {
+func classify(job jobs.Job) string {
 	switch job.State {
 	case "done":
 		return OutcomeDone
@@ -140,7 +140,7 @@ func classify(job telemetry.Job) string {
 }
 
 // finishSample fills the server-side split from a terminal job record.
-func finishSample(s *Sample, job telemetry.Job) {
+func finishSample(s *Sample, job jobs.Job) {
 	s.Outcome = classify(job)
 	s.Itemsets = job.Itemsets
 	s.FromCache = job.ServedFromCache
@@ -157,7 +157,7 @@ func finishSample(s *Sample, job telemetry.Job) {
 // submitAndWait is the common op body: POST, classify the admission, then
 // poll to a terminal state. after, when non-nil, runs between admission
 // and the wait (T4 uses it to fire the DELETE).
-func submitAndWait(ctx context.Context, c *Client, req telemetry.JobRequest, hot bool, after func(id int)) Sample {
+func submitAndWait(ctx context.Context, c *Client, req jobs.JobRequest, hot bool, after func(id int)) Sample {
 	start := time.Now()
 	job, code, err := c.Submit(ctx, req)
 	s := Sample{AdmitNS: time.Since(start).Nanoseconds(), Hot: hot}
@@ -200,7 +200,7 @@ var Taxonomy = []Spec{
 		Loop:  "open",
 		NewOp: func(w World) Op {
 			return func(ctx context.Context, c *Client, rng *rand.Rand) Sample {
-				return submitAndWait(ctx, c, telemetry.JobRequest{
+				return submitAndWait(ctx, c, jobs.JobRequest{
 					Path: w.Small, Algo: "lcm", MinSupport: w.SmallSup, Workers: 1,
 				}, false, nil)
 			}
@@ -215,7 +215,7 @@ var Taxonomy = []Spec{
 		NewOp: func(w World) Op {
 			kernels := []string{"lcm", "eclat", "fpgrowth"}
 			return func(ctx context.Context, c *Client, rng *rand.Rand) Sample {
-				req := telemetry.JobRequest{Algo: kernels[rng.Intn(len(kernels))], Workers: 1}
+				req := jobs.JobRequest{Algo: kernels[rng.Intn(len(kernels))], Workers: 1}
 				switch p := rng.Float64(); {
 				case p < 0.60:
 					req.Path, req.MinSupport = w.Small, w.SmallSup
@@ -237,11 +237,11 @@ var Taxonomy = []Spec{
 		NewOp: func(w World) Op {
 			return func(ctx context.Context, c *Client, rng *rand.Rand) Sample {
 				if rng.Float64() < 0.90 {
-					return submitAndWait(ctx, c, telemetry.JobRequest{
+					return submitAndWait(ctx, c, jobs.JobRequest{
 						Path: w.Medium, Algo: "lcm", MinSupport: w.MediumSup, Workers: 1,
 					}, true, nil)
 				}
-				return submitAndWait(ctx, c, telemetry.JobRequest{
+				return submitAndWait(ctx, c, jobs.JobRequest{
 					Path: w.Medium, Algo: "eclat", MinSupport: w.MediumSup + rng.Intn(20), Workers: 1,
 				}, false, nil)
 			}
@@ -255,7 +255,7 @@ var Taxonomy = []Spec{
 		Loop:  "closed",
 		NewOp: func(w World) Op {
 			return func(ctx context.Context, c *Client, rng *rand.Rand) Sample {
-				req := telemetry.JobRequest{Path: w.Slow, Algo: "lcm", MinSupport: w.SlowSup, Workers: 1}
+				req := jobs.JobRequest{Path: w.Slow, Algo: "lcm", MinSupport: w.SlowSup, Workers: 1}
 				switch p := rng.Float64(); {
 				case p < 0.50:
 					delay := time.Duration(rng.Intn(15)+1) * time.Millisecond
@@ -281,7 +281,7 @@ var Taxonomy = []Spec{
 		Loop:  "closed",
 		NewOp: func(w World) Op {
 			return func(ctx context.Context, c *Client, rng *rand.Rand) Sample {
-				req := telemetry.JobRequest{Algo: "lcm", Workers: 1}
+				req := jobs.JobRequest{Algo: "lcm", Workers: 1}
 				if rng.Float64() < 0.75 {
 					req.Path, req.MinSupport = w.Small, w.SmallSup
 				} else {
@@ -313,7 +313,7 @@ var Taxonomy = []Spec{
 					return Sample{Outcome: OutcomeError}
 				}
 				defer os.Remove(path) // bound disk: the identity is dead after the job
-				return submitAndWait(ctx, c, telemetry.JobRequest{
+				return submitAndWait(ctx, c, jobs.JobRequest{
 					Path:       path,
 					Algo:       kernels[rng.Intn(len(kernels))],
 					MinSupport: w.SmallSup + rng.Intn(4),

@@ -23,8 +23,8 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/jobs"
 	"fpm/internal/servecache"
-	"fpm/internal/telemetry"
 )
 
 // TestServeChaosChild is not a test: it is the server process the chaos
@@ -106,14 +106,14 @@ func startChaosChild(t *testing.T, stateDir string) *chaosChild {
 }
 
 // jobs fetches the child's full job listing.
-func (c *chaosChild) jobs(t *testing.T) []telemetry.Job {
+func (c *chaosChild) jobs(t *testing.T) []jobs.Job {
 	t.Helper()
 	resp, err := http.Get(c.url + "/jobs")
 	if err != nil {
 		t.Fatalf("GET /jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	var jobs []telemetry.Job
+	var jobs []jobs.Job
 	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
 		t.Fatalf("decode /jobs: %v", err)
 	}
@@ -121,7 +121,7 @@ func (c *chaosChild) jobs(t *testing.T) []telemetry.Job {
 }
 
 // waitJob polls the child until job id is terminal.
-func (c *chaosChild) waitJob(t *testing.T, id int) telemetry.Job {
+func (c *chaosChild) waitJob(t *testing.T, id int) jobs.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -129,7 +129,7 @@ func (c *chaosChild) waitJob(t *testing.T, id int) telemetry.Job {
 		if err != nil {
 			t.Fatalf("GET /jobs/%d: %v", id, err)
 		}
-		var j telemetry.Job
+		var j jobs.Job
 		err = json.NewDecoder(resp.Body).Decode(&j)
 		resp.Body.Close()
 		if err != nil {
@@ -173,7 +173,7 @@ func TestServeKillRestartRecovery(t *testing.T) {
 	}()
 
 	// Warm the hot key and let the persister write it out.
-	hotReq := telemetry.JobRequest{Path: hot, Algo: "lcm", MinSupport: 5, Workers: 1}
+	hotReq := jobs.JobRequest{Path: hot, Algo: "lcm", MinSupport: 5, Workers: 1}
 	hotJob, code := postJob(t, child.url, hotReq)
 	if code != http.StatusAccepted {
 		t.Fatalf("hot submit = %d", code)
@@ -187,9 +187,9 @@ func TestServeKillRestartRecovery(t *testing.T) {
 
 	// Storm: six distinct slow jobs through the single runner, then
 	// SIGKILL while at least one is running and at least one is queued.
-	var storm []telemetry.Job
+	var storm []jobs.Job
 	for i := 0; i < 6; i++ {
-		j, code := postJob(t, child.url, telemetry.JobRequest{
+		j, code := postJob(t, child.url, jobs.JobRequest{
 			Path: slow, Algo: "lcm", MinSupport: 3 + i, Workers: 1})
 		if code != http.StatusAccepted {
 			t.Fatalf("storm submit %d = %d", i, code)
@@ -252,7 +252,7 @@ func TestServeKillRestartRecovery(t *testing.T) {
 
 	// Promise 2: the jobs the kill lost were requeued (recovered:true)
 	// and complete.
-	var recovered []telemetry.Job
+	var recovered []jobs.Job
 	for _, j := range child2.jobs(t) {
 		if j.Recovered {
 			recovered = append(recovered, j)

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"fpm"
-	"fpm/internal/telemetry"
+	"fpm/internal/jobs"
 )
 
 // closeInstance shuts an instance down the way runServe does.
@@ -51,7 +51,7 @@ func TestServeDurableRestartPrewarmsCache(t *testing.T) {
 	if inst.DurabilityErr != nil {
 		t.Fatal(inst.DurabilityErr)
 	}
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
 	job, err := inst.Store.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -98,27 +98,27 @@ func TestServeDurableRestartPrewarmsCache(t *testing.T) {
 
 // A journal left behind by a crash (submitted and running records, no
 // terminal) is replayed at startup: the lost jobs are resubmitted with
-// recovered:true, run to completion, and the old journal generations are
-// cleaned up after the new one takes over.
+// recovered:true, run to completion, and the old journal generation is
+// retired once the new one takes over — so the next boot replays nothing.
 func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	path := testDataset(t, 2000, 22)
 	stateDir := t.TempDir()
 	before := runtime.NumGoroutine()
 
-	// Forge the crash artifact: generation 5, one job mid-flight, one
-	// queued, one finished (must NOT be replayed).
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
-	queued := telemetry.JobRequest{Path: path, Algo: "eclat", MinSupport: 4, Workers: 1}
-	finished := telemetry.JobRequest{Path: path, Algo: "fpgrowth", MinSupport: 6, Workers: 1}
-	jnl, err := telemetry.OpenJournal(filepath.Join(stateDir, journalFilePrefix+"5"))
+	// Forge the crash artifact: a previous process's generation with one
+	// job mid-flight, one queued, one finished (must NOT be replayed).
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
+	queued := jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: 4, Workers: 1}
+	finished := jobs.JobRequest{Path: path, Algo: "fpgrowth", MinSupport: 6, Workers: 1}
+	jnl, _, err := jobs.OpenJournalDir(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl.Append(telemetry.JournalRecord{Op: telemetry.JournalOpSubmitted, Job: 0, Req: &finished})
-	jnl.Append(telemetry.JournalRecord{Op: telemetry.JournalOpSubmitted, Job: 1, Req: &req})
-	jnl.Append(telemetry.JournalRecord{Op: telemetry.JournalOpSubmitted, Job: 2, Req: &queued})
-	jnl.Append(telemetry.JournalRecord{Op: telemetry.JournalOpRunning, Job: 1})
-	jnl.Append(telemetry.JournalRecord{Op: telemetry.JournalOpTerminal, Job: 0, State: "done"})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 0, Req: &finished})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 1, Req: &req})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 2, Req: &queued})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpRunning, Job: 1})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpTerminal, Job: 0, State: "done"})
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +141,14 @@ func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	if got := inst.Store.Stats().Recovered; got != 2 {
 		t.Fatalf("stats.Recovered = %d, want 2", got)
 	}
-	// The crash generation was superseded: gen 5 deleted, gen 6 open.
-	if _, err := os.Stat(filepath.Join(stateDir, journalFilePrefix+"5")); !os.IsNotExist(err) {
-		t.Fatalf("old journal generation not cleaned up: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(stateDir, journalFilePrefix+"6")); err != nil {
-		t.Fatalf("new journal generation missing: %v", err)
-	}
 	closeInstance(t, inst)
+	// The crash generation was retired: had it survived, its two lost jobs
+	// would replay again on this boot.
+	inst2 := NewInstance(durableConfig(stateDir))
+	if len(inst2.Recovered) != 0 {
+		t.Fatalf("next boot replayed %d jobs; the crash generation was not retired", len(inst2.Recovered))
+	}
+	closeInstance(t, inst2)
 	waitNoGoroutineGrowth(t, before)
 }
 
@@ -164,7 +164,7 @@ func TestServeGracefulRequeueAcrossRestart(t *testing.T) {
 		t.Fatal(inst.DurabilityErr)
 	}
 	// One slow job occupies the single runner; the rest stay queued.
-	running, err := inst.Store.Submit(telemetry.JobRequest{Path: slow, Algo: "lcm", MinSupport: 3, Workers: 1})
+	running, err := inst.Store.Submit(jobs.JobRequest{Path: slow, Algo: "lcm", MinSupport: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestServeGracefulRequeueAcrossRestart(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var queued []telemetry.Job
+	var queued []jobs.Job
 	for i := 0; i < 3; i++ {
-		j, err := inst.Store.Submit(telemetry.JobRequest{Path: slow, Algo: "eclat", MinSupport: 4 + i, Workers: 1})
+		j, err := inst.Store.Submit(jobs.JobRequest{Path: slow, Algo: "eclat", MinSupport: 4 + i, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,13 +226,24 @@ func TestServeGracefulRequeueAcrossRestart(t *testing.T) {
 func TestServeCorruptStateColdStart(t *testing.T) {
 	path := testDataset(t, 1500, 24)
 	stateDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(stateDir, snapshotFileName),
-		[]byte("FPRS\x01garbage-not-a-snapshot"), 0o644); err != nil {
+	// Let an instance lay out its state files, then overwrite every one of
+	// them — the job journal included — with garbage.
+	closeInstance(t, NewInstance(durableConfig(stateDir)))
+	entries, err := os.ReadDir(stateDir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(stateDir, journalFilePrefix+"2"),
-		[]byte("{not json\nat all"), 0o644); err != nil {
-		t.Fatal(err)
+	if len(entries) < 2 {
+		t.Fatalf("state dir holds %d files, want the snapshot and a journal", len(entries))
+	}
+	for _, e := range entries {
+		garbage := "{not json\nat all"
+		if e.Name() == snapshotFileName {
+			garbage = "FPRS\x01garbage-not-a-snapshot"
+		}
+		if err := os.WriteFile(filepath.Join(stateDir, e.Name()), []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	inst := NewInstance(durableConfig(stateDir))
@@ -247,7 +258,7 @@ func TestServeCorruptStateColdStart(t *testing.T) {
 		t.Fatalf("persist stats = %+v, want the corrupt cold start counted", ps)
 	}
 	// The server still serves.
-	job, err := inst.Store.Submit(telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
+	job, err := inst.Store.Submit(jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +318,7 @@ func TestServeDurabilityWithoutResultCache(t *testing.T) {
 	if inst.Journal == nil {
 		t.Fatal("journal missing on a durable instance")
 	}
-	job, err := inst.Store.Submit(telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
+	job, err := inst.Store.Submit(jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +334,7 @@ func TestServeRestoredListingMatchesDirectMine(t *testing.T) {
 	stateDir := t.TempDir()
 
 	inst := NewInstance(durableConfig(stateDir))
-	req := telemetry.JobRequest{Path: path, Algo: "eclat", MinSupport: 6, Workers: 1}
+	req := jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: 6, Workers: 1}
 	job, err := inst.Store.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -357,12 +368,12 @@ func TestServeRestoredListingMatchesDirectMine(t *testing.T) {
 // marshalJob keeps the json import earning its place (and pins that a
 // recovered job record round-trips its provenance through the API shape).
 func TestRecoveredFlagSurvivesJSON(t *testing.T) {
-	j := telemetry.Job{ID: 3, State: "done", Recovered: true, Retries: 2}
+	j := jobs.Job{ID: 3, State: "done", Recovered: true, Retries: 2}
 	b, err := json.Marshal(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back telemetry.Job
+	var back jobs.Job
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"fpm/internal/durable"
-	"fpm/internal/telemetry"
+	"fpm/internal/jobs"
 )
 
 // Learner tuning. The EWMA tracks a job's measured peak footprint per
@@ -56,11 +56,11 @@ type identStamp struct {
 }
 
 // FootprintLearner closes the admission loop: it folds each mined job's
-// measured peak footprint (telemetry's heap sampler) into a per-(identity,
-// kernel) EWMA and serves that measurement — with a safety margin — as
-// the admission estimate for repeat jobs, displacing the static
-// 3×-file-size heuristic the moment one real observation exists. Safe for
-// concurrent use.
+// measured peak footprint (the job store's heap sampler) into a
+// per-(identity, kernel) EWMA and serves that measurement — with a safety
+// margin — as the admission estimate for repeat jobs, displacing the
+// static 3×-file-size heuristic the moment one real observation exists.
+// Safe for concurrent use.
 type FootprintLearner struct {
 	mu      sync.Mutex
 	entries map[learnKey]*learnEntry
@@ -173,11 +173,11 @@ func (l *FootprintLearner) Observe(path, algo string, peakBytes int64) {
 	e.obs++
 }
 
-// footprint is the serve instance's telemetry.FootprintFunc: learned
+// footprint is the serve instance's jobs.FootprintFunc: learned
 // estimates when the identity has been mined before, the static
 // EstimateFootprint heuristic otherwise. Partitioned jobs never learn —
 // their footprint is bounded by their own budget, not by history.
-func (l *FootprintLearner) footprint(req telemetry.JobRequest) (int64, bool) {
+func (l *FootprintLearner) footprint(req jobs.JobRequest) (int64, bool) {
 	if req.MemBudget <= 0 {
 		if est, ok := l.Estimate(req.Path, req.Algo); ok {
 			return est, true
@@ -186,8 +186,8 @@ func (l *FootprintLearner) footprint(req telemetry.JobRequest) (int64, bool) {
 	return EstimateFootprint(req), false
 }
 
-// observe is the matching telemetry.StoreConfig.ObserveFootprint hook.
-func (l *FootprintLearner) observe(req telemetry.JobRequest, peakBytes int64) {
+// observe is the matching jobs.StoreConfig.ObserveFootprint hook.
+func (l *FootprintLearner) observe(req jobs.JobRequest, peakBytes int64) {
 	if req.MemBudget > 0 {
 		return
 	}

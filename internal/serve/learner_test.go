@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"fpm/internal/jobs"
 	"fpm/internal/metrics"
-	"fpm/internal/telemetry"
 )
 
 // The acceptance bound for learned admission: after enough observations
@@ -31,7 +31,7 @@ const convergenceTolerance = 0.25
 func TestFootprintLearnerConvergence(t *testing.T) {
 	path := testDataset(t, 50, 11)
 	const alloc = 12 << 20
-	mine := func(context.Context, telemetry.JobRequest, *metrics.Recorder) (telemetry.MineResult, error) {
+	mine := func(context.Context, jobs.JobRequest, *metrics.Recorder) (jobs.MineResult, error) {
 		buf := make([]byte, alloc)
 		for i := 0; i < len(buf); i += 4096 {
 			buf[i] = 1
@@ -41,18 +41,18 @@ func TestFootprintLearnerConvergence(t *testing.T) {
 		// per-P stat flush and measure ~0.
 		time.Sleep(80 * time.Millisecond)
 		runtime.KeepAlive(buf)
-		return telemetry.MineResult{Itemsets: 1}, nil
+		return jobs.MineResult{Itemsets: 1}, nil
 	}
 	learner := NewFootprintLearner()
-	st := telemetry.NewStoreWithConfig(mine, nil, telemetry.StoreConfig{
+	st := jobs.NewStoreWithConfig(mine, nil, jobs.StoreConfig{
 		QueueCap: 8, MaxConcurrent: 1, MemBudget: 1 << 30,
 		Footprint:        learner.footprint,
 		ObserveFootprint: learner.observe,
 	})
 	defer st.Close()
 
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5}
-	runOne := func() telemetry.Job {
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5}
+	runOne := func() jobs.Job {
 		t.Helper()
 		// Clean base: without this, garbage from the previous run's buffer
 		// can be collected mid-run, dragging live-heap below the job's
@@ -115,7 +115,7 @@ func TestFootprintLearnerSkipsPartitioned(t *testing.T) {
 	path := testDataset(t, 50, 12)
 	l := NewFootprintLearner()
 	l.Observe(path, "eclat", 64<<20)
-	req := telemetry.JobRequest{Path: path, Algo: "eclat", MinSupport: 5, MemBudget: 4 << 20}
+	req := jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: 5, MemBudget: 4 << 20}
 	if est, learned := l.footprint(req); learned || est != 2*req.MemBudget {
 		t.Fatalf("partitioned job: estimate %d learned=%v, want heuristic %d", est, learned, 2*req.MemBudget)
 	}
@@ -124,7 +124,7 @@ func TestFootprintLearnerSkipsPartitioned(t *testing.T) {
 		t.Fatalf("partitioned observe leaked into the stream: obs = %d, want 1", n)
 	}
 	// The same file mined in-memory does use the learned stream.
-	inMem := telemetry.JobRequest{Path: path, Algo: "eclat", MinSupport: 5}
+	inMem := jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: 5}
 	seen := int64(64 << 20)
 	wantEst := int64(float64(seen) * learnerMargin)
 	if est, learned := l.footprint(inMem); !learned || est != wantEst {
@@ -158,7 +158,7 @@ func TestServeLearnedAdmissionAndEvents(t *testing.T) {
 	path := testDataset(t, 200, 14)
 	inst := NewInstance(Config{MaxConcurrent: 1, MemBudget: 1 << 30})
 	defer inst.Store.Close()
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
 
 	job1, err := inst.Store.Submit(req)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestServeEventLogNDJSON(t *testing.T) {
 	path := testDataset(t, 100, 15)
 	var buf syncBuffer
 	inst := NewInstance(Config{MaxConcurrent: 1, EventLog: &buf})
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
 	job, err := inst.Store.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestServeEventLogNDJSON(t *testing.T) {
 
 	var types []string
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev telemetry.Event
+		var ev jobs.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("line is not one JSON event: %v\n%s", err, line)
 		}
@@ -268,7 +268,7 @@ func writeDifferentDataset(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-func hasEvent(log telemetry.EventLog, typ, outcome string) bool {
+func hasEvent(log jobs.EventLog, typ, outcome string) bool {
 	for _, ev := range log.Events {
 		if ev.Type == typ && (outcome == "" || ev.Outcome == outcome) {
 			return true

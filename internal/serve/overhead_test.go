@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"fpm"
-	"fpm/internal/telemetry"
+	"fpm/internal/jobs"
 )
 
 // BenchmarkServeOverhead is the serving layer's overhead gate: one small
@@ -27,7 +27,7 @@ func BenchmarkServeOverhead(b *testing.B) {
 	}
 	inst := NewInstance(Config{MaxConcurrent: 1, DisableResultCache: true})
 	defer inst.Store.Close()
-	req := telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
+	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job, err := inst.Store.Submit(req)

@@ -1,11 +1,12 @@
-// Package serve wires the real mining library into the telemetry job
-// server: it owns the MineFunc that executes submitted jobs through the
-// observed in-memory and partitioned paths, the serving caches that make
-// repeated jobs cheap, and the admission-control hooks that keep N
-// concurrent jobs under one memory budget. Split out of cmd/fpm so that
-// both the `fpm serve` subcommand and the load-test driver (cmd/fpmload,
-// internal/loadgen) can host an identical server — the harness exercises
-// exactly the production wiring, not a test double.
+// Package serve wires the real mining library into the job scheduler
+// (internal/jobs) and serves it over the telemetry HTTP server: it owns
+// the MineFunc that executes submitted jobs through the observed in-memory
+// and partitioned paths, the serving caches that make repeated jobs
+// cheap, and the admission-control hooks that keep N concurrent jobs under
+// one memory budget. Split out of cmd/fpm so that both the `fpm serve`
+// subcommand and the load-test driver (cmd/fpmload, internal/loadgen) can
+// host an identical server — the harness exercises exactly the production
+// wiring, not a test double.
 package serve
 
 import (
@@ -17,13 +18,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"fpm"
 	"fpm/internal/durable"
+	"fpm/internal/jobs"
 	"fpm/internal/servecache"
 	"fpm/internal/telemetry"
 )
@@ -43,18 +44,15 @@ const footprintFloor = 1 << 20
 // is retried when the caller does not choose (Config.MaxRetries == 0).
 const DefaultMaxRetries = 2
 
-// State-dir file names: the result-cache snapshot sidecar and the
-// generation-numbered job journals (one per process lifetime, so job IDs
-// — which restart at 0 — stay unambiguous across restarts).
-const (
-	snapshotFileName  = "results.snap"
-	journalFilePrefix = "jobs.journal."
-)
+// snapshotFileName names the result-cache snapshot sidecar in the state
+// dir; the job journal's generation files live beside it (see
+// jobs.OpenJournalDir).
+const snapshotFileName = "results.snap"
 
 // Config shapes one serve instance.
 type Config struct {
 	// QueueCap bounds the pending-job queue; submissions beyond it are
-	// rejected with HTTP 429. Zero means telemetry.DefaultQueueCap.
+	// rejected with HTTP 429. Zero means jobs.DefaultQueueCap.
 	QueueCap int
 	// MaxConcurrent is the job-runner pool size; zero means 1 (the
 	// pre-multi-tenant behaviour). Mining parallelism inside a job
@@ -103,7 +101,7 @@ type Config struct {
 // job journal).
 type Instance struct {
 	Server  *telemetry.Server
-	Store   *telemetry.Store
+	Store   *jobs.Store
 	Caches  *servecache.Caches
 	Learner *FootprintLearner
 	// Persister snapshots the result cache to the state dir; nil when the
@@ -111,15 +109,15 @@ type Instance struct {
 	// disabled).
 	Persister *servecache.Persister
 	// Journal receives job state transitions; nil when not durable.
-	Journal *telemetry.Journal
+	Journal *jobs.Journal
 	// Recovered are the jobs resubmitted from previous generations'
 	// journals at startup, in resubmission order.
-	Recovered []telemetry.Job
+	Recovered []jobs.Job
 	// DurabilityErr reports an environmental failure that disabled (part
-	// of) durability at startup — an uncreatable state dir, an unopenable
-	// journal. Data corruption is NOT reported here: a corrupt snapshot
-	// or journal degrades to a cold start by design (visible in the
-	// fpm_cache_persist_* metrics instead).
+	// of) durability at startup, such as an uncreatable state dir or a
+	// journal that cannot be opened. Data corruption is NOT reported here:
+	// a corrupt snapshot or journal degrades to a cold start by design
+	// (visible in the fpm_cache_persist_* metrics instead).
 	DurabilityErr error
 }
 
@@ -146,12 +144,6 @@ func (inst *Instance) Close(ctx context.Context) error {
 
 // NewInstance builds the full serving stack described by cfg.
 func NewInstance(cfg Config) *Instance {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = telemetry.DefaultQueueCap
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 1
-	}
 	caches := &servecache.Caches{}
 	if !cfg.DisableDatasetCache {
 		b := cfg.DatasetCacheBytes
@@ -191,8 +183,7 @@ func NewInstance(cfg Config) *Instance {
 	// journal means a cold start, an unusable directory means a
 	// non-durable instance with DurabilityErr set — never a failed boot
 	// and never a crash.
-	var pending []telemetry.PendingJob
-	var oldJournals []string
+	var pending []jobs.JobRequest
 	if cfg.StateDir != "" {
 		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 			inst.DurabilityErr = fmt.Errorf("serve: state dir: %w", err)
@@ -211,27 +202,23 @@ func NewInstance(cfg Config) *Instance {
 				inst.Persister = servecache.NewPersister(caches.Results, snapPath, cfg.PersistInterval)
 				inst.Persister.NoteRestore(restored, corrupt)
 			}
-			var gen int
-			pending, oldJournals, gen = recoverJournals(cfg.StateDir)
-			jnl, err := telemetry.OpenJournal(filepath.Join(cfg.StateDir,
-				fmt.Sprintf("%s%d", journalFilePrefix, gen+1)))
+			jnl, reqs, err := jobs.OpenJournalDir(cfg.StateDir)
 			if err != nil {
 				inst.DurabilityErr = fmt.Errorf("serve: journal: %w", err)
-				pending, oldJournals = nil, nil
 			} else {
-				inst.Journal = jnl
+				inst.Journal, pending = jnl, reqs
 			}
 		}
 	}
 
-	var sink func(telemetry.Event)
+	var sink func(jobs.Event)
 	if cfg.EventLog != nil {
 		// The sink runs under the store's lock (see StoreConfig.EventSink),
 		// which is also what serializes the encoder.
 		enc := json.NewEncoder(cfg.EventLog)
-		sink = func(ev telemetry.Event) { _ = enc.Encode(ev) }
+		sink = func(ev jobs.Event) { _ = enc.Encode(ev) }
 	}
-	store := telemetry.NewStoreWithConfig(inst.mineJob, srv.SetRecorder, telemetry.StoreConfig{
+	store := jobs.NewStoreWithConfig(inst.mineJob, srv.SetRecorder, jobs.StoreConfig{
 		QueueCap:         cfg.QueueCap,
 		MaxConcurrent:    cfg.MaxConcurrent,
 		MemBudget:        cfg.MemBudget,
@@ -245,94 +232,14 @@ func NewInstance(cfg Config) *Instance {
 	})
 	inst.Store = store
 	srv.AttachJobs(store)
-	srv.AttachCacheStats(func() telemetry.CacheStats {
-		cs := adaptCacheStats(caches.Stats())
-		if inst.Persister != nil {
-			ps := inst.Persister.Stats()
-			cs.PersistEnabled = true
-			cs.PersistWrites = ps.Writes
-			cs.PersistErrors = ps.Errors
-			cs.PersistLastBytes = ps.LastBytes
-			cs.PersistRestored = ps.Restored
-			cs.PersistDroppedStale = ps.DroppedStale
-			cs.PersistDroppedUnreadable = ps.DroppedUnreadable
-			cs.PersistCorrupt = ps.Corrupt
-		}
-		return cs
-	})
+	srv.AttachCaches(caches, inst.Persister)
 
 	// Replay what previous generations lost. Resubmission is
-	// at-least-once (a crash between resubmit and journal deletion
-	// replays again next boot), which recoverJournals' identity dedupe
-	// and the result cache together make idempotent: a duplicate replay
-	// is answered from the cache, not re-mined.
-	for _, p := range pending {
-		if job, err := store.SubmitRecovered(p.Req); err == nil {
-			inst.Recovered = append(inst.Recovered, job)
-		}
-	}
-	if inst.Journal != nil {
-		_ = inst.Journal.Sync()
-		for _, path := range oldJournals {
-			os.Remove(path)
-		}
-	}
+	// at-least-once, which the journal's identity dedupe and the result
+	// cache together make idempotent: a duplicate replay is answered from
+	// the cache, not re-mined.
+	inst.Recovered = store.Resubmit(pending)
 	return inst
-}
-
-// recoverJournals reads every journal generation in dir, folds each
-// file's records into the jobs that never reached a terminal state in
-// its process (plus the explicitly requeued ones), and dedupes across
-// generations by input identity — the same request against the same file
-// content recovers once, however many crashed generations journaled it.
-// It returns the jobs to resubmit (oldest generation first, FIFO within
-// one), the journal files read, and the highest generation number seen.
-func recoverJournals(dir string) (pending []telemetry.PendingJob, files []string, maxGen int) {
-	names, err := filepath.Glob(filepath.Join(dir, journalFilePrefix+"*"))
-	if err != nil {
-		return nil, nil, 0
-	}
-	type genFile struct {
-		gen  int
-		path string
-	}
-	var gens []genFile
-	for _, path := range names {
-		suffix := strings.TrimPrefix(filepath.Base(path), journalFilePrefix)
-		gen, err := strconv.Atoi(suffix)
-		if err != nil || gen < 0 {
-			continue // not ours
-		}
-		gens = append(gens, genFile{gen: gen, path: path})
-		if gen > maxGen {
-			maxGen = gen
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].gen < gens[j].gen })
-	type recKey struct {
-		req telemetry.JobRequest
-		id  string
-	}
-	seen := make(map[recKey]bool)
-	for _, g := range gens {
-		files = append(files, g.path)
-		recs, err := telemetry.ReadJournal(g.path)
-		if err != nil {
-			continue
-		}
-		for _, p := range telemetry.PendingRequests(recs) {
-			key := recKey{req: p.Req}
-			if id, _, err := durable.FileIdentity(p.Req.Path, false); err == nil {
-				key.id = id.String()
-			}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			pending = append(pending, p)
-		}
-	}
-	return pending, files, maxGen
 }
 
 // EstimateFootprint is the admission controller's cold-start per-job
@@ -344,7 +251,7 @@ func recoverJournals(dir string) (pending []telemetry.PendingJob, files []string
 // DB, the kernel's projections and the collectors together run a few
 // multiples of it. Deliberately conservative: over-estimating delays a
 // job, under-estimating OOMs the process.
-func EstimateFootprint(req telemetry.JobRequest) int64 {
+func EstimateFootprint(req jobs.JobRequest) int64 {
 	if req.MemBudget > 0 {
 		return 2 * req.MemBudget
 	}
@@ -358,25 +265,22 @@ func EstimateFootprint(req telemetry.JobRequest) int64 {
 	return est
 }
 
-// mineJob is the store's MineFunc: MineJob plus the serving caches (and,
-// on durable instances, origin hashes on the listings it inserts).
-func (inst *Instance) mineJob(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder) (telemetry.MineResult, error) {
+// mineJob is the store's MineFunc: mineWithCaches over the instance's
+// serving caches (and, on durable instances, origin hashes on the
+// listings it inserts).
+func (inst *Instance) mineJob(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRecorder) (jobs.MineResult, error) {
 	return mineWithCaches(ctx, req, rec, inst.Caches, inst.Persister != nil)
 }
 
-// MineJob executes one submitted job through the library's observed
-// mining paths, so the job's counters stream into rec while it runs. ctx
-// threads the job's cancellation and deadline into the run: both the
-// in-memory and partitioned paths unwind cooperatively when it trips.
-// This entry point is cache-free; the store built by NewInstance
-// runs jobs through the serving caches.
-func MineJob(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder) (telemetry.MineResult, error) {
-	return mineWithCaches(ctx, req, rec, nil, false)
-}
-
-func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, persist bool) (telemetry.MineResult, error) {
+// mineWithCaches executes one submitted job through the library's
+// observed mining paths, so the job's counters stream into rec while it
+// runs. ctx threads the job's cancellation and deadline into the run:
+// both the in-memory and partitioned paths unwind cooperatively when it
+// trips. A nil caches (or a nil cache in it) mines uncached; persist
+// stamps inserted listings with their origin for the snapshot.
+func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, persist bool) (jobs.MineResult, error) {
 	if req.MinSupport < 1 {
-		return telemetry.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
+		return jobs.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
 	}
 	a := fpm.Algorithm(req.Algo)
 	var ps fpm.PatternSet
@@ -385,7 +289,7 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 	} else if req.Patterns != "none" {
 		var err error
 		if ps, err = ParsePatterns(req.Patterns, a); err != nil {
-			return telemetry.MineResult{}, err
+			return jobs.MineResult{}, err
 		}
 	}
 
@@ -400,8 +304,8 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 			key = servecache.ResultKey{ID: id, Algo: req.Algo, Patterns: strconv.FormatUint(uint64(ps), 10)}
 			haveKey = true
 			if sets, outcome, ok := caches.Results.ServeTraced(key, req.MinSupport); ok {
-				telemetry.Emit(ctx, telemetry.Event{Type: "result_cache", Outcome: outcome})
-				return telemetry.MineResult{Itemsets: len(sets), FromCache: true}, nil
+				jobs.Emit(ctx, jobs.Event{Type: "result_cache", Outcome: outcome})
+				return jobs.MineResult{Itemsets: len(sets), FromCache: true}, nil
 			}
 		}
 	}
@@ -413,35 +317,35 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 		// Out-of-core jobs stream from disk by design — caching the parsed
 		// DB would defeat the memory bound — but their listings still land
 		// in the result cache below.
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_start"})
 		sets, _, err = fpm.MinePartitioned(req.Path, a, ps, req.MinSupport, req.MemBudget, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_end", Itemsets: len(sets)})
 	} else if caches != nil && caches.Datasets != nil {
 		var entry *servecache.Dataset
 		var outcome string
 		entry, outcome, err = caches.Datasets.AcquireTraced(req.Path)
 		if err != nil {
-			return telemetry.MineResult{}, err
+			return jobs.MineResult{}, err
 		}
-		telemetry.Emit(ctx, telemetry.Event{Type: "dataset_cache", Outcome: outcome})
+		jobs.Emit(ctx, jobs.Event{Type: "dataset_cache", Outcome: outcome})
 		// The cached DB is shared read-only across concurrent jobs; the
 		// reference pins it against eviction until the mine returns.
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_start"})
 		sets, _, err = fpm.WithMetrics(entry.DB, a, ps, req.MinSupport, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_end", Itemsets: len(sets)})
 		caches.Datasets.Release(entry)
 	} else {
 		var db *fpm.DB
 		db, err = fpm.ReadFIMIFile(req.Path)
 		if err != nil {
-			return telemetry.MineResult{}, err
+			return jobs.MineResult{}, err
 		}
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_start"})
 		sets, _, err = fpm.WithMetrics(db, a, ps, req.MinSupport, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
+		jobs.Emit(ctx, jobs.Event{Type: "mine_end", Itemsets: len(sets)})
 	}
 	if err != nil {
-		return telemetry.MineResult{Itemsets: len(sets)}, err
+		return jobs.MineResult{Itemsets: len(sets)}, err
 	}
 	if haveKey {
 		stored := false
@@ -463,29 +367,9 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 		if !stored {
 			caches.Results.Insert(key, req.MinSupport, sets)
 		}
-		telemetry.Emit(ctx, telemetry.Event{Type: "result_cache", Outcome: "store"})
+		jobs.Emit(ctx, jobs.Event{Type: "result_cache", Outcome: "store"})
 	}
-	return telemetry.MineResult{Itemsets: len(sets)}, nil
-}
-
-// adaptCacheStats maps the cache package's census onto the telemetry
-// layer's flat struct (telemetry deliberately does not import servecache).
-func adaptCacheStats(s servecache.Stats) telemetry.CacheStats {
-	return telemetry.CacheStats{
-		DatasetEntries:   s.Dataset.Entries,
-		DatasetBytes:     s.Dataset.Bytes,
-		DatasetHits:      s.Dataset.Hits,
-		DatasetMisses:    s.Dataset.Misses,
-		DatasetEvictions: s.Dataset.Evictions,
-		DatasetSkipped:   s.Dataset.Skipped,
-
-		ResultEntries:      s.Result.Entries,
-		ResultBytes:        s.Result.Bytes,
-		ResultHitsExact:    s.Result.HitsExact,
-		ResultHitsSubsumed: s.Result.HitsSubsumed,
-		ResultMisses:       s.Result.Misses,
-		ResultEvictions:    s.Result.Evictions,
-	}
+	return jobs.MineResult{Itemsets: len(sets)}, nil
 }
 
 // ParsePatterns resolves a comma-separated tuning-pattern list ("lex,simd")

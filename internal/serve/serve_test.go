@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"fpm"
-	"fpm/internal/telemetry"
+	"fpm/internal/jobs"
 )
 
 // testDataset writes a small Quest corpus and returns its path.
@@ -32,7 +32,7 @@ func testDataset(t *testing.T, tx int, seed int64) string {
 	return path
 }
 
-func postJob(t *testing.T, url string, req telemetry.JobRequest) (telemetry.Job, int) {
+func postJob(t *testing.T, url string, req jobs.JobRequest) (jobs.Job, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(string(body)))
@@ -40,7 +40,7 @@ func postJob(t *testing.T, url string, req telemetry.JobRequest) (telemetry.Job,
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var job telemetry.Job
+	var job jobs.Job
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestServeSubmitCancelScrapeStorm(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					p = paths[1+rng.Intn(len(paths)-1)]
 				}
-				req := telemetry.JobRequest{Path: p, Algo: "lcm", MinSupport: 4, Workers: 1}
+				req := jobs.JobRequest{Path: p, Algo: "lcm", MinSupport: 4, Workers: 1}
 				if rng.Intn(4) == 0 {
 					req.TimeoutMS = int64(rng.Intn(10) + 1)
 				}
@@ -236,7 +236,7 @@ func TestServeDrainMidStorm(t *testing.T) {
 					return
 				default:
 				}
-				job, code := postJob(t, ts.URL, telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 3, Workers: 1})
+				job, code := postJob(t, ts.URL, jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 3, Workers: 1})
 				if code == http.StatusAccepted && rng.Intn(2) == 0 {
 					hreq, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID), nil)
 					if resp, err := http.DefaultClient.Do(hreq); err == nil {
@@ -306,15 +306,17 @@ func TestParsePatterns(t *testing.T) {
 // TestMineJobValidation: a bad min_support fails fast without touching
 // the filesystem.
 func TestMineJobValidation(t *testing.T) {
-	if _, err := MineJob(context.Background(), telemetry.JobRequest{Path: "nope", Algo: "lcm"}, fpm.NewMetricsRecorder()); err == nil {
+	if _, err := mineWithCaches(context.Background(), jobs.JobRequest{Path: "nope", Algo: "lcm"}, fpm.NewMetricsRecorder(), nil, false); err == nil {
 		t.Fatal("min_support 0 must be rejected")
 	}
 }
 
-// waitTerminal polls until job id leaves the queue/runner.
-func waitTerminal(t *testing.T, store *telemetry.Store, id int) telemetry.Job {
+// waitTerminal polls until job id leaves the queue/runner. The deadline
+// only catches a hung job: under -race on two cores the requeue test's
+// 9000-transaction mines take over 10 s.
+func waitTerminal(t *testing.T, store *jobs.Store, id int) jobs.Job {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for {
 		j, ok := store.Get(id)
 		if !ok {
@@ -342,9 +344,9 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 	inst := NewInstance(Config{QueueCap: 8, MaxConcurrent: 2})
 	defer inst.Store.Shutdown()
 
-	submit := func(minsup int) telemetry.Job {
+	submit := func(minsup int) jobs.Job {
 		t.Helper()
-		job, err := inst.Store.Submit(telemetry.JobRequest{Path: path, Algo: "eclat", MinSupport: minsup, Workers: 1})
+		job, err := inst.Store.Submit(jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: minsup, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +374,7 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 	// A cache-served job's mine time is a lookup, not a mining run: it must
 	// be far below the real mine's (and its stats snapshot stays empty —
 	// nothing was counted because nothing ran).
-	mineTime := func(j telemetry.Job) time.Duration { return j.Finished.Sub(j.Started) }
+	mineTime := func(j jobs.Job) time.Duration { return j.Finished.Sub(j.Started) }
 	if mt, orig := mineTime(repeat), mineTime(first); orig > 10*time.Millisecond && mt > orig/2 {
 		t.Errorf("cache-served mine time %v not collapsed vs fresh %v", mt, orig)
 	}
@@ -414,7 +416,7 @@ func TestServeCacheDisabled(t *testing.T) {
 	inst := NewInstance(Config{QueueCap: 8, DisableResultCache: true, DisableDatasetCache: true})
 	defer inst.Store.Shutdown()
 	for i := 0; i < 2; i++ {
-		job, err := inst.Store.Submit(telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
+		job, err := inst.Store.Submit(jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

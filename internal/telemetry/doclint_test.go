@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"fpm/internal/jobs"
 	"fpm/internal/metrics"
+	"fpm/internal/servecache"
 )
 
 // renderAllMetricFamilies produces a /metrics exposition with every family
@@ -29,9 +31,9 @@ func renderAllMetricFamilies() string {
 		},
 	}
 	_ = WritePrometheus(&b, snap, true)
-	_ = WriteJobMetrics(&b, StoreStats{MemBudget: 1})
-	_ = WriteJobHistograms(&b, JobHists{})
-	_ = WriteCacheMetrics(&b, CacheStats{PersistEnabled: true})
+	_ = WriteJobMetrics(&b, jobs.StoreStats{MemBudget: 1})
+	_ = WriteJobHistograms(&b, jobs.JobHists{})
+	_ = WriteCacheMetrics(&b, servecache.Stats{}, &servecache.PersistStats{})
 	return b.String()
 }
 

@@ -8,7 +8,9 @@ import (
 	"strings"
 
 	"fpm/internal/hdr"
+	"fpm/internal/jobs"
 	"fpm/internal/metrics"
+	"fpm/internal/servecache"
 )
 
 // WritePrometheus renders a metrics.Snapshot in the Prometheus text
@@ -90,10 +92,10 @@ func WritePrometheus(w io.Writer, s metrics.Snapshot, running bool) error {
 
 // WriteJobMetrics renders the job store's depth gauges and lifecycle
 // counters in the Prometheus text exposition format. Served after the run
-// snapshot on /metrics when a Store is attached, so operators and load
+// snapshot on /metrics when a job store is attached, so operators and load
 // harnesses can watch queue backpressure (fpm_jobs_queued vs
 // fpm_jobs_queue_cap) and the admission-rejection rate.
-func WriteJobMetrics(w io.Writer, js StoreStats) error {
+func WriteJobMetrics(w io.Writer, js jobs.StoreStats) error {
 	var b bytes.Buffer
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
@@ -156,7 +158,7 @@ var (
 // server is bounded by the ladder, while the gauges keep the 1/32 bound —
 // they are what `fpmload -scrape-final` cross-checks against its own
 // client-side recorder.
-func WriteJobHistograms(w io.Writer, jh JobHists) error {
+func WriteJobHistograms(w io.Writer, jh jobs.JobHists) error {
 	var b bytes.Buffer
 	seconds := func(name, help string, h *hdr.Hist) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
@@ -190,42 +192,13 @@ func WriteJobHistograms(w io.Writer, jh JobHists) error {
 	return err
 }
 
-// CacheStats is the serving-cache census the telemetry layer renders as
-// the fpm_cache_* metric family. It mirrors servecache's stats structs
-// field-for-field but is declared here so telemetry does not import the
-// cache package (the dependency points the other way: serve adapts one
-// into the other).
-type CacheStats struct {
-	DatasetEntries   int    `json:"dataset_entries"`
-	DatasetBytes     int64  `json:"dataset_bytes"`
-	DatasetHits      uint64 `json:"dataset_hits"`
-	DatasetMisses    uint64 `json:"dataset_misses"`
-	DatasetEvictions uint64 `json:"dataset_evictions"`
-	DatasetSkipped   uint64 `json:"dataset_skipped"`
-
-	ResultEntries      int    `json:"result_entries"`
-	ResultBytes        int64  `json:"result_bytes"`
-	ResultHitsExact    uint64 `json:"result_hits_exact"`
-	ResultHitsSubsumed uint64 `json:"result_hits_subsumed"`
-	ResultMisses       uint64 `json:"result_misses"`
-	ResultEvictions    uint64 `json:"result_evictions"`
-
-	// Result-cache persistence census; PersistEnabled gates rendering so
-	// non-durable servers keep their metric surface unchanged.
-	PersistEnabled           bool   `json:"persist_enabled,omitempty"`
-	PersistWrites            uint64 `json:"persist_writes,omitempty"`
-	PersistErrors            uint64 `json:"persist_errors,omitempty"`
-	PersistLastBytes         int64  `json:"persist_last_bytes,omitempty"`
-	PersistRestored          int    `json:"persist_restored,omitempty"`
-	PersistDroppedStale      int    `json:"persist_dropped_stale,omitempty"`
-	PersistDroppedUnreadable int    `json:"persist_dropped_unreadable,omitempty"`
-	PersistCorrupt           int    `json:"persist_corrupt,omitempty"`
-}
-
 // WriteCacheMetrics renders the serving-cache gauges and counters in the
 // Prometheus text exposition format, served on /metrics after the job
-// metrics when the serve wiring attaches a cache census.
-func WriteCacheMetrics(w io.Writer, cs CacheStats) error {
+// metrics when the serve wiring attaches its caches. ps is the snapshot
+// persister's census, nil on a server that is not durable: the
+// fpm_cache_persist_* family is then omitted, so non-durable servers keep
+// their metric surface unchanged.
+func WriteCacheMetrics(w io.Writer, cs servecache.Stats, ps *servecache.PersistStats) error {
 	var b bytes.Buffer
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
@@ -233,30 +206,31 @@ func WriteCacheMetrics(w io.Writer, cs CacheStats) error {
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
-	gauge("fpm_cache_dataset_entries", "Parsed datasets resident in the shared dataset cache.", float64(cs.DatasetEntries))
-	gauge("fpm_cache_dataset_bytes", "Resident bytes of cached parsed datasets.", float64(cs.DatasetBytes))
-	counter("fpm_cache_dataset_hits_total", "Jobs that reused a cached parsed dataset.", float64(cs.DatasetHits))
-	counter("fpm_cache_dataset_misses_total", "Jobs that had to parse their dataset.", float64(cs.DatasetMisses))
-	counter("fpm_cache_dataset_evictions_total", "Cold datasets evicted for space.", float64(cs.DatasetEvictions))
-	counter("fpm_cache_dataset_skipped_total", "Datasets mined uncached because no room could be made.", float64(cs.DatasetSkipped))
-	gauge("fpm_cache_result_entries", "Listings resident in the result cache.", float64(cs.ResultEntries))
-	gauge("fpm_cache_result_bytes", "Resident bytes of cached listings.", float64(cs.ResultBytes))
+	ds, rs := cs.Dataset, cs.Result
+	gauge("fpm_cache_dataset_entries", "Parsed datasets resident in the shared dataset cache.", float64(ds.Entries))
+	gauge("fpm_cache_dataset_bytes", "Resident bytes of cached parsed datasets.", float64(ds.Bytes))
+	counter("fpm_cache_dataset_hits_total", "Jobs that reused a cached parsed dataset.", float64(ds.Hits))
+	counter("fpm_cache_dataset_misses_total", "Jobs that had to parse their dataset.", float64(ds.Misses))
+	counter("fpm_cache_dataset_evictions_total", "Cold datasets evicted for space.", float64(ds.Evictions))
+	counter("fpm_cache_dataset_skipped_total", "Datasets mined uncached because no room could be made.", float64(ds.Skipped))
+	gauge("fpm_cache_result_entries", "Listings resident in the result cache.", float64(rs.Entries))
+	gauge("fpm_cache_result_bytes", "Resident bytes of cached listings.", float64(rs.Bytes))
 	fmt.Fprintf(&b, "# HELP fpm_cache_result_hits_total Queries answered from the result cache, by kind.\n"+
 		"# TYPE fpm_cache_result_hits_total counter\n"+
 		"fpm_cache_result_hits_total{kind=\"exact\"} %d\nfpm_cache_result_hits_total{kind=\"subsumed\"} %d\n",
-		cs.ResultHitsExact, cs.ResultHitsSubsumed)
-	counter("fpm_cache_result_misses_total", "Queries the result cache could not answer.", float64(cs.ResultMisses))
-	counter("fpm_cache_result_evictions_total", "Listings evicted for space.", float64(cs.ResultEvictions))
-	if cs.PersistEnabled {
-		counter("fpm_cache_persist_writes_total", "Result-cache snapshots renamed into place by the persister.", float64(cs.PersistWrites))
-		counter("fpm_cache_persist_errors_total", "Failed snapshot write attempts (the previous snapshot stays intact).", float64(cs.PersistErrors))
-		gauge("fpm_cache_persist_last_bytes", "Size of the last result-cache snapshot written.", float64(cs.PersistLastBytes))
-		gauge("fpm_cache_persist_restored", "Listings restored from the snapshot at startup.", float64(cs.PersistRestored))
+		rs.HitsExact, rs.HitsSubsumed)
+	counter("fpm_cache_result_misses_total", "Queries the result cache could not answer.", float64(rs.Misses))
+	counter("fpm_cache_result_evictions_total", "Listings evicted for space.", float64(rs.Evictions))
+	if ps != nil {
+		counter("fpm_cache_persist_writes_total", "Result-cache snapshots renamed into place by the persister.", float64(ps.Writes))
+		counter("fpm_cache_persist_errors_total", "Failed snapshot write attempts (the previous snapshot stays intact).", float64(ps.Errors))
+		gauge("fpm_cache_persist_last_bytes", "Size of the last result-cache snapshot written.", float64(ps.LastBytes))
+		gauge("fpm_cache_persist_restored", "Listings restored from the snapshot at startup.", float64(ps.Restored))
 		fmt.Fprintf(&b, "# HELP fpm_cache_persist_dropped Snapshot entries dropped at restore, by reason (stale: full-content hash mismatch; unreadable: origin file gone).\n"+
 			"# TYPE fpm_cache_persist_dropped gauge\n"+
 			"fpm_cache_persist_dropped{reason=\"stale\"} %d\nfpm_cache_persist_dropped{reason=\"unreadable\"} %d\n",
-			cs.PersistDroppedStale, cs.PersistDroppedUnreadable)
-		gauge("fpm_cache_persist_corrupt", "Whether the snapshot file existed but failed validation and the cache started cold (0/1).", float64(cs.PersistCorrupt))
+			ps.DroppedStale, ps.DroppedUnreadable)
+		gauge("fpm_cache_persist_corrupt", "Whether the snapshot file existed but failed validation and the cache started cold (0/1).", float64(ps.Corrupt))
 	}
 	_, err := w.Write(b.Bytes())
 	return err

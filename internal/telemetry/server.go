@@ -9,7 +9,11 @@
 // whichever run should be observed next, and every scrape snapshots the
 // current recorder (metrics.Recorder.Snapshot is safe against concurrent
 // mining). Two drivers use it: `fpm -telemetry-addr` observes the single
-// CLI run, and `fpm serve` observes a queue of submitted jobs (see Store).
+// CLI run, and `fpm serve` observes a queue of submitted jobs. The package
+// only exposes state it is handed: the job scheduler lives in
+// internal/jobs (AttachJobs serves its /jobs API and gauges) and the
+// serving caches in internal/servecache (AttachCaches renders their
+// census).
 package telemetry
 
 import (
@@ -23,7 +27,9 @@ import (
 	"strings"
 	"sync"
 
+	"fpm/internal/jobs"
 	"fpm/internal/metrics"
+	"fpm/internal/servecache"
 )
 
 // Server exposes one mining process's observability endpoints:
@@ -33,7 +39,7 @@ import (
 //	GET /healthz   — liveness probe
 //	    /debug/pprof/... — the standard Go profiling handlers
 //
-// and, when a job Store is attached:
+// and, when a job store is attached:
 //
 //	POST   /jobs     — submit a mining job
 //	GET    /jobs     — list jobs
@@ -41,11 +47,12 @@ import (
 //	GET    /jobs/{id}/events — the job's flight-recorder timeline
 //	DELETE /jobs/{id} — cancel a queued or running job
 type Server struct {
-	mu         sync.Mutex
-	rec        *metrics.Recorder
-	jobs       *Store
-	cacheStats func() CacheStats
-	srv        *http.Server
+	mu        sync.Mutex
+	rec       *metrics.Recorder
+	store     *jobs.Store
+	caches    *servecache.Caches
+	persister *servecache.Persister
+	srv       *http.Server
 }
 
 // NewServer returns a server with no recorder attached; scrapes report an
@@ -69,12 +76,14 @@ func (s *Server) Recorder() *metrics.Recorder {
 
 // AttachJobs wires a job store into the /jobs endpoints. Call before
 // Handler/Start; submitted jobs route their recorders through SetRecorder.
-func (s *Server) AttachJobs(st *Store) { s.jobs = st }
+func (s *Server) AttachJobs(st *jobs.Store) { s.store = st }
 
-// AttachCacheStats wires a serving-cache census into /metrics as the
-// fpm_cache_* family. Call before Handler/Start; fn must be safe for
-// concurrent use (scrapes race with mining).
-func (s *Server) AttachCacheStats(fn func() CacheStats) { s.cacheStats = fn }
+// AttachCaches wires the serving caches' census into /metrics as the
+// fpm_cache_* family, and the snapshot persister's (nil when the server
+// is not durable) as fpm_cache_persist_*. Call before Handler/Start.
+func (s *Server) AttachCaches(c *servecache.Caches, p *servecache.Persister) {
+	s.caches, s.persister = c, p
+}
 
 // Handler returns the server's routing table, for tests and embedding.
 func (s *Server) Handler() http.Handler {
@@ -90,7 +99,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if s.jobs != nil {
+	if s.store != nil {
 		mux.HandleFunc("/jobs", s.handleJobs)
 		mux.HandleFunc("/jobs/", s.handleJob)
 	}
@@ -125,12 +134,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rec := s.Recorder()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WritePrometheus(w, rec.Snapshot(), rec.Running())
-	if s.jobs != nil {
-		_ = WriteJobMetrics(w, s.jobs.Stats())
-		_ = WriteJobHistograms(w, s.jobs.Histograms())
+	if s.store != nil {
+		_ = WriteJobMetrics(w, s.store.Stats())
+		_ = WriteJobHistograms(w, s.store.Histograms())
 	}
-	if s.cacheStats != nil {
-		_ = WriteCacheMetrics(w, s.cacheStats())
+	if s.caches != nil {
+		var ps *servecache.PersistStats
+		if s.persister != nil {
+			st := s.persister.Stats()
+			ps = &st
+		}
+		_ = WriteCacheMetrics(w, s.caches.Stats(), ps)
 	}
 }
 
@@ -149,21 +163,21 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req JobRequest
+		var req jobs.JobRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		job, err := s.jobs.Submit(req)
+		job, err := s.store.Submit(req)
 		if err != nil {
 			// Backpressure is a first-class response: a full queue is 429
 			// with a JSON body carrying the current depth so load clients
 			// can distinguish "slow down" from "going away" (503 on close).
 			code := http.StatusServiceUnavailable
-			if errors.Is(err, ErrQueueFull) {
+			if errors.Is(err, jobs.ErrQueueFull) {
 				code = http.StatusTooManyRequests
 			}
-			js := s.jobs.Stats()
+			js := s.store.Stats()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(code)
 			_ = json.NewEncoder(w).Encode(map[string]any{
@@ -178,7 +192,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(job)
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(s.jobs.List())
+		_ = json.NewEncoder(w).Encode(s.store.List())
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -197,7 +211,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad job id", http.StatusBadRequest)
 			return
 		}
-		log, ok := s.jobs.Events(id)
+		log, ok := s.store.Events(id)
 		if !ok {
 			http.Error(w, "no such job", http.StatusNotFound)
 			return
@@ -212,16 +226,16 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		job Job
+		job jobs.Job
 		ok  bool
 	)
 	switch r.Method {
 	case http.MethodGet:
-		job, ok = s.jobs.Get(id)
+		job, ok = s.store.Get(id)
 	case http.MethodDelete:
 		// Cancellation is cooperative: a running job's record may still say
 		// "running" here — it flips to "cancelled" once the kernels unwind.
-		job, ok = s.jobs.Cancel(id)
+		job, ok = s.store.Cancel(id)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return

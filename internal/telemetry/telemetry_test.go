@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fpm/internal/jobs"
 	"fpm/internal/metrics"
 )
 
@@ -143,7 +144,7 @@ func TestProgressFromPartitionedRun(t *testing.T) {
 // run to completion, scrape /metrics and /progress along the way.
 func TestServerJobLifecycle(t *testing.T) {
 	release := make(chan struct{})
-	mine := func(_ context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
+	mine := func(_ context.Context, req jobs.JobRequest, rec *metrics.Recorder) (jobs.MineResult, error) {
 		rec.Start("fake("+req.Algo+")", 1)
 		defer rec.Stop()
 		l := rec.NewLocal()
@@ -151,17 +152,17 @@ func TestServerJobLifecycle(t *testing.T) {
 		rec.Flush(l)
 		<-release
 		if req.Algo == "boom" {
-			return MineResult{}, errors.New("kernel exploded")
+			return jobs.MineResult{}, errors.New("kernel exploded")
 		}
-		return MineResult{Itemsets: 9}, nil
+		return jobs.MineResult{Itemsets: 9}, nil
 	}
 	srv := NewServer()
-	store := NewStoreWithConfig(mine, srv.SetRecorder, StoreConfig{})
+	store := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{})
 	srv.AttachJobs(store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post := func(body string) Job {
+	post := func(body string) jobs.Job {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -172,20 +173,20 @@ func TestServerJobLifecycle(t *testing.T) {
 			b, _ := io.ReadAll(resp.Body)
 			t.Fatalf("POST /jobs = %d: %s", resp.StatusCode, b)
 		}
-		var j Job
+		var j jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	getJob := func(id int) Job {
+	getJob := func(id int) jobs.Job {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var j Job
+		var j jobs.Job
 		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []Job
+	var all []jobs.Job
 	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +280,13 @@ func TestServerJobLifecycle(t *testing.T) {
 func TestJobsBackpressureHTTP(t *testing.T) {
 	started := make(chan struct{}, 8)
 	block := make(chan struct{})
-	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
+	mine := func(context.Context, jobs.JobRequest, *metrics.Recorder) (jobs.MineResult, error) {
 		started <- struct{}{}
 		<-block
-		return MineResult{Itemsets: 1}, nil
+		return jobs.MineResult{Itemsets: 1}, nil
 	}
 	srv := NewServer()
-	store := NewStoreWithConfig(mine, srv.SetRecorder, StoreConfig{QueueCap: 1})
+	store := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{QueueCap: 1})
 	srv.AttachJobs(store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -391,42 +392,79 @@ func TestServerScrapesWithoutRecorder(t *testing.T) {
 	}
 }
 
-func TestStoreQueueFull(t *testing.T) {
-	block := make(chan struct{})
-	st := NewStoreWithConfig(func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
-		<-block
-		return MineResult{}, nil
-	}, nil, StoreConfig{QueueCap: 4})
-	// One job occupies the runner (it drains from the queue as soon as the
-	// runner picks it up), so keep submitting until the 4-slot queue
-	// itself is full; rejections must not grow the job list.
-	var err error
-	admitted := 0
-	for i := 0; i < 50; i++ {
-		_, err = st.Submit(JobRequest{})
-		if err != nil {
-			break
+// waitState polls until job id reaches state or the deadline passes.
+func waitState(t *testing.T, get func(int) (jobs.Job, bool), id int, state string) jobs.Job {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		j, ok := get(id)
+		if !ok {
+			t.Fatalf("job %d vanished", id)
 		}
-		admitted++
+		if j.State == state {
+			return j
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d stuck in %q, want %q", id, j.State, state)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit after queue full = %v, want ErrQueueFull", err)
+}
+
+// TestServerDeleteJob: the HTTP surface for cancellation — DELETE a
+// running job flips it to cancelled, DELETE on an unknown id is 404, and
+// other methods stay rejected.
+func TestServerDeleteJob(t *testing.T) {
+	started := make(chan struct{}, 1)
+	mine := func(ctx context.Context, _ jobs.JobRequest, _ *metrics.Recorder) (jobs.MineResult, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return jobs.MineResult{}, ctx.Err()
 	}
-	if admitted > 5 {
-		t.Fatalf("admitted %d jobs through a 4-slot queue", admitted)
+	srv := NewServer()
+	st := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{})
+	srv.AttachJobs(st)
+	defer st.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"path":"x.dat","algo":"lcm","min_support":2}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A rejection leaves no record behind: a rejection storm must not grow
-	// the store's memory. It is visible only in the Rejected counter.
-	if got := len(st.List()); got != admitted {
-		t.Fatalf("rejected submissions left records: %d jobs listed, %d admitted", got, admitted)
+	var job jobs.Job
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
 	}
-	js := st.Stats()
-	if js.Rejected != 1 || js.Submitted != uint64(admitted) || js.QueueCap != 4 {
-		t.Fatalf("Stats after rejection = %+v", js)
+	resp.Body.Close()
+	<-started
+
+	del := func(id int) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, id), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	close(block)
-	st.Close()
-	if js := st.Stats(); js.Done != uint64(admitted) || js.Queued != 0 || js.Running != 0 {
-		t.Fatalf("Stats after drain = %+v", js)
+	if resp := del(99); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE /jobs/99 = %d, want 404", resp.StatusCode)
+	}
+	if resp := del(job.ID); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /jobs/%d = %d, want 200", job.ID, resp.StatusCode)
+	}
+	waitState(t, st.Get, job.ID, "cancelled")
+
+	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID), nil)
+	resp2, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /jobs/{id} = %d, want 405", resp2.StatusCode)
 	}
 }
