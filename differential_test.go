@@ -16,8 +16,10 @@ import (
 	"strings"
 	"testing"
 
+	"fpm/internal/eclat"
 	"fpm/internal/fimi"
 	"fpm/internal/mine"
+	"fpm/internal/parallel"
 )
 
 // diffCase is one randomized corpus plus its mining support.
@@ -316,6 +318,145 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 				label := fmt.Sprintf("%s/w%d/det=%v", pm.Name(), pc.workers, pc.det)
 				checkAgainst(t, label, want, mineSet(t, pm, tc.db, tc.minsup))
 			}
+		})
+	}
+}
+
+// sparseCases derives n corpora whose alphabet is 10–100 times their
+// frequent set: a small Quest or Zipf core buried in a long tail of items
+// that each occur fewer than minsup times, with item ids shuffled over the
+// whole alphabet so frequent and infrequent ids interleave. They exercise
+// what diffCases barely reach: FP-tree headers bounded by the frequent
+// ranks, LCM and Eclat on raw ids far above every frequent one, and Eclat
+// scratch vectors reused across many pruned candidates.
+func sparseCases(n int) []diffCase {
+	rng := rand.New(rand.NewSource(20261016))
+	cases := make([]diffCase, 0, n)
+	for i := 0; i < n; i++ {
+		var core *DB
+		var kind string
+		if i%2 == 0 {
+			core = GenerateQuest(QuestConfig{
+				Transactions:  150 + rng.Intn(250),
+				AvgLen:        5 + rng.Intn(8),
+				AvgPatternLen: 2 + rng.Intn(4),
+				Items:         15 + rng.Intn(25),
+				Patterns:      8 + rng.Intn(15),
+				Seed:          rng.Int63(),
+			})
+			kind = "quest"
+		} else {
+			core = GenerateCorpus(CorpusConfig{
+				Docs:       150 + rng.Intn(250),
+				Vocab:      20 + rng.Intn(30),
+				AvgLen:     4 + 6*rng.Float64(),
+				ZipfS:      1.1 + 0.8*rng.Float64(),
+				Topics:     rng.Intn(5),
+				TopicShare: 0.3 + 0.5*rng.Float64(),
+				TopicPool:  10 + rng.Intn(15),
+				Seed:       rng.Int63(),
+			})
+			kind = "corpus"
+		}
+		frac := 0.03 + 0.09*rng.Float64()
+		minsup := int(frac * float64(core.Len()))
+		if minsup < 2 {
+			minsup = 2
+		}
+		frequent := 0
+		for _, f := range core.Frequencies() {
+			if f >= minsup {
+				frequent++
+			}
+		}
+		ratio := 10 + rng.Intn(91)
+		vocab := ratio * max(frequent, 1)
+		if vocab < core.NumItems {
+			vocab = core.NumItems
+		}
+		// Most tail items occur once to three times; one in ten sits just
+		// below the support threshold.
+		tx := make([]Transaction, len(core.Tx))
+		for ti, t := range core.Tx {
+			tx[ti] = append(Transaction(nil), t...)
+		}
+		for it := core.NumItems; it < vocab; it++ {
+			occ := 1 + rng.Intn(min(3, minsup-1))
+			if rng.Intn(10) == 0 {
+				occ = minsup - 1
+			}
+			for k := 0; k < occ; k++ {
+				ti := rng.Intn(len(tx))
+				tx[ti] = append(tx[ti], Item(it))
+			}
+		}
+		perm := rng.Perm(vocab)
+		for _, t := range tx {
+			for j, it := range t {
+				t[j] = Item(perm[it])
+			}
+		}
+		db := &DB{Tx: tx, NumItems: vocab}
+		db.Normalize()
+		cases = append(cases, diffCase{
+			name:   fmt.Sprintf("%02d-%s-n%d-s%d-f%d-v%d", i, kind, db.Len(), minsup, frequent, vocab),
+			db:     db,
+			minsup: minsup,
+		})
+	}
+	return cases
+}
+
+// TestDifferentialSparseAlphabets mines every sparse-alphabet corpus with
+// each kernel, untuned and with all applicable patterns, sequentially and
+// on a four-worker pool, plus Eclat's exact-range ablation; every
+// canonical listing must be byte-identical to the brute-force oracle's.
+func TestDifferentialSparseAlphabets(t *testing.T) {
+	n := 20
+	if testing.Short() {
+		n = 6
+	}
+	for _, tc := range sparseCases(n) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var oracle SliceCollector
+			if err := (mine.BruteForce{}).Mine(tc.db, tc.minsup, &oracle); err != nil {
+				t.Fatal(err)
+			}
+			if len(oracle.Sets) > 200_000 {
+				t.Skipf("oracle produced %d itemsets; corpus too dense to cross-check cheaply", len(oracle.Sets))
+			}
+			want := canonListing(oracle.Sets)
+			check := func(label string, m Miner) {
+				t.Helper()
+				var sc SliceCollector
+				if err := m.Mine(tc.db, tc.minsup, &sc); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := canonListing(sc.Sets); got != want {
+					t.Errorf("%s: listing differs from the oracle's (%d vs %d itemsets)", label, len(sc.Sets), len(oracle.Sets))
+				}
+			}
+			for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+				for _, ps := range []PatternSet{0, Applicable(algo)} {
+					m, err := NewMiner(algo, ps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(m.Name(), m)
+					pm, err := NewParallel(4, algo, ps, ParallelCutoff(64))
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(pm.Name()+"/w4", pm)
+				}
+			}
+			exact := func() mine.Miner {
+				return eclat.New(eclat.Options{Patterns: Applicable(Eclat), ExactRanges: true})
+			}
+			check("eclat-exact", exact())
+			check("eclat-exact/w4", parallel.New(4, exact, parallel.WithCutoff(64)))
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -241,5 +242,55 @@ func TestCloneProperty(t *testing.T) {
 func TestEqualLengthMismatch(t *testing.T) {
 	if Equal(New(10), New(11)) {
 		t.Fatal("vectors of different length compare equal")
+	}
+}
+
+// scalarAndCount is the one-word-per-iteration fused loop that the
+// unrolled kernel must match word for word.
+func scalarAndCount(dw, aw, bw []uint64) int {
+	c := 0
+	for i := range dw {
+		w := aw[i] & bw[i]
+		dw[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// TestUnrolledAndCountMatchesScalar checks AndCount and AndCountRange
+// against the scalar loop for every length from 0 to 300 words, covering
+// each remainder of the four-way unroll, and for random ranges: the same
+// count, the same words inside the range, and untouched words outside it.
+func TestUnrolledAndCountMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	garbage := func(n int) *Vector {
+		v := New(n)
+		for i := range v.words {
+			v.words[i] = rng.Uint64()
+		}
+		return v
+	}
+	for words := 0; words <= 300; words++ {
+		n := words * 64
+		density := rng.Float64()
+		a, b := randVec(rng, n, density), randVec(rng, n, density)
+		ref := New(n)
+		want := scalarAndCount(ref.words, a.words, b.words)
+		dst := garbage(n)
+		if got := AndCount(dst, a, b); got != want || !Equal(dst, ref) {
+			t.Fatalf("%d words: AndCount = %d (words equal %v), scalar %d", words, got, Equal(dst, ref), want)
+		}
+		for trial := 0; trial < 8; trial++ {
+			lo := rng.Intn(words + 1)
+			hi := lo + rng.Intn(words-lo+1)
+			r := OneRange{lo, hi}
+			dst := garbage(n)
+			ref := dst.Clone()
+			want := scalarAndCount(ref.words[lo:hi], a.words[lo:hi], b.words[lo:hi])
+			if got := AndCountRange(dst, a, b, r); got != want || !Equal(dst, ref) {
+				t.Fatalf("%d words, range %v: AndCountRange = %d (words equal %v), scalar %d",
+					words, r, got, Equal(dst, ref), want)
+			}
+		}
 	}
 }

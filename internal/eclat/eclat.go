@@ -10,7 +10,8 @@
 //	          all-zero head/tail words via conservative 1-ranges);
 //	P8 SIMD — replaces the baseline per-byte table-lookup popcount (an
 //	          indirect load that defeats vectorization) with word-parallel
-//	          computational popcount, fused with the AND.
+//	          computational popcount, fused with the AND and unrolled four
+//	          ways.
 package eclat
 
 import (
@@ -307,6 +308,12 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 		return
 	}
 	root := len(prefix) == 0
+	// scratch receives each candidate's AND. A pruned candidate leaves it
+	// for the next one; a surviving candidate keeps it, and the next
+	// candidate gets a fresh vector. Reuse is sound because every read of
+	// a node's vector stays inside the node's range, and each AND writes
+	// that whole range (see bitvec.AndCountRange).
+	var scratch *bitvec.Vector
 	for i, nd := range class {
 		var ts int64
 		if root && r.tk != nil {
@@ -320,27 +327,31 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 		weight := 0
 		for _, other := range class[i+1:] {
 			rng := nd.rng.Intersect(other.rng)
-			nv := bitvec.New(r.n)
-			var sup int
 			if rng.Empty() {
 				// 0-escaping skipped the AND entirely: a prune without a
 				// support counting.
-				sup = 0
-			} else {
-				r.met.Support(1)
-				sup, rng = r.andCount(nv, nd.vec, other.vec, rng)
+				r.met.Prune()
+				continue
 			}
+			if scratch == nil {
+				scratch = bitvec.New(r.n)
+			}
+			r.met.Support(1)
+			sup, rng := r.andCount(scratch, nd.vec, other.vec, rng)
 			if sup < r.minSupport {
 				r.met.Prune()
+				continue
 			}
-			if sup >= r.minSupport {
-				next = append(next, node{item: other.item, vec: nv, rng: rng, support: sup})
-				// Summed supports = occurrences of the surviving items in
-				// the child's projected database: the occurrence unit every
-				// spawn cutoff in this codebase is expressed in (see the
-				// MineSplit doc comment).
-				weight += sup
+			if next == nil {
+				next = make([]node, 0, len(class)-i-1)
 			}
+			next = append(next, node{item: other.item, vec: scratch, rng: rng, support: sup})
+			scratch = nil
+			// Summed supports = occurrences of the surviving items in the
+			// child's projected database: the occurrence unit every spawn
+			// cutoff in this codebase is expressed in (see the MineSplit
+			// doc comment).
+			weight += sup
 		}
 		if len(next) > 0 {
 			r.descend(next, weight, prefix, c)
@@ -353,9 +364,10 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 }
 
 // descend recurses into the class sequentially unless the scheduler
-// accepts it as a stealable task. The class slice and its vectors are
-// fresh allocations from this extension step, so handing them to another
-// worker is safe; only the prefix needs copying.
+// accepts it as a stealable task. The class slice and its vectors belong
+// to this extension step alone — the spawning recursion's scratch vector
+// is never among them — so handing them to another worker is safe; only
+// the prefix needs copying.
 func (r *run) descend(next []node, weight int, prefix []dataset.Item, c mine.Collector) {
 	if r.sp != nil && r.sp.WouldSteal(weight) {
 		pcopy := append([]dataset.Item(nil), prefix...)

@@ -4,8 +4,12 @@ import "fpm/internal/dataset"
 
 // compactTree is the P2 data-structure-adapted layout: nodes live in one
 // contiguous arena and link by 32-bit indices, shrinking the node from the
-// pointer layout's 48 bytes (plus per-node allocator overhead) to 24 bytes
-// and removing all per-node allocations. This is the Go analogue of the
+// pointer layout's 48 bytes (plus per-node allocator overhead) to 24 bytes,
+// with no per-node allocations. The miner keeps one compactTree per
+// recursion depth and rebuilds it in place, so its arrays grow only when a
+// tree outgrows every earlier tree at that depth (the cache-conscious
+// relayout still copies into a fresh arena), and the header spans the
+// tree's rank bound, not the alphabet. This is the Go analogue of the
 // paper's differential item-ID encoding — the mechanism differs (indices
 // instead of byte deltas, since Go favours dense arenas over unaligned byte
 // packing) but the optimization objective is the same: "this reduces the
@@ -26,8 +30,9 @@ type compactTree struct {
 	dfsOrder  bool
 
 	nodes []cnode
-	// head[i]/sup[i] index item i's node-link chain head and support; the
-	// header table is a dense array (items are dense ranks).
+	// head[i]/sup[i] index item i's node-link chain head and support. The
+	// header table is a dense array over [0, bound) — items are frequency
+	// ranks, and a tree only holds ranks below its build bound.
 	head []int32
 	sup  []int32
 
@@ -53,14 +58,14 @@ type cnode struct {
 	next    int32
 }
 
-func (t *compactTree) build(base []weightedTx, numItems int) {
-	t.nodes = t.nodes[:0]
-	t.nodes = append(t.nodes, cnode{item: -1, parent: nilIdx, child: nilIdx, sibling: nilIdx, next: nilIdx})
-	t.head = make([]int32, numItems)
-	t.sup = make([]int32, numItems)
+func (t *compactTree) build(base []weightedTx, bound int) {
+	t.nodes = append(t.nodes[:0], cnode{item: -1, parent: nilIdx, child: nilIdx, sibling: nilIdx, next: nilIdx})
+	t.head = resize(t.head, bound)
 	for i := range t.head {
 		t.head[i] = nilIdx
 	}
+	t.sup = resize(t.sup, bound)
+	t.present = t.present[:0]
 
 	for _, row := range base {
 		cur := int32(0)
@@ -86,8 +91,10 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 		}
 	}
 
-	for it := dataset.Item(0); int(it) < numItems; it++ {
+	// Decreasing id = least frequent first.
+	for it := dataset.Item(bound) - 1; it >= 0; it-- {
 		if t.head[it] == nilIdx {
+			t.sup[it] = 0
 			continue
 		}
 		t.present = append(t.present, it)
@@ -96,10 +103,6 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 			s += t.nodes[n].count
 		}
 		t.sup[it] = s
-	}
-	// Decreasing id = least frequent first.
-	for i, j := 0, len(t.present)-1; i < j; i, j = i+1, j-1 {
-		t.present[i], t.present[j] = t.present[j], t.present[i]
 	}
 
 	if t.dfsOrder {
@@ -110,13 +113,23 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 	}
 }
 
+// resize returns s with length n, allocating only when s lacks the
+// capacity. Reused entries keep their stale values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // buildSegments materialises the P3 supernode segments: for each node, up
-// to aggSpan-1 ancestor items copied inline, plus the skip index.
+// to aggSpan-1 ancestor items copied inline, plus the skip index. Every
+// entry but the root's is overwritten, and walks never read the root's.
 func (t *compactTree) buildSegments() {
 	n := len(t.nodes)
-	t.segOff = make([]int32, n)
-	t.segLen = make([]int8, n)
-	t.skip = make([]int32, n)
+	t.segOff = resize(t.segOff, n)
+	t.segLen = resize(t.segLen, n)
+	t.skip = resize(t.skip, n)
 	t.segs = t.segs[:0]
 	for i := 1; i < n; i++ {
 		t.segOff[i] = int32(len(t.segs))

@@ -14,6 +14,9 @@
 //	                  pointer-linked heap nodes (the Go analogue of the
 //	                  paper's differential item-ID byte encoding: the goal,
 //	                  a much smaller node, is preserved — see DESIGN.md);
+//	                  one arena per recursion depth is rebuilt in place,
+//	                  so trees after the first at a depth allocate only
+//	                  when they outgrow it;
 //	P3 Aggregate    — inline path segments: each node carries the items of
 //	                  its next AggSpan-1 ancestors plus a skip pointer, so
 //	                  an upward walk reads one contiguous record per
@@ -26,8 +29,6 @@
 package fpgrowth
 
 import (
-	"sort"
-
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
 	"fpm/internal/lexorder"
@@ -98,10 +99,11 @@ type weightedTx struct {
 // tree is the layout-independent FP-tree contract. Build/condBase inner
 // loops are concrete per layout; only the per-item dispatch is virtual.
 type tree interface {
-	// build constructs the tree from the base. Item ids are dense in
-	// [0, numItems); rows must already be filtered to frequent items and
-	// sorted by decreasing frequency (increasing rank).
-	build(base []weightedTx, numItems int)
+	// build discards the previous contents and constructs the tree from the
+	// base. Every item is a rank below bound; rows must already be filtered
+	// to frequent items and sorted by decreasing frequency (increasing
+	// rank).
+	build(base []weightedTx, bound int)
 	// items returns the distinct items present, in the order they should
 	// be expanded (least frequent first).
 	items() []dataset.Item
@@ -134,18 +136,23 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	}
 
 	// Build the root pattern base: drop globally infrequent items (they
-	// cannot appear in any frequent itemset).
-	freq := work.Frequencies()
+	// cannot appear in any frequent itemset). Items are frequency ranks, so
+	// the frequent ones are exactly the ranks below the first infrequent
+	// rank, and every tree's header is bounded by that rank rather than by
+	// the whole alphabet. Rows are sorted by rank, so each row's frequent
+	// items are a prefix of it.
+	bound := 0
+	for bound < work.NumItems && ord.Freq[ord.Orig[bound]] >= minSupport {
+		bound++
+	}
 	base := make([]weightedTx, 0, len(work.Tx))
 	for _, t := range work.Tx {
-		keep := make([]dataset.Item, 0, len(t))
-		for _, it := range t {
-			if freq[it] >= minSupport {
-				keep = append(keep, it)
-			}
+		k := 0
+		for k < len(t) && int(t[k]) < bound {
+			k++
 		}
-		if len(keep) > 0 {
-			base = append(base, weightedTx{items: keep, w: 1})
+		if k > 0 {
+			base = append(base, weightedTx{items: t[:k:k], w: 1})
 		}
 	}
 	if len(base) == 0 {
@@ -153,9 +160,9 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	}
 
 	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord,
-		condFreq: make([]int32, work.NumItems), met: m.opts.Metrics.NewLocal(),
+		condFreq: make([]int32, bound), met: m.opts.Metrics.NewLocal(),
 		tk: m.track(), cf: m.opts.Cancel}
-	st.mineBase(base, work.NumItems)
+	st.mineBase(base, bound)
 	m.opts.Metrics.Flush(st.met)
 	return m.opts.Cancel.Err()
 }
@@ -170,12 +177,22 @@ type state struct {
 	// whole recursion.
 	flat []dataset.Item
 	// condFreq/condTouched implement a resettable conditional frequency
-	// counter over the global alphabet.
+	// counter over the frequent ranks.
 	condFreq    []int32
 	condTouched []dataset.Item
-	met         *metrics.Local
-	tk          *trace.Track
-	cf          *cancel.Flag
+	// levels[d] is the scratch of recursion depth d, reused by every
+	// pattern base mined at that depth.
+	levels []*level
+	met    *metrics.Local
+	tk     *trace.Track
+	cf     *cancel.Flag
+}
+
+// level is one recursion depth's tree and conditional-base row headers.
+// Both are free again once the depth's current item has been expanded.
+type level struct {
+	t    tree
+	cond []weightedTx
 }
 
 func (st *state) emit(support int32) {
@@ -198,17 +215,50 @@ func (st *state) newTree() tree {
 }
 
 // mineBase builds the FP-tree for a pattern base and grows patterns from
-// it, recursing on conditional bases.
-func (st *state) mineBase(base []weightedTx, numItems int) {
+// it, recursing on conditional bases. Every item of base is a rank below
+// bound.
+func (st *state) mineBase(base []weightedTx, bound int) {
 	if st.cf.Cancelled() {
 		return
 	}
-	t := st.newTree()
-	t.build(base, numItems)
+	depth := len(st.prefix)
+	if depth == len(st.levels) {
+		st.levels = append(st.levels, &level{t: st.newTree()})
+	}
+	lv := st.levels[depth]
+	t := lv.t
+	t.build(base, bound)
 	st.met.Node()
 
 	compact := st.m.opts.Patterns.Has(mine.Compact)
-	root := len(st.prefix) == 0
+	root := depth == 0
+
+	// gather appends one node-link's path to the conditional base of the
+	// item being expanded, counting conditional item frequencies in the
+	// same pass.
+	gather := func(path []dataset.Item, w int32) {
+		if len(path) == 0 {
+			return
+		}
+		for _, it := range path {
+			if st.condFreq[it] == 0 {
+				st.condTouched = append(st.condTouched, it)
+			}
+			st.condFreq[it] += w
+		}
+		var row []dataset.Item
+		if compact {
+			// P4: copy the path into the shared flat buffer, not a
+			// slice of its own. A row made before the buffer grows
+			// keeps the old backing array, which stays valid.
+			start := len(st.flat)
+			st.flat = append(st.flat, path...)
+			row = st.flat[start:len(st.flat):len(st.flat)]
+		} else {
+			row = append([]dataset.Item(nil), path...)
+		}
+		lv.cond = append(lv.cond, weightedTx{items: row, w: w})
+	}
 
 	for _, e := range t.items() {
 		if st.cf.Cancelled() {
@@ -227,33 +277,12 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 		st.prefix = append(st.prefix, e)
 		st.emit(sup)
 
-		// Gather the conditional pattern base of e. Count conditional
-		// item frequencies in the same pass.
+		// Gather the conditional pattern base of e. Its paths hold only
+		// ancestors of e's nodes, i.e. ranks below e.
 		st.condTouched = st.condTouched[:0]
-		var cond []weightedTx
+		lv.cond = lv.cond[:0]
 		flatStart := len(st.flat)
-		t.condBase(e, func(path []dataset.Item, w int32) {
-			if len(path) == 0 {
-				return
-			}
-			for _, it := range path {
-				if st.condFreq[it] == 0 {
-					st.condTouched = append(st.condTouched, it)
-				}
-				st.condFreq[it] += w
-			}
-			var row []dataset.Item
-			if compact {
-				// P4: copy the path into the shared flat buffer; rows are
-				// re-sliced out of it below once it stops growing.
-				start := len(st.flat)
-				st.flat = append(st.flat, path...)
-				row = st.flat[start:len(st.flat):len(st.flat)]
-			} else {
-				row = append([]dataset.Item(nil), path...)
-			}
-			cond = append(cond, weightedTx{items: row, w: w})
-		})
+		t.condBase(e, gather)
 
 		// Filter to conditionally frequent items; drop empty rows.
 		anyFreq := false
@@ -264,8 +293,8 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 			}
 		}
 		if anyFreq {
-			sub := cond[:0]
-			for _, row := range cond {
+			sub := lv.cond[:0]
+			for _, row := range lv.cond {
 				keep := row.items[:0]
 				for _, it := range row.items {
 					if st.condFreq[it] >= st.minsup {
@@ -288,7 +317,7 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 				st.condFreq[it] = 0
 			}
 			if len(sub) > 0 {
-				st.mineBase(sub, numItems)
+				st.mineBase(sub, int(e))
 			}
 		} else {
 			for _, it := range st.condTouched {
@@ -301,13 +330,4 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 			st.tk.End(ts, "subtree", trace.CatKernel, int64(e))
 		}
 	}
-}
-
-// sortRows orders pattern-base rows lexicographically; used by tree builds
-// when the Lex pattern asks for insertion-order locality on conditional
-// trees as well. (The initial database ordering is handled in Mine.)
-func sortRows(base []weightedTx) {
-	sort.SliceStable(base, func(a, b int) bool {
-		return lexorder.Less(base[a].items, base[b].items)
-	})
 }

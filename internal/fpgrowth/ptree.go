@@ -27,10 +27,11 @@ type pnode struct {
 	next    *pnode // node-link to the next node with the same item
 }
 
-func (t *pointerTree) build(base []weightedTx, numItems int) {
+func (t *pointerTree) build(base []weightedTx, bound int) {
 	t.root = &pnode{item: -1}
 	t.head = make(map[dataset.Item]*pnode)
 	t.sup = make(map[dataset.Item]int32)
+	t.present = t.present[:0]
 	for _, row := range base {
 		cur := t.root
 		for _, it := range row.items {

@@ -164,6 +164,11 @@ type state struct {
 	prefix  []dataset.Item
 	emitBuf []dataset.Item
 	touched []dataset.Item
+	// projItems, projEnds and projW stage one projection's rows (items
+	// back-to-back, each row's end offset, each row's weight).
+	projItems []dataset.Item
+	projEnds  []int32
+	projW     []int32
 }
 
 // descend recurses into child sequentially, unless the scheduler accepts
@@ -270,10 +275,25 @@ func (st *state) mineNode(d *cdb, root bool) {
 
 // buildOcc computes the OccArray of d — for each item the row indices of
 // the transactions containing it, in increasing row order — plus each
-// item's weighted support.
+// item's weighted support. A counting pass sizes every column first, so
+// the columns are consecutive slices of one array.
 func buildOcc(d *cdb) ([][]int32, []int32) {
 	occ := make([][]int32, d.items)
 	support := make([]int32, d.items)
+	total := 0
+	for _, t := range d.tx {
+		total += len(t)
+		for _, it := range t {
+			support[it]++
+		}
+	}
+	flat := make([]int32, total)
+	off := int32(0)
+	for it, n := range support {
+		occ[it] = flat[off : off : off+n]
+		off += n
+		support[it] = 0
+	}
 	for ti, t := range d.tx {
 		w := d.w[ti]
 		for _, it := range t {
@@ -319,26 +339,38 @@ func (st *state) calcFreq(d *cdb, col []int32, e dataset.Item) {
 // column e restricted to items below e that are frequent in the child
 // (per the freq accessor), followed by RmDupTrans. Returns nil when the
 // child is empty.
+//
+// The rows are staged in the state's reused buffers, then copied into one
+// arena allocated at its final size, and re-sliced out of it: a projection
+// costs a fixed handful of allocations however many rows it has. The
+// child owns its arena, so a stolen child shares nothing with the parent.
 func (st *state) project(d *cdb, col []int32, e dataset.Item, freq func(dataset.Item) int32) *cdb {
-	child := &cdb{items: int(e)}
+	items, ends, w := st.projItems[:0], st.projEnds[:0], st.projW[:0]
 	for _, ti := range col {
-		var ct []dataset.Item
+		start := len(items)
 		for _, it := range d.tx[ti] {
 			if it >= e {
 				break
 			}
 			if freq(it) >= st.minsup {
-				ct = append(ct, it)
+				items = append(items, it)
 			}
 		}
-		if len(ct) == 0 {
-			continue
+		if len(items) > start {
+			ends = append(ends, int32(len(items)))
+			w = append(w, d.w[ti])
 		}
-		child.tx = append(child.tx, ct)
-		child.w = append(child.w, d.w[ti])
 	}
-	if len(child.tx) == 0 {
+	st.projItems, st.projEnds, st.projW = items, ends, w
+	if len(ends) == 0 {
 		return nil
+	}
+	arena := append([]dataset.Item(nil), items...)
+	child := &cdb{items: int(e), tx: make([][]dataset.Item, len(ends)), w: append([]int32(nil), w...)}
+	start := int32(0)
+	for i, end := range ends {
+		child.tx[i] = arena[start:end:end]
+		start = end
 	}
 	return st.m.rmDupTrans(child)
 }

@@ -16,6 +16,10 @@ import (
 // variant stores bucket members in contiguous chunks (supernodes), since
 // the structure is "mostly read only" — it is only appended to, never
 // spliced.
+//
+// d is compacted in place and returned: the k-th distinct transaction
+// moves to slot k, which is at most its own index, so every slot is read
+// before it is overwritten. Callers pass a database they own.
 func (m *Miner) rmDupTrans(d *cdb) *cdb {
 	if len(d.tx) < 2 {
 		return d
@@ -26,8 +30,7 @@ func (m *Miner) rmDupTrans(d *cdb) *cdb {
 	}
 	mask := uint32(nb - 1)
 
-	out := &cdb{items: d.items, tx: make([][]dataset.Item, 0, len(d.tx)), w: make([]int32, 0, len(d.tx))}
-
+	out := 0
 	if m.opts.Patterns.Has(mine.Aggregate) {
 		// Aggregated buckets: one []int32 of output indices per bucket,
 		// grown in place — members of a bucket live in consecutive memory.
@@ -36,19 +39,20 @@ func (m *Miner) rmDupTrans(d *cdb) *cdb {
 			b := hashTx(t) & mask
 			found := false
 			for _, oi := range buckets[b] {
-				if eqTx(out.tx[oi], t) {
-					out.w[oi] += d.w[ti]
+				if eqTx(d.tx[oi], t) {
+					d.w[oi] += d.w[ti]
 					found = true
 					break
 				}
 			}
 			if !found {
-				buckets[b] = append(buckets[b], int32(len(out.tx)))
-				out.tx = append(out.tx, t)
-				out.w = append(out.w, d.w[ti])
+				buckets[b] = append(buckets[b], int32(out))
+				d.tx[out], d.w[out] = t, d.w[ti]
+				out++
 			}
 		}
-		return out
+		d.tx, d.w = d.tx[:out], d.w[:out]
+		return d
 	}
 
 	// Baseline buckets: per-transaction linked nodes; the search is a
@@ -62,19 +66,20 @@ func (m *Miner) rmDupTrans(d *cdb) *cdb {
 		b := hashTx(t) & mask
 		found := false
 		for n := buckets[b]; n != nil; n = n.next {
-			if eqTx(out.tx[n.oi], t) {
-				out.w[n.oi] += d.w[ti]
+			if eqTx(d.tx[n.oi], t) {
+				d.w[n.oi] += d.w[ti]
 				found = true
 				break
 			}
 		}
 		if !found {
-			buckets[b] = &dupNode{oi: int32(len(out.tx)), next: buckets[b]}
-			out.tx = append(out.tx, t)
-			out.w = append(out.w, d.w[ti])
+			buckets[b] = &dupNode{oi: int32(out), next: buckets[b]}
+			d.tx[out], d.w[out] = t, d.w[ti]
+			out++
 		}
 	}
-	return out
+	d.tx, d.w = d.tx[:out], d.w[:out]
+	return d
 }
 
 // hashTx is an FNV-1a hash over the transaction's items.
