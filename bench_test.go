@@ -339,9 +339,9 @@ func BenchmarkP2Representations(b *testing.B) {
 	}{
 		{"lcm-array", func() Miner { m, _ := NewMiner(LCM, 0); return m }},
 		{"eclat-bitmatrix", func() Miner { m, _ := NewMiner(Eclat, 0); return m }},
-		{"eclat-tidset", func() Miner { return NewTidsetEclat() }},
-		{"declat-diffset", func() Miner { return NewDiffsetEclat() }},
-		{"hmine-hyperstruct", func() Miner { return NewHMine() }},
+		{"eclat-tidset", func() Miner { m, _ := NewMiner(Tidset, 0); return m }},
+		{"declat-diffset", func() Miner { m, _ := NewMiner(Diffset, 0); return m }},
+		{"hmine-hyperstruct", func() Miner { m, _ := NewMiner(HMine, 0); return m }},
 		{"fpgrowth-tree", func() Miner { m, _ := NewMiner(FPGrowth, 0); return m }},
 	}
 	workloads := []struct {
@@ -368,38 +368,6 @@ func BenchmarkP2Representations(b *testing.B) {
 			})
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// Closed/maximal mining vs complete enumeration — the compression LCM's
-// namesake capability buys.
-// ---------------------------------------------------------------------
-
-func BenchmarkClosedVsAll(b *testing.B) {
-	benchSetup()
-	b.Run("all", func(b *testing.B) { mineBench(b, benchDocs, LCM, 0, benchDocsSupport) })
-	b.Run("closed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sets, err := MineClosed(benchDocs, benchDocsSupport)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(sets) == 0 {
-				b.Fatal("degenerate workload")
-			}
-		}
-	})
-	b.Run("maximal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sets, err := MineMaximal(benchDocs, benchDocsSupport)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(sets) == 0 {
-				b.Fatal("degenerate workload")
-			}
-		}
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -639,10 +607,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(rec *MetricsRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m, err := newInstrumentedMiner(LCM, 0, rec, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := kernels[LCM](0, rec, nil, nil)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {
@@ -692,10 +657,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(tr *TraceRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m, err := newInstrumentedMiner(LCM, 0, nil, tr, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := kernels[LCM](0, nil, tr, nil)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {
@@ -750,10 +712,7 @@ func BenchmarkCancelOverhead(b *testing.B) {
 			// allocation noise and break the cross-PR comparison.
 			cf, stop := cancel.FromContext(ctx)
 			defer stop()
-			m, err := newInstrumentedMiner(LCM, 0, nil, nil, cf)
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := kernels[LCM](0, nil, nil, cf)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {

@@ -78,12 +78,12 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 	assertNoGoroutineGrowth(t, before)
 }
 
-// TestCancelSequentialKernels: lcm, eclat and fpgrowth poll the flag at
-// recursion nodes through MineContext; hmine through the observed path.
-// All must surface *CancelledError.
+// TestCancelSequentialKernels: lcm, eclat, fpgrowth and hmine poll the
+// flag at recursion nodes, through MineContext and, for hmine, also
+// through the observed path. All must surface *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, HMine} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {
@@ -99,9 +99,9 @@ func TestCancelSequentialKernels(t *testing.T) {
 			})
 		})
 	}
-	t.Run("hmine", func(t *testing.T) {
+	t.Run("hmine-observed", func(t *testing.T) {
 		assertCancelsPromptly(t, func(ctx context.Context) error {
-			_, _, err := WithMetrics(benchSkew, "hmine", 0, benchSkewSupport, 1, WithContext(ctx))
+			_, _, err := WithMetrics(benchSkew, HMine, 0, benchSkewSupport, 1, WithContext(ctx))
 			return err
 		})
 	})
@@ -159,9 +159,9 @@ func TestCancelPartitioned(t *testing.T) {
 	est := fimi.DBBytes(benchSkew)
 	ckpt := filepath.Join(dir, "skew.fpmck")
 	assertCancelsPromptly(t, func(ctx context.Context) error {
-		rc := PartitionRunConfig{Ctx: ctx, Checkpoint: ckpt}
+		rc := PartitionRunConfig{Checkpoint: ckpt}
 		_, _, err := MinePartitionedWithConfig(path, LCM, 0, benchSkewSupport,
-			8*est/6, 2, rc)
+			8*est/6, 2, rc, WithContext(ctx))
 		var ce *CancelledError
 		if err != nil && !errors.As(err, &ce) {
 			t.Fatalf("error %T does not wrap *CancelledError", err)

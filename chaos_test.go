@@ -121,9 +121,9 @@ func TestChaosKillResumeDifferential(t *testing.T) {
 			ckpt := filepath.Join(dir, "db.fpmck")
 
 			run := func(ctx context.Context) ([]Itemset, PartitionSnapshot, error) {
-				rc := PartitionRunConfig{Ctx: ctx, Checkpoint: ckpt, Resume: true}
+				rc := PartitionRunConfig{Checkpoint: ckpt, Resume: true}
 				return MinePartitionedWithConfig(path, algo, Applicable(algo), tc.minsup,
-					budget, workers, rc, ParallelCutoff(64))
+					budget, workers, rc, ParallelCutoff(64), WithContext(ctx))
 			}
 
 			// Fault rounds: each arms one failure mode, runs, and checks

@@ -2,7 +2,8 @@
 //
 // Usage:
 //
-//	fpm -in transactions.dat -support 100 [-algo lcm|eclat|fpgrowth|apriori|auto]
+//	fpm -in transactions.dat -support 100
+//	    [-algo lcm|eclat|fpgrowth|apriori|hmine|tidset|diffset|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
 //	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume] [-chunk-lex]
@@ -17,8 +18,8 @@
 // chunks sized to -mem-budget (bytes, with optional K/M/G suffix) and
 // recounting candidate supports exactly on a second pass. The result is
 // identical to the in-memory run; -partition requires an explicit
-// four-kernel -algo (the autotuner and the alternative miners need the
-// loaded database).
+// -algo lcm|eclat|fpgrowth|apriori (the autotuner needs the loaded
+// database).
 //
 // With -checkpoint (or -resume, which defaults the sidecar to
 // <in>.fpmck) a partitioned run persists its progress after every chunk
@@ -28,12 +29,12 @@
 // completed, silently starting fresh on any mismatch. The sidecar is
 // removed when the run completes.
 //
-// With -timeout the run is bounded in wall time: the kernels poll a
-// cancellation flag at every recursion node (lcm, eclat, fpgrowth,
-// hmine), the scheduler drops queued tasks, and partitioned runs stop at
-// the next chunk boundary, exiting with a deadline error. Cancellation is
-// cooperative — the apriori baseline and the tidset/diffset alternatives
-// run to completion.
+// With -timeout the run is bounded in wall time: lcm, eclat, fpgrowth and
+// hmine poll a cancellation flag at every recursion node, the scheduler
+// drops queued tasks, and partitioned runs stop at the next chunk
+// boundary, exiting with a deadline error. Cancellation is cooperative:
+// sequential apriori, tidset and diffset runs go to completion, and with
+// -workers != 1 they stop at the next first-level task.
 //
 // With -stats the run's observability counters (nodes expanded, support
 // countings, itemsets emitted, candidate prunes, and — with -workers != 1 —
@@ -104,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers  = fs.Int("workers", 1, "work-stealing mining workers (1 = sequential; 0 = GOMAXPROCS)")
 		cutoff   = fs.Int("cutoff", 0, "minimum estimated subtree weight to spawn a stealable task (0 = default)")
 		det      = fs.Bool("det", false, "deterministic parallel merge order (sorted canonically)")
-		kind     = fs.String("kind", "all", "result kind: all, closed or maximal")
 		stats    = fs.String("stats", "", "print run-time mining counters to stdout: \"table\" or \"json\" (itemset listing suppressed unless -out is set)")
 		describe = fs.Bool("describe", false, "print dataset statistics and the autotuner recommendation, then exit")
 		part     = fs.Bool("partition", false, "mine out-of-core: stream the file in bounded chunks (SON two-pass) instead of loading it")
@@ -183,9 +183,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *describe {
 			return fmt.Errorf("-describe needs the loaded database; drop -partition")
 		}
-		if *kind != "all" {
-			return fmt.Errorf("-partition supports -kind all only")
-		}
 		a := fpm.Algorithm(*algo)
 		switch a {
 		case fpm.LCM, fpm.Eclat, fpm.FPGrowth, fpm.Apriori:
@@ -229,25 +226,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	switch {
-	case *kind == "closed" || *kind == "maximal":
-		if observed {
-			return fmt.Errorf("-stats/-trace/-telemetry-addr support -kind all only")
-		}
-		if *kind == "closed" {
-			sets, err = fpm.MineClosed(db, *support)
-		} else {
-			sets, err = fpm.MineMaximal(db, *support)
-		}
 	case observed:
 		a, ps := fpm.Algorithm(*algo), fpm.PatternSet(0)
 		if *algo == "auto" {
 			rec := fpm.Recommend(db, *support)
 			a, ps = rec.Algorithm, rec.Patterns
 			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		} else if a == "lcm" || a == "eclat" || a == "fpgrowth" || a == "apriori" {
-			if ps, err = parsePatterns(*patterns, a); err != nil {
-				return err
-			}
+		} else if ps, err = parsePatterns(*patterns, a); err != nil {
+			return err
 		}
 		sets, snap, err = fpm.WithMetrics(db, a, ps, *support, *workers, popts...)
 	case *algo == "auto":
@@ -255,20 +241,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sets, rec, err = fpm.MineAuto(db, *support)
 		if err == nil {
 			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		}
-	case *algo == "hmine" || *algo == "tidset" || *algo == "diffset":
-		var m fpm.Miner
-		switch *algo {
-		case "hmine":
-			m = fpm.NewHMine()
-		case "tidset":
-			m = fpm.NewTidsetEclat()
-		case "diffset":
-			m = fpm.NewDiffsetEclat()
-		}
-		var sc fpm.SliceCollector
-		if err = m.Mine(db, *support, &sc); err == nil {
-			sets = sc.Sets
 		}
 	default:
 		var ps fpm.PatternSet

@@ -198,13 +198,11 @@ func TestCLIErrors(t *testing.T) {
 	small := filepath.Join("testdata", "small.dat")
 	cases := [][]string{
 		{"-in", small, "-support", "2", "-stats", "xml"},
-		{"-in", small, "-support", "2", "-kind", "closed", "-stats", "table"},
 		{"-support", "2"}, // missing -in
 		// Out-of-core constraints: -partition streams the file and cannot
 		// serve paths that need the loaded database or a non-four-kernel algo.
 		{"-in", small, "-support", "2", "-partition"}, // -algo auto default
 		{"-in", small, "-support", "2", "-partition", "-algo", "hmine"},
-		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-kind", "closed"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-describe"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-mem-budget", "zzz"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-mem-budget", "-4K"},

@@ -28,8 +28,10 @@ type diffCase struct {
 	db     *DB
 	minsup int
 	// parAlgo rotates which kernel the parallel runs exercise, so across
-	// the suite all of lcm/eclat/fpgrowth go through the scheduler.
-	parAlgo Algorithm
+	// the suite all of lcm/eclat/fpgrowth go through the scheduler;
+	// altAlgo rotates apriori/hmine/tidset/diffset through a four-worker
+	// pool the same way.
+	parAlgo, altAlgo Algorithm
 }
 
 // diffCases derives n corpora from a fixed seed. Half are Quest-style
@@ -38,6 +40,7 @@ type diffCase struct {
 func diffCases(n int) []diffCase {
 	rng := rand.New(rand.NewSource(20260806))
 	parAlgos := []Algorithm{LCM, Eclat, FPGrowth}
+	altAlgos := []Algorithm{Apriori, HMine, Tidset, Diffset}
 	cases := make([]diffCase, 0, n)
 	for i := 0; i < n; i++ {
 		var db *DB
@@ -80,6 +83,7 @@ func diffCases(n int) []diffCase {
 			db:      db,
 			minsup:  minsup,
 			parAlgo: parAlgos[i%len(parAlgos)],
+			altAlgo: altAlgos[i%len(altAlgos)],
 		})
 	}
 	return cases
@@ -274,6 +278,16 @@ func TestDifferentialPartitionedEquivalence(t *testing.T) {
 	}
 }
 
+// tableAlgorithms lists every name in the kernel table, sorted.
+func tableAlgorithms() []Algorithm {
+	algos := make([]Algorithm, 0, len(kernels))
+	for a := range kernels {
+		algos = append(algos, a)
+	}
+	sort.Slice(algos, func(i, j int) bool { return algos[i] < algos[j] })
+	return algos
+}
+
 func TestDifferentialAllMinersAgree(t *testing.T) {
 	n := 50
 	if testing.Short() {
@@ -288,10 +302,16 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 				t.Skipf("oracle produced %d itemsets; corpus too dense to cross-check cheaply", len(want))
 			}
 
-			// All four kernels, untuned and fully tuned: patterns are
-			// performance-only transformations and must not change results.
-			for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
-				for _, ps := range []PatternSet{0, Applicable(algo)} {
+			// Every kernel of the table, untuned and fully tuned: patterns
+			// are performance-only transformations and must not change
+			// results. The alternative miners have no applicable patterns,
+			// so they run once.
+			for _, algo := range tableAlgorithms() {
+				pss := []PatternSet{0}
+				if ap := Applicable(algo); ap != 0 {
+					pss = append(pss, ap)
+				}
+				for _, ps := range pss {
 					m, err := NewMiner(algo, ps)
 					if err != nil {
 						t.Fatal(err)
@@ -299,7 +319,13 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 					checkAgainst(t, m.Name(), want, mineSet(t, m, tc.db, tc.minsup))
 				}
 			}
-			checkAgainst(t, "hmine", want, mineSet(t, NewHMine(), tc.db, tc.minsup))
+			// One alternative miner per case on a four-worker pool, which
+			// mines it by first-level decomposition.
+			am, err := NewParallel(4, tc.altAlgo, 0, ParallelCutoff(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainst(t, am.Name()+"/w4", want, mineSet(t, am, tc.db, tc.minsup))
 
 			// Parallel: sequential-equivalent (workers=1) and contended
 			// (workers=4), with both merge modes on the contended pool.

@@ -62,44 +62,6 @@ func ExampleLexOrder() {
 	// [4 5]
 }
 
-func ExampleMineClosed() {
-	// At support 3 the frequent sets are {a},{c},{f},{ac},{af},{cf},{acf};
-	// only {cf} (support 4) and {acf} (support 3) are closed.
-	closed, err := fpm.MineClosed(paperDB(), 3)
-	if err != nil {
-		panic(err)
-	}
-	lines := make([]string, 0, len(closed))
-	for _, s := range closed {
-		lines = append(lines, fmt.Sprintf("%v x%d", s.Items, s.Support))
-	}
-	sort.Strings(lines)
-	fmt.Println(strings.Join(lines, "\n"))
-	// Output:
-	// [0 2 5] x3
-	// [2 5] x4
-}
-
-func ExampleGenerateRules() {
-	db := &fpm.DB{
-		Tx: []fpm.Transaction{
-			{0, 1}, {0, 1}, {0, 1}, {0, 2}, {1},
-		},
-		NumItems: 3,
-	}
-	sets, err := fpm.Mine(db, fpm.LCM, 0, 3)
-	if err != nil {
-		panic(err)
-	}
-	rules := fpm.GenerateRules(sets, db.Len(), fpm.RuleParams{MinConfidence: 0.75})
-	for _, r := range rules {
-		fmt.Printf("%v => %v (confidence %.2f)\n", r.Antecedent, r.Consequent, r.Confidence)
-	}
-	// Output:
-	// [1] => [0] (confidence 0.75)
-	// [0] => [1] (confidence 0.75)
-}
-
 func ExampleRecommend() {
 	// A dense correlated basket workload: the autotuner picks the
 	// vertical bit-matrix kernel with SIMDized counting.

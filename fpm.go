@@ -32,7 +32,6 @@ import (
 
 	"fpm/internal/apriori"
 	"fpm/internal/cancel"
-	"fpm/internal/closed"
 	"fpm/internal/dataset"
 	"fpm/internal/eclat"
 	"fpm/internal/exp"
@@ -47,7 +46,6 @@ import (
 	"fpm/internal/mine"
 	"fpm/internal/parallel"
 	"fpm/internal/partition"
-	"fpm/internal/rules"
 	"fpm/internal/simkern"
 	"fpm/internal/trace"
 	"fpm/internal/tune"
@@ -111,26 +109,77 @@ const (
 	Eclat    = mine.Eclat
 	FPGrowth = mine.FPGrowth
 	Apriori  = mine.Apriori
+	HMine    = mine.HMine
+	Tidset   = mine.Tidset
+	Diffset  = mine.Diffset
 )
 
 // Applicable returns the patterns the paper applies to a kernel (Table 4).
 func Applicable(a Algorithm) PatternSet { return mine.Applicable(a) }
 
+// kernelFunc builds one kernel with the given patterns, an optional
+// counter recorder, an optional kernel-span trace recorder and an optional
+// cancellation flag; any of the three may be nil. tr must only be set for
+// a miner that runs sequentially: under the scheduler the worker task
+// spans own the timeline.
+type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Flag) Miner
+
+// kernels is the one place an Algorithm becomes a Miner: NewMiner,
+// MineContext, NewParallel, WithMetrics and MinePartitioned all build
+// their miners through it. LCM, Eclat, FP-Growth and H-mine record their
+// own counters, trace first-level subtrees and poll the cancellation flag
+// at every recursion node. Apriori and the tidset/diffset vertical miners
+// have no internal instrumentation: they count emissions through
+// countingMiner and never poll the flag, so only the scheduler's task
+// boundaries can stop them.
+var kernels = map[Algorithm]kernelFunc{
+	LCM: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+		return lcm.New(lcm.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
+	},
+	Eclat: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+		return eclat.New(eclat.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
+	},
+	FPGrowth: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+		return fpgrowth.New(fpgrowth.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
+	},
+	// H-mine (Pei et al., ICDM'01): transactions are shared, never
+	// projected; each recursion level threads hyper-links into per-item
+	// queues.
+	HMine: func(_ PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+		return hmine.NewInstrumented(rec, tr, cf)
+	},
+	Apriori: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
+		return counted(apriori.New(), rec)
+	},
+	// Zaki's sparse-tidset Eclat, the sparse alternative of the P2
+	// representation choice.
+	Tidset: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
+		return counted(vertical.NewTidset(), rec)
+	},
+	// dEclat (Zaki & Gouda, KDD'03), whose diffsets shrink with recursion
+	// depth on dense data.
+	Diffset: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
+		return counted(vertical.NewDiffset(), rec)
+	},
+}
+
+// kernel looks algo up in the kernel table.
+func kernel(algo Algorithm) (kernelFunc, error) {
+	k, ok := kernels[algo]
+	if !ok {
+		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
+	}
+	return k, nil
+}
+
 // NewMiner constructs a miner for the given kernel with the given tuning
 // patterns; patterns outside Applicable(algo) are ignored by the kernels.
 func NewMiner(algo Algorithm, patterns PatternSet) (Miner, error) {
-	switch algo {
-	case LCM:
-		return lcm.New(lcm.Options{Patterns: patterns}), nil
-	case Eclat:
-		return eclat.New(eclat.Options{Patterns: patterns}), nil
-	case FPGrowth:
-		return fpgrowth.New(fpgrowth.Options{Patterns: patterns}), nil
-	case Apriori:
-		return apriori.New(), nil
-	default:
-		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
+	k, err := kernel(algo)
+	if err != nil {
+		return nil, err
 	}
+	return k(patterns, nil, nil, nil), nil
 }
 
 // Mine runs one kernel over db and returns every itemset with support >=
@@ -177,85 +226,22 @@ func wrapCancelled(err error, rec *metrics.Recorder) error {
 // few recursion nodes of ctx being cancelled (or its deadline expiring) and
 // returns a *CancelledError wrapping ctx.Err(). The LCM, Eclat, FP-Growth
 // and H-mine kernels poll the cancellation flag at every recursion node;
-// the Apriori baseline is not internally instrumented and runs to
-// completion. A context that can never be cancelled costs nothing.
+// Apriori and the tidset/diffset miners are not internally instrumented
+// and run to completion. A context that can never be cancelled costs
+// nothing.
 func MineContext(ctx context.Context, db *DB, algo Algorithm, patterns PatternSet, minSupport int) ([]Itemset, error) {
-	cf, stop := cancel.FromContext(ctx)
-	defer stop()
-	m, err := newCancellableMiner(algo, patterns, cf)
+	k, err := kernel(algo)
 	if err != nil {
 		return nil, err
 	}
+	cf, stop := cancel.FromContext(ctx)
+	defer stop()
 	var sc SliceCollector
-	if err := m.Mine(db, minSupport, &sc); err != nil {
+	if err := k(patterns, nil, nil, cf).Mine(db, minSupport, &sc); err != nil {
 		return nil, wrapCancelled(err, nil)
 	}
 	return sc.Sets, nil
 }
-
-// newCancellableMiner is NewMiner plus a cancellation flag threaded into
-// the kernels that poll one.
-func newCancellableMiner(algo Algorithm, patterns PatternSet, cf *cancel.Flag) (Miner, error) {
-	return newInstrumentedMiner(algo, patterns, nil, nil, cf)
-}
-
-// MineClosed returns every closed frequent itemset (no proper superset has
-// equal support) via LCM's prefix-preserving closure extension — the
-// problem the LCM kernel is named for.
-func MineClosed(db *DB, minSupport int) ([]Itemset, error) {
-	var sc SliceCollector
-	if err := closed.New().Mine(db, minSupport, &sc); err != nil {
-		return nil, err
-	}
-	return sc.Sets, nil
-}
-
-// MineMaximal returns every maximal frequent itemset (no proper superset
-// is frequent).
-func MineMaximal(db *DB, minSupport int) ([]Itemset, error) {
-	var sc SliceCollector
-	if err := closed.NewMaximal().Mine(db, minSupport, &sc); err != nil {
-		return nil, err
-	}
-	return sc.Sets, nil
-}
-
-// FilterClosed reduces a complete frequent collection to its closed sets
-// (reference implementation; MineClosed is the direct miner).
-func FilterClosed(sets []Itemset) []Itemset { return closed.FilterClosed(sets) }
-
-// FilterMaximal reduces a complete frequent collection to its maximal
-// sets.
-func FilterMaximal(sets []Itemset) []Itemset { return closed.FilterMaximal(sets) }
-
-// Association rules (Agrawal et al., SIGMOD'93 — the application frequent
-// pattern mining was introduced for).
-type (
-	// Rule is an association rule with support/confidence/lift/leverage.
-	Rule = rules.Rule
-	// RuleParams bound rule generation.
-	RuleParams = rules.Params
-)
-
-// GenerateRules derives association rules from a complete frequent itemset
-// collection; numTransactions is the mined database's size.
-func GenerateRules(sets []Itemset, numTransactions int, p RuleParams) []Rule {
-	return rules.Generate(sets, numTransactions, p)
-}
-
-// NewTidsetEclat returns the sparse-tidset vertical miner (Zaki's classic
-// Eclat) — the sparse alternative of the P2 representation choice.
-func NewTidsetEclat() Miner { return vertical.NewTidset() }
-
-// NewDiffsetEclat returns the diffset (dEclat) vertical miner (Zaki &
-// Gouda, KDD'03), whose sets shrink with recursion depth on dense data.
-func NewDiffsetEclat() Miner { return vertical.NewDiffset() }
-
-// NewHMine returns the H-mine hyper-structure miner (Pei et al., ICDM'01,
-// cited by the paper as an adaptive-data-structure algorithm): transactions
-// are shared, never projected; each recursion level only threads
-// (transaction, position) hyper-links into per-item queues.
-func NewHMine() Miner { return hmine.New() }
 
 // ParallelOption configures NewParallel beyond the worker count.
 type ParallelOption = parallel.Option
@@ -292,13 +278,11 @@ func ParallelFirstLevelOnly() ParallelOption { return parallel.WithFirstLevelOnl
 // implementing mine.BatchCollector absorb whole shards without a
 // per-itemset replay.
 func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...ParallelOption) (Miner, error) {
-	if _, err := NewMiner(algo, patterns); err != nil {
+	k, err := kernel(algo)
+	if err != nil {
 		return nil, err
 	}
-	return parallel.New(workers, func() Miner {
-		m, _ := NewMiner(algo, patterns)
-		return m
-	}, opts...), nil
+	return parallel.New(workers, func() Miner { return k(patterns, nil, nil, nil) }, opts...), nil
 }
 
 // Observability (see internal/metrics): optionally-enabled run-time
@@ -324,25 +308,6 @@ type (
 // WithMetrics / ParallelMetrics; call Start before mining, Stop after, and
 // Snapshot to freeze the totals.
 func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
-
-// newInstrumentedMiner constructs a kernel with counter recording, optional
-// kernel-span tracing and optional cooperative cancellation. tr must only
-// be non-nil for miners that will run sequentially — under the scheduler
-// the worker task spans own the timeline (see the kernels' Trace option
-// docs). cf, when non-nil, is polled at every recursion node of the three
-// instrumented kernels; once it trips, Mine returns cf.Err().
-func newInstrumentedMiner(algo Algorithm, patterns PatternSet, rec *MetricsRecorder, tr *trace.Recorder, cf *cancel.Flag) (Miner, error) {
-	switch algo {
-	case LCM:
-		return lcm.New(lcm.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
-	case Eclat:
-		return eclat.New(eclat.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
-	case FPGrowth:
-		return fpgrowth.New(fpgrowth.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
-	default:
-		return NewMiner(algo, patterns)
-	}
-}
 
 // TraceRecorder records one run's span timeline — scheduler tasks, worker
 // idle gaps, steal markers, kernel first-level subtrees, partition phases
@@ -389,45 +354,59 @@ func WithContext(ctx context.Context) ParallelOption { return parallel.WithConte
 // miners when they are built with the same recorder (see WithMetrics).
 func ParallelMetrics(rec *MetricsRecorder) ParallelOption { return parallel.WithMetrics(rec) }
 
-// recordingCollector counts emissions for miners without internal
-// instrumentation; the count is flushed into the recorder when mining ends.
-type recordingCollector struct {
-	inner Collector
-	met   *metrics.Local
-}
-
-func (rc *recordingCollector) Collect(items []Item, support int) {
-	rc.met.Emit()
-	rc.inner.Collect(items, support)
-}
-
-// countingMiner wraps an uninstrumented miner so every subtree it mines on
-// a parallel worker records its emissions; the local is flushed per Mine
-// call (one first-level task), which is exactly the coarse-boundary flush
-// discipline the instrumented kernels follow.
+// countingMiner counts the emissions of a kernel without internal
+// instrumentation and adds them to the recorder when each Mine call ends:
+// one call per sequential run or per first-level task on a parallel
+// worker, the coarse-boundary flush the instrumented kernels follow. It
+// is its own collector, so one countingMiner must not run concurrent
+// Mines; the scheduler builds one per worker.
 type countingMiner struct {
-	inner Miner
-	rec   *metrics.Recorder
+	Miner
+	rec *metrics.Recorder
+	out Collector
+	n   uint64
 }
 
-func (cm *countingMiner) Name() string { return cm.inner.Name() }
+// counted wraps m in a countingMiner when rec is enabled.
+func counted(m Miner, rec *metrics.Recorder) Miner {
+	if rec == nil {
+		return m
+	}
+	return &countingMiner{Miner: m, rec: rec}
+}
 
 func (cm *countingMiner) Mine(db *DB, minSupport int, c Collector) error {
-	rc := &recordingCollector{inner: c, met: cm.rec.NewLocal()}
-	err := cm.inner.Mine(db, minSupport, rc)
-	cm.rec.Flush(rc.met)
+	cm.out, cm.n = c, 0
+	err := cm.Miner.Mine(db, minSupport, cm)
+	cm.rec.AddEmitted(cm.n)
 	return err
+}
+
+func (cm *countingMiner) Collect(items []Item, support int) {
+	cm.n++
+	cm.out.Collect(items, support)
+}
+
+// poolSize is the worker count a run reports in its Snapshot: 0 for a
+// sequential run (workers == 1), GOMAXPROCS for workers <= 0.
+func poolSize(workers int) int {
+	switch {
+	case workers == 1:
+		return 0
+	case workers <= 0:
+		return runtime.GOMAXPROCS(0)
+	default:
+		return workers
+	}
 }
 
 // WithMetrics mines db with run-time counters enabled and returns the run's
 // Snapshot alongside the results — the native-run analogue of Simulate's
 // per-phase report (use SimReport.Snapshot to view a simulation through the
-// same schema). workers == 1 mines sequentially; any other value mines
-// through the work-stealing pool exactly like NewParallel (0 means
-// GOMAXPROCS), with scheduler counters included in the Snapshot. Beyond the
-// four NewMiner kernels, algo accepts "hmine", "tidset" and "diffset"
-// (sequential only — patterns and workers are ignored for them as in the
-// CLI).
+// same schema). Every kernel of the table is accepted. workers == 1 mines
+// sequentially; any other value mines through the work-stealing pool
+// exactly like NewParallel (0 means GOMAXPROCS), with scheduler counters
+// included in the Snapshot.
 //
 // ParallelMetrics routes the run into an existing recorder (so a live
 // telemetry server can scrape the counters mid-run); without it a private
@@ -435,6 +414,10 @@ func (cm *countingMiner) Mine(db *DB, minSupport int, c Collector) error {
 // run's span timeline; a failing trace sink never interrupts mining — the
 // results and Snapshot are returned together with the single flush error.
 func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, workers int, opts ...ParallelOption) ([]Itemset, Snapshot, error) {
+	k, err := kernel(algo)
+	if err != nil {
+		return nil, Snapshot{}, err
+	}
 	var po parallel.Options
 	for _, fn := range opts {
 		fn(&po)
@@ -454,63 +437,19 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 	if cf != nil {
 		opts = append(opts, parallel.WithCancel(cf))
 	}
-	if algo == "hmine" || algo == "tidset" || algo == "diffset" {
-		workers = 1 // these alternatives mine sequentially, as in the CLI
-	}
-	var (
-		m   Miner
-		err error
-	)
-	switch algo {
-	case "hmine":
-		m = hmine.NewInstrumented(rec, tr, cf)
-	case "tidset":
-		m = vertical.NewTidset()
-	case "diffset":
-		m = vertical.NewDiffset()
-	default:
-		if workers == 1 {
-			m, err = newInstrumentedMiner(algo, patterns, rec, tr, cf)
-		} else {
-			if _, err = NewMiner(algo, patterns); err == nil {
-				m = parallel.New(workers, func() Miner {
-					im, _ := newInstrumentedMiner(algo, patterns, rec, nil, cf)
-					if algo == Apriori {
-						// Not internally instrumented: count each worker's
-						// emissions at its own collector (the scheduler
-						// counts the first-level roots it emits itself).
-						im = &countingMiner{inner: im, rec: rec}
-					}
-					return im
-				}, opts...)
-			}
-		}
-	}
-	if err != nil {
-		return nil, Snapshot{}, err
+	var m Miner
+	if workers == 1 {
+		m = k(patterns, rec, tr, cf)
+	} else {
+		m = parallel.New(workers, func() Miner { return k(patterns, rec, nil, cf) }, opts...)
 	}
 
 	var sc SliceCollector
-	var c Collector = &sc
-	if (algo == Apriori && workers == 1) || algo == "tidset" || algo == "diffset" {
-		// Not internally instrumented: count emissions at the collector.
-		c = &recordingCollector{inner: &sc, met: rec.NewLocal()}
-	}
-	poolSize := 0
-	if workers != 1 {
-		poolSize = workers
-		if poolSize <= 0 {
-			poolSize = runtime.GOMAXPROCS(0)
-		}
-	}
-	rec.Start(m.Name(), poolSize)
+	rec.Start(m.Name(), poolSize(workers))
 	tr.Start(m.Name(), rec)
-	err = m.Mine(db, minSupport, c)
+	err = m.Mine(db, minSupport, &sc)
 	rec.Stop()
 	tr.Stop()
-	if rc, ok := c.(*recordingCollector); ok {
-		rec.Flush(rc.met)
-	}
 	if err != nil {
 		return nil, Snapshot{}, wrapCancelled(err, rec)
 	}
@@ -556,14 +495,10 @@ func MinePartitioned(path string, algo Algorithm, patterns PatternSet, minSuppor
 }
 
 // PartitionRunConfig bundles the robustness knobs of an out-of-core run:
-// cooperative cancellation and crash-safe checkpoint/resume. The zero
-// value disables all of them (MinePartitioned's behaviour).
+// crash-safe checkpoint/resume and chunk-local ordering. The zero value
+// disables all of them (MinePartitioned's behaviour); cancellation comes
+// from the WithContext option.
 type PartitionRunConfig struct {
-	// Ctx, when cancellable, aborts the run at the next chunk boundary
-	// (and, inside a chunk, at the kernels' recursion nodes); the run then
-	// returns a *CancelledError wrapping ctx.Err(). Equivalent to passing
-	// WithContext(ctx) as an option.
-	Ctx context.Context
 	// Checkpoint, when non-empty, is the sidecar file where progress is
 	// persisted after every chunk with an atomic temp-file + rename, so a
 	// crashed (or cancelled) run loses at most the chunk in flight. It is
@@ -588,7 +523,8 @@ type PartitionRunConfig struct {
 // MinePartitionedWithConfig is MinePartitioned plus the robustness knobs of
 // PartitionRunConfig; see that type for the semantics.
 func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, rc PartitionRunConfig, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
-	if _, err := NewMiner(algo, patterns); err != nil {
+	k, err := kernel(algo)
+	if err != nil {
 		return nil, PartitionSnapshot{}, err
 	}
 	var po parallel.Options
@@ -600,11 +536,7 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 		rec = metrics.NewRecorder()
 	}
 	tr := po.Trace
-	ctx := rc.Ctx
-	if ctx == nil {
-		ctx = po.Ctx
-	}
-	cf, stopWatch := cancel.FromContext(ctx)
+	cf, stopWatch := cancel.FromContext(po.Ctx)
 	defer stopWatch()
 	cfg := partition.Config{
 		MemBudget:  memBudget,
@@ -624,22 +556,12 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 	if workers == 1 {
 		ktr = tr
 	}
-	factory := func() Miner {
-		m, _ := newInstrumentedMiner(algo, patterns, rec, ktr, cf)
-		return m
-	}
-	poolSize := 0
-	if workers != 1 {
-		poolSize = workers
-		if poolSize <= 0 {
-			poolSize = runtime.GOMAXPROCS(0)
-		}
-	}
+	factory := func() Miner { return k(patterns, rec, ktr, cf) }
 	name := "partitioned(" + factory().Name() + ")"
-	rec.Start(name, poolSize)
+	rec.Start(name, poolSize(workers))
 	tr.Start(name, rec)
 	var sc SliceCollector
-	err := partition.Mine(path, factory, minSupport, cfg, &sc)
+	err = partition.Mine(path, factory, minSupport, cfg, &sc)
 	rec.Stop()
 	tr.Stop()
 	if err != nil {
@@ -654,15 +576,6 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 		return sc.Sets, psnap, ferr
 	}
 	return sc.Sets, psnap, nil
-}
-
-// NewCacheConsciousFPGrowth returns FP-Growth with the depth-first arena
-// relayout of Ghoting et al. (VLDB'05) on top of the given patterns — one
-// of the complementary prior optimizations the paper's Table 4 marks as
-// "( )". The Adapt pattern is implied (the relayout needs the arena
-// layout).
-func NewCacheConsciousFPGrowth(patterns PatternSet) Miner {
-	return fpgrowth.New(fpgrowth.Options{Patterns: patterns.With(Adapt), CacheConscious: true})
 }
 
 // Recommendation re-exports the autotuner's output type.

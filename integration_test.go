@@ -1,9 +1,8 @@
 package fpm
 
 // End-to-end integration tests: generator → FIMI file → reader → every
-// miner (all kernels × all applicable pattern sets, plus closed/maximal
-// views and the alternative representations) on the same pipeline, with
-// all outputs cross-checked.
+// miner (all kernels × all applicable pattern sets) and the autotuned path
+// on the same pipeline, with all outputs cross-checked.
 
 import (
 	"path/filepath"
@@ -34,8 +33,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("round trip lost transactions: %d vs %d", loaded.Len(), db.Len())
 	}
 
-	// 3. Mine with every kernel × {baseline, all applicable patterns} and
-	// the alternative vertical representations. All must agree exactly.
+	// 3. Mine with every kernel of the table × {baseline, all applicable
+	// patterns}. All must agree exactly.
 	var want ResultSet
 	check := func(name string, m Miner) {
 		t.Helper()
@@ -54,7 +53,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatalf("%s disagrees with the reference:\n%s", name, rs.Diff(want, 8))
 		}
 	}
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori, HMine, Tidset, Diffset} {
 		for _, ps := range []PatternSet{0, Applicable(algo)} {
 			m, err := NewMiner(algo, ps)
 			if err != nil {
@@ -63,27 +62,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			check(m.Name(), m)
 		}
 	}
-	check("tidset", NewTidsetEclat())
-	check("diffset", NewDiffsetEclat())
-	check("cache-conscious fpgrowth", NewCacheConsciousFPGrowth(0))
-
-	// 4. Closed/maximal views are consistent subsets.
-	cl, err := MineClosed(loaded, minsup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range cl {
-		rs := ResultSet{}
-		rs.Collect(s.Items, s.Support)
-		for k, v := range rs {
-			if want[k] != v {
-				t.Fatalf("closed set %s=%d not in the frequent collection", k, v)
-			}
-		}
-	}
-
-	// 5. Rules derived from the full collection are consistent with the
-	// autotuned mining path.
+	// 4. The autotuned mining path agrees with the reference.
 	sets, rec, err := MineAuto(loaded, minsup)
 	if err != nil {
 		t.Fatal(err)
@@ -91,19 +70,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	if len(sets) != len(want) {
 		t.Fatalf("MineAuto (%s) mined %d sets, reference has %d", rec, len(sets), len(want))
 	}
-	rules := GenerateRules(sets, loaded.Len(), RuleParams{MinConfidence: 0.7})
-	for _, r := range rules {
-		u := append(append([]Item(nil), r.Antecedent...), r.Consequent...)
-		rs := ResultSet{}
-		rs.Collect(u, r.Support)
-		for k, v := range rs {
-			if want[k] != v {
-				t.Fatalf("rule support inconsistent for %s: %d vs %d", k, v, want[k])
-			}
-		}
-	}
 
-	// 6. The same database drives the simulator without error on both
+	// 5. The same database drives the simulator without error on both
 	// machines, and tuned configurations never lose cycles to the
 	// baseline by more than the preprocessing cost bound.
 	for _, cfg := range []memsim.Config{memsim.M1(), memsim.M2()} {

@@ -7,8 +7,7 @@ import "fpm/internal/dataset"
 // pointer layout's 48 bytes (plus per-node allocator overhead) to 24 bytes,
 // with no per-node allocations. The miner keeps one compactTree per
 // recursion depth and rebuilds it in place, so its arrays grow only when a
-// tree outgrows every earlier tree at that depth (the cache-conscious
-// relayout still copies into a fresh arena), and the header spans the
+// tree outgrows every earlier tree at that depth, and the header spans the
 // tree's rank bound, not the alphabet. This is the Go analogue of the
 // paper's differential item-ID encoding — the mechanism differs (indices
 // instead of byte deltas, since Go favours dense arenas over unaligned byte
@@ -27,7 +26,6 @@ type compactTree struct {
 	aggregate bool
 	aggSpan   int
 	prefetch  bool
-	dfsOrder  bool
 
 	nodes []cnode
 	// head[i]/sup[i] index item i's node-link chain head and support. The
@@ -105,9 +103,6 @@ func (t *compactTree) build(base []weightedTx, bound int) {
 		t.sup[it] = s
 	}
 
-	if t.dfsOrder {
-		t.reorderDFS()
-	}
 	if t.aggregate {
 		t.buildSegments()
 	}
@@ -146,54 +141,6 @@ func (t *compactTree) buildSegments() {
 		} else {
 			t.skip[i] = p
 		}
-	}
-}
-
-// reorderDFS rewrites the arena in depth-first order — the cache-conscious
-// prefix-tree reorganisation of Ghoting et al. (VLDB'05), which the paper
-// lists as prior work ("the depth-first ordering is a reorganization of
-// the tree structure, only to optimize the traversal"). After the rewrite,
-// a node and its first child are adjacent, so downward walks and the upper
-// (hot) levels of upward walks share cache lines.
-func (t *compactTree) reorderDFS() {
-	n := len(t.nodes)
-	order := make([]int32, 0, n) // new position -> old index
-	remap := make([]int32, n)    // old index -> new position
-	stack := make([]int32, 0, 64)
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		remap[cur] = int32(len(order))
-		order = append(order, cur)
-		// Push children in reverse sibling order so the first child is
-		// visited (and therefore placed) immediately after its parent.
-		var kids []int32
-		for c := t.nodes[cur].child; c != nilIdx; c = t.nodes[c].sibling {
-			kids = append(kids, c)
-		}
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
-	}
-	fix := func(idx int32) int32 {
-		if idx == nilIdx {
-			return nilIdx
-		}
-		return remap[idx]
-	}
-	next := make([]cnode, n)
-	for newPos, old := range order {
-		nd := t.nodes[old]
-		nd.parent = fix(nd.parent)
-		nd.child = fix(nd.child)
-		nd.sibling = fix(nd.sibling)
-		nd.next = fix(nd.next)
-		next[newPos] = nd
-	}
-	t.nodes = next
-	for it := range t.head {
-		t.head[it] = fix(t.head[it])
 	}
 }
 

@@ -44,11 +44,6 @@ type Options struct {
 	// Patterns has Aggregate. Zero means 4 (the paper compresses "four
 	// consecutive tree levels into one superlevel").
 	AggSpan int
-	// CacheConscious enables the depth-first arena reorganisation of
-	// Ghoting et al. (VLDB'05) on the Adapt layout — one of the prior
-	// tree optimisations the paper lists as complementary (the "( )"
-	// cells of Table 4). It requires the Adapt pattern.
-	CacheConscious bool
 	// Metrics, when non-nil, receives run-time counters: nodes expanded
 	// (conditional FP-trees built), support countings (header-table
 	// supports read), itemsets emitted and candidate prunes. Nil disables
@@ -208,7 +203,6 @@ func (st *state) newTree() tree {
 			span = 4
 		}
 		return &compactTree{aggregate: st.m.opts.Patterns.Has(mine.Aggregate), aggSpan: span,
-			dfsOrder: st.m.opts.CacheConscious,
 			prefetch: st.m.opts.Patterns.Has(mine.Prefetch) || st.m.opts.Patterns.Has(mine.PrefetchPtr)}
 	}
 	return &pointerTree{prefetch: st.m.opts.Patterns.Has(mine.Prefetch) || st.m.opts.Patterns.Has(mine.PrefetchPtr)}

@@ -32,33 +32,7 @@ func allVariants() []*Miner {
 	// Stress the supernode span boundaries.
 	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), AggSpan: 2}))
 	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), AggSpan: 8}))
-	// The Ghoting-style cache-conscious DFS relayout, alone and combined
-	// with aggregation (the relayout must commute with segment building).
-	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt), CacheConscious: true}))
-	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), CacheConscious: true}))
 	return out
-}
-
-// TestDFSReorderPlacesFirstChildAdjacent checks the cache-conscious
-// relayout invariant directly: after reorderDFS every node's first child
-// sits at the next arena slot.
-func TestDFSReorderPlacesFirstChildAdjacent(t *testing.T) {
-	base := []weightedTx{
-		{items: []dataset.Item{0, 1, 2}, w: 1},
-		{items: []dataset.Item{0, 3}, w: 1},
-		{items: []dataset.Item{1, 2}, w: 1},
-	}
-	ct := &compactTree{dfsOrder: true}
-	ct.build(cloneBase(base), 4)
-	for i := range ct.nodes {
-		if c := ct.nodes[i].child; c != nilIdx {
-			// The first-visited child is the head of the child list after
-			// reordering; it must be i+1.
-			if c != int32(i)+1 {
-				t.Fatalf("node %d first child at %d", i, c)
-			}
-		}
-	}
 }
 
 func TestHandWorked(t *testing.T) {

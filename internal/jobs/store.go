@@ -30,8 +30,9 @@ type JobRequest struct {
 	// Path is the FIMI file to mine; the file must be readable by the
 	// serving process.
 	Path string `json:"path"`
-	// Algo is the kernel name ("lcm", "eclat", "fpgrowth", "apriori",
-	// "hmine", "tidset", "diffset").
+	// Algo names an entry of fpm's kernel table ("lcm", "eclat",
+	// "fpgrowth", "apriori", "hmine", "tidset", "diffset"); every entry
+	// honours Workers and MemBudget.
 	Algo string `json:"algo"`
 	// Patterns is the tuning-pattern list ("lex,simd", "all", "none");
 	// empty means all applicable patterns.

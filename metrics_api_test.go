@@ -28,7 +28,7 @@ func TestWithMetricsMatchesPlainMine(t *testing.T) {
 	}
 	wantRS := resultMap(want)
 
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori, "hmine", "tidset", "diffset"} {
+	for _, algo := range tableAlgorithms() {
 		for _, workers := range []int{1, 4} {
 			sets, snap, err := WithMetrics(db, algo, 0, minsup, workers)
 			if err != nil {
@@ -45,6 +45,9 @@ func TestWithMetricsMatchesPlainMine(t *testing.T) {
 			}
 			if snap.WallNanos <= 0 {
 				t.Errorf("%s/w%d: no wall time recorded", algo, workers)
+			}
+			if workers == 4 && (snap.Parallel == nil || len(snap.Parallel.Workers) != 4) {
+				t.Errorf("%s/w4: snapshot lacks a four-worker parallel section: %+v", algo, snap.Parallel)
 			}
 		}
 	}
