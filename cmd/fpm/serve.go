@@ -34,8 +34,8 @@
 // them up), in-flight HTTP responses drain, and the process exits 0.
 //
 // The wiring (real miner into the internal/jobs scheduler, served by the
-// internal/telemetry HTTP server) lives in internal/serve so the load
-// harness (cmd/fpmload) can host an identical server in-process.
+// internal/telemetry HTTP server) lives in internal/serve so its serve
+// gate tests can host an identical server in-process.
 package main
 
 import (

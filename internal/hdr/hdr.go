@@ -1,14 +1,11 @@
 // Package hdr is the repo's dependency-free HDR-style log-linear
-// histogram: O(1) allocation-free Record, mergeable by bucket addition
-// (merged per-worker shards are bit-identical to recording the pooled
-// stream), and quantiles that never understate a recorded value and
-// overstate it by at most 1/32 relative error. It started life inside the
-// load harness (internal/loadgen) recording client-observed latencies;
-// the serving layer now records into the same geometry server-side
-// (per-job queue-wait / mine / e2e seconds and footprint bytes, exported
-// as native Prometheus histograms), which is what lets the load harness
-// cross-check the server's view of a run against its own within one
-// shared error bound.
+// histogram: O(1) allocation-free Record, and quantiles that never
+// understate a recorded value and overstate it by at most 1/32 relative
+// error. The job store records per-job queue-wait / mine / e2e seconds
+// and footprint bytes into it, exported as native Prometheus histograms;
+// the serve gate tests record the same job timestamps client-side into
+// the same geometry, which is what lets them cross-check the server's
+// view of a run against their own within one shared error bound.
 //
 // Values are unit-agnostic int64s — nanoseconds for latencies, bytes for
 // footprints; the caller owns the unit.
@@ -21,7 +18,7 @@ import "math/bits"
 // classic HDR layout. With subBits = 6 every bucket's width is at most
 // 1/32 of its lower bound, so any recorded value is reproduced with
 // ≤ ~3.1% relative error — plenty for p99 gating — while Record stays
-// O(1), allocation-free and mergeable by addition.
+// O(1) and allocation-free.
 const (
 	subBits  = 6
 	subCount = 1 << subBits // sub-buckets per exponent
@@ -29,9 +26,8 @@ const (
 )
 
 // Hist is a fixed-size log-linear histogram. The zero value is ready to
-// use. Not safe for concurrent use: record into one Hist per worker and
-// merge after the run (Merge) — the property the tests pin (merged shards
-// ≡ pooled stream) is what makes that discipline safe.
+// use. Not safe for concurrent use: callers serialise Record (the job
+// store records under its mutex).
 type Hist struct {
 	counts [expCount * subCount]uint64
 	n      uint64
@@ -85,38 +81,20 @@ func (h *Hist) Count() uint64 { return h.n }
 // Sum returns the exact sum of recorded observations.
 func (h *Hist) Sum() int64 { return h.sum }
 
-// Min returns the exact smallest recorded value (0 when empty).
-func (h *Hist) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the exact largest recorded value (0 when empty).
-func (h *Hist) Max() int64 { return h.max }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Hist) Mean() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / int64(h.n)
-}
-
 // Quantile returns an upper bound for the q-quantile (q in [0, 1]) of the
 // recorded stream, within the bucket relative error of the true sorted-
 // sample quantile sorted[ceil(q*n)-1]. The bound is clamped to the exact
-// observed extrema, so Quantile(0) == Min and Quantile(1) == Max.
+// observed extrema, so Quantile(0) and Quantile(1) are the exact smallest
+// and largest recorded values (0 when empty).
 func (h *Hist) Quantile(q float64) int64 {
 	if h.n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return h.Min()
+		return h.min
 	}
 	if q >= 1 {
-		return h.Max()
+		return h.max
 	}
 	f := q * float64(h.n)
 	rank := uint64(f)
@@ -163,54 +141,4 @@ func (h *Hist) CumulativeLE(bound int64) uint64 {
 		seen += h.counts[i]
 	}
 	return seen
-}
-
-// Merge adds other's observations into h. Merging per-worker histograms
-// yields bit-identical counts to recording the pooled stream into one
-// histogram — the property that makes per-worker recording safe.
-func (h *Hist) Merge(other *Hist) {
-	if other.n == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
-// Summary is the JSON-facing digest of one histogram. Field names assume
-// nanosecond values (the unit the repo's machine-readable latency
-// artifacts use); for histograms in other units the *_ns fields are raw
-// values and the *_ms conveniences are not meaningful.
-type Summary struct {
-	Count  uint64  `json:"count"`
-	P50NS  int64   `json:"p50_ns"`
-	P95NS  int64   `json:"p95_ns"`
-	P99NS  int64   `json:"p99_ns"`
-	MaxNS  int64   `json:"max_ns"`
-	MeanNS int64   `json:"mean_ns"`
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// Summarize digests the histogram.
-func (h *Hist) Summarize() Summary {
-	s := Summary{
-		Count:  h.n,
-		P50NS:  h.Quantile(0.50),
-		P95NS:  h.Quantile(0.95),
-		P99NS:  h.Quantile(0.99),
-		MaxNS:  h.Max(),
-		MeanNS: h.Mean(),
-	}
-	s.P50MS = float64(s.P50NS) / 1e6
-	s.P99MS = float64(s.P99NS) / 1e6
-	return s
 }

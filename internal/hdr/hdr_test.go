@@ -77,18 +77,18 @@ func TestHistQuantileAccuracy(t *testing.T) {
 		if h.Count() != uint64(len(vals)) {
 			t.Fatalf("%s: Count = %d, want %d", name, h.Count(), len(vals))
 		}
-		if got, want := h.Max(), sorted[len(sorted)-1]; got != want {
-			t.Fatalf("%s: Max = %d, want exact %d", name, got, want)
+		if got, want := h.Quantile(1), sorted[len(sorted)-1]; got != want {
+			t.Fatalf("%s: Quantile(1) = %d, want exact max %d", name, got, want)
 		}
-		if got, want := h.Min(), sorted[0]; got != want {
-			t.Fatalf("%s: Min = %d, want exact %d", name, got, want)
+		if got, want := h.Quantile(0), sorted[0]; got != want {
+			t.Fatalf("%s: Quantile(0) = %d, want exact min %d", name, got, want)
 		}
 		var sum int64
 		for _, v := range vals {
 			sum += v
 		}
-		if got := h.Mean(); got != sum/int64(len(vals)) {
-			t.Fatalf("%s: Mean = %d, want exact %d", name, got, sum/int64(len(vals)))
+		if got := h.Sum(); got != sum {
+			t.Fatalf("%s: Sum = %d, want exact %d", name, got, sum)
 		}
 
 		for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999, 1.0} {
@@ -105,53 +105,16 @@ func TestHistQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestHistMergeEqualsPooled pins the property the harness relies on:
-// recording per-worker shards and merging them is bit-identical to
-// recording the pooled stream into one histogram.
-func TestHistMergeEqualsPooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 20; round++ {
-		workers := 1 + rng.Intn(8)
-		shards := make([]Hist, workers)
-		var pooled Hist
-		n := 1000 + rng.Intn(5000)
-		for i := 0; i < n; i++ {
-			var v int64
-			switch rng.Intn(3) {
-			case 0:
-				v = rng.Int63n(64)
-			case 1:
-				v = rng.Int63n(int64(time.Second))
-			default:
-				v = int64(math.Exp(rng.NormFloat64()*2 + 10))
-			}
-			shards[rng.Intn(workers)].Record(v)
-			pooled.Record(v)
-		}
-		var merged Hist
-		for i := range shards {
-			merged.Merge(&shards[i])
-		}
-		if merged != pooled {
-			t.Fatalf("round %d (%d workers, %d samples): merged shards != pooled histogram", round, workers, n)
-		}
-		// The digest must agree too (exercises Summarize on both).
-		if merged.Summarize() != pooled.Summarize() {
-			t.Fatalf("round %d: merged summary %+v != pooled %+v", round, merged.Summarize(), pooled.Summarize())
-		}
-	}
-}
-
 // TestHistEdgeCases: empty histograms, single values, zero and negative
 // values.
 func TestHistEdgeCases(t *testing.T) {
 	var h Hist
-	if h.Quantile(0.99) != 0 || h.Max() != 0 || h.Mean() != 0 || h.Count() != 0 {
+	if h.Quantile(0.99) != 0 || h.Quantile(1) != 0 || h.Sum() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Record(-int64(time.Second)) // clamps to 0
-	if h.Quantile(0.5) != 0 || h.Max() != 0 || h.Count() != 1 {
-		t.Fatalf("negative record: %+v", h.Summarize())
+	if h.Quantile(0.5) != 0 || h.Quantile(1) != 0 || h.Count() != 1 {
+		t.Fatalf("negative record: p50 %d, max %d, count %d", h.Quantile(0.5), h.Quantile(1), h.Count())
 	}
 	var one Hist
 	one.Record(1234567)
@@ -163,8 +126,8 @@ func TestHistEdgeCases(t *testing.T) {
 	}
 	var big Hist
 	big.Record(math.MaxInt64) // must not overflow the bucket map
-	if big.Max() != math.MaxInt64 {
-		t.Fatalf("max-int64 record: Max = %d", big.Max())
+	if big.Quantile(1) != math.MaxInt64 {
+		t.Fatalf("max-int64 record: Quantile(1) = %d", big.Quantile(1))
 	}
 	if got := big.Quantile(0.5); got != math.MaxInt64 {
 		t.Fatalf("max-int64 quantile clamps to observed max, got %d", got)
@@ -219,7 +182,7 @@ func TestCumulativeLE(t *testing.T) {
 				t.Fatalf("%s: CumulativeLE(%d) = %d exceeds slack bound %d (exact %d)", name, b, got, slack, exact)
 			}
 		}
-		if got := h.CumulativeLE(h.Max()); got != h.Count() {
+		if got := h.CumulativeLE(h.Quantile(1)); got != h.Count() {
 			t.Fatalf("%s: CumulativeLE(max) = %d, want Count %d", name, got, h.Count())
 		}
 		if got := h.CumulativeLE(math.MaxInt64); got != h.Count() {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/hdr"
 	"fpm/internal/jobs"
 	"fpm/internal/servecache"
 )
@@ -150,8 +152,9 @@ func (c *chaosChild) waitJob(t *testing.T, id int) jobs.Job {
 // warm a key, SIGKILL the server mid-storm, restart it on the same state
 // dir, and assert the three durability promises — the hot key is hot
 // again, the lost jobs requeue and complete, and every listing matches an
-// uninterrupted mine. Finally the graceful SIGTERM path must exit 0 with
-// a flushed snapshot.
+// uninterrupted mine. Serve gate (d) then requires the restored hot key
+// to beat the cold-identity floor on e2e p99. Finally the graceful
+// SIGTERM path must exit 0 with a flushed snapshot.
 func TestServeKillRestartRecovery(t *testing.T) {
 	if testing.Short() && os.Getenv("CI") == "" {
 		// The battery forks, kills and restarts subprocesses: a second or
@@ -285,6 +288,35 @@ func TestServeKillRestartRecovery(t *testing.T) {
 				ms, final.Itemsets, directCount[ms])
 		}
 	}
+
+	// Gate (d): with the queue idle again, the restored hot key's e2e p99
+	// must beat the floor set by fresh input identities, which no cache
+	// can answer.
+	var hotE2E, coldE2E hdr.Hist
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 8; i++ {
+		for _, cold := range []bool{false, true} {
+			req, e2e := hotReq, &hotE2E
+			if cold {
+				req, e2e = jobs.JobRequest{Path: coldDataset(t, dataDir, rng), Algo: "lcm", MinSupport: 5, Workers: 1}, &coldE2E
+			}
+			start := time.Now()
+			j, code := postJob(t, child2.url, req)
+			if code != http.StatusAccepted {
+				t.Fatalf("post-restart submit = %d", code)
+			}
+			final := child2.waitJob(t, j.ID)
+			if final.State != "done" || final.ServedFromCache == cold {
+				t.Fatalf("post-restart job (cold=%v): %+v", cold, final)
+			}
+			e2e.Record(time.Since(start).Nanoseconds())
+		}
+	}
+	if err := p99Below(&hotE2E, &coldE2E); err != nil {
+		t.Fatalf("post-restart hot key against the cold floor: %v", err)
+	}
+	t.Logf("post-restart e2e p99: hot %v, cold floor %v",
+		time.Duration(hotE2E.Quantile(0.99)), time.Duration(coldE2E.Quantile(0.99)))
 
 	// Graceful half: SIGTERM flushes a final snapshot and exits 0.
 	if err := child2.cmd.Process.Signal(syscall.SIGTERM); err != nil {

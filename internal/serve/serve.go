@@ -3,10 +3,10 @@
 // the MineFunc that executes submitted jobs through the observed in-memory
 // and partitioned paths, the serving caches that make repeated jobs
 // cheap, and the admission-control hooks that keep N concurrent jobs under
-// one memory budget. Split out of cmd/fpm so that both the `fpm serve`
-// subcommand and the load-test driver (cmd/fpmload, internal/loadgen) can
-// host an identical server — the harness exercises exactly the production
-// wiring, not a test double.
+// one memory budget. Split out of cmd/fpm so that the `fpm serve`
+// subcommand, the repository benchmark's in-process serve workloads and
+// this package's serve gate tests all host an identical server — the
+// gates exercise exactly the production wiring, not a test double.
 package serve
 
 import (
@@ -68,7 +68,7 @@ type Config struct {
 	DatasetCacheBytes int64
 	ResultCacheBytes  int64
 	// DisableDatasetCache / DisableResultCache turn a cache off entirely —
-	// the levers the load harness uses for before/after comparisons.
+	// the levers behind the cache-on/cache-off comparisons.
 	DisableDatasetCache bool
 	DisableResultCache  bool
 	// EventLog, when non-nil, streams every flight-recorder event to it

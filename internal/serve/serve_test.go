@@ -34,21 +34,40 @@ func testDataset(t *testing.T, tx int, seed int64) string {
 
 func postJob(t *testing.T, url string, req jobs.JobRequest) (jobs.Job, int) {
 	t.Helper()
+	job, code, err := submitJob(url, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job, code
+}
+
+// submitJob is postJob for goroutines other than the test's own, which
+// must not call t.Fatal.
+func submitJob(url string, req jobs.JobRequest) (jobs.Job, int, error) {
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(string(body)))
 	if err != nil {
-		t.Fatal(err)
+		return jobs.Job{}, 0, err
 	}
 	defer resp.Body.Close()
 	var job jobs.Job
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-			t.Fatal(err)
+			return jobs.Job{}, 0, fmt.Errorf("decode admitted job: %w", err)
 		}
 	} else {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	}
-	return job, resp.StatusCode
+	return job, resp.StatusCode, nil
+}
+
+// deleteJob cancels job id over HTTP; errors are a legal race outcome.
+func deleteJob(url string, id int) {
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", url, id), nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
 }
 
 // waitNoGoroutineGrowth polls until the goroutine count returns to its
@@ -153,12 +172,7 @@ func TestServeSubmitCancelScrapeStorm(t *testing.T) {
 				mu.Unlock()
 				if rng.Intn(2) == 0 { // cancel half mid-flight
 					time.Sleep(time.Duration(rng.Intn(5)) * time.Millisecond)
-					hreq, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID), nil)
-					resp, err := http.DefaultClient.Do(hreq)
-					if err == nil {
-						io.Copy(io.Discard, resp.Body) //nolint:errcheck
-						resp.Body.Close()
-					}
+					deleteJob(ts.URL, job.ID)
 				}
 			}
 		}(c)
@@ -238,11 +252,7 @@ func TestServeDrainMidStorm(t *testing.T) {
 				}
 				job, code := postJob(t, ts.URL, jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 3, Workers: 1})
 				if code == http.StatusAccepted && rng.Intn(2) == 0 {
-					hreq, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID), nil)
-					if resp, err := http.DefaultClient.Do(hreq); err == nil {
-						io.Copy(io.Discard, resp.Body) //nolint:errcheck
-						resp.Body.Close()
-					}
+					deleteJob(ts.URL, job.ID)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -316,18 +326,27 @@ func TestMineJobValidation(t *testing.T) {
 // 9000-transaction mines take over 10 s.
 func waitTerminal(t *testing.T, store *jobs.Store, id int) jobs.Job {
 	t.Helper()
+	j, err := awaitTerminal(store, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// awaitTerminal is waitTerminal for goroutines other than the test's own.
+func awaitTerminal(store *jobs.Store, id int) (jobs.Job, error) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		j, ok := store.Get(id)
 		if !ok {
-			t.Fatalf("job %d vanished", id)
+			return j, fmt.Errorf("job %d vanished", id)
 		}
 		switch j.State {
 		case "done", "failed", "cancelled":
-			return j
+			return j, nil
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %d stuck in %q", id, j.State)
+			return j, fmt.Errorf("job %d stuck in %q", id, j.State)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -338,7 +357,7 @@ func waitTerminal(t *testing.T, store *jobs.Store, id int) jobs.Job {
 // identical, served_from_cache set, mine time collapsed), a
 // higher-minsup query is answered by subsumption with the exact direct
 // answer, and every served job keeps coherent timestamps — queue-wait
-// and mine-time attribution is what the load harness splits on.
+// and mine-time attribution is what latency splits are built on.
 func TestServeResultCacheEndToEnd(t *testing.T) {
 	path := testDataset(t, 4000, 9)
 	inst := NewInstance(Config{QueueCap: 8, MaxConcurrent: 2})
@@ -409,8 +428,8 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 }
 
 // With the result cache disabled, a repeat job mines again and is never
-// marked served_from_cache — the before/after lever the load harness's
-// cache comparison relies on.
+// marked served_from_cache — the before/after lever the cache-compare
+// serve gate (TestServeGateCacheCompare) relies on.
 func TestServeCacheDisabled(t *testing.T) {
 	path := testDataset(t, 1500, 10)
 	inst := NewInstance(Config{QueueCap: 8, DisableResultCache: true, DisableDatasetCache: true})

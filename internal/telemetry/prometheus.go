@@ -156,8 +156,9 @@ var (
 // full-resolution recorder, because the ladder above is far coarser than
 // the recorder: a quantile interpolated from `_bucket` by a Prometheus
 // server is bounded by the ladder, while the gauges keep the 1/32 bound —
-// they are what `fpmload -scrape-final` cross-checks against its own
-// client-side recorder.
+// they are what the scrape-final serve gate (internal/serve,
+// TestServeGateStreams) cross-checks against its own client-side
+// recorder.
 func WriteJobHistograms(w io.Writer, jh jobs.JobHists) error {
 	var b bytes.Buffer
 	seconds := func(name, help string, h *hdr.Hist) {
