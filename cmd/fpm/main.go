@@ -6,7 +6,7 @@
 //	    [-algo lcm|eclat|fpgrowth|apriori|hmine|tidset|diffset|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
 //	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
-//	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume] [-chunk-lex]
+//	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume]
 //	    [-timeout 30s] [-stats table|json] [-describe]
 //
 // With -algo auto the kernel and tuning patterns are selected from the
@@ -114,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		timeout  = fs.Duration("timeout", 0, "bound mining wall time; overrunning runs are cancelled cooperatively and exit with a deadline error")
 		ckpt     = fs.String("checkpoint", "", "out-of-core: persist progress to this sidecar file after every chunk (crash-safe; removed on success)")
 		resume   = fs.Bool("resume", false, "out-of-core: resume from the -checkpoint sidecar (default <in>.fpmck), skipping completed chunks")
-		chunkLex = fs.Bool("chunk-lex", false, "out-of-core: reorder each pass-1 chunk by chunk-local frequency (pattern P1) before mining it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -126,8 +125,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *stats != "" && *stats != "table" && *stats != "json" {
 		return fmt.Errorf("invalid -stats %q: want \"table\" or \"json\"", *stats)
 	}
-	if (*ckpt != "" || *resume || *chunkLex) && !*part {
-		return fmt.Errorf("-checkpoint/-resume/-chunk-lex require -partition")
+	if (*ckpt != "" || *resume) && !*part {
+		return fmt.Errorf("-checkpoint/-resume require -partition")
 	}
 
 	var popts []fpm.ParallelOption
@@ -201,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if ckptPath == "" && *resume {
 			ckptPath = *in + ".fpmck"
 		}
-		rc := fpm.PartitionRunConfig{Checkpoint: ckptPath, Resume: *resume, ChunkLex: *chunkLex}
+		rc := fpm.PartitionRunConfig{Checkpoint: ckptPath, Resume: *resume}
 		sets, _, err = fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
 		return finish(sets, rec.Snapshot(), traceFile, err, *out, *stats, *count, stdout)
 	}

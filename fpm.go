@@ -512,12 +512,6 @@ type PartitionRunConfig struct {
 	// and skips every chunk the previous run completed. A missing, corrupt
 	// or mismatched sidecar silently degrades to a fresh run.
 	Resume bool
-	// ChunkLex applies pattern P1 (lexicographic reordering) per pass-1
-	// chunk: each resident chunk is relabeled and re-sorted by its own
-	// frequency profile before mining, and candidates are mapped back to
-	// the global alphabet, so the result is unchanged. See EXPERIMENTS.md
-	// for when this pays.
-	ChunkLex bool
 }
 
 // MinePartitionedWithConfig is MinePartitioned plus the robustness knobs of
@@ -547,7 +541,6 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 		Cancel:     cf,
 		Checkpoint: rc.Checkpoint,
 		Resume:     rc.Resume,
-		ChunkLex:   rc.ChunkLex,
 	}
 	// Kernel-level first-level spans apply only when chunks mine
 	// sequentially; under the per-chunk pool the worker task spans own the

@@ -189,32 +189,33 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 	lex := m.opts.Patterns.Has(mine.Lex)
 	simd := m.opts.Patterns.Has(mine.SIMD)
 
+	// P1 lays out only the frequent items, so every item of work gets a
+	// vector.
 	work := db
 	var ord *lexorder.Ordering
 	if lex {
-		work, ord = lexorder.Apply(db)
+		work, ord = lexorder.Frequent(db, minSupport)
 	}
 
 	n := work.Len()
 	// Build the vertical bit matrix for frequent items only.
 	freq := work.Frequencies()
 	var roots []node
-	vecs := make(map[dataset.Item]*bitvec.Vector)
-	for it := dataset.Item(0); int(it) < work.NumItems; it++ {
-		if freq[it] >= minSupport {
+	vecs := make([]*bitvec.Vector, work.NumItems)
+	for it, f := range freq {
+		if f >= minSupport {
 			vecs[it] = bitvec.New(n)
 		}
 	}
 	for ti, t := range work.Tx {
 		for _, it := range t {
-			if v, ok := vecs[it]; ok {
+			if v := vecs[it]; v != nil {
 				v.Set(ti)
 			}
 		}
 	}
-	for it := dataset.Item(0); int(it) < work.NumItems; it++ {
-		v, ok := vecs[it]
-		if !ok {
+	for it, v := range vecs {
+		if v == nil {
 			continue
 		}
 		r := bitvec.OneRange{Lo: 0, Hi: v.Words()}
@@ -223,7 +224,7 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 			// 1 in each item bit-vector" (§4.2).
 			r = v.Range()
 		}
-		roots = append(roots, node{item: it, vec: v, rng: r, support: freq[it]})
+		roots = append(roots, node{item: dataset.Item(it), vec: v, rng: r, support: freq[it]})
 	}
 
 	andCount := func(dst, a, b *bitvec.Vector, r bitvec.OneRange) (int, bitvec.OneRange) {
@@ -253,8 +254,8 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 		r.tk = m.track()
 	}
 	// The root supports were just counted from the horizontal scan, one per
-	// alphabet item.
-	r.met.Support(work.NumItems)
+	// alphabet item, the ones P1 dropped included.
+	r.met.Support(db.NumItems)
 	r.mine(roots, make([]dataset.Item, 0, 32), r.wrap(c))
 	m.opts.Metrics.Flush(r.met)
 	return m.opts.Cancel.Err()

@@ -121,24 +121,26 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 
 	// FP-trees inherently order items by decreasing frequency within
 	// every transaction. P1 additionally sorts the *transactions*
-	// lexicographically so consecutive insertions share tree paths.
+	// lexicographically so consecutive insertions share tree paths, and
+	// lays out only the frequent items.
+	//
+	// The root pattern base drops globally infrequent items (they cannot
+	// appear in any frequent itemset). Items are frequency ranks, so the
+	// frequent ones are exactly the ranks below the first infrequent rank,
+	// and every tree's header is bounded by that rank rather than by the
+	// whole alphabet. Rows are sorted by rank, so each row's frequent items
+	// are a prefix of it.
 	var work *dataset.DB
 	var ord *lexorder.Ordering
+	var bound int
 	if m.opts.Patterns.Has(mine.Lex) {
-		work, ord = lexorder.Apply(db)
+		work, ord = lexorder.Frequent(db, minSupport)
+		bound = work.NumItems
 	} else {
 		work, ord = lexorder.ApplyRelabelOnly(db)
-	}
-
-	// Build the root pattern base: drop globally infrequent items (they
-	// cannot appear in any frequent itemset). Items are frequency ranks, so
-	// the frequent ones are exactly the ranks below the first infrequent
-	// rank, and every tree's header is bounded by that rank rather than by
-	// the whole alphabet. Rows are sorted by rank, so each row's frequent
-	// items are a prefix of it.
-	bound := 0
-	for bound < work.NumItems && ord.Freq[ord.Orig[bound]] >= minSupport {
-		bound++
+		for bound < work.NumItems && ord.Freq[ord.Orig[bound]] >= minSupport {
+			bound++
+		}
 	}
 	base := make([]weightedTx, 0, len(work.Tx))
 	for _, t := range work.Tx {

@@ -108,10 +108,13 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 		return nil
 	}
 
+	// P1 lays out only the frequent items: an infrequent item can extend
+	// no prefix, so the root OccArray, counters and tiles need not cover
+	// it.
 	work := db
 	var ord *lexorder.Ordering
 	if m.opts.Patterns.Has(mine.Lex) {
-		work, ord = lexorder.Apply(db)
+		work, ord = lexorder.Frequent(db, minSupport)
 	}
 
 	root := &cdb{items: work.NumItems}
@@ -133,6 +136,17 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 		st.tk = m.track()
 	}
 	st.cnt = m.newCounters(work.NumItems)
+	if ord != nil && st.met != nil {
+		// The frequency scan counted the dropped items too; charge them as
+		// the untrimmed root would, one counting each and one prune per
+		// occurring one.
+		st.met.Support(db.NumItems - work.NumItems)
+		for _, f := range ord.Freq {
+			if f > 0 && f < minSupport {
+				st.met.Prune()
+			}
+		}
+	}
 	st.mineNode(root, true)
 	m.opts.Metrics.Flush(st.met)
 	// A cancelled run unwound early; report why (context.Canceled or

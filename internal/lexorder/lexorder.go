@@ -9,20 +9,26 @@
 // clusters the 1s of the most frequent items at the start of Eclat's bit
 // vectors (enabling 0-escaping); and it makes consecutive FP-tree
 // insertions share cached paths.
+//
+// Apply builds the layout of paper Table 1 over the whole alphabet; the
+// simulator and the public LexOrder use it. Frequent builds the same
+// layout restricted to the items a miner can use, which is what the
+// native kernels mine.
 package lexorder
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"fpm/internal/dataset"
 )
 
-// Ordering describes the item relabeling produced by Analyze. Rank 0 is the
-// most frequent item.
+// Ordering describes the item relabeling produced by Analyze, Apply or
+// Frequent. Rank 0 is the most frequent item.
 type Ordering struct {
 	// Rank maps original item → frequency rank (0 = most frequent). Ties
 	// are broken by original item id so the ordering is deterministic.
+	// Items that Frequent drops map to -1.
 	Rank []dataset.Item
 	// Orig maps frequency rank → original item (the inverse of Rank).
 	Orig []dataset.Item
@@ -33,21 +39,34 @@ type Ordering struct {
 // Analyze computes the decreasing-frequency ordering of the database's
 // alphabet.
 func Analyze(db *dataset.DB) *Ordering {
-	o := &Ordering{Freq: db.Frequencies()}
-	o.Orig = make([]dataset.Item, db.NumItems)
-	for i := range o.Orig {
-		o.Orig[i] = dataset.Item(i)
-	}
-	sort.SliceStable(o.Orig, func(a, b int) bool {
-		fa, fb := o.Freq[o.Orig[a]], o.Freq[o.Orig[b]]
-		if fa != fb {
-			return fa > fb
+	return rank(db.Frequencies(), 0)
+}
+
+// rank orders the items whose frequency is at least minSupport by
+// decreasing frequency, then increasing id. The comparator is a total
+// order, so the unstable sort is deterministic.
+func rank(freq []int, minSupport int) *Ordering {
+	n := 0
+	for _, f := range freq {
+		if f >= minSupport {
+			n++
 		}
-		return o.Orig[a] < o.Orig[b]
+	}
+	o := &Ordering{Freq: freq, Orig: make([]dataset.Item, 0, n), Rank: make([]dataset.Item, len(freq))}
+	for it, f := range freq {
+		if f >= minSupport {
+			o.Orig = append(o.Orig, dataset.Item(it))
+		}
+		o.Rank[it] = -1
+	}
+	slices.SortFunc(o.Orig, func(a, b dataset.Item) int {
+		if c := cmp.Compare(freq[b], freq[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	o.Rank = make([]dataset.Item, db.NumItems)
-	for r, item := range o.Orig {
-		o.Rank[item] = dataset.Item(r)
+	for r, it := range o.Orig {
+		o.Rank[it] = dataset.Item(r)
 	}
 	return o
 }
@@ -60,39 +79,27 @@ func Analyze(db *dataset.DB) *Ordering {
 //  3. transactions are sorted lexicographically over the rank alphabet.
 //
 // The returned ordering lets callers translate mined itemsets back to the
-// original alphabet. The input database is not modified.
+// original alphabet. The input database is not modified. The output keeps
+// every transaction, empty ones included, and the whole alphabet.
 func Apply(db *dataset.DB) (*dataset.DB, *Ordering) {
 	o := Analyze(db)
-	out := &dataset.DB{Tx: make([]dataset.Transaction, len(db.Tx)), NumItems: db.NumItems}
-	for i, t := range db.Tx {
-		nt := make(dataset.Transaction, len(t))
-		for j, it := range t {
-			nt[j] = o.Rank[it]
-		}
-		slices.Sort(nt)
-		out.Tx[i] = nt
-	}
+	out := relabel(db, o, false)
 	SortTransactions(out)
 	return out, o
 }
 
-// ApplyInPlace re-expresses db in the lexicographic layout without
-// allocating new transaction storage: items are relabeled by frequency
-// rank inside the existing backing arrays, each transaction re-sorted,
-// and the transaction slice permuted lexicographically. This is the
-// variant the out-of-core pass 1 uses per chunk, where the chunk is a
-// reused arena that must not be retained — only the returned ordering
-// (three O(alphabet) arrays) is allocated.
-func ApplyInPlace(db *dataset.DB) *Ordering {
-	o := Analyze(db)
-	for _, t := range db.Tx {
-		for j, it := range t {
-			t[j] = o.Rank[it]
-		}
-		slices.Sort(t)
-	}
-	SortTransactions(db)
-	return o
+// Frequent is Apply restricted to the items with support at least
+// minSupport: only they are ranked, every other item is dropped from the
+// rows, rows left empty are dropped, and NumItems is the number of
+// frequent items. No itemset the miner can report is lost. Beyond the
+// alphabet-sized frequency count and rank table, the cost scales with the
+// frequent items and the rows, not with the alphabet, which is what a
+// kernel handed one small chunk of a large vocabulary needs.
+func Frequent(db *dataset.DB, minSupport int) (*dataset.DB, *Ordering) {
+	o := rank(db.Frequencies(), minSupport)
+	out := relabel(db, o, true)
+	SortTransactions(out)
+	return out, o
 }
 
 // ApplyRelabelOnly relabels items by rank and sorts within transactions but
@@ -100,38 +107,48 @@ func ApplyInPlace(db *dataset.DB) *Ordering {
 // the transaction permutation from the item relabeling in ablations.
 func ApplyRelabelOnly(db *dataset.DB) (*dataset.DB, *Ordering) {
 	o := Analyze(db)
-	out := &dataset.DB{Tx: make([]dataset.Transaction, len(db.Tx)), NumItems: db.NumItems}
-	for i, t := range db.Tx {
-		nt := make(dataset.Transaction, len(t))
-		for j, it := range t {
-			nt[j] = o.Rank[it]
-		}
-		slices.Sort(nt)
-		out.Tx[i] = nt
+	return relabel(db, o, false), o
+}
+
+// relabel rewrites every row of db in rank space, keeping only the items o
+// ranks, with each row sorted by rank. The rows are cut from one arena of
+// exactly the kept occurrences, capacity-capped so no row can grow into
+// its neighbour. dropEmpty leaves out the rows that keep no item.
+func relabel(db *dataset.DB, o *Ordering, dropEmpty bool) *dataset.DB {
+	total := 0
+	for _, it := range o.Orig {
+		total += o.Freq[it]
 	}
-	return out, o
+	arena := make([]dataset.Item, 0, total)
+	out := &dataset.DB{Tx: make([]dataset.Transaction, 0, len(db.Tx)), NumItems: len(o.Orig)}
+	for _, t := range db.Tx {
+		start := len(arena)
+		for _, it := range t {
+			if r := o.Rank[it]; r >= 0 {
+				arena = append(arena, r)
+			}
+		}
+		if dropEmpty && len(arena) == start {
+			continue
+		}
+		row := arena[start:len(arena):len(arena)]
+		slices.Sort(row)
+		out.Tx = append(out.Tx, row)
+	}
+	return out
 }
 
 // SortTransactions sorts db.Tx lexicographically in place. Transactions are
 // compared element-wise; a proper prefix sorts before its extensions.
+// Transactions that compare equal have equal contents, so the unstable
+// sort yields the same layout as a stable one.
 func SortTransactions(db *dataset.DB) {
-	sort.SliceStable(db.Tx, func(a, b int) bool {
-		return Less(db.Tx[a], db.Tx[b])
-	})
+	slices.SortFunc(db.Tx, slices.Compare)
 }
 
 // Less reports whether transaction a precedes b lexicographically.
 func Less(a, b dataset.Transaction) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+	return slices.Compare(a, b) < 0
 }
 
 // Restore maps a mined itemset expressed in rank space back to the original

@@ -3,6 +3,7 @@ package lexorder
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,82 @@ func randomDB(rng *rand.Rand, n, m, maxLen int) *dataset.DB {
 	if db.NumItems < m {
 		db.NumItems = m
 	}
+	db.Normalize()
+	return db
+}
+
+// TestFrequentMatchesApply checks that Frequent is Apply restricted to the
+// frequent ranks: the same ranks for the frequent items, and the same rows
+// once the infrequent ranks are cut off, the rows left empty are dropped
+// and the rest are sorted again (cutting a row's tail can move it ahead of
+// rows that preceded it). The databases carry duplicate and empty
+// transactions and alphabets 10 to 1000 times their frequent set; s = 1
+// keeps every occurring item and a support above every frequency keeps
+// none.
+func TestFrequentMatchesApply(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		core := 3 + rng.Intn(8)
+		vocab := core * []int{10, 100, 1000}[seed%3]
+		db := sparseDB(rng, 60+rng.Intn(60), core, vocab)
+		lex, full := Apply(db)
+		maxFreq := slices.Max(full.Freq)
+		for _, s := range []int{1, 2, 3, 5, maxFreq, maxFreq + 1} {
+			got, o := Frequent(db, s)
+			k := 0
+			for k < len(full.Orig) && full.Freq[full.Orig[k]] >= s {
+				k++
+			}
+			if got.NumItems != k || !slices.Equal(o.Orig, full.Orig[:k]) {
+				t.Fatalf("seed %d s %d: frequent alphabet %v (NumItems %d), want %v",
+					seed, s, o.Orig, got.NumItems, full.Orig[:k])
+			}
+			for it, r := range o.Rank {
+				if want := full.Rank[it]; int(want) >= k && r != -1 || int(want) < k && r != want {
+					t.Fatalf("seed %d s %d: item %d has rank %d, Apply ranks it %d of %d frequent",
+						seed, s, it, r, want, k)
+				}
+			}
+			var want []dataset.Transaction
+			for _, row := range lex.Tx {
+				n := 0
+				for n < len(row) && int(row[n]) < k {
+					n++
+				}
+				if n > 0 {
+					want = append(want, row[:n])
+				}
+			}
+			slices.SortFunc(want, slices.Compare)
+			if !slices.EqualFunc(got.Tx, want, slices.Equal) {
+				t.Fatalf("seed %d s %d: rows\n%v\nwant\n%v", seed, s, got.Tx, want)
+			}
+		}
+	}
+}
+
+// sparseDB draws n transactions whose items come mostly from the first
+// core items, with a sparse tail over the rest of a vocab-item alphabet;
+// some transactions are empty and some are copies of earlier ones.
+func sparseDB(rng *rand.Rand, n, core, vocab int) *dataset.DB {
+	tx := make([]dataset.Transaction, n)
+	for i := range tx {
+		switch {
+		case i > 0 && rng.Intn(5) == 0:
+			tx[i] = append(dataset.Transaction(nil), tx[rng.Intn(i)]...)
+			continue
+		case rng.Intn(10) == 0:
+			tx[i] = dataset.Transaction{}
+			continue
+		}
+		for j := rng.Intn(6); j >= 0; j-- {
+			tx[i] = append(tx[i], dataset.Item(rng.Intn(core)))
+		}
+		for j := rng.Intn(3); j > 0; j-- {
+			tx[i] = append(tx[i], dataset.Item(core+rng.Intn(vocab-core)))
+		}
+	}
+	db := &dataset.DB{Tx: tx, NumItems: vocab}
 	db.Normalize()
 	return db
 }

@@ -8,11 +8,9 @@ package partition
 // deltas for the P3+P4 sealed trie and the inlined child search.
 
 import (
-	"path/filepath"
 	"testing"
 
 	"fpm/internal/dataset"
-	"fpm/internal/fimi"
 	"fpm/internal/gen"
 	"fpm/internal/lcm"
 	"fpm/internal/mine"
@@ -112,36 +110,6 @@ func BenchmarkPass2Recount(b *testing.B) {
 			b.Fatal("no counting happened")
 		}
 	})
-}
-
-// BenchmarkMineChunkLex measures the whole out-of-core mine with and
-// without P1 chunk-local reordering — the end-to-end number that decides
-// whether the knob defaults on (see EXPERIMENTS.md).
-func BenchmarkMineChunkLex(b *testing.B) {
-	recountSetup(b)
-	path := filepath.Join(b.TempDir(), "corpus.dat")
-	if err := fimi.WriteFile(path, recountDB); err != nil {
-		b.Fatal(err)
-	}
-	for _, lex := range []bool{false, true} {
-		name := "off"
-		if lex {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var sc mine.SliceCollector
-				cfg := Config{MemBudget: 1 << 20, Workers: 1, ChunkLex: lex}
-				if err := Mine(path, lcmFactory, 600, cfg, &sc); err != nil {
-					b.Fatal(err)
-				}
-				if len(sc.Sets) == 0 {
-					b.Fatal("no results")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSeal measures the one-time flattening cost paid between the

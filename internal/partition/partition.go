@@ -40,7 +40,6 @@ import (
 	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 	"fpm/internal/fimi"
-	"fpm/internal/lexorder"
 	"fpm/internal/metrics"
 	"fpm/internal/mine"
 	"fpm/internal/parallel"
@@ -99,15 +98,6 @@ type Config struct {
 	// silently falls back to a fresh run (the mine is then merely slower,
 	// never wrong).
 	Resume bool
-	// ChunkLex, when true, applies pattern P1 (lexicographic reordering)
-	// to each pass-1 chunk before mining it: items are relabeled by
-	// chunk-local frequency, transactions re-sorted, and the chunk
-	// permuted lexicographically, in place in the chunk arena. Mined
-	// candidates are mapped back to the global alphabet before entering
-	// the trie, so the result is unchanged. Whether it pays depends on
-	// the kernel and skew — see EXPERIMENTS.md ("Layout patterns on the
-	// production paths") for measurements.
-	ChunkLex bool
 }
 
 // ErrBadBudget is returned when Config.MemBudget is not positive.
@@ -299,14 +289,7 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 						ErrBudgetTooSmall, chunk.Len(), est, totalTx/minSupport)
 				}
 			}
-			tc.added, tc.ord = 0, nil
-			if cfg.ChunkLex {
-				// P1 on the chunk grain: reorder the resident chunk by its
-				// own frequency profile before the kernel sees it. The
-				// collector maps every mined itemset back to the global
-				// alphabet, so the candidate union is unaffected.
-				tc.ord = lexorder.ApplyInPlace(chunk)
-			}
+			tc.added = 0
 			cts := ptk.Begin()
 			if err := mineChunk(miner, chunk, localSup, tc); err != nil {
 				return err
@@ -463,14 +446,11 @@ func scaledSupport(minSupport, chunkTx, totalTx int) int {
 
 // trieCollector feeds locally-frequent itemsets into the candidate union,
 // canonicalising (sorting a scratch copy) the rare kernels that emit in
-// non-ascending order. When the chunk was P1-reordered, every itemset is
-// first translated from the chunk-local rank alphabet back to the global
-// one. Local supports are discarded — only membership matters; pass 2
-// recounts exactly.
+// non-ascending order. Local supports are discarded — only membership
+// matters; pass 2 recounts exactly.
 type trieCollector struct {
 	tr    *trie
-	ord   *lexorder.Ordering // chunk-local rank order, nil when ChunkLex is off
-	added int                // new candidates inserted by the current chunk
+	added int // new candidates inserted by the current chunk
 	buf   []dataset.Item
 }
 
@@ -479,14 +459,7 @@ type trieCollector struct {
 // and the parallel miner merges worker shards on the caller's goroutine
 // after mining.
 func (tc *trieCollector) Collect(items []dataset.Item, support int) {
-	if tc.ord != nil {
-		tc.buf = tc.buf[:0]
-		for _, r := range items {
-			tc.buf = append(tc.buf, tc.ord.Orig[r])
-		}
-		slices.Sort(tc.buf)
-		items = tc.buf
-	} else if !slices.IsSorted(items) {
+	if !slices.IsSorted(items) {
 		tc.buf = append(tc.buf[:0], items...)
 		slices.Sort(tc.buf)
 		items = tc.buf

@@ -244,35 +244,6 @@ func TestMineRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestMineChunkLexMatches asserts P1 chunk reordering is a pure layout
-// change: with ChunkLex on, every budget/worker combination must still
-// produce the exact in-memory answer (candidates are mined in chunk-local
-// rank space and mapped back to the global alphabet by the collector).
-func TestMineChunkLexMatches(t *testing.T) {
-	for seed := int64(40); seed < 44; seed++ {
-		db := randomDB(seed, 140, 16)
-		path := writeTemp(t, db)
-		const minsup = 5
-		want := mine.ResultSet{}
-		if err := lcmFactory().Mine(db, minsup, want); err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int64{1 << 20, 2048} {
-			for _, workers := range []int{1, 3} {
-				got := mine.ResultSet{}
-				cfg := Config{MemBudget: budget, Workers: workers, ChunkLex: true}
-				if err := Mine(path, lcmFactory, minsup, cfg, got); err != nil {
-					t.Fatalf("seed %d budget %d workers %d: %v", seed, budget, workers, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("seed %d budget %d workers %d: ChunkLex diverges:\n%s",
-						seed, budget, workers, want.Diff(got, 10))
-				}
-			}
-		}
-	}
-}
-
 // TestMineEclatPool runs a second kernel through the pooled path to guard
 // against kernel-specific emission-order assumptions in the collector.
 func TestMineEclatPool(t *testing.T) {
