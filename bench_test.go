@@ -110,34 +110,42 @@ func BenchmarkTable3Apriori(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Figure 8 (native) — per-lever wall-clock for each kernel on the basket
-// workload. The lever grouping matches the paper's bars (Lex / Reorg /
-// Pref / Tile / SIMD / all).
+// Figure 8 (native) — per-lever wall-clock for each kernel on the three
+// mine-dense corpora (the Quest basket data and the two Zipf corpora).
+// The lever grouping matches the paper's bars (Lex / Reorg / Pref / Tile /
+// SIMD / all). Each applicable pattern P also gets an only-P and an
+// all-minus-P sub-benchmark, the leave-one-out view that shows whether a
+// pattern pays on its own and in combination.
 // ---------------------------------------------------------------------
 
-func benchLevers(b *testing.B, db *DB, algo Algorithm, minsup int) {
+func benchLevers(b *testing.B, algo Algorithm) {
 	b.Helper()
 	benchSetup()
-	b.Run("baseline", func(b *testing.B) { mineBench(b, db, algo, 0, minsup) })
-	for _, l := range exp.Levers(algo) {
-		l := l
-		b.Run(l.Name, func(b *testing.B) { mineBench(b, db, algo, l.Patterns, minsup) })
+	benchSkewSetup()
+	all := Applicable(algo)
+	for _, c := range []struct {
+		name   string
+		db     *DB
+		minsup int
+	}{{"quest4k", benchQuest, benchQuestSupport}, {"docs3k", benchDocs, benchDocsSupport}, {"skew6k", benchSkew, benchSkewSupport}} {
+		run := func(name string, ps PatternSet) {
+			b.Run(c.name+"/"+name, func(b *testing.B) { mineBench(b, c.db, algo, ps, c.minsup) })
+		}
+		run("baseline", 0)
+		for _, l := range exp.Levers(algo) {
+			run(l.Name, l.Patterns)
+		}
+		run("all", all)
+		for _, p := range all.Patterns() {
+			run("only-"+PatternSet(p).String(), PatternSet(p))
+			run("all-minus-"+PatternSet(p).String(), all.Without(p))
+		}
 	}
-	b.Run("all", func(b *testing.B) { mineBench(b, db, algo, Applicable(algo), minsup) })
 }
 
-func BenchmarkFigure8LCMNative(b *testing.B) {
-	benchSetup()
-	benchLevers(b, benchQuest, LCM, benchQuestSupport)
-}
-func BenchmarkFigure8EclatNative(b *testing.B) {
-	benchSetup()
-	benchLevers(b, benchDocs, Eclat, benchDocsSupport)
-}
-func BenchmarkFigure8FPGrowthNative(b *testing.B) {
-	benchSetup()
-	benchLevers(b, benchQuest, FPGrowth, benchQuestSupport)
-}
+func BenchmarkFigure8LCMNative(b *testing.B)      { benchLevers(b, LCM) }
+func BenchmarkFigure8EclatNative(b *testing.B)    { benchLevers(b, Eclat) }
+func BenchmarkFigure8FPGrowthNative(b *testing.B) { benchLevers(b, FPGrowth) }
 
 // ---------------------------------------------------------------------
 // Figure 2 (simulated) — per-function CPI on the modelled M1. Reported as
