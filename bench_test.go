@@ -5,13 +5,15 @@ package fpm
 //
 //   - *Native benches time the real Go kernels (testing.B wall clock);
 //     they capture the patterns with genuine Go-level effects — P1 data
-//     reordering, P3/P4 layout, P6.1 loop structure, P8 word-parallel
-//     popcount.
+//     reordering, P2 and FP-Growth's P4 layout, P6.1 loop structure, P8
+//     word-parallel popcount. The kernels accept the other patterns and
+//     ignore them, so their native only-P and all-minus-P sub-benchmarks
+//     measure noise.
 //   - *Sim benches replay instrumented kernels through the memory-
 //     hierarchy simulator and report simulated cycles and CPI as bench
-//     metrics; they capture the architecture-only patterns (P5/P7/P7.1
-//     prefetch, M1-vs-M2 platform contrasts) and regenerate the shapes of
-//     Figure 2 and Figure 8.
+//     metrics; they capture the architecture-only patterns (P3
+//     supernodes, P5/P7/P7.1 prefetch, M1-vs-M2 platform contrasts) and
+//     regenerate the shapes of Figure 2 and Figure 8.
 //
 // Run everything with: go test -bench=. -benchmem .
 
@@ -422,10 +424,9 @@ func benchSkewSetup() {
 	}
 }
 
-// BenchmarkParallelScaling contrasts the work-stealing scheduler against
-// the static first-level decomposition (the seed's strategy, retained as
-// the FirstLevelOnly ablation) on the skewed workload, for the two
-// Splitter kernels. CI runs this at -benchtime 1x as a regression canary.
+// BenchmarkParallelScaling runs the work-stealing scheduler on the skewed
+// workload at 1 to 8 workers, for the two Splitter kernels. CI runs this
+// at -benchtime 1x as a regression canary.
 func BenchmarkParallelScaling(b *testing.B) {
 	benchSkewSetup()
 	kernels := []struct {
@@ -434,29 +435,21 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}{{LCM, benchSkewSupport}, {Eclat, benchSkewSupport}}
 	for _, k := range kernels {
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, mode := range []string{"worksteal", "firstlevel"} {
-				k, workers, mode := k, workers, mode
-				name := fmt.Sprintf("%s/%s/workers-%d", k.algo, mode, workers)
-				b.Run(name, func(b *testing.B) {
-					opts := []ParallelOption{}
-					if mode == "firstlevel" {
-						opts = append(opts, ParallelFirstLevelOnly())
-					}
-					m, err := NewParallel(workers, k.algo, 0, opts...)
-					if err != nil {
+			b.Run(fmt.Sprintf("%s/workers-%d", k.algo, workers), func(b *testing.B) {
+				m, err := NewParallel(workers, k.algo, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < b.N; i++ {
+					var cc CountCollector
+					if err := m.Mine(benchSkew, k.sup, &cc); err != nil {
 						b.Fatal(err)
 					}
-					for i := 0; i < b.N; i++ {
-						var cc CountCollector
-						if err := m.Mine(benchSkew, k.sup, &cc); err != nil {
-							b.Fatal(err)
-						}
-						if cc.N == 0 {
-							b.Fatal("degenerate workload")
-						}
+					if cc.N == 0 {
+						b.Fatal("degenerate workload")
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -16,10 +16,8 @@ import (
 	"strings"
 	"testing"
 
-	"fpm/internal/eclat"
 	"fpm/internal/fimi"
 	"fpm/internal/mine"
-	"fpm/internal/parallel"
 )
 
 // diffCase is one randomized corpus plus its mining support.
@@ -435,8 +433,8 @@ func sparseCases(n int) []diffCase {
 
 // TestDifferentialSparseAlphabets mines every sparse-alphabet corpus with
 // each kernel, untuned and with all applicable patterns, sequentially and
-// on a four-worker pool, plus Eclat's exact-range ablation; every
-// canonical listing must be byte-identical to the brute-force oracle's.
+// on a four-worker pool; every canonical listing must be byte-identical to
+// the brute-force oracle's.
 func TestDifferentialSparseAlphabets(t *testing.T) {
 	n := 20
 	if testing.Short() {
@@ -478,11 +476,6 @@ func TestDifferentialSparseAlphabets(t *testing.T) {
 					check(pm.Name()+"/w4", pm)
 				}
 			}
-			exact := func() mine.Miner {
-				return eclat.New(eclat.Options{Patterns: Applicable(Eclat), ExactRanges: true})
-			}
-			check("eclat-exact", exact())
-			check("eclat-exact/w4", parallel.New(4, exact, parallel.WithCutoff(64)))
 		})
 	}
 }

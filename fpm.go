@@ -91,7 +91,10 @@ type (
 	Algorithm = mine.Algorithm
 )
 
-// The eight ALSO tuning patterns of the paper (Table 2).
+// The eight ALSO tuning patterns of the paper (Table 2). The native
+// kernels accept every pattern Applicable lists for them but select code
+// paths only for P1, P2, FP-Growth's P4, P6.1 and P8; the simulator
+// (Simulate) models all eight. DESIGN.md §2 gives the reasons.
 const (
 	Lex         = mine.Lex         // P1 lexicographic ordering
 	Adapt       = mine.Adapt       // P2 data structure adaptation
@@ -256,12 +259,6 @@ func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weig
 // size, then items) and therefore run-to-run stable, at the cost of a
 // sort over all results at merge time.
 func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicMerge(true) }
-
-// ParallelFirstLevelOnly disables recursive task spawning, forcing the
-// static first-level decomposition (one task per frequent item) even for
-// kernels that support subtree stealing. Mainly an ablation/benchmark
-// knob.
-func ParallelFirstLevelOnly() ParallelOption { return parallel.WithFirstLevelOnly(true) }
 
 // NewParallel wraps any kernel in task-parallel mining over a
 // work-stealing worker pool. LCM and Eclat split recursively: any

@@ -263,31 +263,6 @@ func AndCountRangeTable(dst, a, b *Vector, r OneRange) int {
 	return c
 }
 
-// AndCountRangeExact is AndCountRange but additionally tightens the
-// resulting range to the exact first/last nonzero word of dst within r.
-// This is the "optimal ranges" alternative the paper notes its conservative
-// ranges are not; exposed for the E9 ablation.
-func AndCountRangeExact(dst, a, b *Vector, r OneRange) (int, OneRange) {
-	c := 0
-	lo, hi := -1, -1
-	dw, aw, bw := dst.words, a.words, b.words
-	for i := r.Lo; i < r.Hi; i++ {
-		w := aw[i] & bw[i]
-		dw[i] = w
-		if w != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i + 1
-			c += bits.OnesCount64(w)
-		}
-	}
-	if lo < 0 {
-		return 0, OneRange{}
-	}
-	return c, OneRange{lo, hi}
-}
-
 // Indices returns the positions of all set bits in increasing order.
 func (v *Vector) Indices() []int {
 	var out []int

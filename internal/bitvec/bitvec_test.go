@@ -187,33 +187,6 @@ func TestAndCountRangeSoundnessProperty(t *testing.T) {
 	}
 }
 
-// Property: exact range tightening returns the same count and a range that
-// is contained in the conservative one and still covers all set bits.
-func TestAndCountRangeExactProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 64 + rng.Intn(512)
-		a := randVec(rng, n, 0.05)
-		b := randVec(rng, n, 0.05)
-		r := a.Range().Intersect(b.Range())
-		dst := New(n)
-		c, er := AndCountRangeExact(dst, a, b, r)
-		ref := New(n)
-		want := AndCount(ref, a, b)
-		if c != want {
-			return false
-		}
-		if want == 0 {
-			return er.Empty()
-		}
-		exact := ref.Range()
-		return er == exact && er.Lo >= r.Lo && er.Hi <= r.Hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Count is invariant under Clone, and Equal is reflexive on
 // clones.
 func TestCloneProperty(t *testing.T) {

@@ -28,10 +28,6 @@ import (
 // outside mine.Applicable(mine.Eclat) are ignored.
 type Options struct {
 	Patterns mine.PatternSet
-	// ExactRanges switches 0-escaping from the paper's conservative
-	// intersected ranges to exact range recomputation after every AND
-	// (ablation E9.1). Only meaningful when Patterns has Lex.
-	ExactRanges bool
 	// Metrics, when non-nil, receives run-time counters: nodes expanded
 	// (class members extended), support countings (AND+count operations),
 	// itemsets emitted and candidate prunes. Nil disables recording at the
@@ -227,25 +223,19 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 		roots = append(roots, node{item: dataset.Item(it), vec: v, rng: r, support: freq[it]})
 	}
 
-	andCount := func(dst, a, b *bitvec.Vector, r bitvec.OneRange) (int, bitvec.OneRange) {
-		if lex {
-			if m.opts.ExactRanges {
-				return bitvec.AndCountRangeExact(dst, a, b, r)
-			}
-			return bitvec.AndCountRange(dst, a, b, r), r
-		}
-		if simd {
-			return bitvec.AndCount(dst, a, b), r
-		}
-		return bitvec.AndCountTable(dst, a, b), r
-	}
 	// With lex 0-escaping but without SIMD, counting inside the range
 	// still uses the baseline table lookups, so the two patterns compose
 	// independently.
-	if lex && !simd && !m.opts.ExactRanges {
-		andCount = func(dst, a, b *bitvec.Vector, r bitvec.OneRange) (int, bitvec.OneRange) {
-			return bitvec.AndCountRangeTable(dst, a, b, r), r
-		}
+	var andCount func(dst, a, b *bitvec.Vector, r bitvec.OneRange) int
+	switch {
+	case lex && simd:
+		andCount = bitvec.AndCountRange
+	case lex:
+		andCount = bitvec.AndCountRangeTable
+	case simd:
+		andCount = func(dst, a, b *bitvec.Vector, _ bitvec.OneRange) int { return bitvec.AndCount(dst, a, b) }
+	default:
+		andCount = func(dst, a, b *bitvec.Vector, _ bitvec.OneRange) int { return bitvec.AndCountTable(dst, a, b) }
 	}
 
 	r := &run{n: n, minSupport: minSupport, andCount: andCount, ord: ord, sp: sp, branch: branch, hasBranch: hasBranch,
@@ -267,7 +257,7 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 type run struct {
 	n          int
 	minSupport int
-	andCount   func(dst, a, b *bitvec.Vector, r bitvec.OneRange) (int, bitvec.OneRange)
+	andCount   func(dst, a, b *bitvec.Vector, r bitvec.OneRange) int
 	ord        *lexorder.Ordering
 	sp         mine.Spawner
 	branch     dataset.Item // first-level branch item, appended to results
@@ -338,7 +328,7 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 				scratch = bitvec.New(r.n)
 			}
 			r.met.Support(1)
-			sup, rng := r.andCount(scratch, nd.vec, other.vec, rng)
+			sup := r.andCount(scratch, nd.vec, other.vec, rng)
 			if sup < r.minSupport {
 				r.met.Prune()
 				continue

@@ -10,15 +10,13 @@ import (
 	"fpm/internal/mine"
 )
 
-// allVariants lists every pattern combination valid for Eclat (Table 4)
-// plus the exact-range ablation.
+// allVariants lists every pattern combination valid for Eclat (Table 4).
 func allVariants() []*Miner {
 	return []*Miner{
 		New(Options{}),
 		New(Options{Patterns: mine.PatternSet(mine.Lex)}),
 		New(Options{Patterns: mine.PatternSet(mine.SIMD)}),
 		New(Options{Patterns: mine.PatternSet(mine.Lex | mine.SIMD)}),
-		New(Options{Patterns: mine.PatternSet(mine.Lex | mine.SIMD), ExactRanges: true}),
 	}
 }
 

@@ -17,15 +17,14 @@
 //	                  one arena per recursion depth is rebuilt in place,
 //	                  so trees after the first at a depth allocate only
 //	                  when they outgrow it;
-//	P3 Aggregate    — inline path segments: each node carries the items of
-//	                  its next AggSpan-1 ancestors plus a skip pointer, so
-//	                  an upward walk reads one contiguous record per
-//	                  superlevel instead of chasing one pointer per level;
 //	P4 Compact      — conditional pattern bases gathered into reused
-//	                  contiguous buffers instead of per-path allocations;
-//	P5 PrefetchPtr /
-//	P7 Prefetch     — node-link read-ahead touches natively (precise
-//	                  modelling lives in internal/simkern).
+//	                  contiguous buffers instead of per-path allocations.
+//
+// P3 Aggregate, P5 PrefetchPtr and P7 Prefetch are accepted and ignored:
+// supernode path segments ran slower than the plain parent walk on the
+// arena tree, and Go cannot emit prefetch instructions, so their native
+// stand-ins (segment copies, node-link read-ahead touches) never paid.
+// internal/simkern models all three cycle by cycle.
 package fpgrowth
 
 import (
@@ -40,10 +39,6 @@ import (
 // Options selects the tuning patterns applied by the miner.
 type Options struct {
 	Patterns mine.PatternSet
-	// AggSpan is the number of tree levels folded into one supernode when
-	// Patterns has Aggregate. Zero means 4 (the paper compresses "four
-	// consecutive tree levels into one superlevel").
-	AggSpan int
 	// Metrics, when non-nil, receives run-time counters: nodes expanded
 	// (conditional FP-trees built), support countings (header-table
 	// supports read), itemsets emitted and candidate prunes. Nil disables
@@ -200,14 +195,9 @@ func (st *state) emit(support int32) {
 // newTree picks the node layout per P2.
 func (st *state) newTree() tree {
 	if st.m.opts.Patterns.Has(mine.Adapt) {
-		span := st.m.opts.AggSpan
-		if span == 0 {
-			span = 4
-		}
-		return &compactTree{aggregate: st.m.opts.Patterns.Has(mine.Aggregate), aggSpan: span,
-			prefetch: st.m.opts.Patterns.Has(mine.Prefetch) || st.m.opts.Patterns.Has(mine.PrefetchPtr)}
+		return &compactTree{}
 	}
-	return &pointerTree{prefetch: st.m.opts.Patterns.Has(mine.Prefetch) || st.m.opts.Patterns.Has(mine.PrefetchPtr)}
+	return &pointerTree{}
 }
 
 // mineBase builds the FP-tree for a pattern base and grows patterns from

@@ -11,9 +11,7 @@ import (
 )
 
 // allVariants enumerates pattern combinations valid for FP-Growth
-// (Table 4). Aggregate requires the arena layout, so it is exercised
-// together with Adapt (as in the paper, which reports them jointly as the
-// "Reorg" bar).
+// (Table 4).
 func allVariants() []*Miner {
 	sets := []mine.PatternSet{
 		0,
@@ -29,9 +27,6 @@ func allVariants() []*Miner {
 	for _, s := range sets {
 		out = append(out, New(Options{Patterns: s}))
 	}
-	// Stress the supernode span boundaries.
-	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), AggSpan: 2}))
-	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), AggSpan: 8}))
 	return out
 }
 
@@ -81,11 +76,11 @@ func TestEdgeCases(t *testing.T) {
 	if len(rs) != 0 {
 		t.Fatalf("mined %v at impossible support", rs)
 	}
-	// Single long transaction: a pure chain tree (deep supernode walk).
+	// Single long transaction: a pure chain tree (deep parent walk).
 	chain := dataset.New([]dataset.Transaction{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}})
-	agg := New(Options{Patterns: mine.PatternSet(mine.Adapt | mine.Aggregate), AggSpan: 3})
+	arena := New(Options{Patterns: mine.PatternSet(mine.Adapt)})
 	rs = mine.ResultSet{}
-	if err := agg.Mine(chain, 1, rs); err != nil {
+	if err := arena.Mine(chain, 1, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 1023 { // 2^10 - 1 subsets
@@ -176,61 +171,6 @@ func TestTreeLayoutsProduceSameStructure(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAggregatedWalkMatchesPlain checks the supernode walk reconstructs
-// exactly the same paths as the plain parent chase for random trees.
-func TestAggregatedWalkMatchesPlain(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nRows := 1 + rng.Intn(15)
-		base := make([]weightedTx, 0, nRows)
-		for i := 0; i < nRows; i++ {
-			l := 1 + rng.Intn(10)
-			row := make([]dataset.Item, 0, l)
-			for it := dataset.Item(0); int(it) < 12 && len(row) < l; it++ {
-				if rng.Intn(2) == 0 {
-					row = append(row, it)
-				}
-			}
-			if len(row) == 0 {
-				row = append(row, 0)
-			}
-			base = append(base, weightedTx{items: row, w: int32(1 + rng.Intn(3))})
-		}
-		span := 2 + rng.Intn(5)
-		plain := &compactTree{}
-		plain.build(cloneBase(base), 12)
-		agg := &compactTree{aggregate: true, aggSpan: span}
-		agg.build(cloneBase(base), 12)
-		for it := dataset.Item(0); it < 12; it++ {
-			var pp, ap []string
-			plain.condBase(it, func(p []dataset.Item, w int32) { pp = append(pp, pathKey(p, w)) })
-			agg.condBase(it, func(p []dataset.Item, w int32) { ap = append(ap, pathKey(p, w)) })
-			if len(pp) != len(ap) {
-				return false
-			}
-			for i := range pp {
-				if pp[i] != ap[i] {
-					t.Logf("seed %d span %d item %d: %q vs %q", seed, span, it, pp[i], ap[i])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func pathKey(p []dataset.Item, w int32) string {
-	b := make([]byte, 0, len(p)*2+4)
-	for _, it := range p {
-		b = append(b, byte('a'+it))
-	}
-	b = append(b, '#', byte('0'+w%10))
-	return string(b)
 }
 
 func cloneBase(base []weightedTx) []weightedTx {

@@ -8,8 +8,7 @@ import "fpm/internal/dataset"
 // the paper starts from: nodes scattered across the heap, upward traversal
 // as a pure pointer chase.
 type pointerTree struct {
-	prefetch bool
-	root     *pnode
+	root *pnode
 	// head[i] is the head of item i's node-link chain; sup[i] the summed
 	// count of that chain.
 	head    map[dataset.Item]*pnode
@@ -74,15 +73,6 @@ func (t *pointerTree) support(item dataset.Item) int32 { return t.sup[item] }
 
 func (t *pointerTree) condBase(item dataset.Item, emit func(path []dataset.Item, w int32)) {
 	for n := t.head[item]; n != nil; n = n.next {
-		if t.prefetch && n.next != nil {
-			// P5/P7 emulation: touch the next node-link (and its parent)
-			// before processing the current node, overlapping its fetch
-			// with the upward walk below.
-			_ = n.next.count
-			if n.next.parent != nil {
-				_ = n.next.parent.count
-			}
-		}
 		t.pathBuf = t.pathBuf[:0]
 		for p := n.parent; p != nil && p.item >= 0; p = p.parent {
 			t.pathBuf = append(t.pathBuf, p.item)

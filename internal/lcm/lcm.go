@@ -14,8 +14,13 @@
 // Applicable patterns (Table 4): P1 Lex (initial database layout), P3
 // Aggregation (the RmDupTrans bucket lists), P4 Compaction (the frequency
 // counters), P6.1 Tiling (slicing the OccArray by transaction-offset
-// range), P7.1 Wave-front prefetch (natively emulated as read-ahead
-// touches; modelled cycle-accurately in internal/simkern).
+// range) and P7.1 Wave-front prefetch. Only P1 and P6.1 select a code
+// path. The kernel always runs the P3 bucket lists and the P4 counter
+// slice, which are the only layouts it has, and it accepts the Aggregate,
+// Compact and Prefetch bits and ignores them: their baselines (linked
+// buckets, padded counters) and Go's read-ahead "touches" in place of
+// prefetch instructions never paid natively. internal/simkern models all
+// five patterns cycle by cycle.
 package lcm
 
 import (
@@ -35,9 +40,6 @@ type Options struct {
 	// fits a 16 KiB L1 slice, following the paper ("we choose the tile
 	// size to fit in the L1 cache").
 	TileRows int
-	// PrefetchDist is the read-ahead distance of the wave-front prefetch
-	// emulation. Zero means 8.
-	PrefetchDist int
 	// Metrics, when non-nil, receives run-time counters: nodes expanded,
 	// support countings (one per support value computed in a conditional
 	// database), itemsets emitted and candidate prunes. Nil disables
@@ -126,7 +128,7 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 	}
 	// RmDupTrans on the initial database exercises the paper's
 	// second-hottest function and shrinks the working set up front.
-	root = m.rmDupTrans(root)
+	root = rmDupTrans(root)
 
 	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord, sp: sp,
 		cf: m.opts.Cancel, met: m.opts.Metrics.NewLocal()}
@@ -135,7 +137,7 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 		// the scheduler the worker tracks own the timeline instead.
 		st.tk = m.track()
 	}
-	st.cnt = m.newCounters(work.NumItems)
+	st.cnt = make([]int32, work.NumItems)
 	if ord != nil && st.met != nil {
 		// The frequency scan counted the dropped items too; charge them as
 		// the untrimmed root would, one counting each and one prune per
@@ -154,14 +156,6 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 	return m.opts.Cancel.Err()
 }
 
-// newCounters picks the CalcFreq counter layout for the P4 contrast.
-func (m *Miner) newCounters(n int) counters {
-	if m.opts.Patterns.Has(mine.Compact) {
-		return newCompactCounters(n)
-	}
-	return newScatteredCounters(n)
-}
-
 // state carries the per-Mine mutable context through the recursion. Each
 // stolen subtree task gets its own state; states never share mutable
 // memory (m, ord and sp are read-only / concurrency-safe).
@@ -174,7 +168,9 @@ type state struct {
 	cf      *cancel.Flag
 	met     *metrics.Local
 	tk      *trace.Track // sequential-run trace track; nil on workers
-	cnt     counters
+	// cnt holds CalcFreq's conditional frequencies, one int32 per item of
+	// the conditional alphabet, zero between calcFreq calls.
+	cnt     []int32
 	prefix  []dataset.Item
 	emitBuf []dataset.Item
 	touched []dataset.Item
@@ -197,7 +193,7 @@ func (st *state) descend(child *cdb) {
 			if st.sp.Offer(w, func(c mine.Collector, sp mine.Spawner) error {
 				ns := &state{m: m, minsup: minsup, collect: c, ord: ord, sp: sp, prefix: prefix,
 					cf: m.opts.Cancel, met: m.opts.Metrics.NewLocal()}
-				ns.cnt = m.newCounters(child.items)
+				ns.cnt = make([]int32, child.items)
 				ns.mineNode(child, false)
 				m.opts.Metrics.Flush(ns.met)
 				return nil
@@ -275,8 +271,10 @@ func (st *state) mineNode(d *cdb, root bool) {
 		st.prefix = append(st.prefix, e)
 		st.emit(support[e])
 		st.calcFreq(d, occ[e], e)
-		child := st.project(d, occ[e], e, st.cnt.get)
-		st.cnt.reset(st.touched)
+		child := st.project(d, occ[e], e, st.cnt)
+		for _, it := range st.touched {
+			st.cnt[it] = 0
+		}
 		if child != nil {
 			st.descend(child)
 		}
@@ -323,42 +321,31 @@ func buildOcc(d *cdb) ([][]int32, []int32) {
 // preceding e into st.cnt, recording which counters were touched.
 func (st *state) calcFreq(d *cdb, col []int32, e dataset.Item) {
 	st.touched = st.touched[:0]
-	dist := st.m.opts.PrefetchDist
-	if dist == 0 {
-		dist = 8
-	}
-	prefetch := st.m.opts.Patterns.Has(mine.Prefetch)
-	for i, ti := range col {
-		if prefetch && i+dist < len(col) {
-			// Wave-front emulation: touch the header of a row several
-			// iterations ahead so the memory system streams it in.
-			if ahead := d.tx[col[i+dist]]; len(ahead) > 0 {
-				_ = ahead[0]
-			}
-		}
+	cnt := st.cnt
+	for _, ti := range col {
 		w := d.w[ti]
 		for _, it := range d.tx[ti] {
 			if it >= e {
 				break
 			}
-			if st.cnt.get(it) == 0 {
+			if cnt[it] == 0 {
 				st.touched = append(st.touched, it)
 			}
-			st.cnt.add(it, w)
+			cnt[it] += w
 		}
 	}
 }
 
 // project materialises the conditional database of e: the rows of occ
 // column e restricted to items below e that are frequent in the child
-// (per the freq accessor), followed by RmDupTrans. Returns nil when the
-// child is empty.
+// (freq holds their conditional frequencies), followed by RmDupTrans.
+// Returns nil when the child is empty.
 //
 // The rows are staged in the state's reused buffers, then copied into one
 // arena allocated at its final size, and re-sliced out of it: a projection
 // costs a fixed handful of allocations however many rows it has. The
 // child owns its arena, so a stolen child shares nothing with the parent.
-func (st *state) project(d *cdb, col []int32, e dataset.Item, freq func(dataset.Item) int32) *cdb {
+func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb {
 	items, ends, w := st.projItems[:0], st.projEnds[:0], st.projW[:0]
 	for _, ti := range col {
 		start := len(items)
@@ -366,7 +353,7 @@ func (st *state) project(d *cdb, col []int32, e dataset.Item, freq func(dataset.
 			if it >= e {
 				break
 			}
-			if freq(it) >= st.minsup {
+			if freq[it] >= st.minsup {
 				items = append(items, it)
 			}
 		}
@@ -386,7 +373,7 @@ func (st *state) project(d *cdb, col []int32, e dataset.Item, freq func(dataset.
 		child.tx[i] = arena[start:end:end]
 		start = end
 	}
-	return st.m.rmDupTrans(child)
+	return rmDupTrans(child)
 }
 
 // mineRootTiled is the P6.1 path. The OccArray is sliced into horizontal
@@ -467,8 +454,7 @@ func (st *state) mineRootTiled(d *cdb, occ [][]int32, support []int32) {
 		e := freqItems[i]
 		st.prefix = append(st.prefix, e)
 		st.emit(support[e])
-		ce := cnt[e]
-		child := st.project(d, occ[e], e, func(it dataset.Item) int32 { return ce[it] })
+		child := st.project(d, occ[e], e, cnt[e])
 		if child != nil {
 			st.descend(child)
 		}

@@ -29,7 +29,6 @@ func allVariants() []*Miner {
 	}
 	// Tiny tiles stress the tile-boundary logic.
 	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Tile), TileRows: 1}))
-	out = append(out, New(Options{Patterns: mine.PatternSet(mine.Prefetch), PrefetchDist: 2}))
 	return out
 }
 
@@ -92,52 +91,29 @@ func TestEdgeCases(t *testing.T) {
 }
 
 func TestRmDupTransMergesWeights(t *testing.T) {
-	for _, agg := range []bool{false, true} {
-		opts := Options{}
-		if agg {
-			opts.Patterns = mine.PatternSet(mine.Aggregate)
-		}
-		m := New(opts)
-		d := &cdb{
-			items: 3,
-			tx:    [][]dataset.Item{{0, 1}, {2}, {0, 1}, {2}, {0}},
-			w:     []int32{1, 2, 3, 4, 5},
-		}
-		got := m.rmDupTrans(d)
-		if len(got.tx) != 3 {
-			t.Fatalf("agg=%v: %d unique transactions, want 3", agg, len(got.tx))
-		}
-		// Weight lookup by content.
-		wBy := map[string]int32{}
-		for i, tr := range got.tx {
-			wBy[mine.Key(tr)] = got.w[i]
-		}
-		if wBy["0,1"] != 4 || wBy["2"] != 6 || wBy["0"] != 5 {
-			t.Fatalf("agg=%v: merged weights %v", agg, wBy)
-		}
+	d := &cdb{
+		items: 3,
+		tx:    [][]dataset.Item{{0, 1}, {2}, {0, 1}, {2}, {0}},
+		w:     []int32{1, 2, 3, 4, 5},
+	}
+	got := rmDupTrans(d)
+	if len(got.tx) != 3 {
+		t.Fatalf("%d unique transactions, want 3", len(got.tx))
+	}
+	// Weight lookup by content.
+	wBy := map[string]int32{}
+	for i, tr := range got.tx {
+		wBy[mine.Key(tr)] = got.w[i]
+	}
+	if wBy["0,1"] != 4 || wBy["2"] != 6 || wBy["0"] != 5 {
+		t.Fatalf("merged weights %v", wBy)
 	}
 }
 
 func TestRmDupTransTrivial(t *testing.T) {
-	m := New(Options{})
 	d := &cdb{items: 1, tx: [][]dataset.Item{{0}}, w: []int32{1}}
-	if got := m.rmDupTrans(d); got != d {
+	if got := rmDupTrans(d); got != d {
 		t.Fatal("single-transaction database should be returned unchanged")
-	}
-}
-
-func TestCountersBehaveIdentically(t *testing.T) {
-	for _, c := range []counters{newScatteredCounters(10), newCompactCounters(10)} {
-		c.add(3, 2)
-		c.add(3, 1)
-		c.add(7, 5)
-		if c.get(3) != 3 || c.get(7) != 5 || c.get(0) != 0 {
-			t.Fatalf("%T: wrong counts", c)
-		}
-		c.reset([]dataset.Item{3, 7})
-		if c.get(3) != 0 || c.get(7) != 0 {
-			t.Fatalf("%T: reset failed", c)
-		}
 	}
 }
 

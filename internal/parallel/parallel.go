@@ -57,10 +57,6 @@ type Options struct {
 	// result set — run-to-run stable. Costs an O(n log n) sort over all
 	// results at merge time.
 	Deterministic bool
-	// FirstLevelOnly disables recursive task spawning even for kernels
-	// that implement mine.Splitter, forcing the static first-level
-	// decomposition. Used by scaling benchmarks as the ablation baseline.
-	FirstLevelOnly bool
 	// Metrics, when non-nil, receives the scheduler's counters: tasks
 	// spawned/offered/stolen, steal failures, shard-merge time and
 	// per-worker utilization. Kernel-level counters (nodes, supports) are
@@ -104,9 +100,6 @@ func WithCutoff(n int) Option { return func(o *Options) { o.Cutoff = n } }
 
 // WithDeterministicMerge toggles the canonically sorted merge.
 func WithDeterministicMerge(on bool) Option { return func(o *Options) { o.Deterministic = on } }
-
-// WithFirstLevelOnly forces static first-level decomposition.
-func WithFirstLevelOnly(on bool) Option { return func(o *Options) { o.FirstLevelOnly = on } }
 
 // WithMetrics routes scheduler counters into rec.
 func WithMetrics(rec *metrics.Recorder) Option { return func(o *Options) { o.Metrics = rec } }
@@ -182,7 +175,7 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	p.inner = m.inner
 	p.cancel = cf
 
-	if _, ok := p.workers[0].inner.(mine.Splitter); ok && !m.opts.FirstLevelOnly {
+	if _, ok := p.workers[0].inner.(mine.Splitter); ok {
 		m.seedSplit(p, db, minSupport)
 	} else if m.seedFirstLevel(p, db, minSupport) == 0 {
 		// Nothing frequent, nothing to schedule. Starting the pool with
