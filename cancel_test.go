@@ -79,15 +79,15 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 }
 
 // TestCancelSequentialKernels: lcm, eclat, fpgrowth and hmine poll the
-// flag at recursion nodes, through MineContext and, for hmine, also
-// through the observed path. All must surface *CancelledError.
+// flag at recursion nodes on a sequential observed run (workers == 1).
+// All must surface *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
 	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, HMine} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {
-				sets, err := MineContext(ctx, benchSkew, algo, Applicable(algo), benchSkewSupport)
+				sets, _, err := WithMetrics(benchSkew, algo, Applicable(algo), benchSkewSupport, 1, WithContext(ctx))
 				if err == nil && len(sets) == 0 {
 					t.Fatal("completed run found nothing: degenerate corpus")
 				}
@@ -180,26 +180,26 @@ func TestCancelPartitioned(t *testing.T) {
 	}
 }
 
-// TestMineContextUncancelled: a background context adds no failure mode —
+// TestCancelUncancelled: a background context adds no failure mode —
 // results equal plain Mine, and a deadline that never fires behaves the
 // same.
-func TestMineContextUncancelled(t *testing.T) {
+func TestCancelUncancelled(t *testing.T) {
 	db := GenerateQuest(QuestConfig{Transactions: 300, AvgLen: 8, AvgPatternLen: 3,
 		Items: 40, Patterns: 20, Seed: 7})
 	want, err := Mine(db, LCM, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MineContext(context.Background(), db, LCM, 0, 6)
+	got, _, err := WithMetrics(db, LCM, 0, 6, 1, WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonListing(got) != canonListing(want) {
-		t.Fatal("MineContext(Background) diverges from Mine")
+		t.Fatal("WithContext(Background) diverges from Mine")
 	}
 	ctx, cancelRun := context.WithTimeout(context.Background(), time.Hour)
 	defer cancelRun()
-	got, err = MineContext(ctx, db, Eclat, 0, 6)
+	got, _, err = WithMetrics(db, Eclat, 0, 6, 1, WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +208,19 @@ func TestMineContextUncancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if canonListing(got) != canonListing(wantE) {
-		t.Fatal("MineContext(with unexpired deadline) diverges from Mine")
+		t.Fatal("WithContext(unexpired deadline) diverges from Mine")
 	}
 }
 
-// TestMineContextDeadline: an already-expired deadline surfaces as a
-// wrapped context.DeadlineExceeded before any real work happens.
-func TestMineContextDeadline(t *testing.T) {
+// TestCancelDeadline: an already-expired deadline surfaces as a wrapped
+// context.DeadlineExceeded before any real work happens.
+func TestCancelDeadline(t *testing.T) {
 	db := GenerateQuest(QuestConfig{Transactions: 300, AvgLen: 8, AvgPatternLen: 3,
 		Items: 40, Patterns: 20, Seed: 7})
 	ctx, cancelRun := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancelRun()
 	time.Sleep(time.Millisecond)
-	_, err := MineContext(ctx, db, LCM, 0, 6)
+	_, _, err := WithMetrics(db, LCM, 0, 6, 1, WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want wrapped context.DeadlineExceeded", err)
 	}

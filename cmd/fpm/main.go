@@ -17,9 +17,8 @@
 // out-of-core with the SON two-pass algorithm, streaming the file in
 // chunks sized to -mem-budget (bytes, with optional K/M/G suffix) and
 // recounting candidate supports exactly on a second pass. The result is
-// identical to the in-memory run; -partition requires an explicit
-// -algo lcm|eclat|fpgrowth|apriori (the autotuner needs the loaded
-// database).
+// identical to the in-memory run; -partition accepts every kernel but
+// needs an explicit -algo (the autotuner needs the loaded database).
 //
 // With -checkpoint (or -resume, which defaults the sidecar to
 // <in>.fpmck) a partitioned run persists its progress after every chunk
@@ -52,8 +51,9 @@
 // /healthz, /debug/pprof) while it mines.
 //
 // The `fpm serve` subcommand runs a long-lived mining server: jobs are
-// POSTed to /jobs and mined one at a time, with the same live telemetry
-// endpoints following the run in flight (see -help of `fpm serve`).
+// POSTed to /jobs and mined by a pool of N runners (-max-concurrent),
+// with the same live telemetry endpoints following the runs in flight
+// (see -help of `fpm serve`).
 package main
 
 import (
@@ -69,7 +69,6 @@ import (
 	"strings"
 
 	"fpm"
-	"fpm/internal/serve"
 	"fpm/internal/telemetry"
 )
 
@@ -129,11 +128,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-checkpoint/-resume require -partition")
 	}
 
-	var popts []fpm.ParallelOption
-	var ctx context.Context
+	// Every run records counters into one recorder, shared with -stats
+	// and the live telemetry server.
+	rec := fpm.NewMetricsRecorder()
+	popts := []fpm.ParallelOption{fpm.ParallelMetrics(rec)}
 	if *timeout > 0 {
-		var cancelRun context.CancelFunc
-		ctx, cancelRun = context.WithTimeout(context.Background(), *timeout)
+		ctx, cancelRun := context.WithTimeout(context.Background(), *timeout)
 		defer cancelRun()
 		popts = append(popts, fpm.WithContext(ctx))
 	}
@@ -142,15 +142,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *det {
 		popts = append(popts, fpm.ParallelDeterministic())
-	}
-
-	// Any observability output (-stats, -trace, -telemetry-addr) routes
-	// the run through the instrumented path with one shared recorder.
-	observed := *stats != "" || *traceOut != "" || *teleAddr != ""
-	var rec *fpm.MetricsRecorder
-	if observed {
-		rec = fpm.NewMetricsRecorder()
-		popts = append(popts, fpm.ParallelMetrics(rec))
 	}
 	var traceFile *os.File
 	if *traceOut != "" {
@@ -172,27 +163,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer func() { _ = srv.Shutdown(context.Background()) }()
 	}
 
-	var (
-		sets []fpm.Itemset
-		snap fpm.Snapshot
-	)
+	a := fpm.Algorithm(*algo)
 	if *part {
 		// Out-of-core: the file is streamed, never loaded whole, so every
 		// path that needs the in-memory database is unavailable.
 		if *describe {
 			return fmt.Errorf("-describe needs the loaded database; drop -partition")
 		}
-		a := fpm.Algorithm(*algo)
-		switch a {
-		case fpm.LCM, fpm.Eclat, fpm.FPGrowth, fpm.Apriori:
-		default:
-			return fmt.Errorf("-partition requires an explicit -algo lcm|eclat|fpgrowth|apriori (got %q)", *algo)
+		if *algo == "auto" {
+			return fmt.Errorf("-partition requires an explicit -algo: the autotuner needs the loaded database")
 		}
 		memBytes, err := parseBytes(*budget)
 		if err != nil {
 			return fmt.Errorf("invalid -mem-budget %q: %w", *budget, err)
 		}
-		ps, err := parsePatterns(*patterns, a)
+		ps, err := fpm.ParsePatterns(*patterns, a)
 		if err != nil {
 			return err
 		}
@@ -201,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			ckptPath = *in + ".fpmck"
 		}
 		rc := fpm.PartitionRunConfig{Checkpoint: ckptPath, Resume: *resume}
-		sets, _, err = fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
+		sets, _, err := fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
 		return finish(sets, rec.Snapshot(), traceFile, err, *out, *stats, *count, stdout)
 	}
 
@@ -215,52 +200,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "transactions: %d\nitems: %d\navg length: %.2f\nmax length: %d\ndensity: %.5f\nclustering: %.3f\n",
 			s.Transactions, s.Items, s.AvgLen, s.MaxLen, s.Density, s.Clustering)
 		if *support >= 1 {
-			rec := fpm.Recommend(db, *support)
-			fmt.Fprintf(stdout, "recommendation: %s\n", rec)
-			for _, line := range rec.Rationale {
+			r := fpm.Recommend(db, *support)
+			fmt.Fprintf(stdout, "recommendation: %s\n", r)
+			for _, line := range r.Rationale {
 				fmt.Fprintf(stdout, "  - %s\n", line)
 			}
 		}
 		return nil
 	}
 
-	switch {
-	case observed:
-		a, ps := fpm.Algorithm(*algo), fpm.PatternSet(0)
-		if *algo == "auto" {
-			rec := fpm.Recommend(db, *support)
-			a, ps = rec.Algorithm, rec.Patterns
-			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		} else if ps, err = parsePatterns(*patterns, a); err != nil {
-			return err
-		}
-		sets, snap, err = fpm.WithMetrics(db, a, ps, *support, *workers, popts...)
-	case *algo == "auto":
-		var rec fpm.Recommendation
-		sets, rec, err = fpm.MineAuto(db, *support)
-		if err == nil {
-			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		}
-	default:
-		var ps fpm.PatternSet
-		if ps, err = parsePatterns(*patterns, fpm.Algorithm(*algo)); err != nil {
-			return err
-		}
-		if *workers != 1 {
-			var m fpm.Miner
-			m, err = fpm.NewParallel(*workers, fpm.Algorithm(*algo), ps, popts...)
-			if err == nil {
-				var sc fpm.SliceCollector
-				if err = m.Mine(db, *support, &sc); err == nil {
-					sets = sc.Sets
-				}
-			}
-		} else if ctx != nil {
-			sets, err = fpm.MineContext(ctx, db, fpm.Algorithm(*algo), ps, *support)
-		} else {
-			sets, err = fpm.Mine(db, fpm.Algorithm(*algo), ps, *support)
-		}
+	var ps fpm.PatternSet
+	if *algo == "auto" {
+		r := fpm.Recommend(db, *support)
+		a, ps = r.Algorithm, r.Patterns
+		fmt.Fprintf(stderr, "fpm: auto-selected %s\n", r)
+	} else if ps, err = fpm.ParsePatterns(*patterns, a); err != nil {
+		return err
 	}
+	sets, snap, err := fpm.WithMetrics(db, a, ps, *support, *workers, popts...)
 	return finish(sets, snap, traceFile, err, *out, *stats, *count, stdout)
 }
 
@@ -379,9 +336,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("size must be positive")
 	}
 	return n, nil
-}
-
-// parsePatterns maps the -patterns flag to a PatternSet.
-func parsePatterns(s string, algo fpm.Algorithm) (fpm.PatternSet, error) {
-	return serve.ParsePatterns(s, algo)
 }

@@ -200,9 +200,9 @@ func TestCLIErrors(t *testing.T) {
 		{"-in", small, "-support", "2", "-stats", "xml"},
 		{"-support", "2"}, // missing -in
 		// Out-of-core constraints: -partition streams the file and cannot
-		// serve paths that need the loaded database or a non-four-kernel algo.
+		// serve paths that need the loaded database, nor an unknown algo.
 		{"-in", small, "-support", "2", "-partition"}, // -algo auto default
-		{"-in", small, "-support", "2", "-partition", "-algo", "hmine"},
+		{"-in", small, "-support", "2", "-partition", "-algo", "nope"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-describe"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-mem-budget", "zzz"},
 		{"-in", small, "-support", "2", "-partition", "-algo", "lcm", "-mem-budget", "-4K"},
@@ -243,6 +243,34 @@ func TestStatsParallelSmoke(t *testing.T) {
 	}
 	if !strings.Contains(snap.Kernel, "parallel(") {
 		t.Errorf("kernel = %q, want parallel(...)", snap.Kernel)
+	}
+}
+
+// TestCLIPartitionEveryKernel: -partition accepts every kernel of the
+// table, not only the four with internal instrumentation, and counts what
+// the in-memory run counts.
+func TestCLIPartitionEveryKernel(t *testing.T) {
+	small := filepath.Join("testdata", "small.dat")
+	for _, algo := range []string{"hmine", "tidset", "diffset"} {
+		want := runCLI(t, "-in", small, "-support", "2", "-algo", algo, "-count")
+		got := runCLI(t, "-in", small, "-support", "2", "-algo", algo, "-count", "-partition", "-mem-budget", "1K")
+		if got != want {
+			t.Errorf("%s: -partition counted %q, in-memory %q", algo, got, want)
+		}
+	}
+}
+
+// TestCLIAutoTimeout: the default -algo auto honours -timeout like an
+// explicit kernel does, without any observability flag set.
+func TestCLIAutoTimeout(t *testing.T) {
+	args := []string{"-in", filepath.Join("testdata", "small.dat"), "-support", "2", "-timeout", "1ns"}
+	var stdout, stderr bytes.Buffer
+	err := run(args, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("run(%v) = %v, want deadline error", args, err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("cancelled run printed results:\n%s", stdout.String())
 	}
 }
 

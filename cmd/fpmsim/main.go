@@ -50,7 +50,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown machine %q", *machine))
 	}
-	ps, err := parsePatterns(*patterns, fpm.Algorithm(*algo))
+	ps, err := fpm.ParsePatterns(*patterns, fpm.Algorithm(*algo))
 	if err != nil {
 		fatal(err)
 	}
@@ -74,29 +74,6 @@ func main() {
 		fmt.Printf("baseline: %.0f cycles -> speedup %.2fx\n",
 			base.TotalCycles(), base.TotalCycles()/report.TotalCycles())
 	}
-}
-
-func parsePatterns(s string, algo fpm.Algorithm) (fpm.PatternSet, error) {
-	if s == "" {
-		return 0, nil
-	}
-	if s == "all" {
-		return fpm.Applicable(algo), nil
-	}
-	names := map[string]fpm.Pattern{
-		"lex": fpm.Lex, "adapt": fpm.Adapt, "aggregate": fpm.Aggregate,
-		"compact": fpm.Compact, "prefetchptr": fpm.PrefetchPtr,
-		"tile": fpm.Tile, "prefetch": fpm.Prefetch, "simd": fpm.SIMD,
-	}
-	var ps fpm.PatternSet
-	for _, name := range strings.Split(s, ",") {
-		p, ok := names[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			return 0, fmt.Errorf("unknown pattern %q", name)
-		}
-		ps = ps.With(p)
-	}
-	return ps, nil
 }
 
 func fatal(err error) {

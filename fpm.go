@@ -20,7 +20,8 @@
 // or let the library pick the kernel and patterns from the input's
 // characteristics (the paper's §6 future work):
 //
-//	sets, rec, err := fpm.MineAuto(db, 100)
+//	rec := fpm.Recommend(db, 100)
+//	sets, err := fpm.Mine(db, rec.Algorithm, rec.Patterns, 100)
 package fpm
 
 import (
@@ -120,6 +121,11 @@ const (
 // Applicable returns the patterns the paper applies to a kernel (Table 4).
 func Applicable(a Algorithm) PatternSet { return mine.Applicable(a) }
 
+// ParsePatterns resolves a comma-separated, case-insensitive list of
+// pattern names ("lex,simd") to a PatternSet; "" is the empty set and
+// "all" is Applicable(algo).
+func ParsePatterns(s string, algo Algorithm) (PatternSet, error) { return mine.ParsePatterns(s, algo) }
+
 // kernelFunc builds one kernel with the given patterns, an optional
 // counter recorder, an optional kernel-span trace recorder and an optional
 // cancellation flag; any of the three may be nil. tr must only be set for
@@ -128,10 +134,10 @@ func Applicable(a Algorithm) PatternSet { return mine.Applicable(a) }
 type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Flag) Miner
 
 // kernels is the one place an Algorithm becomes a Miner: NewMiner,
-// MineContext, NewParallel, WithMetrics and MinePartitioned all build
-// their miners through it. LCM, Eclat, FP-Growth and H-mine record their
-// own counters, trace first-level subtrees and poll the cancellation flag
-// at every recursion node. Apriori and the tidset/diffset vertical miners
+// NewParallel, WithMetrics and MinePartitioned all build their miners
+// through it. LCM, Eclat, FP-Growth and H-mine record their own counters,
+// trace first-level subtrees and poll the cancellation flag at every
+// recursion node. Apriori and the tidset/diffset vertical miners
 // have no internal instrumentation: they count emissions through
 // countingMiner and never poll the flag, so only the scheduler's task
 // boundaries can stop them.
@@ -225,27 +231,6 @@ func wrapCancelled(err error, rec *metrics.Recorder) error {
 	return err
 }
 
-// MineContext is Mine with cooperative cancellation: the run stops within a
-// few recursion nodes of ctx being cancelled (or its deadline expiring) and
-// returns a *CancelledError wrapping ctx.Err(). The LCM, Eclat, FP-Growth
-// and H-mine kernels poll the cancellation flag at every recursion node;
-// Apriori and the tidset/diffset miners are not internally instrumented
-// and run to completion. A context that can never be cancelled costs
-// nothing.
-func MineContext(ctx context.Context, db *DB, algo Algorithm, patterns PatternSet, minSupport int) ([]Itemset, error) {
-	k, err := kernel(algo)
-	if err != nil {
-		return nil, err
-	}
-	cf, stop := cancel.FromContext(ctx)
-	defer stop()
-	var sc SliceCollector
-	if err := k(patterns, nil, nil, cf).Mine(db, minSupport, &sc); err != nil {
-		return nil, wrapCancelled(err, nil)
-	}
-	return sc.Sets, nil
-}
-
 // ParallelOption configures NewParallel beyond the worker count.
 type ParallelOption = parallel.Option
 
@@ -293,12 +278,6 @@ type (
 	// MetricsRecorder accumulates counters for one run; nil disables
 	// recording everywhere it is threaded.
 	MetricsRecorder = metrics.Recorder
-	// ParallelRunStats is the scheduler section of a Snapshot.
-	ParallelRunStats = metrics.ParallelStats
-	// WorkerRunStat is one worker's share of a parallel run.
-	WorkerRunStat = metrics.WorkerStat
-	// SimRunStats is the simulated cache/CPI section of a Snapshot.
-	SimRunStats = metrics.SimStats
 )
 
 // NewMetricsRecorder returns an enabled recorder to thread through
@@ -403,7 +382,8 @@ func poolSize(workers int) int {
 // same schema). Every kernel of the table is accepted. workers == 1 mines
 // sequentially; any other value mines through the work-stealing pool
 // exactly like NewParallel (0 means GOMAXPROCS), with scheduler counters
-// included in the Snapshot.
+// included in the Snapshot. WithContext makes the run cancellable, so
+// workers == 1 with WithContext is the cancellable form of Mine.
 //
 // ParallelMetrics routes the run into an existing recorder (so a live
 // telemetry server can scrape the counters mid-run); without it a private
@@ -411,52 +391,63 @@ func poolSize(workers int) int {
 // run's span timeline; a failing trace sink never interrupts mining — the
 // results and Snapshot are returned together with the single flush error.
 func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, workers int, opts ...ParallelOption) ([]Itemset, Snapshot, error) {
+	return observe(algo, patterns, workers, opts, func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error) {
+		var m Miner
+		if workers == 1 {
+			m = newKernel()
+		} else {
+			m = parallel.NewWithOptions(po, newKernel)
+		}
+		return m.Name(), func(c Collector) error { return m.Mine(db, minSupport, c) }
+	})
+}
+
+// observe is the one driver behind WithMetrics and
+// MinePartitionedWithConfig. It resolves algo, parses opts (supplying a
+// private recorder when ParallelMetrics is absent) and arms one
+// cancellation flag from WithContext, shared by the kernels (node-granular
+// latency) and the pool or partition passes; the flag's watcher goroutine
+// is joined before observe returns. setup receives a kernel builder that
+// records into the run's recorder, polls the flag and traces first-level
+// subtrees on sequential runs (under a pool the worker task spans own the
+// timeline), plus the resolved options; it returns the run's name and
+// body. The body runs between the recorder's and the trace's Start/Stop.
+// A context error becomes a *CancelledError; a failing trace sink is
+// returned once, alongside the complete results and Snapshot.
+func observe(algo Algorithm, patterns PatternSet, workers int, opts []ParallelOption,
+	setup func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error)) ([]Itemset, Snapshot, error) {
 	k, err := kernel(algo)
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
-	var po parallel.Options
+	po := parallel.Options{Workers: workers}
 	for _, fn := range opts {
 		fn(&po)
 	}
-	rec := po.Metrics
-	if rec == nil {
-		rec = metrics.NewRecorder()
-		opts = append(opts, parallel.WithMetrics(rec))
+	if po.Metrics == nil {
+		po.Metrics = metrics.NewRecorder()
 	}
-	tr := po.Trace
-	// Arm one cancellation flag per run from the WithContext option and
-	// share it between the kernels (node-granular latency) and the pool
-	// (task-granular draining); the watcher goroutine is joined before
-	// returning.
+	rec, tr := po.Metrics, po.Trace
 	cf, stopWatch := cancel.FromContext(po.Ctx)
 	defer stopWatch()
-	if cf != nil {
-		opts = append(opts, parallel.WithCancel(cf))
-	}
-	var m Miner
+	po.Cancel = cf
+	var ktr *trace.Recorder
 	if workers == 1 {
-		m = k(patterns, rec, tr, cf)
-	} else {
-		m = parallel.New(workers, func() Miner { return k(patterns, rec, nil, cf) }, opts...)
+		ktr = tr
 	}
+	name, body := setup(func() Miner { return k(patterns, rec, ktr, cf) }, po)
 
 	var sc SliceCollector
-	rec.Start(m.Name(), poolSize(workers))
-	tr.Start(m.Name(), rec)
-	err = m.Mine(db, minSupport, &sc)
+	rec.Start(name, poolSize(workers))
+	tr.Start(name, rec)
+	err = body(&sc)
 	rec.Stop()
 	tr.Stop()
 	if err != nil {
 		return nil, Snapshot{}, wrapCancelled(err, rec)
 	}
 	snap := rec.Snapshot()
-	if ferr := tr.Flush(); ferr != nil {
-		// Mining completed; surface the failing trace sink once, with the
-		// full results still attached.
-		return sc.Sets, snap, ferr
-	}
-	return sc.Sets, snap, nil
+	return sc.Sets, snap, tr.Flush()
 }
 
 // Out-of-core mining (see internal/partition): SON-style two-pass
@@ -492,9 +483,9 @@ func MinePartitioned(path string, algo Algorithm, patterns PatternSet, minSuppor
 }
 
 // PartitionRunConfig bundles the robustness knobs of an out-of-core run:
-// crash-safe checkpoint/resume and chunk-local ordering. The zero value
-// disables all of them (MinePartitioned's behaviour); cancellation comes
-// from the WithContext option.
+// crash-safe checkpoint/resume. The zero value disables both
+// (MinePartitioned's behaviour); cancellation comes from the WithContext
+// option.
 type PartitionRunConfig struct {
 	// Checkpoint, when non-empty, is the sidecar file where progress is
 	// persisted after every chunk with an atomic temp-file + rename, so a
@@ -514,58 +505,26 @@ type PartitionRunConfig struct {
 // MinePartitionedWithConfig is MinePartitioned plus the robustness knobs of
 // PartitionRunConfig; see that type for the semantics.
 func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, rc PartitionRunConfig, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
-	k, err := kernel(algo)
-	if err != nil {
-		return nil, PartitionSnapshot{}, err
-	}
-	var po parallel.Options
-	for _, fn := range opts {
-		fn(&po)
-	}
-	rec := po.Metrics
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	tr := po.Trace
-	cf, stopWatch := cancel.FromContext(po.Ctx)
-	defer stopWatch()
-	cfg := partition.Config{
-		MemBudget:  memBudget,
-		Workers:    workers,
-		Cutoff:     po.Cutoff,
-		Metrics:    rec,
-		Trace:      tr,
-		Cancel:     cf,
-		Checkpoint: rc.Checkpoint,
-		Resume:     rc.Resume,
-	}
-	// Kernel-level first-level spans apply only when chunks mine
-	// sequentially; under the per-chunk pool the worker task spans own the
-	// timeline.
-	var ktr *trace.Recorder
-	if workers == 1 {
-		ktr = tr
-	}
-	factory := func() Miner { return k(patterns, rec, ktr, cf) }
-	name := "partitioned(" + factory().Name() + ")"
-	rec.Start(name, poolSize(workers))
-	tr.Start(name, rec)
-	var sc SliceCollector
-	err = partition.Mine(path, factory, minSupport, cfg, &sc)
-	rec.Stop()
-	tr.Stop()
-	if err != nil {
-		return nil, PartitionSnapshot{}, wrapCancelled(err, rec)
-	}
-	snap := rec.Snapshot()
+	sets, snap, err := observe(algo, patterns, workers, opts, func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error) {
+		cfg := partition.Config{
+			MemBudget:  memBudget,
+			Workers:    workers,
+			Cutoff:     po.Cutoff,
+			Metrics:    po.Metrics,
+			Trace:      po.Trace,
+			Cancel:     po.Cancel,
+			Checkpoint: rc.Checkpoint,
+			Resume:     rc.Resume,
+		}
+		return "partitioned(" + newKernel().Name() + ")", func(c Collector) error {
+			return partition.Mine(path, newKernel, minSupport, cfg, c)
+		}
+	})
 	psnap := PartitionSnapshot{MemBudget: memBudget}
 	if snap.Partition != nil {
 		psnap = *snap.Partition
 	}
-	if ferr := tr.Flush(); ferr != nil {
-		return sc.Sets, psnap, ferr
-	}
-	return sc.Sets, psnap, nil
+	return sets, psnap, err
 }
 
 // Recommendation re-exports the autotuner's output type.
@@ -581,14 +540,6 @@ func Recommend(db *DB, minSupport int) Recommendation {
 // RecommendFor is Recommend against an explicit machine model.
 func RecommendFor(db *DB, minSupport int, cfg MachineConfig) Recommendation {
 	return tune.Recommend(dataset.ComputeStats(db), minSupport, cfg)
-}
-
-// MineAuto mines with the recommended kernel and patterns, returning the
-// recommendation alongside the results.
-func MineAuto(db *DB, minSupport int) ([]Itemset, Recommendation, error) {
-	rec := Recommend(db, minSupport)
-	sets, err := Mine(db, rec.Algorithm, rec.Patterns, minSupport)
-	return sets, rec, err
 }
 
 // ComputeStats scans the database and returns its characteristics.

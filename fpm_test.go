@@ -57,23 +57,29 @@ func TestNewMinerUnknown(t *testing.T) {
 
 func TestMineAutoRunsAndExplains(t *testing.T) {
 	db := testDB()
-	sets, rec, err := MineAuto(db, 20)
+	rec := Recommend(db, 20)
+	sets, err := Mine(db, rec.Algorithm, rec.Patterns, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sets) == 0 {
-		t.Fatal("MineAuto found nothing")
+		t.Fatal("the recommended configuration found nothing")
 	}
 	if len(rec.Rationale) == 0 {
 		t.Fatal("recommendation has no rationale")
 	}
-	// The recommendation must be reproducible via the explicit path.
-	again, err := Mine(db, rec.Algorithm, rec.Patterns, 20)
+	// The recommendation must be reproducible: a second Recommend picks
+	// the same configuration, which mines the same sets.
+	rec2 := Recommend(db, 20)
+	if rec2.Algorithm != rec.Algorithm || rec2.Patterns != rec.Patterns {
+		t.Fatalf("Recommend is not reproducible: %s then %s", rec, rec2)
+	}
+	again, err := Mine(db, rec2.Algorithm, rec2.Patterns, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(again) != len(sets) {
-		t.Fatalf("explicit path mined %d, auto mined %d", len(again), len(sets))
+		t.Fatalf("second run mined %d, first mined %d", len(again), len(sets))
 	}
 }
 

@@ -63,12 +63,13 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 	// 4. The autotuned mining path agrees with the reference.
-	sets, rec, err := MineAuto(loaded, minsup)
+	rec := Recommend(loaded, minsup)
+	sets, err := Mine(loaded, rec.Algorithm, rec.Patterns, minsup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sets) != len(want) {
-		t.Fatalf("MineAuto (%s) mined %d sets, reference has %d", rec, len(sets), len(want))
+		t.Fatalf("recommended %s mined %d sets, reference has %d", rec, len(sets), len(want))
 	}
 
 	// 5. The same database drives the simulator without error on both

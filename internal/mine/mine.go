@@ -89,6 +89,31 @@ func (s PatternSet) Patterns() []Pattern {
 	return out
 }
 
+// ParsePatterns resolves a comma-separated, case-insensitive list of
+// pattern names ("lex,simd", "Lex, Tile") to a PatternSet. The empty
+// string is the empty set and "all" is every pattern applicable to algo.
+func ParsePatterns(s string, algo Algorithm) (PatternSet, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil
+	}
+	if strings.EqualFold(s, "all") {
+		return Applicable(algo), nil
+	}
+	var ps PatternSet
+next:
+	for _, name := range strings.Split(s, ",") {
+		for _, pn := range patternNames {
+			if strings.EqualFold(strings.TrimSpace(name), pn.name) {
+				ps = ps.With(pn.p)
+				continue next
+			}
+		}
+		return 0, fmt.Errorf("unknown pattern %q", name)
+	}
+	return ps, nil
+}
+
 // Algorithm identifies one of the mining kernels under study.
 type Algorithm string
 

@@ -34,6 +34,38 @@ func TestPatternSetString(t *testing.T) {
 	}
 }
 
+// TestParsePatterns covers the one pattern-list parser behind the CLI
+// flags and the job-request field: names are comma-separated, trimmed and
+// case-insensitive.
+func TestParsePatterns(t *testing.T) {
+	cases := []struct {
+		in   string
+		algo Algorithm
+		want PatternSet
+	}{
+		{"lex,simd", Eclat, PatternSet(Lex | SIMD)},
+		{"", LCM, 0},
+		{"  ", LCM, 0},
+		{"all", LCM, Applicable(LCM)},
+		{"ALL", FPGrowth, Applicable(FPGrowth)},
+		{"Lex,SIMD", Eclat, PatternSet(Lex | SIMD)},
+		{"PREFETCHPTR,prefetch", FPGrowth, PatternSet(PrefetchPtr | Prefetch)},
+		{" lex , Tile ,compact ", LCM, PatternSet(Lex | Tile | Compact)},
+		{"aggregate,adapt", FPGrowth, PatternSet(Aggregate | Adapt)},
+	}
+	for _, c := range cases {
+		got, err := ParsePatterns(c.in, c.algo)
+		if err != nil || got != c.want {
+			t.Errorf("ParsePatterns(%q, %s) = %v, %v; want %v", c.in, c.algo, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"bogus", "lex,bogus", "lex,", "all,lex"} {
+		if _, err := ParsePatterns(bad, LCM); err == nil {
+			t.Errorf("ParsePatterns(%q) accepted an unknown pattern", bad)
+		}
+	}
+}
+
 // TestApplicableMatchesTable4 pins the applicability matrix to the paper's
 // Table 4 (the "√" cells).
 func TestApplicableMatchesTable4(t *testing.T) {

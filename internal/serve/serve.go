@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"fpm"
@@ -288,7 +287,7 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 		ps = fpm.Applicable(a)
 	} else if req.Patterns != "none" {
 		var err error
-		if ps, err = ParsePatterns(req.Patterns, a); err != nil {
+		if ps, err = fpm.ParsePatterns(req.Patterns, a); err != nil {
 			return jobs.MineResult{}, err
 		}
 	}
@@ -370,30 +369,4 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 		jobs.Emit(ctx, jobs.Event{Type: "result_cache", Outcome: "store"})
 	}
 	return jobs.MineResult{Itemsets: len(sets)}, nil
-}
-
-// ParsePatterns resolves a comma-separated tuning-pattern list ("lex,simd")
-// to a PatternSet; "" means none, "all" means every pattern applicable to
-// algo. Shared by the CLI flag and the job-request field.
-func ParsePatterns(s string, algo fpm.Algorithm) (fpm.PatternSet, error) {
-	if s == "" {
-		return 0, nil
-	}
-	if s == "all" {
-		return fpm.Applicable(algo), nil
-	}
-	names := map[string]fpm.Pattern{
-		"lex": fpm.Lex, "adapt": fpm.Adapt, "aggregate": fpm.Aggregate,
-		"compact": fpm.Compact, "prefetchptr": fpm.PrefetchPtr,
-		"tile": fpm.Tile, "prefetch": fpm.Prefetch, "simd": fpm.SIMD,
-	}
-	var ps fpm.PatternSet
-	for _, name := range strings.Split(s, ",") {
-		p, ok := names[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			return 0, fmt.Errorf("unknown pattern %q", name)
-		}
-		ps = ps.With(p)
-	}
-	return ps, nil
 }

@@ -295,24 +295,6 @@ func TestServeDrainMidStorm(t *testing.T) {
 	waitNoGoroutineGrowth(t, before)
 }
 
-// TestParsePatterns covers the shared pattern-list parser the CLI flag
-// and the job-request field both route through.
-func TestParsePatterns(t *testing.T) {
-	ps, err := ParsePatterns("lex,simd", "eclat")
-	if err != nil || !ps.Has(fpm.Lex) || !ps.Has(fpm.SIMD) {
-		t.Fatalf("ParsePatterns(lex,simd) = %v, %v", ps, err)
-	}
-	if ps, err := ParsePatterns("", "lcm"); err != nil || ps != 0 {
-		t.Fatalf("empty list = %v, %v", ps, err)
-	}
-	if got, err := ParsePatterns("all", "lcm"); err != nil || got != fpm.Applicable("lcm") {
-		t.Fatalf("all = %v, %v", got, err)
-	}
-	if _, err := ParsePatterns("bogus", "lcm"); err == nil {
-		t.Fatal("unknown pattern must error")
-	}
-}
-
 // TestMineJobValidation: a bad min_support fails fast without touching
 // the filesystem.
 func TestMineJobValidation(t *testing.T) {

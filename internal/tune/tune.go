@@ -139,12 +139,6 @@ func RecommendWith(s dataset.Stats, minSupport int, cfg memsim.Config, th Thresh
 	return r
 }
 
-// RecommendAlgorithmOnly picks between the three studied kernels for an
-// input without choosing patterns (used by the CLI's "auto" mode).
-func RecommendAlgorithmOnly(s dataset.Stats, minSupport int) mine.Algorithm {
-	return Recommend(s, minSupport, memsim.M1()).Algorithm
-}
-
 func (r *Recommendation) say(format string, args ...any) {
 	r.Rationale = append(r.Rationale, fmt.Sprintf(format, args...))
 }
