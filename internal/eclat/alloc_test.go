@@ -10,10 +10,11 @@ import (
 	"fpm/internal/mine"
 )
 
-// TestTunedAllocsBoundedByEmitted checks that a pruned candidate costs no
-// allocation: the tuned mine's allocations grow with the itemsets it emits,
-// not with the support countings it performs, which outnumber them several
-// times over on this corpus.
+// TestTunedAllocsBoundedByEmitted checks that neither a pruned candidate
+// nor an emitted itemset costs an allocation: candidates' vectors come
+// from the run's free list and itemsets are restored into one buffer, so
+// the tuned mine's allocations are bounded by the alphabet, though its support countings outnumber its itemsets several times over
+// on this corpus.
 func TestTunedAllocsBoundedByEmitted(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -30,14 +31,51 @@ func TestTunedAllocsBoundedByEmitted(t *testing.T) {
 	if snap.Supports < 4*snap.Emitted {
 		t.Fatalf("%d support countings for %d itemsets: the corpus no longer separates the two", snap.Supports, snap.Emitted)
 	}
-	// Per emitted itemset: the collector's copy, the restored item labels,
-	// the surviving candidate's vector (header and words) and at most one
-	// class slice. Per mine: one relabelled row per transaction, one vector
-	// per item and the recorder.
-	limit := 5*snap.Emitted + 2*uint64(db.Len()) + 1000
+	// Per alphabet item: a vector (header and words) at the root and about
+	// as many on the free list. Per mine: the relabelled rows' arena, the
+	// depth slices, the collector's chunks and the recorder.
+	limit := 4*uint64(db.NumItems) + 1000
+	t.Logf("%.0f allocations for %d itemsets and %d support countings", allocs, snap.Emitted, snap.Supports)
 	if uint64(allocs) > limit {
 		t.Fatalf("%.0f allocations for %d itemsets and %d support countings; limit %d",
 			allocs, snap.Emitted, snap.Supports, limit)
+	}
+}
+
+// questAllocs reports the allocations and itemsets of one tuned mine of
+// db at minsup.
+func questAllocs(t *testing.T, db *dataset.DB, minsup int) (allocs float64, itemsets int) {
+	t.Helper()
+	m := eclat.New(eclat.Options{Patterns: mine.Applicable(mine.Eclat)})
+	allocs = testing.AllocsPerRun(1, func() {
+		var cc mine.CountCollector
+		if err := m.Mine(db, minsup, &cc); err != nil {
+			t.Fatal(err)
+		}
+		itemsets = cc.N
+	})
+	return allocs, itemsets
+}
+
+// TestTunedAllocsIndependentOfItemsets checks that a mine's allocations
+// do not grow with the itemsets it emits: on the quest4k corpus of the
+// repository benchmark, support 40 emits 27 times the itemsets of support
+// 160, and must cost at most four times the allocations. One vector per
+// surviving candidate made the ratio 27.2.
+func TestTunedAllocsIndependentOfItemsets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := fpm.GenerateQuest(fpm.QuestConfig{Transactions: 4000, AvgLen: 20, AvgPatternLen: 6, Items: 400, Patterns: 80, Seed: 11})
+	few, fewSets := questAllocs(t, db, 160)
+	many, manySets := questAllocs(t, db, 40)
+	t.Logf("%.0f allocations for %d itemsets, %.0f for %d", few, fewSets, many, manySets)
+	if manySets < 20*fewSets {
+		t.Fatalf("%d itemsets at support 40, %d at 160: the corpus no longer separates the two", manySets, fewSets)
+	}
+	if many > 4*few {
+		t.Fatalf("%.0f allocations for %d itemsets, %.0f for %d: ratio %.2f, want at most 4",
+			many, manySets, few, fewSets, many/few)
 	}
 }
 

@@ -102,8 +102,9 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 // databases and dataset.ProjectedWeight approximates for the first-level
 // driver, so one shared spawn cutoff gates comparable work across kernels
 // (modulo LCM's RmDupTrans, which shrinks its count by merging duplicate
-// transactions). A stolen class carries only freshly ANDed vectors and a
-// prefix copy, so it shares no mutable state with the spawning recursion.
+// transactions). A stolen class carries its own vectors, a copy of its
+// node slice and a prefix copy, so it shares no mutable state with the
+// spawning recursion.
 func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -251,9 +252,10 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 	return m.opts.Cancel.Err()
 }
 
-// run carries the read-only mining context; it is shared by value across
-// stolen tasks (only sp differs per worker), so recursion state lives in
-// the arguments of mine.
+// run carries one goroutine's mining context. A stolen task copies it by
+// value and replaces sp, met and the reusable buffers below (see
+// descend), so no two goroutines share a run's mutable fields; the prefix
+// and the class being mined travel in the arguments of mine.
 type run struct {
 	n          int
 	minSupport int
@@ -266,6 +268,23 @@ type run struct {
 	rec        *metrics.Recorder
 	met        *metrics.Local // owned by this run's goroutine; stolen tasks get their own
 	tk         *trace.Track   // set on sequential runs only; stolen tasks never trace
+	// free holds vectors no node refers to any more, for the next AND.
+	free []*bitvec.Vector
+	// levels[d] is the node slice of the classes built at prefix length
+	// d, reused by every sibling class at that depth.
+	levels  [][]node
+	emitBuf []dataset.Item // an itemset restored to the original items
+}
+
+// vector returns a vector of r.n bits from the free list, or a new one.
+// Its words are stale: the caller's AND overwrites the range it reads.
+func (r *run) vector() *bitvec.Vector {
+	if n := len(r.free); n > 0 {
+		v := r.free[n-1]
+		r.free = r.free[:n-1]
+		return v
+	}
+	return bitvec.New(r.n)
 }
 
 // wrap applies the branch extension to a raw collector. Each call builds a
@@ -280,10 +299,10 @@ func (r *run) wrap(c mine.Collector) mine.Collector {
 
 func (r *run) emit(c mine.Collector, items []dataset.Item, support int) {
 	if r.ord != nil {
-		c.Collect(r.ord.Restore(items), support)
-	} else {
-		c.Collect(items, support)
+		r.emitBuf = r.ord.Restore(r.emitBuf[:0], items)
+		items = r.emitBuf
 	}
+	c.Collect(items, support)
 }
 
 // aborted reports whether the class recursion should unwind (run cancel
@@ -301,9 +320,10 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 	root := len(prefix) == 0
 	// scratch receives each candidate's AND. A pruned candidate leaves it
 	// for the next one; a surviving candidate keeps it, and the next
-	// candidate gets a fresh vector. Reuse is sound because every read of
-	// a node's vector stays inside the node's range, and each AND writes
-	// that whole range (see bitvec.AndCountRange).
+	// candidate takes another vector from the free list. Reusing a vector
+	// is sound because every read of a node's vector stays inside the
+	// node's range, and each AND writes that whole range (see
+	// bitvec.AndCountRange).
 	var scratch *bitvec.Vector
 	for i, nd := range class {
 		var ts int64
@@ -314,7 +334,11 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 		prefix = append(prefix, nd.item)
 		r.met.Emit()
 		r.emit(c, prefix, nd.support)
-		var next []node
+		depth := len(prefix)
+		for len(r.levels) <= depth {
+			r.levels = append(r.levels, nil)
+		}
+		next := r.levels[depth][:0]
 		weight := 0
 		for _, other := range class[i+1:] {
 			rng := nd.rng.Intersect(other.rng)
@@ -325,16 +349,13 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 				continue
 			}
 			if scratch == nil {
-				scratch = bitvec.New(r.n)
+				scratch = r.vector()
 			}
 			r.met.Support(1)
 			sup := r.andCount(scratch, nd.vec, other.vec, rng)
 			if sup < r.minSupport {
 				r.met.Prune()
 				continue
-			}
-			if next == nil {
-				next = make([]node, 0, len(class)-i-1)
 			}
 			next = append(next, node{item: other.item, vec: scratch, rng: rng, support: sup})
 			scratch = nil
@@ -344,6 +365,7 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 			// doc comment).
 			weight += sup
 		}
+		r.levels[depth] = next
 		if len(next) > 0 {
 			r.descend(next, weight, prefix, c)
 		}
@@ -352,23 +374,32 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 			r.tk.End(ts, "subtree", trace.CatKernel, int64(nd.item))
 		}
 	}
+	if scratch != nil {
+		r.free = append(r.free, scratch)
+	}
 }
 
 // descend recurses into the class sequentially unless the scheduler
-// accepts it as a stealable task. The class slice and its vectors belong
-// to this extension step alone — the spawning recursion's scratch vector
-// is never among them — so handing them to another worker is safe; only
-// the prefix needs copying.
+// accepts it as a stealable task. Mined here, the class's vectors return
+// to the free list once its subtree is done. The class's vectors are
+// referenced by no other node — the spawning recursion's scratch vector
+// is never among them — so a stolen class keeps them; its node slice is
+// this depth's reused one, and the prefix is the caller's, so both are
+// copied. The stolen task's run starts with its own free list, depth
+// slices and emission buffer.
 func (r *run) descend(next []node, weight int, prefix []dataset.Item, c mine.Collector) {
 	if r.sp != nil && r.sp.WouldSteal(weight) {
+		class := append([]node(nil), next...)
 		pcopy := append([]dataset.Item(nil), prefix...)
+		// Copied here: r's buffers change as this recursion goes on.
+		nr := *r
+		nr.free, nr.levels, nr.emitBuf = nil, nil, nil
 		if r.sp.Offer(weight, func(tc mine.Collector, sp mine.Spawner) error {
-			nr := *r
 			nr.sp = sp
 			// A stolen class runs on another worker: it must not share the
 			// spawning recursion's counter block.
 			nr.met = nr.rec.NewLocal()
-			nr.mine(next, pcopy, nr.wrap(tc))
+			nr.mine(class, pcopy, nr.wrap(tc))
 			nr.rec.Flush(nr.met)
 			return nil
 		}) {
@@ -376,4 +407,7 @@ func (r *run) descend(next []node, weight int, prefix []dataset.Item, c mine.Col
 		}
 	}
 	r.mine(next, prefix, c)
+	for _, nd := range next {
+		r.free = append(r.free, nd.vec)
+	}
 }

@@ -165,6 +165,7 @@ type state struct {
 	collect mine.Collector
 	ord     *lexorder.Ordering
 	prefix  []dataset.Item
+	emitBuf []dataset.Item // prefix restored to the original items
 	// flat is the P4-compacted conditional-base buffer, reused across the
 	// whole recursion.
 	flat []dataset.Item
@@ -189,7 +190,8 @@ type level struct {
 
 func (st *state) emit(support int32) {
 	st.met.Emit()
-	st.collect.Collect(st.ord.Restore(st.prefix), int(support))
+	st.emitBuf = st.ord.Restore(st.emitBuf[:0], st.prefix)
+	st.collect.Collect(st.emitBuf, int(support))
 }
 
 // newTree picks the node layout per P2.

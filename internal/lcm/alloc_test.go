@@ -9,26 +9,60 @@ import (
 	"fpm/internal/mine"
 )
 
-// TestTunedProjectionAllocs checks that a projection costs a fixed number
-// of allocations rather than one growing slice per projected row, on the
-// quest4k corpus of the repository benchmark.
+// quest4k is the quest4k corpus of the repository benchmark.
+func quest4k() *dataset.DB {
+	return gen.Quest(gen.QuestConfig{Transactions: 4000, AvgLen: 20, AvgPatternLen: 6, Items: 400, Patterns: 80, Seed: 11})
+}
+
+// questAllocs reports the allocations and itemsets of one tuned mine of
+// db at minsup.
+func questAllocs(t *testing.T, db *dataset.DB, minsup int) (allocs float64, itemsets int) {
+	t.Helper()
+	m := New(Options{Patterns: mine.Applicable(mine.LCM)})
+	allocs = testing.AllocsPerRun(1, func() {
+		var cc mine.CountCollector
+		if err := m.Mine(db, minsup, &cc); err != nil {
+			t.Fatal(err)
+		}
+		itemsets = cc.N
+	})
+	return allocs, itemsets
+}
+
+// TestTunedProjectionAllocs checks that projections reuse their depth's
+// storage: on quest4k at support 80, a mine costs a few thousand
+// allocations, where one arena per projection cost 284,612 and one
+// growing slice per projected row 1,106,715 (go1.24, linux/amd64).
 func TestTunedProjectionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	db := gen.Quest(gen.QuestConfig{Transactions: 4000, AvgLen: 20, AvgPatternLen: 6, Items: 400, Patterns: 80, Seed: 11})
-	const minsup = 80
-	// Tuned allocations per mine when every projected row grew its own
-	// slice and every OccArray column grew by append (go1.24, linux/amd64).
-	const perRowAllocs = 1_106_715
-	m := New(Options{Patterns: mine.Applicable(mine.LCM)})
-	allocs := testing.AllocsPerRun(1, func() {
-		if err := m.Mine(db, minsup, &mine.CountCollector{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > perRowAllocs/2 {
-		t.Fatalf("%.0f allocations per mine; want at most half of %d", allocs, perRowAllocs)
+	const limit = 6_000
+	allocs, _ := questAllocs(t, quest4k(), 80)
+	t.Logf("%.0f allocations per mine", allocs)
+	if allocs > limit {
+		t.Fatalf("%.0f allocations per mine; limit %d", allocs, limit)
+	}
+}
+
+// TestTunedAllocsIndependentOfItemsets checks that a mine's allocations
+// do not grow with the itemsets it emits: on quest4k, support 40 emits
+// 27 times the itemsets of support 160, and must cost at most twice the
+// allocations. One allocation per projection made the ratio 27.6.
+func TestTunedAllocsIndependentOfItemsets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := quest4k()
+	few, fewSets := questAllocs(t, db, 160)
+	many, manySets := questAllocs(t, db, 40)
+	t.Logf("%.0f allocations for %d itemsets, %.0f for %d", few, fewSets, many, manySets)
+	if manySets < 20*fewSets {
+		t.Fatalf("%d itemsets at support 40, %d at 160: the corpus no longer separates the two", manySets, fewSets)
+	}
+	if many > 2*few {
+		t.Fatalf("%.0f allocations for %d itemsets, %.0f for %d: ratio %.2f, want at most 2",
+			many, manySets, few, fewSets, many/few)
 	}
 }
 

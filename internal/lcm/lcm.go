@@ -100,8 +100,9 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 // sp is non-nil every recursion node's conditional database may be offered
 // to the scheduler as a stealable task, weighted by its item-occurrence
 // count. A stolen subtree is mined by a fresh state (own counters, own
-// prefix copy) on the executing worker; its conditional database shares no
-// mutable memory with the parent (projection materialises new rows).
+// depth storage, own prefix copy) on the executing worker; its conditional
+// database is copied out of the parent's depth storage when it is offered,
+// so it shares no mutable memory with the parent.
 func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -126,12 +127,11 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 		root.tx[i] = t
 		root.w[i] = 1
 	}
-	// RmDupTrans on the initial database exercises the paper's
-	// second-hottest function and shrinks the working set up front.
-	root = rmDupTrans(root)
-
 	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord, sp: sp,
 		cf: m.opts.Cancel, met: m.opts.Metrics.NewLocal()}
+	// RmDupTrans on the initial database exercises the paper's
+	// second-hottest function and shrinks the working set up front.
+	root = st.rmDupTrans(root)
 	if sp == nil {
 		// Sequential run: first-level subtrees become trace spans. Under
 		// the scheduler the worker tracks own the timeline instead.
@@ -174,27 +174,72 @@ type state struct {
 	prefix  []dataset.Item
 	emitBuf []dataset.Item
 	touched []dataset.Item
-	// projItems, projEnds and projW stage one projection's rows (items
-	// back-to-back, each row's end offset, each row's weight).
-	projItems []dataset.Item
-	projEnds  []int32
-	projW     []int32
+	// projEnds stages the end offsets of one projection's rows.
+	projEnds []int32
+	// buckets is RmDupTrans's bucket table, reused by every call.
+	buckets [][]int32
+	// levels[d] is the storage of recursion depth d (prefix length d),
+	// reused by every sibling mined at that depth.
+	levels []*level
+}
+
+// level is one recursion depth's storage: the conditional database mined
+// at that depth (rows cut from one item arena) and its OccArray. The next
+// sibling at the depth rebuilds both in place, once the previous sibling's
+// subtree has been mined.
+type level struct {
+	db    cdb
+	items []dataset.Item // db's rows, back to back
+	// occ's columns are consecutive slices of flat; support holds each
+	// item's weighted support.
+	occ     [][]int32
+	flat    []int32
+	support []int32
+}
+
+// level returns the storage of recursion depth d, creating it on first
+// use. A stolen subtree's state starts at the depth of its prefix, so the
+// slots below that depth stay nil.
+func (st *state) level(d int) *level {
+	for len(st.levels) <= d {
+		st.levels = append(st.levels, nil)
+	}
+	if st.levels[d] == nil {
+		st.levels[d] = &level{}
+	}
+	return st.levels[d]
+}
+
+// clone copies d into fresh memory: one arena holding the rows back to
+// back, sized by total, the item occurrences of d.
+func (d *cdb) clone(total int) *cdb {
+	arena := make([]dataset.Item, 0, total)
+	c := &cdb{items: d.items, tx: make([][]dataset.Item, len(d.tx)), w: append([]int32(nil), d.w...)}
+	for i, t := range d.tx {
+		start := len(arena)
+		arena = append(arena, t...)
+		c.tx[i] = arena[start:len(arena):len(arena)]
+	}
+	return c
 }
 
 // descend recurses into child sequentially, unless the scheduler accepts
 // it as a stealable task (weighted by the child's item-occurrence count).
-// The spawned closure rebuilds a full state on the executing worker; the
+// child lives in this state's depth storage, which the next sibling
+// overwrites, so a child offered to the scheduler is first cloned; the
+// spawned closure rebuilds a full state on the executing worker, and the
 // prefix is copied because the parent keeps mutating its own.
 func (st *state) descend(child *cdb) {
 	if st.sp != nil {
 		if w := mine.SubtreeWeight(child.tx); st.sp.WouldSteal(w) {
+			own := child.clone(w)
 			prefix := append([]dataset.Item(nil), st.prefix...)
 			m, minsup, ord := st.m, st.minsup, st.ord
 			if st.sp.Offer(w, func(c mine.Collector, sp mine.Spawner) error {
 				ns := &state{m: m, minsup: minsup, collect: c, ord: ord, sp: sp, prefix: prefix,
 					cf: m.opts.Cancel, met: m.opts.Metrics.NewLocal()}
-				ns.cnt = make([]int32, child.items)
-				ns.mineNode(child, false)
+				ns.cnt = make([]int32, own.items)
+				ns.mineNode(own, false)
 				m.opts.Metrics.Flush(ns.met)
 				return nil
 			}) {
@@ -208,7 +253,8 @@ func (st *state) descend(child *cdb) {
 func (st *state) emit(support int32) {
 	st.met.Emit()
 	if st.ord != nil {
-		st.collect.Collect(st.ord.Restore(st.prefix), int(support))
+		st.emitBuf = st.ord.Restore(st.emitBuf[:0], st.prefix)
+		st.collect.Collect(st.emitBuf, int(support))
 		return
 	}
 	// The recursion appends extensions in decreasing item order; report
@@ -235,7 +281,7 @@ func (st *state) mineNode(d *cdb, root bool) {
 	if st.aborted() {
 		return
 	}
-	occ, support := buildOcc(d)
+	occ, support := st.level(len(st.prefix)).buildOcc(d)
 	// One node expanded; its support countings are the support values just
 	// computed over the conditional alphabet.
 	st.met.Node()
@@ -285,13 +331,15 @@ func (st *state) mineNode(d *cdb, root bool) {
 	}
 }
 
-// buildOcc computes the OccArray of d — for each item the row indices of
-// the transactions containing it, in increasing row order — plus each
-// item's weighted support. A counting pass sizes every column first, so
-// the columns are consecutive slices of one array.
-func buildOcc(d *cdb) ([][]int32, []int32) {
-	occ := make([][]int32, d.items)
-	support := make([]int32, d.items)
+// buildOcc computes, in lv's OccArray storage, the OccArray of d — for
+// each item the row indices of the transactions containing it, in
+// increasing row order — plus each item's weighted support. A counting
+// pass sizes every column first, so the columns are consecutive slices of
+// one array.
+func (lv *level) buildOcc(d *cdb) ([][]int32, []int32) {
+	occ := grow(lv.occ, d.items)
+	support := grow(lv.support, d.items)
+	clear(support)
 	total := 0
 	for _, t := range d.tx {
 		total += len(t)
@@ -299,7 +347,8 @@ func buildOcc(d *cdb) ([][]int32, []int32) {
 			support[it]++
 		}
 	}
-	flat := make([]int32, total)
+	flat := grow(lv.flat, total)
+	lv.occ, lv.support, lv.flat = occ, support, flat
 	off := int32(0)
 	for it, n := range support {
 		occ[it] = flat[off : off : off+n]
@@ -314,6 +363,17 @@ func buildOcc(d *cdb) ([][]int32, []int32) {
 		}
 	}
 	return occ, support
+}
+
+// grow returns s resliced to length n. When its capacity is short it is
+// reallocated to at least twice that capacity, so a depth whose siblings
+// grow slowly reallocates a logarithmic number of times. The contents are
+// unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // calcFreq is the CalcFreq hot loop: traverse the occ column of e, follow
@@ -341,12 +401,14 @@ func (st *state) calcFreq(d *cdb, col []int32, e dataset.Item) {
 // (freq holds their conditional frequencies), followed by RmDupTrans.
 // Returns nil when the child is empty.
 //
-// The rows are staged in the state's reused buffers, then copied into one
-// arena allocated at its final size, and re-sliced out of it: a projection
-// costs a fixed handful of allocations however many rows it has. The
-// child owns its arena, so a stolen child shares nothing with the parent.
+// The child is built in the storage of the depth it is mined at, the
+// prefix length: its rows are cut from that depth's item arena and its
+// row headers and weights reuse that depth's slices, so once a depth has
+// grown to fit its largest sibling a projection allocates nothing. The
+// child is valid until the next projection at the same depth.
 func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb {
-	items, ends, w := st.projItems[:0], st.projEnds[:0], st.projW[:0]
+	lv := st.level(len(st.prefix))
+	items, ends, w := lv.items[:0], st.projEnds[:0], lv.db.w[:0]
 	for _, ti := range col {
 		start := len(items)
 		for _, it := range d.tx[ti] {
@@ -362,18 +424,18 @@ func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb
 			w = append(w, d.w[ti])
 		}
 	}
-	st.projItems, st.projEnds, st.projW = items, ends, w
+	lv.items, st.projEnds = items, ends
 	if len(ends) == 0 {
 		return nil
 	}
-	arena := append([]dataset.Item(nil), items...)
-	child := &cdb{items: int(e), tx: make([][]dataset.Item, len(ends)), w: append([]int32(nil), w...)}
+	tx := grow(lv.db.tx, len(ends))
 	start := int32(0)
 	for i, end := range ends {
-		child.tx[i] = arena[start:end:end]
+		tx[i] = items[start:end:end]
 		start = end
 	}
-	return rmDupTrans(child)
+	lv.db = cdb{tx: tx, w: w, items: int(e)}
+	return st.rmDupTrans(&lv.db)
 }
 
 // mineRootTiled is the P6.1 path. The OccArray is sliced into horizontal

@@ -96,7 +96,7 @@ func TestRmDupTransMergesWeights(t *testing.T) {
 		tx:    [][]dataset.Item{{0, 1}, {2}, {0, 1}, {2}, {0}},
 		w:     []int32{1, 2, 3, 4, 5},
 	}
-	got := rmDupTrans(d)
+	got := new(state).rmDupTrans(d)
 	if len(got.tx) != 3 {
 		t.Fatalf("%d unique transactions, want 3", len(got.tx))
 	}
@@ -110,9 +110,24 @@ func TestRmDupTransMergesWeights(t *testing.T) {
 	}
 }
 
+// TestRmDupTransReusesBuckets checks that a call sees the state's bucket
+// table empty, though the previous call left every row's index in it.
+func TestRmDupTransReusesBuckets(t *testing.T) {
+	st := new(state)
+	st.rmDupTrans(&cdb{items: 4, tx: [][]dataset.Item{{0}, {1}, {2}, {3}}, w: []int32{1, 1, 1, 1}})
+	got := st.rmDupTrans(&cdb{items: 4, tx: [][]dataset.Item{{3}, {1}, {2}, {3}}, w: []int32{1, 1, 1, 1}})
+	wBy := map[string]int32{}
+	for i, tr := range got.tx {
+		wBy[mine.Key(tr)] = got.w[i]
+	}
+	if len(got.tx) != 3 || wBy["3"] != 2 || wBy["1"] != 1 || wBy["2"] != 1 {
+		t.Fatalf("second call merged to %v, want 3:2, 1:1, 2:1", wBy)
+	}
+}
+
 func TestRmDupTransTrivial(t *testing.T) {
 	d := &cdb{items: 1, tx: [][]dataset.Item{{0}}, w: []int32{1}}
-	if got := rmDupTrans(d); got != d {
+	if got := new(state).rmDupTrans(d); got != d {
 		t.Fatal("single-transaction database should be returned unchanged")
 	}
 }

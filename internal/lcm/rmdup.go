@@ -14,10 +14,13 @@ import "fpm/internal/dataset"
 // starts from survives only in internal/simkern's model; natively it never
 // ran faster.
 //
-// d is compacted in place and returned: the k-th distinct transaction
-// moves to slot k, which is at most its own index, so every slot is read
-// before it is overwritten. Callers pass a database they own.
-func rmDupTrans(d *cdb) *cdb {
+// d's row headers and weights are compacted in place and d is returned:
+// the k-th distinct transaction moves to slot k, which is at most its own
+// index, so every slot is read before it is overwritten. The rows
+// themselves are only read. The bucket table is the state's, reused by
+// every call: each call empties the buckets it uses and keeps their
+// capacity.
+func (st *state) rmDupTrans(d *cdb) *cdb {
 	if len(d.tx) < 2 {
 		return d
 	}
@@ -28,7 +31,13 @@ func rmDupTrans(d *cdb) *cdb {
 	mask := uint32(nb - 1)
 
 	out := 0
-	buckets := make([][]int32, nb)
+	if len(st.buckets) < nb {
+		st.buckets = append(st.buckets, make([][]int32, nb-len(st.buckets))...)
+	}
+	buckets := st.buckets[:nb]
+	for b := range buckets {
+		buckets[b] = buckets[b][:0]
+	}
 	for ti, t := range d.tx {
 		b := hashTx(t) & mask
 		found := false

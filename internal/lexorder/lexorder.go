@@ -152,14 +152,16 @@ func Less(a, b dataset.Transaction) bool {
 }
 
 // Restore maps a mined itemset expressed in rank space back to the original
-// item alphabet, returning a new sorted slice.
-func (o *Ordering) Restore(set []dataset.Item) []dataset.Item {
-	out := make([]dataset.Item, len(set))
-	for i, r := range set {
-		out[i] = o.Orig[r]
+// item alphabet, appends it in increasing order to dst and returns the
+// extended slice. Miners pass their emission buffer truncated to length
+// zero, so restoring allocates only when the buffer grows.
+func (o *Ordering) Restore(dst, set []dataset.Item) []dataset.Item {
+	n := len(dst)
+	for _, r := range set {
+		dst = append(dst, o.Orig[r])
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Discontinuities counts, summed over all items, the number of maximal runs

@@ -63,9 +63,14 @@ func TestAnalyzeRankInverse(t *testing.T) {
 func TestRestore(t *testing.T) {
 	_, o := Apply(paperDB())
 	// Rank set {0,1} is {c,f} = original items {2,5}.
-	got := o.Restore([]dataset.Item{0, 1})
+	got := o.Restore(nil, []dataset.Item{0, 1})
 	if !reflect.DeepEqual(got, []dataset.Item{2, 5}) {
 		t.Fatalf("Restore = %v, want [2 5]", got)
+	}
+	// Restore appends after dst's contents and sorts only what it appends.
+	got = o.Restore([]dataset.Item{9}, []dataset.Item{1, 0})
+	if !reflect.DeepEqual(got, []dataset.Item{9, 2, 5}) {
+		t.Fatalf("Restore after [9] = %v, want [9 2 5]", got)
 	}
 }
 
@@ -148,7 +153,7 @@ func TestApplyPreservesDatabaseProperty(t *testing.T) {
 		back := make([]string, lex.Len())
 		orig := make([]string, db.Len())
 		for i, tr := range lex.Tx {
-			back[i] = key(o.Restore(tr))
+			back[i] = key(o.Restore(nil, tr))
 		}
 		for i, tr := range db.Tx {
 			s := append(dataset.Transaction(nil), tr...)

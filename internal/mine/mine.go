@@ -173,11 +173,23 @@ type Itemset struct {
 // SliceCollector stores every mined itemset.
 type SliceCollector struct {
 	Sets []Itemset
+	// arena is the chunk the stored itemsets' items are copied into. Each
+	// Items is capped at its own length, so appending to one reallocates
+	// instead of overwriting its neighbour.
+	arena []dataset.Item
 }
+
+// collectChunk is the number of items per SliceCollector arena chunk.
+const collectChunk = 4096
 
 // Collect implements Collector.
 func (c *SliceCollector) Collect(items []dataset.Item, support int) {
-	c.Sets = append(c.Sets, Itemset{Items: append([]dataset.Item(nil), items...), Support: support})
+	if len(c.arena)+len(items) > cap(c.arena) {
+		c.arena = make([]dataset.Item, 0, max(collectChunk, len(items)))
+	}
+	start := len(c.arena)
+	c.arena = append(c.arena, items...)
+	c.Sets = append(c.Sets, Itemset{Items: c.arena[start:len(c.arena):len(c.arena)], Support: support})
 }
 
 // Key canonicalises an itemset (sorted, comma-joined) for set comparison.

@@ -117,6 +117,40 @@ func TestCollectors(t *testing.T) {
 	}
 }
 
+// TestSliceCollectorItemsIsolated checks that itemsets copied into the
+// same arena chunk stay apart: appending to one stored Items must not
+// change its neighbour's, and itemsets spanning a chunk boundary keep
+// their contents.
+func TestSliceCollectorItemsIsolated(t *testing.T) {
+	var sc SliceCollector
+	sc.Collect([]dataset.Item{1, 2}, 3)
+	sc.Collect([]dataset.Item{4, 5}, 6)
+	grown := append(sc.Sets[0].Items, 7)
+	if got := sc.Sets[1].Items; got[0] != 4 || got[1] != 5 {
+		t.Fatalf("appending %v to the first itemset changed the second to %v", grown, got)
+	}
+	big := make([]dataset.Item, collectChunk+1)
+	for i := range big {
+		big[i] = dataset.Item(i)
+	}
+	// Ten 1000-item itemsets cross two chunk boundaries; the last one
+	// does not fit any chunk.
+	for n := 0; n < 10; n++ {
+		sc.Collect(big[:1000], n)
+	}
+	sc.Collect(big, 10)
+	for i, s := range sc.Sets[2:] {
+		for j, it := range s.Items {
+			if it != dataset.Item(j) {
+				t.Fatalf("itemset %d item %d = %d after later collects", i+2, j, it)
+			}
+		}
+	}
+	if got := len(sc.Sets[len(sc.Sets)-1].Items); got != len(big) {
+		t.Fatalf("itemset larger than a chunk stored %d items, want %d", got, len(big))
+	}
+}
+
 func TestResultSetEqualAndDiff(t *testing.T) {
 	a := ResultSet{"1": 2, "1,2": 1}
 	b := ResultSet{"1": 2, "1,2": 1}

@@ -22,13 +22,18 @@ func lcmFactory() mine.Miner { return lcm.New(lcm.Options{}) }
 
 // kernelFactories covers all four kernels: two Splitters (lcm, eclat — the
 // work-stealing path) and two plain miners (fpgrowth, apriori — the
-// first-level fallback path).
+// first-level fallback path). The Splitters also run with every applicable
+// pattern, so stealing meets their tuned paths: Lex, LCM's tiled root, the
+// clone of a stolen child out of LCM's depth storage and Eclat's vector
+// free list.
 func kernelFactories() map[string]func() mine.Miner {
 	return map[string]func() mine.Miner{
-		"lcm":      lcmFactory,
-		"eclat":    func() mine.Miner { return eclat.New(eclat.Options{}) },
-		"fpgrowth": func() mine.Miner { return fpgrowth.New(fpgrowth.Options{}) },
-		"apriori":  func() mine.Miner { return apriori.New() },
+		"lcm":         lcmFactory,
+		"lcm-tuned":   func() mine.Miner { return lcm.New(lcm.Options{Patterns: mine.Applicable(mine.LCM)}) },
+		"eclat":       func() mine.Miner { return eclat.New(eclat.Options{}) },
+		"eclat-tuned": func() mine.Miner { return eclat.New(eclat.Options{Patterns: mine.Applicable(mine.Eclat)}) },
+		"fpgrowth":    func() mine.Miner { return fpgrowth.New(fpgrowth.Options{}) },
+		"apriori":     func() mine.Miner { return apriori.New() },
 	}
 }
 
