@@ -13,13 +13,16 @@ import (
 // TestTunedAllocsBoundedByEmitted checks that neither a pruned candidate
 // nor an emitted itemset costs an allocation: candidates' vectors come
 // from the run's free list and itemsets are restored into one buffer, so
-// the tuned mine's allocations are bounded by the alphabet, though its support countings outnumber its itemsets several times over
-// on this corpus.
+// the tuned mine's allocations are bounded by the alphabet, though its
+// support countings outnumber its itemsets several times over on this
+// corpus: 27,958 for 5,903 itemsets. The same generator with 60 patterns
+// gives 28,720 itemsets for 58,365 countings, too few to tell the two
+// apart, since the classes expand least frequent item first.
 func TestTunedAllocsBoundedByEmitted(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	db := fpm.GenerateQuest(fpm.QuestConfig{Transactions: 1500, AvgLen: 16, AvgPatternLen: 5, Items: 300, Patterns: 60, Seed: 7})
+	db := fpm.GenerateQuest(fpm.QuestConfig{Transactions: 1500, AvgLen: 16, AvgPatternLen: 5, Items: 300, Patterns: 200, Seed: 7})
 	const minsup = 30
 	var snap fpm.Snapshot
 	allocs := testing.AllocsPerRun(1, func() {
