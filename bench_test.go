@@ -425,31 +425,61 @@ func benchSkewSetup() {
 }
 
 // BenchmarkParallelScaling runs the work-stealing scheduler on the skewed
-// workload at 1 to 8 workers, for the two Splitter kernels. CI runs this
-// at -benchtime 1x as a regression canary.
+// workload at 1 to 8 workers, for the two Splitter kernels untuned and for
+// Eclat with every applicable pattern (eclat-tuned). CI runs this at
+// -benchtime 1x as a regression canary.
 func BenchmarkParallelScaling(b *testing.B) {
 	benchSkewSetup()
 	kernels := []struct {
+		name string
 		algo Algorithm
-		sup  int
-	}{{LCM, benchSkewSupport}, {Eclat, benchSkewSupport}}
+		ps   PatternSet
+	}{{"lcm", LCM, 0}, {"eclat", Eclat, 0}, {"eclat-tuned", Eclat, Applicable(Eclat)}}
 	for _, k := range kernels {
 		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", k.algo, workers), func(b *testing.B) {
-				m, err := NewParallel(workers, k.algo, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < b.N; i++ {
-					var cc CountCollector
-					if err := m.Mine(benchSkew, k.sup, &cc); err != nil {
-						b.Fatal(err)
-					}
-					if cc.N == 0 {
-						b.Fatal("degenerate workload")
-					}
-				}
+			b.Run(fmt.Sprintf("%s/workers-%d", k.name, workers), func(b *testing.B) {
+				mineParallelBench(b, benchSkew, k.algo, k.ps, benchSkewSupport, workers)
 			})
+		}
+	}
+}
+
+// BenchmarkParallelEclatDense runs Eclat untuned and with every applicable
+// pattern at 1 and 2 workers on the three mine-dense corpora at the
+// repository benchmark's supports (bench/mine.go), the cells where
+// parallel Eclat is compared with the sequential kernel in EXPERIMENTS.md.
+func BenchmarkParallelEclatDense(b *testing.B) {
+	benchSetup()
+	benchSkewSetup()
+	for _, c := range []struct {
+		name   string
+		db     *DB
+		minsup int
+	}{{"quest4k", benchQuest, 80}, {"docs3k", benchDocs, 300}, {"skew6k", benchSkew, 350}} {
+		for _, ps := range []PatternSet{0, Applicable(Eclat)} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers-%d", c.name, ps, workers), func(b *testing.B) {
+					mineParallelBench(b, c.db, Eclat, ps, c.minsup, workers)
+				})
+			}
+		}
+	}
+}
+
+// mineParallelBench mines db through the work-stealing pool b.N times.
+func mineParallelBench(b *testing.B, db *DB, algo Algorithm, ps PatternSet, minsup, workers int) {
+	b.Helper()
+	m, err := NewParallel(workers, algo, ps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		var cc CountCollector
+		if err := m.Mine(db, minsup, &cc); err != nil {
+			b.Fatal(err)
+		}
+		if cc.N == 0 {
+			b.Fatal("degenerate workload")
 		}
 	}
 }

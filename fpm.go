@@ -259,10 +259,21 @@ func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicM
 // goroutine, so the Collector single-goroutine contract holds; collectors
 // implementing mine.BatchCollector absorb whole shards without a
 // per-itemset replay.
+//
+// A Miner has no run boundary at which to flush a trace, so NewParallel
+// rejects WithTrace; trace it with ParallelTrace and a recorder the caller
+// starts, stops and flushes.
 func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...ParallelOption) (Miner, error) {
 	k, err := kernel(algo)
 	if err != nil {
 		return nil, err
+	}
+	var po parallel.Options
+	for _, fn := range opts {
+		fn(&po)
+	}
+	if _, ok := po.Trace.Output().(runTraceSink); ok {
+		return nil, errors.New("fpm: WithTrace traces only WithMetrics and MinePartitioned runs; give NewParallel a ParallelTrace recorder")
 	}
 	return parallel.New(workers, func() Miner { return k(patterns, nil, nil, nil) }, opts...), nil
 }
@@ -305,10 +316,14 @@ func NewTraceRecorder(w io.Writer) *TraceRecorder {
 // worker and partition phase are recorded and written to w as Chrome
 // trace-event JSON when the run ends. A failing writer never interrupts
 // mining — the run completes and the write error is returned once,
-// alongside the full results.
+// alongside the full results. NewParallel rejects it (see ParallelTrace).
 func WithTrace(w io.Writer) ParallelOption {
-	return parallel.WithTrace(trace.NewRecorder(trace.WithOutput(w)))
+	return parallel.WithTrace(trace.NewRecorder(trace.WithOutput(runTraceSink{w})))
 }
+
+// runTraceSink marks the writer of a recorder WithTrace made, which only
+// an observed run flushes.
+type runTraceSink struct{ io.Writer }
 
 // ParallelTrace routes span timelines into an existing trace recorder,
 // for callers that manage the recorder lifecycle themselves (call Start

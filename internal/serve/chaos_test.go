@@ -153,7 +153,7 @@ func (c *chaosChild) waitJob(t *testing.T, id int) jobs.Job {
 // dir, and assert the three durability promises — the hot key is hot
 // again, the lost jobs requeue and complete, and every listing matches an
 // uninterrupted mine. Serve gate (d) then requires the restored hot key
-// to beat the cold-identity floor on e2e p99. Finally the graceful
+// to beat the cold-identity floor on median e2e. Finally the graceful
 // SIGTERM path must exit 0 with a flushed snapshot.
 func TestServeKillRestartRecovery(t *testing.T) {
 	if testing.Short() && os.Getenv("CI") == "" {
@@ -289,9 +289,11 @@ func TestServeKillRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// Gate (d): with the queue idle again, the restored hot key's e2e p99
-	// must beat the floor set by fresh input identities, which no cache
-	// can answer.
+	// Gate (d): with the queue idle again, the restored hot key's median
+	// e2e must beat the floor set by fresh input identities, which no
+	// cache can answer. Eight samples a side resolve the median, with four
+	// beyond it. Their p99 is their maximum: one sample, which a
+	// scheduling stall beside a busy test run decides.
 	var hotE2E, coldE2E hdr.Hist
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 8; i++ {
@@ -312,11 +314,12 @@ func TestServeKillRestartRecovery(t *testing.T) {
 			e2e.Record(time.Since(start).Nanoseconds())
 		}
 	}
-	if err := p99Below(&hotE2E, &coldE2E); err != nil {
-		t.Fatalf("post-restart hot key against the cold floor: %v", err)
+	hotP50, coldP50 := time.Duration(hotE2E.Quantile(0.5)), time.Duration(coldE2E.Quantile(0.5))
+	if hotP50 >= coldP50 {
+		t.Fatalf("post-restart hot key against the cold floor: e2e p50 %v is not below %v", hotP50, coldP50)
 	}
-	t.Logf("post-restart e2e p99: hot %v, cold floor %v",
-		time.Duration(hotE2E.Quantile(0.99)), time.Duration(coldE2E.Quantile(0.99)))
+	t.Logf("post-restart e2e p50 (max): hot %v (%v), cold floor %v (%v)",
+		hotP50, time.Duration(hotE2E.Quantile(1)), coldP50, time.Duration(coldE2E.Quantile(1)))
 
 	// Graceful half: SIGTERM flushes a final snapshot and exits 0.
 	if err := child2.cmd.Process.Signal(syscall.SIGTERM); err != nil {

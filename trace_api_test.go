@@ -162,6 +162,34 @@ func TestTraceSequentialKernelTrack(t *testing.T) {
 	}
 }
 
+// NewParallel has no run boundary at which to flush a WithTrace sink, so
+// it must refuse one rather than mine and write nothing; a ParallelTrace
+// recorder, which the caller starts, stops and flushes, stays accepted.
+func TestNewParallelRejectsWithTrace(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewParallel(2, LCM, 0, WithTrace(&buf)); err == nil {
+		t.Fatal("NewParallel accepted a WithTrace sink it never flushes")
+	}
+
+	tr := NewTraceRecorder(&buf)
+	m, err := NewParallel(2, LCM, 0, ParallelTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Start(m.Name(), nil)
+	var cc CountCollector
+	if err := m.Mine(testDB(), 20, &cc); err != nil {
+		t.Fatal(err)
+	}
+	tr.Stop()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cc.N == 0 || buf.Len() == 0 {
+		t.Fatalf("ParallelTrace run mined %d itemsets and wrote %d trace bytes", cc.N, buf.Len())
+	}
+}
+
 // brokenWriter fails after the first write, like a disk filling mid-flush.
 type brokenWriter struct{ writes int }
 
