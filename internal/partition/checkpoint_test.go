@@ -56,12 +56,8 @@ func trieEquivalent(t *testing.T, a, b *sealed) {
 	probes := []dataset.Transaction{
 		{1}, {2}, {3}, {1, 2}, {1, 2, 5}, {1, 2, 3, 5}, {0, 4, 9}, {},
 	}
-	ca := make([]uint32, a.Candidates())
-	cb := make([]uint32, b.Candidates())
-	for _, tx := range probes {
-		a.Count(tx, ca)
-		b.Count(tx, cb)
-	}
+	ca := verticalCounts(a, probes)
+	cb := verticalCounts(b, probes)
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatalf("count diverges at candidate %d: %d vs %d", i, ca[i], cb[i])

@@ -9,8 +9,10 @@
 // database; the union of those local answers is a candidate superset of
 // the global answer (an itemset below the scaled threshold in every chunk
 // is below minSupport globally). Pass 2 re-streams the file and counts
-// every candidate's exact global support with a subset walk over a
-// candidate trie, then filters to the true frequent set. The result is
+// every candidate's exact global support vertically, on one goroutine:
+// per chunk, one occurrence bit vector per trie item and one fused
+// AND+popcount per trie node (recount.go), then filters to the true
+// frequent set. Workers parallelise pass-1 mining only. The result is
 // exactly the in-memory answer — the differential tests assert identity
 // against every kernel — while the resident transaction data never
 // exceeds one chunk.
@@ -32,7 +34,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"fpm/internal/cancel"
@@ -52,7 +53,8 @@ import (
 // BenchmarkPartitionedVsInMemory measures LCM's full working set at ~6×
 // the resident transaction bytes) and the candidate trie, so the whole
 // run stays within the budget the caller configured (the out-of-core
-// benchmark asserts peak heap growth < 2× budget).
+// benchmark asserts peak heap growth < 2× budget). Pass 2 holds no
+// kernel working set; its recount vectors take at most one more share.
 const chunkDivisor = 8
 
 // Config parameterises one out-of-core run.
@@ -61,10 +63,11 @@ type Config struct {
 	// data plus mining working set. Must be positive. The chunk itself is
 	// capped at MemBudget/8 (see chunkDivisor).
 	MemBudget int64
-	// Workers is the mining/counting parallelism: 1 mines each chunk
+	// Workers is the pass-1 mining parallelism: 1 mines each chunk
 	// sequentially, other values run the work-stealing pool per chunk
 	// (<= 0 means GOMAXPROCS). Chunks are processed one at a time either
-	// way — concurrency never holds more than one chunk resident.
+	// way — concurrency never holds more than one chunk resident. Pass 2
+	// always counts on the caller's goroutine.
 	Workers int
 	// Cutoff is the work-stealing task-spawn cutoff passed through to the
 	// pool; <= 0 selects the pool's default.
@@ -311,7 +314,7 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 			return err
 		}
 		// Pass 1 is over: no more inserts. Flatten the candidate union into
-		// the sealed arena form (P3+P4) that pass 2's subset counting and
+		// the sealed arena form (P3+P4) that pass 2's vertical recount and
 		// the remaining checkpoints run against, and drop the mutable trie.
 		sts := ptk.Begin()
 		sl = tr.Seal()
@@ -323,27 +326,23 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 		return nil
 	}
 
-	// Pass 2 — exact global recount: re-stream the file and walk every
-	// transaction through the (now read-only) trie. Transactions of a
-	// chunk are striped across workers, each counting into its own flat
-	// array; arrays are merged once after the stream ends. Checkpoints
-	// persist the merged partial counts per chunk; a phase-2 resume
-	// restores them into worker 0's array and skips the counted
-	// transactions.
+	// Pass 2 — exact global recount: re-stream the file and count every
+	// candidate vertically, chunk by chunk (recount.go), on this goroutine
+	// into one count array indexed by candidate id. Checkpoints persist the
+	// partial counts per chunk; a phase-2 resume restores them and skips
+	// the counted transactions.
 	t1 := time.Now()
 	p2ts := ptk.Begin()
-	counts := make([][]uint32, workers)
-	for w := range counts {
-		counts[w] = make([]uint32, sl.Candidates())
-	}
+	counts := make([]uint32, sl.Candidates())
 	p2skip, p2done := 0, 0
 	if resumed != nil && resumed.Phase >= 2 {
-		copy(counts[0], resumed.counts)
+		copy(counts, resumed.counts)
 		p2skip, p2done = resumed.TxConsumed, resumed.TxConsumed
 	}
 	if err := rewind(f); err != nil {
 		return err
 	}
+	vc := newVertical(sl, chunkBudget)
 	cr = &countingReader{r: f}
 	err = fimi.ReadChunksFrom(cr, chunkBudget, p2skip, func(chunk *dataset.DB) error {
 		if err := cfg.Cancel.Err(); err != nil {
@@ -352,27 +351,11 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 		if err := failpoint.Hit(failpoint.PartitionRecountChunk); err != nil {
 			return err
 		}
-		if workers == 1 || chunk.Len() < 2*workers {
-			for _, tx := range chunk.Tx {
-				sl.Count(tx, counts[0])
-			}
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < chunk.Len(); i += workers {
-						sl.Count(chunk.Tx[i], counts[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
+		vc.Count(chunk.Tx, counts)
 		p2done += chunk.Len()
 		if cfg.Checkpoint != "" {
 			saveCkpt(Checkpoint{TotalTx: totalTx, Phase: 2, ChunksDone: chunkIdx,
-				TxConsumed: p2done, trie: sl, counts: mergeCounts(counts)})
+				TxConsumed: p2done, trie: sl, counts: counts})
 		}
 		return nil
 	})
@@ -381,14 +364,8 @@ func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c 
 		rec.AddPassTime(2, time.Since(t1))
 		return err
 	}
-	total := counts[0]
-	for _, part := range counts[1:] {
-		for i, v := range part {
-			total[i] += v
-		}
-	}
 
-	sets := sl.Emit(total, minSupport, nil)
+	sets := sl.Emit(counts, minSupport, nil)
 	sort.Slice(sets, func(a, b int) bool { return mine.LessItems(sets[a].Items, sets[b].Items) })
 	rec.AddSurvivors(uint64(len(sets)))
 	rec.AddPassTime(2, time.Since(t1))
@@ -415,19 +392,6 @@ func mineChunk(m mine.Miner, chunk *dataset.DB, minSupport int, c mine.Collector
 		return err
 	}
 	return m.Mine(chunk, minSupport, c)
-}
-
-// mergeCounts sums the per-worker partial count arrays into a fresh slice
-// for a pass-2 checkpoint, leaving the worker arrays untouched.
-func mergeCounts(counts [][]uint32) []uint32 {
-	total := make([]uint32, len(counts[0]))
-	copy(total, counts[0])
-	for _, part := range counts[1:] {
-		for i, v := range part {
-			total[i] += v
-		}
-	}
-	return total
 }
 
 // scaledSupport is the SON local threshold for a chunk of chunkTx

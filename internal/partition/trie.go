@@ -8,16 +8,16 @@ import (
 // trie is the candidate union: a prefix tree over canonical (ascending)
 // itemsets. Pass 1 inserts every locally-frequent itemset any chunk
 // produces — duplicates across chunks collapse onto the same node — and
-// pass 2 walks each transaction through it to count every candidate that
-// is a subset. Each candidate node carries a dense id so support counting
-// runs over flat per-worker count arrays instead of per-node atomics.
+// pass 2 counts every candidate over each chunk's rows. Each candidate
+// node carries a dense id, so pass 2 counts into one flat array and a
+// checkpoint persists that array as is.
 //
 // The trie exists in two forms, the paper's build/seal life cycle (P3
 // aggregation + P4 compaction applied to the out-of-core hot structure):
 // this mutable form, cheap to insert into, is used only while pass 1 is
 // still adding candidates; Seal then flattens it into the sealed arena
-// form that pass 2's read-only subset counting and the checkpoint
-// encoder run against.
+// form that pass 2's read-only vertical recount (recount.go) and the
+// checkpoint encoder run against.
 type trie struct {
 	nodes []trieNode
 	cands int // number of candidate (terminal) nodes
@@ -120,12 +120,12 @@ func (t *trie) Add(items []dataset.Item) bool {
 // increments counts[id] for every candidate that is a subset of it. Each
 // candidate is counted at most once per transaction: items are strictly
 // increasing, so a subset corresponds to exactly one root-to-node path
-// reached through exactly one index subsequence. The trie must not be
-// mutated concurrently; counts is the caller's (per-worker) array.
+// reached through exactly one index subsequence.
 //
-// Production pass 2 counts through the sealed form (sealed.Count); this
-// mutable-form walk is kept as the baseline contestant of
-// BenchmarkPass2Recount and as the oracle of the seal property tests.
+// Production pass 2 counts vertically over the sealed form (vertical in
+// recount.go); this per-transaction walk is kept as the baseline
+// contestant of BenchmarkPass2Recount and as the oracle of the seal and
+// recount property tests.
 func (t *trie) Count(tx dataset.Transaction, counts []uint32) {
 	t.count(0, tx, counts)
 }
@@ -189,14 +189,14 @@ func (t *trie) Emit(counts []uint32, minSupport int, out []mine.Itemset) []mine.
 // are keys[start[n]:start[n+1]] (the child item keys, sorted ascending)
 // and child[start[n]:start[n+1]] (the child node ids); cand[n] is n's
 // candidate id or -1. Nodes are renumbered in DFS prefix order, so a
-// parent's child row is contiguous and the recursive lockstep merge-join
-// of Count descends into node ids (and therefore memory) that mostly
-// increase — the aggregation (P3: one allocation for every child list)
+// parent's child row is contiguous and the recount's DFS descends into
+// node ids (and therefore memory) that mostly increase — the
+// aggregation (P3: one allocation for every child list)
 // and compaction (P4: 4-byte keys and refs, no per-node slice headers)
 // the paper applies to trie-shaped mining structures.
 //
-// A sealed trie is immutable and therefore safely shared across the
-// pass-2 counting workers without synchronisation.
+// A sealed trie is immutable: pass 2 and the checkpoint encoder only
+// read it.
 type sealed struct {
 	start []int32        // CSR offsets; len == len(cand)+1
 	keys  []dataset.Item // child item keys, all nodes concatenated
@@ -275,45 +275,6 @@ func (s *sealed) unseal() *trie {
 
 // Candidates returns the number of distinct candidate itemsets.
 func (s *sealed) Candidates() int { return s.cands }
-
-// Count is the sealed-form subset walk: semantically identical to
-// trie.Count, but the lockstep merge-join advances through the flat
-// keys/child arena instead of chasing per-node slices. Zero allocations
-// (asserted by TestSealedCountAllocs). The sealed trie is immutable, so
-// concurrent Counts into distinct count arrays are safe.
-func (s *sealed) Count(tx dataset.Transaction, counts []uint32) {
-	s.countFrom(0, tx, counts)
-}
-
-func (s *sealed) countFrom(n int32, tx dataset.Transaction, counts []uint32) {
-	ci, hi := s.start[n], s.start[n+1]
-	if ci == hi {
-		return
-	}
-	keys := s.keys
-	for i := 0; i < len(tx); i++ {
-		it := tx[i]
-		for keys[ci] < it {
-			if ci++; ci == hi {
-				return
-			}
-		}
-		if keys[ci] == it {
-			c := s.child[ci]
-			if id := s.cand[c]; id >= 0 {
-				counts[id]++
-			}
-			// Most matched nodes are leaf candidates: eliding the call for
-			// them is worth ~5% of the whole recount (BenchmarkPass2Recount).
-			if s.start[c] != s.start[c+1] {
-				s.countFrom(c, tx[i+1:], counts)
-			}
-			if ci++; ci == hi {
-				return
-			}
-		}
-	}
-}
 
 // Emit is trie.Emit against the sealed arena: every candidate clearing
 // minSupport, in lexicographic prefix order, with its exact support.

@@ -173,14 +173,12 @@ func TestSealEquivalence(t *testing.T) {
 
 		// Count equivalence, element for element: equality of the flat
 		// arrays proves candidate ids survived the node renumbering.
-		cm := make([]uint32, tr.Candidates())
-		cs := make([]uint32, sl.Candidates())
 		probes := make([]dataset.Transaction, 50)
 		for i := range probes {
 			probes[i] = randomTx(rng, vocab)
-			tr.Count(probes[i], cm)
-			sl.Count(probes[i], cs)
 		}
+		cm := walkCounts(tr, probes)
+		cs := verticalCounts(sl, probes)
 		if !slices.Equal(cm, cs) {
 			t.Fatalf("seed %d: counts diverge between mutable and sealed form", seed)
 		}
@@ -202,11 +200,7 @@ func TestSealEquivalence(t *testing.T) {
 		// Unseal round-trip: same counting behaviour, and the rebuilt
 		// trie accepts further inserts exactly like the original.
 		ut := sl.unseal()
-		cu := make([]uint32, ut.Candidates())
-		for _, tx := range probes {
-			ut.Count(tx, cu)
-		}
-		if !slices.Equal(cm, cu) {
+		if cu := walkCounts(ut, probes); !slices.Equal(cm, cu) {
 			t.Fatalf("seed %d: unsealed counts diverge", seed)
 		}
 		for _, s := range randomSets(rng, 10, vocab, 6) {
@@ -233,11 +227,7 @@ func TestSealedEmitAgainstMine(t *testing.T) {
 		tr.Add(s.Items)
 	}
 	sl := tr.Seal()
-	counts := make([]uint32, sl.Candidates())
-	for _, tx := range db.Tx {
-		sl.Count(tx, counts)
-	}
-	got := sl.Emit(counts, minsup, nil)
+	got := sl.Emit(verticalCounts(sl, db.Tx), minsup, nil)
 	if len(got) != len(sc.Sets) {
 		t.Fatalf("sealed recount kept %d sets, kernel found %d", len(got), len(sc.Sets))
 	}
@@ -275,31 +265,5 @@ func TestFindChild(t *testing.T) {
 				t.Fatalf("findChild(%d children, probe %d) = %d, want %d", n, probe, got, want)
 			}
 		}
-	}
-}
-
-// TestSealedCountAllocs is the allocation-regression guard for the pass-2
-// hot path: the sealed subset walk must not allocate.
-func TestSealedCountAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	rng := rand.New(rand.NewSource(3))
-	tr := newTrie()
-	for _, s := range randomSets(rng, 80, 30, 6) {
-		tr.Add(s)
-	}
-	sl := tr.Seal()
-	counts := make([]uint32, sl.Candidates())
-	txs := make([]dataset.Transaction, 20)
-	for i := range txs {
-		txs[i] = randomTx(rng, 30)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		for _, tx := range txs {
-			sl.Count(tx, counts)
-		}
-	}); n != 0 {
-		t.Fatalf("sealed Count allocates %.1f times per run, want 0", n)
 	}
 }
