@@ -78,12 +78,12 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 	assertNoGoroutineGrowth(t, before)
 }
 
-// TestCancelSequentialKernels: lcm, eclat, fpgrowth and hmine poll the
-// flag at recursion nodes on a sequential observed run (workers == 1).
-// All must surface *CancelledError.
+// TestCancelSequentialKernels: lcm, eclat and fpgrowth poll the flag at
+// recursion nodes on a sequential observed run (workers == 1). All must
+// surface *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, HMine} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {
@@ -99,12 +99,6 @@ func TestCancelSequentialKernels(t *testing.T) {
 			})
 		})
 	}
-	t.Run("hmine-observed", func(t *testing.T) {
-		assertCancelsPromptly(t, func(ctx context.Context) error {
-			_, _, err := WithMetrics(benchSkew, HMine, 0, benchSkewSupport, 1, WithContext(ctx))
-			return err
-		})
-	})
 }
 
 // TestCancelParallel: the pool must drain queued tasks and join all

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	fpm -in transactions.dat -support 100
-//	    [-algo lcm|eclat|fpgrowth|apriori|hmine|tidset|diffset|auto]
+//	    [-algo lcm|eclat|fpgrowth|apriori|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
 //	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume]
@@ -28,12 +28,12 @@
 // completed, silently starting fresh on any mismatch. The sidecar is
 // removed when the run completes.
 //
-// With -timeout the run is bounded in wall time: lcm, eclat, fpgrowth and
-// hmine poll a cancellation flag at every recursion node, the scheduler
-// drops queued tasks, and partitioned runs stop at the next chunk
-// boundary, exiting with a deadline error. Cancellation is cooperative:
-// sequential apriori, tidset and diffset runs go to completion, and with
-// -workers != 1 they stop at the next first-level task.
+// With -timeout the run is bounded in wall time: lcm, eclat and fpgrowth
+// poll a cancellation flag at every recursion node, the scheduler drops
+// queued tasks, and partitioned runs stop at the next chunk boundary,
+// exiting with a deadline error. Cancellation is cooperative: a sequential
+// apriori run goes to completion, and with -workers != 1 it stops at the
+// next first-level task.
 //
 // With -stats the run's observability counters (nodes expanded, support
 // countings, itemsets emitted, candidate prunes, and — with -workers != 1 —
@@ -77,7 +77,7 @@ func main() {
 		if err == errUsage {
 			os.Exit(2)
 		}
-		fmt.Fprintln(os.Stderr, "fpm:", err)
+		fmt.Fprintln(os.Stderr, "fpm:", strings.TrimPrefix(err.Error(), "fpm: "))
 		os.Exit(1)
 	}
 }
@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		in       = fs.String("in", "", "input transaction file (FIMI format); required")
 		out      = fs.String("out", "", "output file (default stdout)")
-		algo     = fs.String("algo", "auto", "mining kernel: lcm, eclat, fpgrowth, apriori, hmine, tidset, diffset or auto")
+		algo     = fs.String("algo", "auto", "mining kernel, or auto to pick one from the input (an unknown name lists the kernels)")
 		support  = fs.Int("support", 0, "absolute minimum support; required")
 		patterns = fs.String("patterns", "", "comma-separated tuning patterns, or \"all\" for every applicable pattern (ignored with -algo auto)")
 		count    = fs.Bool("count", false, "print only the number of frequent itemsets")

@@ -79,7 +79,7 @@ func TestGoldenDescribe(t *testing.T) {
 }
 
 func TestGoldenStatsTable(t *testing.T) {
-	for _, algo := range []string{"lcm", "eclat", "fpgrowth", "hmine"} {
+	for _, algo := range []string{"lcm", "eclat", "fpgrowth"} {
 		t.Run(algo, func(t *testing.T) {
 			out := runCLI(t, "-in", filepath.Join("testdata", "small.dat"),
 				"-support", "2", "-algo", algo, "-stats", "table")
@@ -246,16 +246,31 @@ func TestStatsParallelSmoke(t *testing.T) {
 	}
 }
 
-// TestCLIPartitionEveryKernel: -partition accepts every kernel of the
-// table, not only the four with internal instrumentation, and counts what
-// the in-memory run counts.
+// TestCLIPartitionEveryKernel: -partition accepts the kernel without
+// internal instrumentation, not only the three instrumented ones, and
+// counts what the in-memory run counts.
 func TestCLIPartitionEveryKernel(t *testing.T) {
 	small := filepath.Join("testdata", "small.dat")
-	for _, algo := range []string{"hmine", "tidset", "diffset"} {
-		want := runCLI(t, "-in", small, "-support", "2", "-algo", algo, "-count")
-		got := runCLI(t, "-in", small, "-support", "2", "-algo", algo, "-count", "-partition", "-mem-budget", "1K")
-		if got != want {
-			t.Errorf("%s: -partition counted %q, in-memory %q", algo, got, want)
+	want := runCLI(t, "-in", small, "-support", "2", "-algo", "apriori", "-count")
+	got := runCLI(t, "-in", small, "-support", "2", "-algo", "apriori", "-count", "-partition", "-mem-budget", "1K")
+	if got != want {
+		t.Errorf("apriori: -partition counted %q, in-memory %q", got, want)
+	}
+}
+
+// TestCLIUnknownAlgorithm: an -algo outside the kernel table fails with
+// the library's error, which lists the valid names, in memory and
+// out-of-core alike.
+func TestCLIUnknownAlgorithm(t *testing.T) {
+	small := filepath.Join("testdata", "small.dat")
+	const want = `fpm: unknown algorithm "hmine" (valid: apriori, eclat, fpgrowth, lcm)`
+	for _, args := range [][]string{
+		{"-in", small, "-support", "2", "-algo", "hmine"},
+		{"-in", small, "-support", "2", "-algo", "hmine", "-partition"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil || err.Error() != want {
+			t.Errorf("run(%v) = %v, want %s", args, err, want)
 		}
 	}
 }

@@ -26,10 +26,8 @@ type diffCase struct {
 	db     *DB
 	minsup int
 	// parAlgo rotates which kernel the parallel runs exercise, so across
-	// the suite all of lcm/eclat/fpgrowth go through the scheduler;
-	// altAlgo rotates apriori/hmine/tidset/diffset through a four-worker
-	// pool the same way.
-	parAlgo, altAlgo Algorithm
+	// the suite all of lcm/eclat/fpgrowth go through the scheduler.
+	parAlgo Algorithm
 }
 
 // diffCases derives n corpora from a fixed seed. Half are Quest-style
@@ -38,7 +36,6 @@ type diffCase struct {
 func diffCases(n int) []diffCase {
 	rng := rand.New(rand.NewSource(20260806))
 	parAlgos := []Algorithm{LCM, Eclat, FPGrowth}
-	altAlgos := []Algorithm{Apriori, HMine, Tidset, Diffset}
 	cases := make([]diffCase, 0, n)
 	for i := 0; i < n; i++ {
 		var db *DB
@@ -81,7 +78,6 @@ func diffCases(n int) []diffCase {
 			db:      db,
 			minsup:  minsup,
 			parAlgo: parAlgos[i%len(parAlgos)],
-			altAlgo: altAlgos[i%len(altAlgos)],
 		})
 	}
 	return cases
@@ -276,16 +272,6 @@ func TestDifferentialPartitionedEquivalence(t *testing.T) {
 	}
 }
 
-// tableAlgorithms lists every name in the kernel table, sorted.
-func tableAlgorithms() []Algorithm {
-	algos := make([]Algorithm, 0, len(kernels))
-	for a := range kernels {
-		algos = append(algos, a)
-	}
-	sort.Slice(algos, func(i, j int) bool { return algos[i] < algos[j] })
-	return algos
-}
-
 func TestDifferentialAllMinersAgree(t *testing.T) {
 	n := 50
 	if testing.Short() {
@@ -302,9 +288,8 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 
 			// Every kernel of the table, untuned and fully tuned: patterns
 			// are performance-only transformations and must not change
-			// results. The alternative miners have no applicable patterns,
-			// so they run once.
-			for _, algo := range tableAlgorithms() {
+			// results. Apriori has no applicable patterns, so it runs once.
+			for _, algo := range kernelNames() {
 				pss := []PatternSet{0}
 				if ap := Applicable(algo); ap != 0 {
 					pss = append(pss, ap)
@@ -317,9 +302,9 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 					checkAgainst(t, m.Name(), want, mineSet(t, m, tc.db, tc.minsup))
 				}
 			}
-			// One alternative miner per case on a four-worker pool, which
-			// mines it by first-level decomposition.
-			am, err := NewParallel(4, tc.altAlgo, 0, ParallelCutoff(64))
+			// Apriori on a four-worker pool, which mines it by first-level
+			// decomposition.
+			am, err := NewParallel(4, Apriori, 0, ParallelCutoff(64))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
+	"strings"
 
 	"fpm/internal/apriori"
 	"fpm/internal/cancel"
@@ -39,7 +41,6 @@ import (
 	"fpm/internal/fimi"
 	"fpm/internal/fpgrowth"
 	"fpm/internal/gen"
-	"fpm/internal/hmine"
 	"fpm/internal/lcm"
 	"fpm/internal/lexorder"
 	"fpm/internal/memsim"
@@ -50,7 +51,6 @@ import (
 	"fpm/internal/simkern"
 	"fpm/internal/trace"
 	"fpm/internal/tune"
-	"fpm/internal/vertical"
 )
 
 // Core data model (see internal/dataset).
@@ -113,9 +113,6 @@ const (
 	Eclat    = mine.Eclat
 	FPGrowth = mine.FPGrowth
 	Apriori  = mine.Apriori
-	HMine    = mine.HMine
-	Tidset   = mine.Tidset
-	Diffset  = mine.Diffset
 )
 
 // Applicable returns the patterns the paper applies to a kernel (Table 4).
@@ -135,12 +132,11 @@ type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Fla
 
 // kernels is the one place an Algorithm becomes a Miner: NewMiner,
 // NewParallel, WithMetrics and MinePartitioned all build their miners
-// through it. LCM, Eclat, FP-Growth and H-mine record their own counters,
-// trace first-level subtrees and poll the cancellation flag at every
-// recursion node. Apriori and the tidset/diffset vertical miners
-// have no internal instrumentation: they count emissions through
-// countingMiner and never poll the flag, so only the scheduler's task
-// boundaries can stop them.
+// through it. LCM, Eclat and FP-Growth record their own counters, trace
+// first-level subtrees and poll the cancellation flag at every recursion
+// node. Apriori has no internal instrumentation: it counts emissions
+// through countingMiner and never polls the flag, so only the scheduler's
+// task boundaries can stop it.
 var kernels = map[Algorithm]kernelFunc{
 	LCM: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
 		return lcm.New(lcm.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
@@ -151,32 +147,31 @@ var kernels = map[Algorithm]kernelFunc{
 	FPGrowth: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
 		return fpgrowth.New(fpgrowth.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
 	},
-	// H-mine (Pei et al., ICDM'01): transactions are shared, never
-	// projected; each recursion level threads hyper-links into per-item
-	// queues.
-	HMine: func(_ PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
-		return hmine.NewInstrumented(rec, tr, cf)
-	},
 	Apriori: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
 		return counted(apriori.New(), rec)
 	},
-	// Zaki's sparse-tidset Eclat, the sparse alternative of the P2
-	// representation choice.
-	Tidset: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
-		return counted(vertical.NewTidset(), rec)
-	},
-	// dEclat (Zaki & Gouda, KDD'03), whose diffsets shrink with recursion
-	// depth on dense data.
-	Diffset: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
-		return counted(vertical.NewDiffset(), rec)
-	},
 }
 
-// kernel looks algo up in the kernel table.
+// kernelNames lists the kernel table's algorithms in ascending order.
+func kernelNames() []Algorithm {
+	names := make([]Algorithm, 0, len(kernels))
+	for a := range kernels {
+		names = append(names, a)
+	}
+	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	return names
+}
+
+// kernel looks algo up in the kernel table; the error for an unknown name
+// lists the valid ones.
 func kernel(algo Algorithm) (kernelFunc, error) {
 	k, ok := kernels[algo]
 	if !ok {
-		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
+		valid := make([]string, 0, len(kernels))
+		for _, a := range kernelNames() {
+			valid = append(valid, string(a))
+		}
+		return nil, fmt.Errorf("fpm: unknown algorithm %q (valid: %s)", algo, strings.Join(valid, ", "))
 	}
 	return k, nil
 }

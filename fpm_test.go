@@ -47,11 +47,33 @@ func TestMineAllAlgorithmsAgree(t *testing.T) {
 			}
 		}
 	}
+	// FP-Growth through a three-worker pool agrees too.
+	par, err := NewParallel(3, FPGrowth, Applicable(FPGrowth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := ResultSet{}
+	if err := par.Mine(db, minsup, rs); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Equal(want) {
+		t.Fatalf("parallel fpgrowth disagrees: %s", rs.Diff(want, 5))
+	}
 }
 
+// TestNewMinerUnknown: every entry point that resolves a kernel rejects an
+// unknown name with the one error, which lists the kernel table.
 func TestNewMinerUnknown(t *testing.T) {
-	if _, err := NewMiner(Algorithm("nope"), 0); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	const want = `fpm: unknown algorithm "hmine" (valid: apriori, eclat, fpgrowth, lcm)`
+	algo := Algorithm("hmine")
+	_, errMiner := NewMiner(algo, 0)
+	_, errPar := NewParallel(2, algo, 0)
+	_, _, errObs := WithMetrics(testDB(), algo, 0, 20, 1)
+	_, _, errPart := MinePartitioned("unread.dat", algo, 0, 20, 1<<20, 1)
+	for name, err := range map[string]error{"NewMiner": errMiner, "NewParallel": errPar, "WithMetrics": errObs, "MinePartitioned": errPart} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", name, err, want)
+		}
 	}
 }
 

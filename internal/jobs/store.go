@@ -31,8 +31,7 @@ type JobRequest struct {
 	// serving process.
 	Path string `json:"path"`
 	// Algo names an entry of fpm's kernel table ("lcm", "eclat",
-	// "fpgrowth", "apriori", "hmine", "tidset", "diffset"); every entry
-	// honours Workers and MemBudget.
+	// "fpgrowth", "apriori"); every entry honours Workers and MemBudget.
 	Algo string `json:"algo"`
 	// Patterns is the tuning-pattern list ("lex,simd", "all", "none");
 	// empty means all applicable patterns.

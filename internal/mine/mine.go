@@ -117,18 +117,13 @@ next:
 // Algorithm identifies one of the mining kernels under study.
 type Algorithm string
 
-// The three kernels the paper tunes (Table 3), the Apriori baseline it
-// cites as the classic breadth-first alternative, and the alternative
-// representations of the P2 choice: H-mine's hyper-structure and the
-// sparse tidset and diffset vertical layouts.
+// The three kernels the paper tunes (Table 3) and the Apriori baseline it
+// cites as the classic breadth-first alternative.
 const (
 	LCM      Algorithm = "lcm"
 	Eclat    Algorithm = "eclat"
 	FPGrowth Algorithm = "fpgrowth"
 	Apriori  Algorithm = "apriori"
-	HMine    Algorithm = "hmine"
-	Tidset   Algorithm = "tidset"
-	Diffset  Algorithm = "diffset"
 )
 
 // Applicable returns the set of patterns the paper applies to each kernel

@@ -106,9 +106,12 @@ func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Forge the crash artifact: a previous process's generation with one
-	// job mid-flight, one queued, one finished (must NOT be replayed).
+	// job mid-flight, two queued, one finished (must NOT be replayed). One
+	// queued job names "hmine", a kernel the table no longer has: it must
+	// fail on its own without holding up the others.
 	req := jobs.JobRequest{Path: path, Algo: "lcm", MinSupport: 5, Workers: 1}
 	queued := jobs.JobRequest{Path: path, Algo: "eclat", MinSupport: 4, Workers: 1}
+	removed := jobs.JobRequest{Path: path, Algo: "hmine", MinSupport: 7, Workers: 1}
 	finished := jobs.JobRequest{Path: path, Algo: "fpgrowth", MinSupport: 6, Workers: 1}
 	jnl, _, err := jobs.OpenJournalDir(stateDir)
 	if err != nil {
@@ -116,7 +119,8 @@ func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	}
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 0, Req: &finished})
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 1, Req: &req})
-	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 2, Req: &queued})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 2, Req: &removed})
+	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 3, Req: &queued})
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpRunning, Job: 1})
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpTerminal, Job: 0, State: "done"})
 	if err := jnl.Close(); err != nil {
@@ -127,23 +131,28 @@ func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	if inst.DurabilityErr != nil {
 		t.Fatal(inst.DurabilityErr)
 	}
-	if len(inst.Recovered) != 2 {
-		t.Fatalf("recovered %d jobs, want the 2 non-terminal ones: %+v", len(inst.Recovered), inst.Recovered)
+	if len(inst.Recovered) != 3 {
+		t.Fatalf("recovered %d jobs, want the 3 non-terminal ones: %+v", len(inst.Recovered), inst.Recovered)
 	}
 	for _, rj := range inst.Recovered {
 		if !rj.Recovered {
 			t.Fatalf("recovered job not marked: %+v", rj)
 		}
-		if got := waitTerminal(t, inst.Store, rj.ID); got.State != "done" || !got.Recovered {
+		got := waitTerminal(t, inst.Store, rj.ID)
+		if rj.Request.Algo == removed.Algo {
+			if got.State != "failed" || !strings.Contains(got.Error, `unknown algorithm "hmine"`) {
+				t.Fatalf("recovered job under a removed kernel: %+v", got)
+			}
+		} else if got.State != "done" || !got.Recovered {
 			t.Fatalf("recovered job did not complete: %+v", got)
 		}
 	}
-	if got := inst.Store.Stats().Recovered; got != 2 {
-		t.Fatalf("stats.Recovered = %d, want 2", got)
+	if got := inst.Store.Stats().Recovered; got != 3 {
+		t.Fatalf("stats.Recovered = %d, want 3", got)
 	}
 	closeInstance(t, inst)
-	// The crash generation was retired: had it survived, its two lost jobs
-	// would replay again on this boot.
+	// The crash generation was retired: had it survived, its three lost
+	// jobs would replay again on this boot.
 	inst2 := NewInstance(durableConfig(stateDir))
 	if len(inst2.Recovered) != 0 {
 		t.Fatalf("next boot replayed %d jobs; the crash generation was not retired", len(inst2.Recovered))

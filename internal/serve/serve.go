@@ -281,7 +281,13 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 	if req.MinSupport < 1 {
 		return jobs.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
 	}
+	// Resolve the kernel before the result cache: a restored snapshot may
+	// hold listings under a name the kernel table no longer has, and such
+	// a request must fail cached or not.
 	a := fpm.Algorithm(req.Algo)
+	if _, err := fpm.NewMiner(a, 0); err != nil {
+		return jobs.MineResult{}, err
+	}
 	var ps fpm.PatternSet
 	if req.Patterns == "" || req.Patterns == "all" {
 		ps = fpm.Applicable(a)

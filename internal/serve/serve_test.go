@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/durable"
 	"fpm/internal/jobs"
+	"fpm/internal/servecache"
 )
 
 // testDataset writes a small Quest corpus and returns its path.
@@ -431,5 +433,37 @@ func TestServeCacheDisabled(t *testing.T) {
 	cs := inst.Caches.Stats()
 	if cs.Dataset.Hits != 0 || cs.Result.HitsExact != 0 {
 		t.Fatalf("disabled caches recorded hits: %+v", cs)
+	}
+}
+
+// TestServeUnknownKernelBeforeCache: a result-cache entry under a name
+// outside the kernel table — what a snapshot written before a kernel was
+// removed restores — does not answer that name; the job fails as it does
+// uncached.
+func TestServeUnknownKernelBeforeCache(t *testing.T) {
+	path := testDataset(t, 500, 12)
+	inst := NewInstance(Config{QueueCap: 8})
+	defer inst.Store.Shutdown()
+	db, err := fpm.ReadFIMIFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := fpm.Mine(db, fpm.LCM, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := durable.FileIdentity(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Caches.Results.Insert(servecache.ResultKey{ID: id, Algo: "hmine", Patterns: "0"}, 5, sets)
+
+	job, err := inst.Store.Submit(jobs.JobRequest{Path: path, Algo: "hmine", MinSupport: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := waitTerminal(t, inst.Store, job.ID)
+	if j.State != "failed" || j.ServedFromCache || !strings.Contains(j.Error, `unknown algorithm "hmine"`) {
+		t.Fatalf("job under a removed kernel name: %+v", j)
 	}
 }

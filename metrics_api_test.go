@@ -28,7 +28,7 @@ func TestWithMetricsMatchesPlainMine(t *testing.T) {
 	}
 	wantRS := resultMap(want)
 
-	for _, algo := range tableAlgorithms() {
+	for _, algo := range kernelNames() {
 		for _, workers := range []int{1, 4} {
 			sets, snap, err := WithMetrics(db, algo, 0, minsup, workers)
 			if err != nil {
