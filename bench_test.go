@@ -405,8 +405,8 @@ func BenchmarkParallelMine(b *testing.B) {
 
 // benchSkew is a skewed Table-6-style workload (WebDocs-like Zipf corpus):
 // a handful of hot items own most of the search tree, so a static
-// first-level decomposition serialises on the hottest item's subtree while
-// work stealing keeps splitting it. Built lazily — it is heavier than the
+// per-item decomposition would serialise on the hottest item's subtree
+// while work stealing keeps splitting it. Built lazily — it is heavier than the
 // benchSetup workloads.
 var benchSkew *DB
 
@@ -422,7 +422,7 @@ func benchSkewSetup() {
 }
 
 // BenchmarkParallelScaling runs the work-stealing scheduler on the skewed
-// workload at 1 to 8 workers, for the two Splitter kernels untuned and for
+// workload at 1 to 8 workers, for LCM and Eclat untuned and for
 // Eclat with every applicable pattern (eclat-tuned). CI runs this at
 // -benchtime 1x as a regression canary.
 func BenchmarkParallelScaling(b *testing.B) {
@@ -441,23 +441,29 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEclatDense runs Eclat untuned and with every applicable
-// pattern at 1 and 2 workers on the three mine-dense corpora at the
-// repository benchmark's supports (bench/mine.go), the cells where
-// parallel Eclat is compared with the sequential kernel in EXPERIMENTS.md.
-func BenchmarkParallelEclatDense(b *testing.B) {
+// BenchmarkParallelDense runs each kernel that splits through its own
+// recursion, untuned and with every applicable pattern, at 1 and 2 workers
+// on the three mine-dense corpora at the repository benchmark's supports
+// (bench/mine.go): the cells where the parallel kernels are compared with
+// the sequential ones in EXPERIMENTS.md.
+func BenchmarkParallelDense(b *testing.B) {
 	benchSetup()
 	benchSkewSetup()
-	for _, c := range []struct {
-		name   string
-		db     *DB
-		minsup int
-	}{{"quest4k", benchQuest, 80}, {"docs3k", benchDocs, 300}, {"skew6k", benchSkew, 350}} {
-		for _, ps := range []PatternSet{0, Applicable(Eclat)} {
-			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/%s/workers-%d", c.name, ps, workers), func(b *testing.B) {
-					mineParallelBench(b, c.db, Eclat, ps, c.minsup, workers)
-				})
+	for _, algo := range []Algorithm{Eclat, FPGrowth} {
+		for _, c := range []struct {
+			name   string
+			db     *DB
+			minsup int
+		}{{"quest4k", benchQuest, 80}, {"docs3k", benchDocs, 300}, {"skew6k", benchSkew, 350}} {
+			for _, p := range []struct {
+				name string
+				ps   PatternSet
+			}{{"none", 0}, {"all", Applicable(algo)}} {
+				for _, workers := range []int{1, 2} {
+					b.Run(fmt.Sprintf("%s/%s/%s/workers-%d", algo, c.name, p.name, workers), func(b *testing.B) {
+						mineParallelBench(b, c.db, algo, p.ps, c.minsup, workers)
+					})
+				}
 			}
 		}
 	}

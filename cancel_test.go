@@ -7,7 +7,8 @@ package fpm
 // (when checkpointing) leave no torn sidecar. The corpus is the skewed
 // benchmark workload, large enough that an uncancelled mine vastly
 // outlives the cancellation point; if a machine ever finishes it before
-// the timer fires, the test skips rather than asserting on a race.
+// the timer fires (or within the latency budget after it), the test skips
+// rather than asserting on a race.
 
 import (
 	"context"
@@ -66,6 +67,11 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 	err := mineFn(ctx)
 	if err == nil {
 		timer.Stop()
+		// A run that ignores the flag completes too, but only long after
+		// the cancellation.
+		if at := cancelledAt.Load(); at != 0 && time.Since(time.Unix(0, at)) > cancelBound {
+			t.Fatalf("ran to completion %v after cancellation, budget %v", time.Since(time.Unix(0, at)), cancelBound)
+		}
 		t.Skipf("mine completed in under %v; corpus too small for this machine", cancelDelay)
 	}
 	latency := time.Since(time.Unix(0, cancelledAt.Load()))
@@ -79,11 +85,12 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 }
 
 // TestCancelSequentialKernels: lcm, eclat and fpgrowth poll the flag at
-// recursion nodes on a sequential observed run (workers == 1). All must
-// surface *CancelledError.
+// recursion nodes on a sequential observed run (workers == 1), apriori once
+// per level and inside its counting scans. All must surface
+// *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {

@@ -29,11 +29,11 @@
 // removed when the run completes.
 //
 // With -timeout the run is bounded in wall time: lcm, eclat and fpgrowth
-// poll a cancellation flag at every recursion node, the scheduler drops
-// queued tasks, and partitioned runs stop at the next chunk boundary,
-// exiting with a deadline error. Cancellation is cooperative: a sequential
-// apriori run goes to completion, and with -workers != 1 it stops at the
-// next first-level task.
+// poll a cancellation flag at every recursion node, apriori once per level
+// and inside its counting scans, the scheduler drops queued tasks, and
+// partitioned runs stop at the next chunk boundary, exiting with a
+// deadline error. apriori has no recursion to split, so with
+// -workers != 1 it runs as one task on one worker.
 //
 // With -stats the run's observability counters (nodes expanded, support
 // countings, itemsets emitted, candidate prunes, and — with -workers != 1 —

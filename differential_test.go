@@ -302,8 +302,7 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 					checkAgainst(t, m.Name(), want, mineSet(t, m, tc.db, tc.minsup))
 				}
 			}
-			// Apriori on a four-worker pool, which mines it by first-level
-			// decomposition.
+			// Apriori on a four-worker pool, which runs it as one task.
 			am, err := NewParallel(4, Apriori, 0, ParallelCutoff(64))
 			if err != nil {
 				t.Fatal(err)

@@ -127,28 +127,30 @@ func ParsePatterns(s string, algo Algorithm) (PatternSet, error) { return mine.P
 // counter recorder, an optional kernel-span trace recorder and an optional
 // cancellation flag; any of the three may be nil. tr must only be set for
 // a miner that runs sequentially: under the scheduler the worker task
-// spans own the timeline.
-type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Flag) Miner
+// spans own the timeline. Every kernel is a mine.Splitter, the one form
+// the work-stealing pool runs.
+type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Flag) mine.Splitter
 
 // kernels is the one place an Algorithm becomes a Miner: NewMiner,
 // NewParallel, WithMetrics and MinePartitioned all build their miners
-// through it. LCM, Eclat and FP-Growth record their own counters, trace
-// first-level subtrees and poll the cancellation flag at every recursion
-// node. Apriori has no internal instrumentation: it counts emissions
-// through countingMiner and never polls the flag, so only the scheduler's
-// task boundaries can stop it.
+// through it, and every entry takes the same four arguments. LCM, Eclat
+// and FP-Growth record their own counters, trace first-level subtrees,
+// poll the cancellation flag at every recursion node and split through
+// their own recursion under the pool. Apriori records only its emissions,
+// polls the flag once per level and every 2^16 candidate tests of a
+// counting scan, and never splits: under the pool it runs as one task.
 var kernels = map[Algorithm]kernelFunc{
-	LCM: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+	LCM: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
 		return lcm.New(lcm.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
 	},
-	Eclat: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+	Eclat: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
 		return eclat.New(eclat.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
 	},
-	FPGrowth: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) Miner {
+	FPGrowth: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
 		return fpgrowth.New(fpgrowth.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
 	},
-	Apriori: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, _ *cancel.Flag) Miner {
-		return counted(apriori.New(), rec)
+	Apriori: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, cf *cancel.Flag) mine.Splitter {
+		return apriori.New(apriori.Options{Metrics: rec, Cancel: cf})
 	},
 }
 
@@ -241,11 +243,12 @@ func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weig
 func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicMerge(true) }
 
 // NewParallel wraps any kernel in task-parallel mining over a
-// work-stealing worker pool. LCM and Eclat split recursively: any
-// recursion subtree whose estimated work clears the cutoff may be stolen
-// by a starved worker, so skewed inputs (one hot item owning most of the
-// search tree) still balance. Other kernels parallelise by first-level
-// decomposition over the same pool. workers <= 0 means GOMAXPROCS.
+// work-stealing worker pool. LCM, Eclat and FP-Growth split through their
+// own recursion: any recursion subtree whose estimated work clears the
+// cutoff may be stolen by a starved worker, so skewed inputs (one hot item
+// owning most of the search tree) still balance. Apriori is level-wise and
+// has no subtree to offer, so it runs as one task on one worker.
+// workers <= 0 means GOMAXPROCS.
 //
 // The result set equals the sequential kernel's and every itemset is
 // emitted in canonical (ascending item) order; emission order across
@@ -270,7 +273,7 @@ func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...Paral
 	if _, ok := po.Trace.Output().(runTraceSink); ok {
 		return nil, errors.New("fpm: WithTrace traces only WithMetrics and MinePartitioned runs; give NewParallel a ParallelTrace recorder")
 	}
-	return parallel.New(workers, func() Miner { return k(patterns, nil, nil, nil) }, opts...), nil
+	return parallel.New(workers, func() mine.Splitter { return k(patterns, nil, nil, nil) }, opts...), nil
 }
 
 // Observability (see internal/metrics): optionally-enabled run-time
@@ -340,39 +343,6 @@ func WithContext(ctx context.Context) ParallelOption { return parallel.WithConte
 // miners when they are built with the same recorder (see WithMetrics).
 func ParallelMetrics(rec *MetricsRecorder) ParallelOption { return parallel.WithMetrics(rec) }
 
-// countingMiner counts the emissions of a kernel without internal
-// instrumentation and adds them to the recorder when each Mine call ends:
-// one call per sequential run or per first-level task on a parallel
-// worker, the coarse-boundary flush the instrumented kernels follow. It
-// is its own collector, so one countingMiner must not run concurrent
-// Mines; the scheduler builds one per worker.
-type countingMiner struct {
-	Miner
-	rec *metrics.Recorder
-	out Collector
-	n   uint64
-}
-
-// counted wraps m in a countingMiner when rec is enabled.
-func counted(m Miner, rec *metrics.Recorder) Miner {
-	if rec == nil {
-		return m
-	}
-	return &countingMiner{Miner: m, rec: rec}
-}
-
-func (cm *countingMiner) Mine(db *DB, minSupport int, c Collector) error {
-	cm.out, cm.n = c, 0
-	err := cm.Miner.Mine(db, minSupport, cm)
-	cm.rec.AddEmitted(cm.n)
-	return err
-}
-
-func (cm *countingMiner) Collect(items []Item, support int) {
-	cm.n++
-	cm.out.Collect(items, support)
-}
-
 // poolSize is the worker count a run reports in its Snapshot: 0 for a
 // sequential run (workers == 1), GOMAXPROCS for workers <= 0.
 func poolSize(workers int) int {
@@ -401,7 +371,7 @@ func poolSize(workers int) int {
 // run's span timeline; a failing trace sink never interrupts mining — the
 // results and Snapshot are returned together with the single flush error.
 func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, workers int, opts ...ParallelOption) ([]Itemset, Snapshot, error) {
-	return observe(algo, patterns, workers, opts, func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error) {
+	return observe(algo, patterns, workers, opts, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
 		var m Miner
 		if workers == 1 {
 			m = newKernel()
@@ -425,7 +395,7 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 // A context error becomes a *CancelledError; a failing trace sink is
 // returned once, alongside the complete results and Snapshot.
 func observe(algo Algorithm, patterns PatternSet, workers int, opts []ParallelOption,
-	setup func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error)) ([]Itemset, Snapshot, error) {
+	setup func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error)) ([]Itemset, Snapshot, error) {
 	k, err := kernel(algo)
 	if err != nil {
 		return nil, Snapshot{}, err
@@ -445,7 +415,7 @@ func observe(algo Algorithm, patterns PatternSet, workers int, opts []ParallelOp
 	if workers == 1 {
 		ktr = tr
 	}
-	name, body := setup(func() Miner { return k(patterns, rec, ktr, cf) }, po)
+	name, body := setup(func() mine.Splitter { return k(patterns, rec, ktr, cf) }, po)
 
 	var sc SliceCollector
 	rec.Start(name, poolSize(workers))
@@ -515,7 +485,7 @@ type PartitionRunConfig struct {
 // MinePartitionedWithConfig is MinePartitioned plus the robustness knobs of
 // PartitionRunConfig; see that type for the semantics.
 func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, rc PartitionRunConfig, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
-	sets, snap, err := observe(algo, patterns, workers, opts, func(newKernel func() Miner, po parallel.Options) (string, func(Collector) error) {
+	sets, snap, err := observe(algo, patterns, workers, opts, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
 		cfg := partition.Config{
 			MemBudget:  memBudget,
 			Workers:    workers,

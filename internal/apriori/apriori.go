@@ -10,28 +10,63 @@ package apriori
 import (
 	"sort"
 
+	"fpm/internal/cancel"
 	"fpm/internal/dataset"
+	"fpm/internal/metrics"
 	"fpm/internal/mine"
 )
 
+// Options configures the miner.
+type Options struct {
+	// Metrics, when non-nil, receives the itemsets emitted. Apriori
+	// records no other counter.
+	Metrics *metrics.Recorder
+	// Cancel, when non-nil, is polled once per level and every pollWork
+	// candidate tests of a counting scan: once it trips, Mine returns
+	// Cancel.Err().
+	Cancel *cancel.Flag
+}
+
 // Miner is a level-wise Apriori frequent itemset miner.
-type Miner struct{}
+type Miner struct{ opts Options }
 
 // New returns an Apriori miner.
-func New() *Miner { return &Miner{} }
+func New(opts Options) *Miner { return &Miner{opts: opts} }
 
 // Name implements mine.Miner.
 func (*Miner) Name() string { return "apriori" }
 
+// pollWork is how many candidate tests a counting scan runs between
+// cancellation polls, about a millisecond. A scan covers a varying number
+// of transactions in that time: one transaction is tested against every
+// candidate of the level, tens of thousands of them on a Zipf corpus at
+// level 2.
+const pollWork = 1 << 16
+
 // Mine implements mine.Miner: generate candidates level by level, prune by
 // the downward-closure property, and count supports with one database scan
 // per level.
-func (*Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
+func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
+	return m.MineSplit(db, minSupport, c, nil)
+}
+
+// MineSplit implements mine.Splitter. Apriori is level-wise, so it has no
+// subtree to offer: it never calls sp.Offer and runs as one task, polling
+// sp.Cancelled() where it polls its own flag.
+func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
 	}
 	if db.Len() == 0 {
 		return nil
+	}
+	cf := m.opts.Cancel
+	aborted := func() bool { return cf.Cancelled() || (sp != nil && sp.Cancelled()) }
+	met := m.opts.Metrics.NewLocal()
+	defer m.opts.Metrics.Flush(met)
+	emit := func(items []dataset.Item, support int) {
+		met.Emit()
+		c.Collect(items, support)
 	}
 
 	// Level 1: frequent items.
@@ -39,18 +74,28 @@ func (*Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	var level [][]dataset.Item
 	for it := dataset.Item(0); int(it) < db.NumItems; it++ {
 		if freq[it] >= minSupport {
-			c.Collect([]dataset.Item{it}, freq[it])
+			emit([]dataset.Item{it}, freq[it])
 			level = append(level, []dataset.Item{it})
 		}
 	}
 
 	for k := 2; len(level) > 0; k++ {
+		if aborted() {
+			return cf.Err()
+		}
 		cands := generateCandidates(level)
 		if len(cands) == 0 {
 			return nil
 		}
 		counts := make([]int, len(cands))
+		work := 0
 		for _, t := range db.Tx {
+			if work += len(cands); work >= pollWork {
+				if aborted() {
+					return cf.Err()
+				}
+				work = 0
+			}
 			if len(t) < k {
 				continue
 			}
@@ -63,7 +108,7 @@ func (*Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 		var next [][]dataset.Item
 		for ci, cand := range cands {
 			if counts[ci] >= minSupport {
-				c.Collect(cand, counts[ci])
+				emit(cand, counts[ci])
 				next = append(next, cand)
 			}
 		}

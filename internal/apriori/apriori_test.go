@@ -12,7 +12,7 @@ import (
 func TestHandWorked(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0, 1}, {0, 1, 2}, {0, 2}})
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, 2, rs); err != nil {
+	if err := New(Options{}).Mine(db, 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	want := mine.ResultSet{"0": 3, "1": 2, "2": 2, "0,1": 2, "0,2": 2}
@@ -25,7 +25,7 @@ func TestDeepLevels(t *testing.T) {
 	// All transactions identical: the lattice closes at k=4.
 	db := dataset.New([]dataset.Transaction{{0, 1, 2, 3}, {0, 1, 2, 3}})
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, 2, rs); err != nil {
+	if err := New(Options{}).Mine(db, 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 15 { // 2^4 - 1
@@ -37,14 +37,14 @@ func TestDeepLevels(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
-	if err := New().Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
+	if err := New(Options{}).Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
 		t.Fatal("minSupport 0 accepted")
 	}
 	rs := mine.ResultSet{}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0}, {1}}), 2, rs); err != nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0}, {1}}), 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 0 {
@@ -78,7 +78,7 @@ func TestMatchesBruteForceProperty(t *testing.T) {
 			return false
 		}
 		rs := mine.ResultSet{}
-		if err := New().Mine(db, minsup, rs); err != nil {
+		if err := New(Options{}).Mine(db, minsup, rs); err != nil {
 			return false
 		}
 		if !rs.Equal(want) {

@@ -68,7 +68,7 @@ func checkBound(t *testing.T, level [][]dataset.Item) [][]dataset.Item {
 func TestCandidatesWithinBoundOnQuest(t *testing.T) {
 	db := gen.Quest(gen.QuestConfig{Transactions: 600, AvgLen: 10, AvgPatternLen: 4, Items: 60, Patterns: 20, Seed: 5})
 	var sc mine.SliceCollector
-	if err := New().Mine(db, 12, &sc); err != nil {
+	if err := New(Options{}).Mine(db, 12, &sc); err != nil {
 		t.Fatal(err)
 	}
 	levels := map[int][][]dataset.Item{}

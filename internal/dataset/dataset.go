@@ -129,26 +129,6 @@ func (db *DB) Frequencies() []int {
 // ErrEmptyAlphabet is returned by operations that need at least one item.
 var ErrEmptyAlphabet = errors.New("dataset: empty item alphabet")
 
-// Project returns the projected (conditional) database for item: the
-// transactions containing item, with item and all items >= item removed.
-// This is the fundamental operation of depth-first pattern growth (§2.1):
-// "recursively creates projected databases that consist of the transactions
-// containing a particular item". Transactions are assumed normalized.
-func (db *DB) Project(item Item) *DB {
-	out := &DB{NumItems: int(item)}
-	for _, t := range db.Tx {
-		idx := sort.Search(len(t), func(i int) bool { return t[i] >= item })
-		if idx < len(t) && t[idx] == item {
-			if idx > 0 {
-				out.Tx = append(out.Tx, append(Transaction(nil), t[:idx]...))
-			} else {
-				out.Tx = append(out.Tx, Transaction{})
-			}
-		}
-	}
-	return out
-}
-
 // Weight returns the total number of item occurrences — the count of ones
 // in the paper's m×n boolean matrix. Task-parallel schedulers use it as
 // the work estimate for a whole database.
@@ -156,22 +136,6 @@ func (db *DB) Weight() int {
 	w := 0
 	for _, t := range db.Tx {
 		w += len(t)
-	}
-	return w
-}
-
-// ProjectedWeight returns the Weight that Project(item) would produce,
-// without materialising the projection: the number of item occurrences
-// strictly below item across the transactions containing item. Schedulers
-// use it to size first-level subtree tasks. Transactions are assumed
-// normalized.
-func (db *DB) ProjectedWeight(item Item) int {
-	w := 0
-	for _, t := range db.Tx {
-		idx := sort.Search(len(t), func(i int) bool { return t[i] >= item })
-		if idx < len(t) && t[idx] == item {
-			w += idx
-		}
 	}
 	return w
 }

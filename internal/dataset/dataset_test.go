@@ -105,29 +105,6 @@ func TestFrequencies(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	db := New([]Transaction{tx(0, 1, 2), tx(1, 2), tx(0, 2), tx(0, 1)})
-	db.Normalize()
-	p := db.Project(2)
-	// Transactions containing item 2, keeping only items < 2.
-	want := []Transaction{tx(0, 1), tx(1), tx(0)}
-	if !txsEqual(p.Tx, want) {
-		t.Fatalf("Project(2) = %v, want %v", p.Tx, want)
-	}
-	if p.NumItems != 2 {
-		t.Fatalf("projected NumItems = %d, want 2", p.NumItems)
-	}
-}
-
-func TestProjectAbsentItem(t *testing.T) {
-	db := New([]Transaction{tx(0, 1)})
-	p := db.Project(5)
-	// No transaction contains 5 (alphabet is smaller), so projection empty.
-	if p.Len() != 0 {
-		t.Fatalf("Project(absent) = %v, want empty", p.Tx)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	db := New([]Transaction{tx(0, 1), tx(0, 1), tx(2)})
 	s := ComputeStats(db)
@@ -206,25 +183,6 @@ func TestContainsAll(t *testing.T) {
 	}
 }
 
-// Property: Project(e) has exactly Frequencies()[e] transactions, each a
-// strict prefix-restriction of a transaction containing e.
-func TestProjectCountMatchesFrequencyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db := randomDB(rng, 30, 12, 6)
-		freq := db.Frequencies()
-		for e := Item(0); int(e) < db.NumItems; e++ {
-			if db.Project(e).Len() != freq[e] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Normalize is idempotent and preserves the item set of each
 // transaction.
 func TestNormalizeIdempotentProperty(t *testing.T) {
@@ -260,20 +218,12 @@ func randomDB(rng *rand.Rand, n, m, maxLen int) *DB {
 	return db
 }
 
-func TestWeightAndProjectedWeight(t *testing.T) {
+func TestWeight(t *testing.T) {
 	db := New([]Transaction{{0, 1, 3}, {1, 3}, {0, 2, 3}, {2}})
 	if got := db.Weight(); got != 9 {
 		t.Fatalf("Weight = %d, want 9", got)
 	}
-	// ProjectedWeight(item) must equal Project(item).Weight().
-	for it := Item(0); int(it) < db.NumItems; it++ {
-		want := db.Project(it).Weight()
-		if got := db.ProjectedWeight(it); got != want {
-			t.Fatalf("ProjectedWeight(%d) = %d, want %d", it, got, want)
-		}
-	}
-	empty := New(nil)
-	if empty.Weight() != 0 || empty.ProjectedWeight(0) != 0 {
+	if New(nil).Weight() != 0 {
 		t.Fatal("empty DB has nonzero weight")
 	}
 }

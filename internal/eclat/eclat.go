@@ -98,10 +98,10 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 // prefix, so the weight is the item-occurrence count of the class's
 // (frequent) items in the subtree's conceptual projected database — the
 // same frequent-items occurrence measure mine.SubtreeWeight reports for
-// LCM's conditional databases and dataset.ProjectedWeight approximates for
-// the scheduler's first-level driver, so one shared spawn cutoff gates
-// comparable work across kernels (modulo LCM's RmDupTrans, which shrinks
-// its count by merging duplicate transactions). A stolen class carries its
+// LCM's conditional databases and FP-Growth sums over its conditional
+// pattern bases, so one shared spawn cutoff gates comparable work across
+// kernels (modulo LCM's RmDupTrans, which shrinks its count by merging
+// duplicate transactions). A stolen class carries its
 // own vectors, a copy of its node slice and a prefix copy, so it shares no
 // mutable state with the spawning recursion.
 func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {

@@ -107,6 +107,20 @@ type tree interface {
 
 // Mine implements mine.Miner.
 func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
+	return m.MineSplit(db, minSupport, c, nil)
+}
+
+// MineSplit implements mine.Splitter: identical to Mine, except that when
+// sp is non-nil every filtered conditional pattern base may be offered to
+// the scheduler, weighted by its item occurrences (Σ row weight × row
+// length, the unit of LCM's conditional databases and Eclat's summed
+// supports). The search is the sequential one — one P1 layout, one global
+// tree, the same expansion order — so every worker count builds the same
+// trees and does the same support countings and prunes. An offered base is
+// copied out of the depth's reused buffers, and the task mines it with a
+// state of its own (prefix copy, conditional counters, depth scratch), so
+// it shares no mutable memory with the spawning recursion.
+func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
 	}
@@ -151,9 +165,14 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 		return nil
 	}
 
-	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord,
+	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord, sp: sp,
 		condFreq: make([]int32, bound), met: m.opts.Metrics.NewLocal(),
-		tk: m.track(), cf: m.opts.Cancel}
+		cf: m.opts.Cancel}
+	if sp == nil {
+		// Sequential run: first-level subtrees become trace spans. Under
+		// the scheduler the worker tracks own the timeline instead.
+		st.tk = m.track()
+	}
 	st.mineBase(base, bound)
 	m.opts.Metrics.Flush(st.met)
 	return m.opts.Cancel.Err()
@@ -164,6 +183,7 @@ type state struct {
 	minsup  int32
 	collect mine.Collector
 	ord     *lexorder.Ordering
+	sp      mine.Spawner
 	prefix  []dataset.Item
 	emitBuf []dataset.Item // prefix restored to the original items
 	// flat is the P4-compacted conditional-base buffer, reused across the
@@ -174,7 +194,8 @@ type state struct {
 	condFreq    []int32
 	condTouched []dataset.Item
 	// levels[d] is the scratch of recursion depth d, reused by every
-	// pattern base mined at that depth.
+	// pattern base mined at that depth. A stolen base's state starts at
+	// the depth of its prefix; the slots below it stay nil.
 	levels []*level
 	met    *metrics.Local
 	tk     *trace.Track
@@ -194,6 +215,12 @@ func (st *state) emit(support int32) {
 	st.collect.Collect(st.emitBuf, int(support))
 }
 
+// aborted reports whether the recursion should unwind: the run's cancel
+// flag tripped or, under the scheduler, the pool aborted.
+func (st *state) aborted() bool {
+	return st.cf.Cancelled() || (st.sp != nil && st.sp.Cancelled())
+}
+
 // newTree picks the node layout per P2.
 func (st *state) newTree() tree {
 	if st.m.opts.Patterns.Has(mine.Adapt) {
@@ -206,7 +233,7 @@ func (st *state) newTree() tree {
 // it, recursing on conditional bases. Every item of base is a rank below
 // bound.
 func (st *state) mineBase(base []weightedTx, bound int) {
-	if st.cf.Cancelled() {
+	if st.aborted() {
 		return
 	}
 	depth := len(st.prefix)
@@ -249,7 +276,7 @@ func (st *state) mineBase(base []weightedTx, bound int) {
 	}
 
 	for _, e := range t.items() {
-		if st.cf.Cancelled() {
+		if st.aborted() {
 			return
 		}
 		sup := t.support(e)
@@ -305,7 +332,7 @@ func (st *state) mineBase(base []weightedTx, bound int) {
 				st.condFreq[it] = 0
 			}
 			if len(sub) > 0 {
-				st.mineBase(sub, int(e))
+				st.descend(sub, e)
 			}
 		} else {
 			for _, it := range st.condTouched {
@@ -318,4 +345,40 @@ func (st *state) mineBase(base []weightedTx, bound int) {
 			st.tk.End(ts, "subtree", trace.CatKernel, int64(e))
 		}
 	}
+}
+
+// descend mines the conditional base of item e sequentially, unless the
+// scheduler accepts it as a stealable task. sub lives in this depth's row
+// headers and in the shared flat buffer, both reused once e is done, so an
+// offered base is first copied into one arena of its own.
+func (st *state) descend(sub []weightedTx, e dataset.Item) {
+	if st.sp != nil {
+		w, n := 0, 0
+		for _, row := range sub {
+			w += int(row.w) * len(row.items)
+			n += len(row.items)
+		}
+		if st.sp.WouldSteal(w) {
+			own := make([]weightedTx, len(sub))
+			arena := make([]dataset.Item, 0, n)
+			for i, row := range sub {
+				start := len(arena)
+				arena = append(arena, row.items...)
+				own[i] = weightedTx{items: arena[start:len(arena):len(arena)], w: row.w}
+			}
+			prefix := append([]dataset.Item(nil), st.prefix...)
+			m, minsup, ord := st.m, st.minsup, st.ord
+			if st.sp.Offer(w, func(c mine.Collector, sp mine.Spawner) error {
+				ns := &state{m: m, minsup: minsup, collect: c, ord: ord, sp: sp, prefix: prefix,
+					condFreq: make([]int32, e), levels: make([]*level, len(prefix)),
+					met: m.opts.Metrics.NewLocal(), cf: m.opts.Cancel}
+				ns.mineBase(own, int(e))
+				m.opts.Metrics.Flush(ns.met)
+				return nil
+			}) {
+				return
+			}
+		}
+	}
+	st.mineBase(sub, int(e))
 }

@@ -181,6 +181,51 @@ func cloneBase(base []weightedTx) []weightedTx {
 	return out
 }
 
+// queueSpawner accepts every offered base and runs it only after the
+// offering recursion has moved on, so a task that still aliased the
+// recursion's reused buffers would mine overwritten rows.
+type queueSpawner struct {
+	c     mine.Collector
+	tasks []mine.TaskFunc
+}
+
+func (s *queueSpawner) WouldSteal(weight int) bool { return true }
+func (s *queueSpawner) Cancelled() bool            { return false }
+func (s *queueSpawner) Offer(weight int, task mine.TaskFunc) bool {
+	s.tasks = append(s.tasks, task)
+	return true
+}
+
+// TestMineSplitMatchesMine asserts that handing every conditional pattern
+// base to a spawner yields exactly the sequential result set for every
+// variant.
+func TestMineSplitMatchesMine(t *testing.T) {
+	db := gen.Quest(gen.QuestConfig{Transactions: 500, AvgLen: 12, AvgPatternLen: 4, Items: 50, Patterns: 20, Seed: 7})
+	for _, m := range allVariants() {
+		want := mine.ResultSet{}
+		if err := m.Mine(db, 20, want); err != nil {
+			t.Fatal(err)
+		}
+		got := mine.ResultSet{}
+		sp := &queueSpawner{c: got}
+		if err := m.MineSplit(db, 20, got, sp); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		offers := 0
+		for ; offers < len(sp.tasks); offers++ {
+			if err := sp.tasks[offers](got, sp); err != nil {
+				t.Fatalf("%s: %v", m.Name(), err)
+			}
+		}
+		if offers == 0 {
+			t.Fatalf("%s: no base was ever offered", m.Name())
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: split disagrees:\n%s", m.Name(), got.Diff(want, 8))
+		}
+	}
+}
+
 func TestMineDoesNotMutateInput(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0, 2}, {0, 1}})
 	db.Normalize()

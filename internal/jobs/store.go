@@ -31,7 +31,8 @@ type JobRequest struct {
 	// serving process.
 	Path string `json:"path"`
 	// Algo names an entry of fpm's kernel table ("lcm", "eclat",
-	// "fpgrowth", "apriori"); every entry honours Workers and MemBudget.
+	// "fpgrowth", "apriori"); every entry honours MemBudget, and all but
+	// apriori, which runs as one task, split across Workers.
 	Algo string `json:"algo"`
 	// Patterns is the tuning-pattern list ("lex,simd", "all", "none");
 	// empty means all applicable patterns.
@@ -781,13 +782,26 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 // retryable classifies a mine error: anything is presumed transient and
 // worth a retry except a trip of the job's own context — a cancelled or
 // deadlined job must reach its terminal state, not burn its deadline
-// retrying.
+// retrying — and an error the miner marked Permanent.
 func retryable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
+	var pe permanentError
+	if errors.As(err, &pe) {
+		return false
+	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
+
+// Permanent marks err as one no retry can clear, such as a request that
+// fails validation: the job fails on its first attempt. The error's text
+// is unchanged.
+func Permanent(err error) error { return permanentError{err} }
+
+type permanentError struct{ error }
+
+func (e permanentError) Unwrap() error { return e.error }
 
 // retryDelay is the backoff before retry attempt+1: exponential from
 // retryBaseDelay, capped at retryMaxDelay, with full jitter over the upper

@@ -159,15 +159,6 @@ func (r *Recorder) Flush(l *Local) {
 	*l = Local{}
 }
 
-// AddEmitted records n itemset emissions that happen outside any kernel's
-// Local — e.g. the scheduler's first-level decomposition emits each
-// frequent 1-itemset itself before handing the subtree to a kernel.
-func (r *Recorder) AddEmitted(n uint64) {
-	if r != nil && n != 0 {
-		r.emitted.Add(n)
-	}
-}
-
 // Start stamps the run's identity and start time. kernel is the miner's
 // Name(); workers is 0 for sequential runs.
 func (r *Recorder) Start(kernel string, workers int) {

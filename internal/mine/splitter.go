@@ -36,8 +36,9 @@ type Spawner interface {
 	Cancelled() bool
 }
 
-// Splitter is implemented by kernels whose depth-first recursion can hand
-// subtrees to a task-parallel scheduler. MineSplit behaves exactly like
+// Splitter is the form of a kernel the task-parallel scheduler runs: a
+// depth-first kernel hands subtrees of its recursion to the scheduler, and
+// a kernel with nothing to split never offers. MineSplit behaves exactly like
 // Mine — same result set, same per-call validation — except that at each
 // recursion node the kernel may offer the node's subtree to sp instead of
 // recursing; sp == nil must degrade to plain sequential mining. Collectors
@@ -49,9 +50,8 @@ type Splitter interface {
 }
 
 // SubtreeWeight sums the lengths of a projected database's transactions —
-// the work estimate spawn cutoffs compare against. Shared here so LCM-style
-// horizontal kernels and the first-level driver agree on the unit (item
-// occurrences, the same unit dataset.DB.ProjectedWeight reports).
+// the work estimate spawn cutoffs compare against, in item occurrences, the
+// unit every kernel's offers and dataset.DB.Weight report.
 func SubtreeWeight(tx [][]dataset.Item) int {
 	w := 0
 	for _, t := range tx {

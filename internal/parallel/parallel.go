@@ -1,18 +1,18 @@
 // Package parallel provides task-parallel frequent itemset mining with a
 // work-stealing scheduler. Each worker owns a LIFO deque of subtree tasks;
-// starved workers steal the oldest task from a randomised victim. A kernel
-// that implements mine.Splitter offers a recursion subtree as a stealable
-// task only while the pool is starved AND the subtree's estimated work
-// (its projected-database weight, in item occurrences) clears a cutoff —
-// below the cutoff, or with every worker busy, the owning worker recurses
+// starved workers steal the oldest task from a randomised victim. Every
+// kernel implements mine.Splitter: the pool seeds the whole database as one
+// root task, and the kernel offers a recursion subtree as a stealable task
+// only while the pool is starved AND the subtree's estimated work (its
+// projected-database weight, in item occurrences) clears a cutoff — below
+// the cutoff, or with every worker busy, the owning worker recurses
 // sequentially, so the common path costs one atomic load per node. This is
 // the dynamic task parallelism Kambadur et al. show fits FPM's irregular
 // search trees, layered over the per-worker cache-resident projections of
 // Ghoting et al. [11] — the thread-level direction the paper's §6 names as
-// future work on its own dual-core evaluation machines.
-//
-// Kernels without MineSplit still parallelise by first-level decomposition
-// (one task per frequent item's subtree), scheduled through the same pool.
+// future work on its own dual-core evaluation machines. A kernel with no
+// recursion to split (Apriori) never offers, and its root task runs on one
+// worker.
 //
 // Results are collected through per-worker mine.ShardCollector arenas —
 // one slice append per itemset instead of the former per-itemset channel
@@ -36,13 +36,13 @@ import (
 
 // DefaultCutoff is the minimum estimated subtree weight (item occurrences
 // in the projected database) for a subtree to become a stealable task.
-// Every spawn site reports this unit: the first-level driver uses
-// dataset.ProjectedWeight, LCM uses mine.SubtreeWeight over its conditional
-// databases, and Eclat's summed class supports count the same occurrences
-// through the vertical representation (each support is one item's set-bit
-// count over the transactions containing the prefix). Below the cutoff the
-// synchronisation and task bookkeeping outweigh the subtree's work;
-// 2048 occurrences ≈ a few microseconds of kernel time.
+// Every spawn site reports this unit: LCM uses mine.SubtreeWeight over its
+// conditional databases, FP-Growth sums row weight × row length over its
+// conditional pattern bases, and Eclat's summed class supports count the
+// same occurrences through the vertical representation (each support is
+// one item's set-bit count over the transactions containing the prefix).
+// Below the cutoff the synchronisation and task bookkeeping outweigh the
+// subtree's work; 2048 occurrences ≈ a few microseconds of kernel time.
 const DefaultCutoff = 2048
 
 // Options configure a parallel Miner beyond the worker count.
@@ -71,10 +71,10 @@ type Options struct {
 	// the cost of one nil check per task/hunt.
 	Trace *trace.Recorder
 	// Cancel, when non-nil, aborts the pool cooperatively: workers drop
-	// queued tasks once it trips, Spawner.Cancelled reports true so split
-	// kernels unwind mid-recursion, and Mine returns Cancel.Err(). Drivers
-	// that inject the same flag into the inner-kernel factory get per-node
-	// cancel latency; with only the pool flag the latency is one task.
+	// queued tasks once it trips, Spawner.Cancelled reports true so the
+	// kernels unwind mid-recursion, and Mine returns Cancel.Err(). Every
+	// kernel polls Spawner.Cancelled where it polls its own flag, so the
+	// latency is the same with or without the flag in the kernel factory.
 	Cancel *cancel.Flag
 	// Ctx is a convenience alternative to Cancel: when set (and Cancel is
 	// nil), every Mine call arms a fresh flag from it for the duration of
@@ -83,10 +83,10 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Miner schedules any sequential kernel over the work-stealing pool.
+// Miner schedules a splitting kernel over the work-stealing pool.
 type Miner struct {
 	opts    Options
-	factory func() mine.Miner
+	factory func() mine.Splitter
 	name    string
 	inner   string         // the inner kernel's Name(), labels task spans
 	tracks  []*trace.Track // per-worker trace tracks, reused across Mine calls
@@ -114,9 +114,9 @@ func WithCancel(cf *cancel.Flag) Option { return func(o *Options) { o.Cancel = c
 func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx = ctx } }
 
 // New returns a parallel miner running opts-many workers (0 means
-// GOMAXPROCS), each using its own sequential miner from factory (miners
-// are not required to be concurrency-safe).
-func New(workers int, factory func() mine.Miner, opts ...Option) *Miner {
+// GOMAXPROCS), each using its own kernel from factory (kernels are not
+// required to be concurrency-safe).
+func New(workers int, factory func() mine.Splitter, opts ...Option) *Miner {
 	o := Options{Workers: workers}
 	for _, fn := range opts {
 		fn(&o)
@@ -125,7 +125,7 @@ func New(workers int, factory func() mine.Miner, opts ...Option) *Miner {
 }
 
 // NewWithOptions is New with explicit Options.
-func NewWithOptions(opts Options, factory func() mine.Miner) *Miner {
+func NewWithOptions(opts Options, factory func() mine.Splitter) *Miner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -175,14 +175,13 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	p.inner = m.inner
 	p.cancel = cf
 
-	if _, ok := p.workers[0].inner.(mine.Splitter); ok {
-		m.seedSplit(p, db, minSupport)
-	} else if m.seedFirstLevel(p, db, minSupport) == 0 {
-		// Nothing frequent, nothing to schedule. Starting the pool with
-		// zero tasks would leave every worker blocked in hunt(): done is
-		// closed by the last task retirement, which never happens.
-		return cf.Err()
-	}
+	// The whole database is the one root task; the kernel's own Offer
+	// calls fan the recursion out as soon as workers starve.
+	p.rec.TaskSpawned()
+	p.active.Add(1)
+	p.push(p.workers[0], task{weight: db.Weight(), run: func(w *worker) error {
+		return w.inner.MineSplit(db, minSupport, &w.out, w)
+	}})
 
 	if err := p.run(); err != nil {
 		return err
@@ -195,74 +194,6 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	}
 	m.merge(p, c)
 	return nil
-}
-
-// seedSplit enqueues the whole database as the single root task; the
-// kernel's own Offer calls fan the recursion out as soon as workers
-// starve.
-func (m *Miner) seedSplit(p *pool, db *dataset.DB, minSupport int) {
-	p.rec.TaskSpawned()
-	p.active.Add(1)
-	p.push(p.workers[0], task{weight: db.Weight(), run: func(w *worker) error {
-		return w.inner.(mine.Splitter).MineSplit(db, minSupport, &w.out, w)
-	}})
-}
-
-// seedFirstLevel enqueues one task per frequent item and reports how many
-// it seeded (zero when no item meets minSupport — the caller must not run
-// the pool then). The subtree below item e is mined by the worker's
-// sequential kernel over e's projected database, and every result is
-// extended with e. Tasks are distributed round-robin in decreasing
-// estimated-weight order so the heaviest subtrees start first (LPT-style)
-// and land on distinct deques.
-func (m *Miner) seedFirstLevel(p *pool, db *dataset.DB, minSupport int) int {
-	freq := db.Frequencies()
-	type root struct {
-		item   dataset.Item
-		weight int
-	}
-	var roots []root
-	for e := dataset.Item(0); int(e) < db.NumItems; e++ {
-		if freq[e] >= minSupport {
-			roots = append(roots, root{item: e, weight: db.ProjectedWeight(e)})
-		}
-	}
-	sort.Slice(roots, func(a, b int) bool { return roots[a].weight > roots[b].weight })
-
-	p.active.Add(int64(len(roots)))
-	for i, r := range roots {
-		e := r.item
-		sup := freq[e]
-		p.rec.TaskSpawned()
-		p.push(p.workers[i%len(p.workers)], task{weight: r.weight, run: func(w *worker) error {
-			// This emission happens here, not in a kernel, so no kernel
-			// Local counts it.
-			p.rec.AddEmitted(1)
-			w.out.Collect([]dataset.Item{e}, sup)
-			proj := db.Project(e)
-			if proj.Len() == 0 {
-				return nil
-			}
-			ext := extendCollector{out: &w.out, branch: e}
-			return w.inner.Mine(proj, minSupport, &ext)
-		}})
-	}
-	return len(roots)
-}
-
-// extendCollector appends the branch item to every itemset mined from a
-// projected database. Projection keeps only items below the branch item,
-// so appending preserves ascending order whenever the inner kernel emits
-// in ascending order; canonCollector re-sorts the exceptions.
-type extendCollector struct {
-	out    *canonCollector
-	branch dataset.Item
-	buf    []dataset.Item
-}
-
-func (x *extendCollector) Collect(items []dataset.Item, support int) {
-	x.buf = append(append(x.buf[:0], items...), x.branch)
-	x.out.Collect(x.buf, support)
 }
 
 // merge drains every worker shard into the caller's collector on the

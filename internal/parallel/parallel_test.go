@@ -18,22 +18,26 @@ import (
 	"fpm/internal/mine"
 )
 
-func lcmFactory() mine.Miner { return lcm.New(lcm.Options{}) }
+func lcmFactory() mine.Splitter { return lcm.New(lcm.Options{}) }
 
-// kernelFactories covers all four kernels: two Splitters (lcm, eclat — the
-// work-stealing path) and two plain miners (fpgrowth, apriori — the
-// first-level fallback path). The Splitters also run with every applicable
-// pattern, so stealing meets their tuned paths: Lex, LCM's tiled root, the
-// clone of a stolen child out of LCM's depth storage and Eclat's vector
-// free list.
-func kernelFactories() map[string]func() mine.Miner {
-	return map[string]func() mine.Miner{
+// kernelFactories covers all four kernels: three that split through their
+// own recursion (lcm, eclat, fpgrowth) and Apriori, which never offers and
+// runs as the one root task. The splitting kernels also run with every
+// applicable pattern, so stealing meets their tuned paths: Lex, LCM's
+// tiled root, the clone of a stolen child out of LCM's depth storage,
+// Eclat's vector free list and the copy of an offered FP-Growth base out
+// of the shared flat buffer.
+func kernelFactories() map[string]func() mine.Splitter {
+	return map[string]func() mine.Splitter{
 		"lcm":         lcmFactory,
-		"lcm-tuned":   func() mine.Miner { return lcm.New(lcm.Options{Patterns: mine.Applicable(mine.LCM)}) },
-		"eclat":       func() mine.Miner { return eclat.New(eclat.Options{}) },
-		"eclat-tuned": func() mine.Miner { return eclat.New(eclat.Options{Patterns: mine.Applicable(mine.Eclat)}) },
-		"fpgrowth":    func() mine.Miner { return fpgrowth.New(fpgrowth.Options{}) },
-		"apriori":     func() mine.Miner { return apriori.New() },
+		"lcm-tuned":   func() mine.Splitter { return lcm.New(lcm.Options{Patterns: mine.Applicable(mine.LCM)}) },
+		"eclat":       func() mine.Splitter { return eclat.New(eclat.Options{}) },
+		"eclat-tuned": func() mine.Splitter { return eclat.New(eclat.Options{Patterns: mine.Applicable(mine.Eclat)}) },
+		"fpgrowth":    func() mine.Splitter { return fpgrowth.New(fpgrowth.Options{}) },
+		"fpgrowth-tuned": func() mine.Splitter {
+			return fpgrowth.New(fpgrowth.Options{Patterns: mine.Applicable(mine.FPGrowth)})
+		},
+		"apriori": func() mine.Splitter { return apriori.New(apriori.Options{}) },
 	}
 }
 
@@ -44,7 +48,7 @@ func testDB() *dataset.DB {
 // TestMatchesSequentialAllKernels asserts that every kernel wrapped in the
 // scheduler produces exactly the sequential result set, for 1, 2, 4 and
 // GOMAXPROCS workers. Run under -race this also exercises the stealing
-// paths of both Splitter kernels and the first-level fallback.
+// paths of the three splitting kernels.
 func TestMatchesSequentialAllKernels(t *testing.T) {
 	db := testDB()
 	minsup := 30
@@ -167,9 +171,7 @@ func TestEdgeCases(t *testing.T) {
 		t.Fatal("minSupport 0 accepted")
 	}
 	// minSupport above every item frequency: no results, no error, no
-	// hang — for every kernel, so both decomposition paths. The
-	// first-level path (the non-Splitter kernels FP-Growth and Apriori)
-	// seeds zero tasks here and used to deadlock the pool.
+	// hang — for every kernel.
 	db := dataset.New([]dataset.Transaction{{0, 1}, {1, 2}, {0, 2}})
 	for name, factory := range kernelFactories() {
 		m := New(2, factory)
@@ -187,7 +189,7 @@ func TestEdgeCases(t *testing.T) {
 // throwaway miner per call — the factory runs exactly once, at New time.
 func TestNameCached(t *testing.T) {
 	var calls atomic.Int32
-	factory := func() mine.Miner {
+	factory := func() mine.Splitter {
 		calls.Add(1)
 		return lcm.New(lcm.Options{})
 	}
@@ -210,13 +212,15 @@ func (failingMiner) Name() string { return "failing" }
 func (failingMiner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	return errors.New("boom")
 }
+func (failingMiner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
+	return errors.New("boom")
+}
 
 func TestErrorPropagationWithoutDeadlock(t *testing.T) {
-	// Many frequent items force many first-level tasks; the failing
-	// workers must not deadlock the pool, and exactly one (the first)
+	// A failing root task must not deadlock the idle workers, and its
 	// error must surface.
 	db := gen.Quest(gen.QuestConfig{Transactions: 200, AvgLen: 10, AvgPatternLen: 3, Items: 40, Patterns: 15, Seed: 5})
-	m := New(3, func() mine.Miner { return failingMiner{} })
+	m := New(3, func() mine.Splitter { return failingMiner{} })
 	err := m.Mine(db, 5, mine.ResultSet{})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
@@ -253,7 +257,7 @@ func (s splitFailMiner) MineSplit(db *dataset.DB, minSupport int, c mine.Collect
 func TestSplitterErrorFirstWinsAndStops(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0}})
 	var ran atomic.Int32
-	m := New(4, func() mine.Miner { return splitFailMiner{ran: &ran} }, WithCutoff(1))
+	m := New(4, func() mine.Splitter { return splitFailMiner{ran: &ran} }, WithCutoff(1))
 	err := m.Mine(db, 1, mine.ResultSet{})
 	if err == nil {
 		t.Fatal("no error propagated")

@@ -53,7 +53,7 @@ type pool struct {
 type worker struct {
 	id    int
 	pool  *pool
-	inner mine.Miner
+	inner mine.Splitter
 	out   canonCollector // canonicalising view over shard
 	shard mine.ShardCollector
 	rng   uint64       // xorshift state for victim selection
@@ -68,7 +68,7 @@ type worker struct {
 	deque []task
 }
 
-func newPool(workers, cutoff int, factory func() mine.Miner, rec *metrics.Recorder, name string, tracks []*trace.Track) *pool {
+func newPool(workers, cutoff int, factory func() mine.Splitter, rec *metrics.Recorder, name string, tracks []*trace.Track) *pool {
 	p := &pool{
 		cutoff: cutoff,
 		rec:    rec,
@@ -113,11 +113,6 @@ func (p *pool) fail(err error) {
 // run starts the workers and blocks until every task has finished (or been
 // dropped after cancellation), then returns the first error.
 func (p *pool) run() error {
-	if p.active.Load() == 0 {
-		// done is otherwise closed only by the last task retirement; with
-		// an empty pool the workers would block in hunt() forever.
-		close(p.done)
-	}
 	var wg sync.WaitGroup
 	for _, w := range p.workers {
 		wg.Add(1)
@@ -326,9 +321,9 @@ func (w *worker) Cancelled() bool { return w.pool.stopped.Load() || w.pool.cance
 
 // canonCollector guarantees canonical (ascending-item) order on every
 // itemset entering a shard, so parallel output is directly comparable with
-// the sequential kernels'. Kernels already emit sorted itemsets on their
-// common paths; the check is a linear scan and the sort runs only on the
-// rare non-sorted emission.
+// the sequential kernels'. Every kernel of the table emits sorted
+// itemsets, so the check is a linear scan and the sort runs only for a
+// kernel that does not.
 type canonCollector struct {
 	shard   *mine.ShardCollector
 	scratch []dataset.Item

@@ -132,12 +132,12 @@ func enumBound(chunk *dataset.DB) float64 {
 }
 
 // Mine runs the two-pass out-of-core algorithm over the FIMI file at
-// path, mining chunks with sequential miners from factory, and reports
+// path, mining chunks with kernels from factory, and reports
 // every itemset with exact global support >= minSupport to c in canonical
 // order (by size, then items — mine.LessItems), each exactly once. The
 // file must be seekable (it is streamed three times: a parse-free sizing
 // scan, the chunk-mining pass and the recount pass).
-func Mine(path string, factory func() mine.Miner, minSupport int, cfg Config, c mine.Collector) error {
+func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config, c mine.Collector) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
 	}

@@ -50,7 +50,7 @@ func randomDB(seed int64, n, vocab int) *dataset.DB {
 	return db
 }
 
-func lcmFactory() mine.Miner { return lcm.New(lcm.Options{}) }
+func lcmFactory() mine.Splitter { return lcm.New(lcm.Options{}) }
 
 func TestMineMatchesInMemory(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
@@ -255,7 +255,7 @@ func TestMineEclatPool(t *testing.T) {
 	}
 	got := mine.ResultSet{}
 	cfg := Config{MemBudget: 1500, Workers: 4}
-	if err := Mine(path, func() mine.Miner { return eclat.New(eclat.Options{}) }, 5, cfg, got); err != nil {
+	if err := Mine(path, func() mine.Splitter { return eclat.New(eclat.Options{}) }, 5, cfg, got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {

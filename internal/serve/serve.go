@@ -278,15 +278,17 @@ func (inst *Instance) mineJob(ctx context.Context, req jobs.JobRequest, rec *fpm
 // trips. A nil caches (or a nil cache in it) mines uncached; persist
 // stamps inserted listings with their origin for the snapshot.
 func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, persist bool) (jobs.MineResult, error) {
+	// A request that fails validation fails the same way on every attempt,
+	// so its errors are permanent: the store does not retry them.
 	if req.MinSupport < 1 {
-		return jobs.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
+		return jobs.MineResult{}, jobs.Permanent(fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport))
 	}
 	// Resolve the kernel before the result cache: a restored snapshot may
 	// hold listings under a name the kernel table no longer has, and such
 	// a request must fail cached or not.
 	a := fpm.Algorithm(req.Algo)
 	if _, err := fpm.NewMiner(a, 0); err != nil {
-		return jobs.MineResult{}, err
+		return jobs.MineResult{}, jobs.Permanent(err)
 	}
 	var ps fpm.PatternSet
 	if req.Patterns == "" || req.Patterns == "all" {
@@ -294,7 +296,7 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 	} else if req.Patterns != "none" {
 		var err error
 		if ps, err = fpm.ParsePatterns(req.Patterns, a); err != nil {
-			return jobs.MineResult{}, err
+			return jobs.MineResult{}, jobs.Permanent(err)
 		}
 	}
 

@@ -439,7 +439,7 @@ func TestServeCacheDisabled(t *testing.T) {
 // TestServeUnknownKernelBeforeCache: a result-cache entry under a name
 // outside the kernel table — what a snapshot written before a kernel was
 // removed restores — does not answer that name; the job fails as it does
-// uncached.
+// uncached, on its first attempt.
 func TestServeUnknownKernelBeforeCache(t *testing.T) {
 	path := testDataset(t, 500, 12)
 	inst := NewInstance(Config{QueueCap: 8})
@@ -465,5 +465,8 @@ func TestServeUnknownKernelBeforeCache(t *testing.T) {
 	j := waitTerminal(t, inst.Store, job.ID)
 	if j.State != "failed" || j.ServedFromCache || !strings.Contains(j.Error, `unknown algorithm "hmine"`) {
 		t.Fatalf("job under a removed kernel name: %+v", j)
+	}
+	if j.Retries != 0 {
+		t.Fatalf("unknown kernel retried %d times", j.Retries)
 	}
 }
