@@ -5,7 +5,7 @@
 //	fpm -in transactions.dat -support 100
 //	    [-algo lcm|eclat|fpgrowth|apriori|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
-//	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
+//	    [-workers N] [-cutoff W] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume]
 //	    [-timeout 30s] [-stats table|json] [-describe]
 //
@@ -64,11 +64,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"fpm"
+	"fpm/internal/mine"
 	"fpm/internal/telemetry"
 )
 
@@ -103,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		count    = fs.Bool("count", false, "print only the number of frequent itemsets")
 		workers  = fs.Int("workers", 1, "work-stealing mining workers (1 = sequential; 0 = GOMAXPROCS)")
 		cutoff   = fs.Int("cutoff", 0, "minimum estimated subtree weight to spawn a stealable task (0 = default)")
-		det      = fs.Bool("det", false, "deterministic parallel merge order (sorted canonically)")
 		stats    = fs.String("stats", "", "print run-time mining counters to stdout: \"table\" or \"json\" (itemset listing suppressed unless -out is set)")
 		describe = fs.Bool("describe", false, "print dataset statistics and the autotuner recommendation, then exit")
 		part     = fs.Bool("partition", false, "mine out-of-core: stream the file in bounded chunks (SON two-pass) instead of loading it")
@@ -139,9 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *cutoff != 0 {
 		popts = append(popts, fpm.ParallelCutoff(*cutoff))
-	}
-	if *det {
-		popts = append(popts, fpm.ParallelDeterministic())
 	}
 	var traceFile *os.File
 	if *traceOut != "" {
@@ -268,19 +264,7 @@ func writeResults(sets []fpm.Itemset, snap fpm.Snapshot, out, stats string, coun
 	}
 
 	if resultW != nil {
-		// Deterministic output order: by size, then lexicographically.
-		sort.Slice(sets, func(a, b int) bool {
-			sa, sb := sets[a].Items, sets[b].Items
-			if len(sa) != len(sb) {
-				return len(sa) < len(sb)
-			}
-			for i := range sa {
-				if sa[i] != sb[i] {
-					return sa[i] < sb[i]
-				}
-			}
-			return false
-		})
+		mine.SortCanonical(sets)
 		for _, s := range sets {
 			for i, it := range s.Items {
 				if i > 0 {

@@ -3,7 +3,7 @@ package fpm
 // Differential property test: on randomized corpora spanning the density /
 // skew / support space, every kernel (with and without its applicable
 // tuning patterns), the brute-force oracle, and the parallel miner (both
-// worker counts, both merge modes) must produce the identical frequent
+// worker counts, both merge paths) must produce the identical frequent
 // itemset set. This is the strongest correctness net in the repository: the
 // tuning patterns are pure performance transformations, so ANY divergence
 // between configurations is a bug.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -93,6 +92,24 @@ func mineSet(t *testing.T, m Miner, db *DB, minsup int) ResultSet {
 	return rs
 }
 
+// ascendingSet returns sets as a ResultSet after checking the
+// mine.Collector contract on each itemset: items strictly ascending.
+// (ResultSet keys sort the items, so comparing result sets alone would
+// not see a kernel that breaks the order.)
+func ascendingSet(t *testing.T, label string, sets []Itemset) ResultSet {
+	t.Helper()
+	rs := ResultSet{}
+	for _, s := range sets {
+		for i := 1; i < len(s.Items); i++ {
+			if s.Items[i-1] >= s.Items[i] {
+				t.Fatalf("%s: itemset %v is not strictly ascending", label, s.Items)
+			}
+		}
+		rs.Collect(s.Items, s.Support)
+	}
+	return rs
+}
+
 // checkAgainst fails the test with a bounded diff when got diverges from
 // the oracle.
 func checkAgainst(t *testing.T, label string, want, got ResultSet) {
@@ -163,13 +180,7 @@ func partCases(n int) []diffCase {
 // byte-identical, not merely set-equal.
 func canonListing(sets []Itemset) string {
 	ordered := append([]Itemset(nil), sets...)
-	for i := 1; i < len(ordered); i++ {
-		if !mine.LessItems(ordered[i-1].Items, ordered[i].Items) {
-			// Non-canonical input (kernel enumeration order): sort.
-			sortCanon(ordered)
-			break
-		}
-	}
+	mine.SortCanonical(ordered)
 	var b strings.Builder
 	for _, s := range ordered {
 		for i, it := range s.Items {
@@ -181,10 +192,6 @@ func canonListing(sets []Itemset) string {
 		fmt.Fprintf(&b, " (%d)\n", s.Support)
 	}
 	return b.String()
-}
-
-func sortCanon(sets []Itemset) {
-	sort.Slice(sets, func(a, b int) bool { return mine.LessItems(sets[a].Items, sets[b].Items) })
 }
 
 // TestDifferentialPartitionedEquivalence is the out-of-core acceptance
@@ -310,21 +317,27 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 			checkAgainst(t, am.Name()+"/w4", want, mineSet(t, am, tc.db, tc.minsup))
 
 			// Parallel: sequential-equivalent (workers=1) and contended
-			// (workers=4), with both merge modes on the contended pool.
+			// (workers=4), with both merge paths on the contended pool: a
+			// SliceCollector takes whole shards (mine.BatchCollector), a
+			// plain Collector gets them replayed one itemset at a time.
 			for _, pc := range []struct {
 				workers int
-				det     bool
+				batch   bool
 			}{{1, false}, {4, false}, {4, true}} {
-				opts := []ParallelOption{ParallelCutoff(64)}
-				if pc.det {
-					opts = append(opts, ParallelDeterministic())
-				}
-				pm, err := NewParallel(pc.workers, tc.parAlgo, Applicable(tc.parAlgo), opts...)
+				pm, err := NewParallel(pc.workers, tc.parAlgo, Applicable(tc.parAlgo), ParallelCutoff(64))
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s/w%d/det=%v", pm.Name(), pc.workers, pc.det)
-				checkAgainst(t, label, want, mineSet(t, pm, tc.db, tc.minsup))
+				label := fmt.Sprintf("%s/w%d/batch=%v", pm.Name(), pc.workers, pc.batch)
+				var sc SliceCollector
+				var c Collector = &sc
+				if !pc.batch {
+					c = struct{ Collector }{&sc}
+				}
+				if err := pm.Mine(tc.db, tc.minsup, c); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkAgainst(t, label, want, ascendingSet(t, label, sc.Sets))
 			}
 		})
 	}
@@ -458,6 +471,50 @@ func TestDifferentialSparseAlphabets(t *testing.T) {
 						t.Fatal(err)
 					}
 					check(pm.Name()+"/w4", pm)
+				}
+			}
+		})
+	}
+}
+
+// TestBenchCellsAgree mines the benchmark's three mine-dense cells
+// (quest4k@80, docs3k@300 and skew6k@350, the corpora of bench/mine.go)
+// with each splitting kernel untuned, with every applicable pattern and
+// with all but one of them, and checks every listing against untuned LCM,
+// the benchmark's own reference answer. The differential corpora above
+// have a few hundred rows; a tuned path that goes wrong only on these
+// larger inputs would otherwise first show as a wrong benchmark answer.
+func TestBenchCellsAgree(t *testing.T) {
+	benchSetup()
+	benchSkewSetup()
+	for _, c := range []struct {
+		name   string
+		db     *DB
+		minsup int
+	}{{"quest4k", benchQuest, 80}, {"docs3k", benchDocs, 300}, {"skew6k", benchSkew, 350}} {
+		t.Run(c.name, func(t *testing.T) {
+			var want ResultSet
+			for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+				all := Applicable(algo)
+				pss := []PatternSet{0, all}
+				for _, p := range all.Patterns() {
+					pss = append(pss, all.Without(p))
+				}
+				for _, ps := range pss {
+					m, err := NewMiner(algo, ps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var sc SliceCollector
+					if err := m.Mine(c.db, c.minsup, &sc); err != nil {
+						t.Fatalf("%s: %v", m.Name(), err)
+					}
+					got := ascendingSet(t, m.Name(), sc.Sets)
+					if want == nil {
+						want = got // untuned LCM runs first
+						continue
+					}
+					checkAgainst(t, m.Name(), want, got)
 				}
 			}
 		})

@@ -237,11 +237,6 @@ type ParallelOption = parallel.Option
 // selects the built-in default.
 func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weight) }
 
-// ParallelDeterministic makes the merged emission order canonical (by
-// size, then items) and therefore run-to-run stable, at the cost of a
-// sort over all results at merge time.
-func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicMerge(true) }
-
 // NewParallel wraps any kernel in task-parallel mining over a
 // work-stealing worker pool. LCM, Eclat and FP-Growth split through their
 // own recursion: any recursion subtree whose estimated work clears the
@@ -250,9 +245,10 @@ func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicM
 // has no subtree to offer, so it runs as one task on one worker.
 // workers <= 0 means GOMAXPROCS.
 //
-// The result set equals the sequential kernel's and every itemset is
-// emitted in canonical (ascending item) order; emission order across
-// subtrees is scheduling-dependent unless ParallelDeterministic is given.
+// The result set equals the sequential kernel's and every itemset's
+// items are ascending, as each kernel emits them; emission order across
+// subtrees is scheduling-dependent, so sort a listing that must be
+// stable (the CLI prints every listing in canonical order).
 // Results are buffered in per-worker arenas and merged on the caller's
 // goroutine, so the Collector single-goroutine contract holds; collectors
 // implementing mine.BatchCollector absorb whole shards without a

@@ -8,7 +8,7 @@
 package apriori
 
 import (
-	"sort"
+	"slices"
 
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
@@ -127,8 +127,9 @@ func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
 		prev[mine.Key(s)] = true
 	}
 	// The level is produced in lexicographic order (maintained
-	// inductively); the join pairs sets with equal (k-2)-prefixes.
-	sort.Slice(level, func(a, b int) bool { return lessItems(level[a], level[b]) })
+	// inductively; its sets share one length, so slices.Compare is that
+	// order); the join pairs sets with equal (k-2)-prefixes.
+	slices.SortFunc(level, slices.Compare)
 
 	var out [][]dataset.Item
 	k1 := len(level[0])
@@ -170,14 +171,4 @@ func samePrefix(a, b []dataset.Item, n int) bool {
 		}
 	}
 	return true
-}
-
-func lessItems(a, b []dataset.Item) bool {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -1,6 +1,10 @@
 package mine
 
-import "fpm/internal/dataset"
+import (
+	"slices"
+
+	"fpm/internal/dataset"
+)
 
 // ShardCollector is a worker-local result buffer for task-parallel mining:
 // itemsets are appended into a flat item arena (one slice append per
@@ -22,16 +26,6 @@ func (s *ShardCollector) Collect(items []dataset.Item, support int) {
 
 // Len returns the number of buffered itemsets.
 func (s *ShardCollector) Len() int { return len(s.ends) }
-
-// Set returns a view of the i-th buffered itemset and its support. The
-// slice aliases the arena; callers must copy it if they retain it.
-func (s *ShardCollector) Set(i int) ([]dataset.Item, int) {
-	lo := 0
-	if i > 0 {
-		lo = s.ends[i-1]
-	}
-	return s.arena[lo:s.ends[i]], s.sups[i]
-}
 
 // TotalSupport sums the supports of the buffered itemsets.
 func (s *ShardCollector) TotalSupport() int {
@@ -88,16 +82,20 @@ func (c *SliceCollector) CollectBatch(shard *ShardCollector) {
 	shard.Emit(c)
 }
 
-// LessItems is the canonical itemset order (by size, then element-wise)
-// used by deterministic merges and the CLI's output sort.
-func LessItems(a, b []dataset.Item) bool {
+// SortCanonical sorts a listing into the canonical itemset order: by
+// size, then item by item. It is the one place that orders listings;
+// the items within each itemset are already ascending (see Collector).
+func SortCanonical(sets []Itemset) {
+	slices.SortFunc(sets, func(a, b Itemset) int { return compareItems(a.Items, b.Items) })
+}
+
+// LessItems reports whether a precedes b in the canonical itemset order
+// of SortCanonical.
+func LessItems(a, b []dataset.Item) bool { return compareItems(a, b) < 0 }
+
+func compareItems(a, b []dataset.Item) int {
 	if len(a) != len(b) {
-		return len(a) < len(b)
+		return len(a) - len(b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return slices.Compare(a, b)
 }

@@ -141,8 +141,12 @@ func Applicable(a Algorithm) PatternSet {
 	}
 }
 
-// Collector receives mined frequent itemsets. Implementations must copy
-// the items slice if they retain it; miners reuse the buffer.
+// Collector receives mined frequent itemsets. The items of every itemset
+// arrive strictly ascending in the database's original item ids: each
+// kernel owns that order (a relabelling kernel maps its itemsets back
+// before emitting them), and no collector, scheduler or merge repairs
+// it. Implementations must copy the items slice if they retain it;
+// miners reuse the buffer.
 type Collector interface {
 	Collect(items []dataset.Item, support int)
 }

@@ -17,13 +17,14 @@
 // Results are collected through per-worker mine.ShardCollector arenas —
 // one slice append per itemset instead of the former per-itemset channel
 // send plus allocation — and merged on the caller's goroutine once mining
-// finishes, preserving the Collector single-goroutine contract.
+// finishes, preserving the Collector single-goroutine contract. The pool
+// keeps each itemset as its kernel emitted it — items ascending, per the
+// mine.Collector contract — and imposes no order across subtrees.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"strconv"
 	"time"
 
@@ -52,11 +53,6 @@ type Options struct {
 	// Cutoff is the minimum estimated subtree weight for task spawning;
 	// <= 0 means DefaultCutoff.
 	Cutoff int
-	// Deterministic sorts the merged results canonically (by size, then
-	// items) before collection, making emission order — not just the
-	// result set — run-to-run stable. Costs an O(n log n) sort over all
-	// results at merge time.
-	Deterministic bool
 	// Metrics, when non-nil, receives the scheduler's counters: tasks
 	// spawned/offered/stolen, steal failures, shard-merge time and
 	// per-worker utilization. Kernel-level counters (nodes, supports) are
@@ -97,9 +93,6 @@ type Option func(*Options)
 
 // WithCutoff sets the task-spawn weight cutoff.
 func WithCutoff(n int) Option { return func(o *Options) { o.Cutoff = n } }
-
-// WithDeterministicMerge toggles the canonically sorted merge.
-func WithDeterministicMerge(on bool) Option { return func(o *Options) { o.Deterministic = on } }
 
 // WithMetrics routes scheduler counters into rec.
 func WithMetrics(rec *metrics.Recorder) Option { return func(o *Options) { o.Metrics = rec } }
@@ -152,10 +145,10 @@ func NewWithOptions(opts Options, factory func() mine.Splitter) *Miner {
 func (m *Miner) Name() string { return m.name }
 
 // Mine implements mine.Miner. The result set equals the sequential
-// kernel's, every itemset is emitted in canonical (ascending item) order,
-// and the collector is invoked from this goroutine only. Emission order
-// across subtrees is scheduling-dependent unless Options.Deterministic is
-// set.
+// kernel's, each itemset keeps the ascending item order its kernel emitted
+// it in, and the collector is invoked from this goroutine only. Emission
+// order across subtrees is scheduling-dependent; callers that print a
+// listing sort it with mine.SortCanonical.
 func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -180,7 +173,7 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	p.rec.TaskSpawned()
 	p.active.Add(1)
 	p.push(p.workers[0], task{weight: db.Weight(), run: func(w *worker) error {
-		return w.inner.MineSplit(db, minSupport, &w.out, w)
+		return w.inner.MineSplit(db, minSupport, &w.shard, w)
 	}})
 
 	if err := p.run(); err != nil {
@@ -197,27 +190,9 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 }
 
 // merge drains every worker shard into the caller's collector on the
-// calling goroutine. Fast paths: a BatchCollector takes whole shards; the
-// deterministic merge sorts views over the arenas without copying sets.
+// calling goroutine. A BatchCollector takes whole shards; any other
+// collector gets the shards replayed one itemset at a time.
 func (m *Miner) merge(p *pool, c mine.Collector) {
-	if m.opts.Deterministic {
-		total := 0
-		for _, w := range p.workers {
-			total += w.shard.Len()
-		}
-		all := make([]mine.Itemset, 0, total)
-		for _, w := range p.workers {
-			for i := 0; i < w.shard.Len(); i++ {
-				set, sup := w.shard.Set(i)
-				all = append(all, mine.Itemset{Items: set, Support: sup})
-			}
-		}
-		sort.Slice(all, func(a, b int) bool { return mine.LessItems(all[a].Items, all[b].Items) })
-		for _, s := range all {
-			c.Collect(s.Items, s.Support)
-		}
-		return
-	}
 	if bc, ok := c.(mine.BatchCollector); ok {
 		for _, w := range p.workers {
 			bc.CollectBatch(&w.shard)

@@ -77,74 +77,43 @@ func TestMatchesSequentialAllKernels(t *testing.T) {
 	}
 }
 
-// TestCanonicalItemOrder asserts the satellite contract: every itemset the
-// parallel miner emits has its items in ascending order, matching the
-// sequential kernels' canonical output.
+// TestCanonicalItemOrder asserts the mine.Collector contract where it is
+// made: every itemset each kernel emits has its items strictly ascending,
+// both sequentially and when stolen subtrees run on other workers. The
+// pool does not reorder items, so a kernel that breaks the order fails
+// here.
 func TestCanonicalItemOrder(t *testing.T) {
 	db := testDB()
 	for name, factory := range kernelFactories() {
 		t.Run(name, func(t *testing.T) {
-			m := New(4, factory, WithCutoff(1))
-			var sc mine.SliceCollector
-			if err := m.Mine(db, 30, &sc); err != nil {
-				t.Fatal(err)
-			}
-			multi := 0
-			for _, s := range sc.Sets {
-				for i := 1; i < len(s.Items); i++ {
-					if s.Items[i-1] >= s.Items[i] {
-						t.Fatalf("non-canonical itemset %v", s.Items)
+			for _, run := range []string{"sequential", "workers-4"} {
+				var sc mine.SliceCollector
+				var err error
+				if run == "sequential" {
+					err = factory().MineSplit(db, 30, &sc, nil)
+				} else {
+					err = New(4, factory, WithCutoff(1)).Mine(db, 30, &sc)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", run, err)
+				}
+				multi := 0
+				for _, s := range sc.Sets {
+					for i := 1; i < len(s.Items); i++ {
+						if s.Items[i-1] >= s.Items[i] {
+							t.Fatalf("%s: non-canonical itemset %v", run, s.Items)
+						}
+					}
+					if len(s.Items) > 1 {
+						multi++
 					}
 				}
-				if len(s.Items) > 1 {
-					multi++
+				if multi == 0 {
+					t.Fatalf("%s: no multi-item sets mined; ordering untested", run)
 				}
-			}
-			if multi == 0 {
-				t.Fatal("no multi-item sets mined; ordering untested")
 			}
 		})
 	}
-}
-
-// TestDeterministicMerge asserts that WithDeterministicMerge yields the
-// identical emission sequence run to run.
-func TestDeterministicMerge(t *testing.T) {
-	db := testDB()
-	get := func() []mine.Itemset {
-		m := New(4, lcmFactory, WithCutoff(1), WithDeterministicMerge(true))
-		var sc mine.SliceCollector
-		if err := m.Mine(db, 30, &sc); err != nil {
-			t.Fatal(err)
-		}
-		return sc.Sets
-	}
-	a, b := get(), get()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Support != b[i].Support || !eqItems(a[i].Items, b[i].Items) {
-			t.Fatalf("position %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if mine.LessItems(a[i].Items, a[i-1].Items) {
-			t.Fatalf("merge not canonically sorted at %d: %v after %v", i, a[i].Items, a[i-1].Items)
-		}
-	}
-}
-
-func eqItems(a, b []dataset.Item) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mineOrTimeout runs m.Mine and fails the test if it does not return —

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fpm/internal/cancel"
-	"fpm/internal/dataset"
 	"fpm/internal/failpoint"
 	"fpm/internal/metrics"
 	"fpm/internal/mine"
@@ -54,7 +53,6 @@ type worker struct {
 	id    int
 	pool  *pool
 	inner mine.Splitter
-	out   canonCollector // canonicalising view over shard
 	shard mine.ShardCollector
 	rng   uint64       // xorshift state for victim selection
 	tk    *trace.Track // span timeline; nil when tracing is disabled
@@ -82,7 +80,6 @@ func newPool(workers, cutoff int, factory func() mine.Splitter, rec *metrics.Rec
 		if tracks != nil {
 			w.tk = tracks[i]
 		}
-		w.out.shard = &w.shard
 		p.workers[i] = w
 	}
 	return p
@@ -311,52 +308,10 @@ func (w *worker) Offer(weight int, tf mine.TaskFunc) bool {
 	p.rec.TaskSpawned()
 	p.active.Add(1)
 	p.push(w, task{weight: weight, run: func(rw *worker) error {
-		return tf(&rw.out, rw)
+		return tf(&rw.shard, rw)
 	}})
 	return true
 }
 
 // Cancelled implements mine.Spawner.
 func (w *worker) Cancelled() bool { return w.pool.stopped.Load() || w.pool.cancel.Cancelled() }
-
-// canonCollector guarantees canonical (ascending-item) order on every
-// itemset entering a shard, so parallel output is directly comparable with
-// the sequential kernels'. Every kernel of the table emits sorted
-// itemsets, so the check is a linear scan and the sort runs only for a
-// kernel that does not.
-type canonCollector struct {
-	shard   *mine.ShardCollector
-	scratch []dataset.Item
-}
-
-func (c *canonCollector) Collect(items []dataset.Item, support int) {
-	if !sortedItems(items) {
-		c.scratch = append(c.scratch[:0], items...)
-		insertionSortItems(c.scratch)
-		items = c.scratch
-	}
-	c.shard.Collect(items, support)
-}
-
-func sortedItems(items []dataset.Item) bool {
-	for i := 1; i < len(items); i++ {
-		if items[i-1] > items[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// insertionSortItems sorts in place; itemsets are short (bounded by the
-// longest transaction), so insertion sort beats sort.Slice's overhead.
-func insertionSortItems(s []dataset.Item) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}

@@ -31,8 +31,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -134,7 +132,7 @@ func enumBound(chunk *dataset.DB) float64 {
 // Mine runs the two-pass out-of-core algorithm over the FIMI file at
 // path, mining chunks with kernels from factory, and reports
 // every itemset with exact global support >= minSupport to c in canonical
-// order (by size, then items — mine.LessItems), each exactly once. The
+// order (mine.SortCanonical), each exactly once. The
 // file must be seekable (it is streamed three times: a parse-free sizing
 // scan, the chunk-mining pass and the recount pass).
 func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config, c mine.Collector) error {
@@ -366,7 +364,7 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 	}
 
 	sets := sl.Emit(counts, minSupport, nil)
-	sort.Slice(sets, func(a, b int) bool { return mine.LessItems(sets[a].Items, sets[b].Items) })
+	mine.SortCanonical(sets)
 	rec.AddSurvivors(uint64(len(sets)))
 	rec.AddPassTime(2, time.Since(t1))
 	ptk.End(p2ts, "pass 2 recount", trace.CatPhase, cr.n)
@@ -408,14 +406,13 @@ func scaledSupport(minSupport, chunkTx, totalTx int) int {
 	return int(s)
 }
 
-// trieCollector feeds locally-frequent itemsets into the candidate union,
-// canonicalising (sorting a scratch copy) the rare kernels that emit in
-// non-ascending order. Local supports are discarded — only membership
-// matters; pass 2 recounts exactly.
+// trieCollector feeds locally-frequent itemsets into the candidate union;
+// their items arrive ascending (the mine.Collector contract), as the trie
+// requires. Local supports are discarded — only membership matters; pass
+// 2 recounts exactly.
 type trieCollector struct {
 	tr    *trie
 	added int // new candidates inserted by the current chunk
-	buf   []dataset.Item
 }
 
 // Collect implements mine.Collector. It is only ever invoked from one
@@ -423,11 +420,6 @@ type trieCollector struct {
 // and the parallel miner merges worker shards on the caller's goroutine
 // after mining.
 func (tc *trieCollector) Collect(items []dataset.Item, support int) {
-	if !slices.IsSorted(items) {
-		tc.buf = append(tc.buf[:0], items...)
-		slices.Sort(tc.buf)
-		items = tc.buf
-	}
 	if tc.tr.Add(items) {
 		tc.added++
 	}

@@ -89,7 +89,7 @@ func (t *trie) child(n int32, item dataset.Item) int32 {
 }
 
 // Add inserts the itemset (which must be sorted ascending and
-// duplicate-free — the caller canonicalises) and reports whether it was
+// duplicate-free, as every kernel emits it) and reports whether it was
 // new. Re-inserting an existing candidate is a no-op.
 func (t *trie) Add(items []dataset.Item) bool {
 	n := int32(0)
@@ -162,7 +162,7 @@ func (t *trie) count(n int32, tx dataset.Transaction, counts []uint32) {
 // Emit appends every candidate whose global count cleared minSupport to
 // out, walking the trie in lexicographic prefix order. The returned sets
 // carry their exact pass-2 supports; callers wanting the canonical
-// size-then-lex order (mine.LessItems) sort afterwards.
+// size-then-lex order sort afterwards with mine.SortCanonical.
 func (t *trie) Emit(counts []uint32, minSupport int, out []mine.Itemset) []mine.Itemset {
 	var prefix []dataset.Item
 	var walk func(n int32)

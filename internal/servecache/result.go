@@ -85,26 +85,16 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	}
 }
 
-// Canonicalize deep-copies sets into canonical form: items ascending
-// within each itemset, itemsets ordered by size then element-wise — the
-// same order the CLI's output sort and the deterministic parallel merge
-// use. The copy means cache entries never alias a collector's arena.
+// Canonicalize deep-copies sets and sorts the copy with
+// mine.SortCanonical, the order the CLI prints. Each itemset's items are
+// already ascending, as every kernel emits them. The copy means cache
+// entries never alias a collector's arena.
 func Canonicalize(sets []mine.Itemset) []mine.Itemset {
 	out := make([]mine.Itemset, len(sets))
 	for i, s := range sets {
-		items := slices.Clone(s.Items)
-		slices.Sort(items)
-		out[i] = mine.Itemset{Items: items, Support: s.Support}
+		out[i] = mine.Itemset{Items: slices.Clone(s.Items), Support: s.Support}
 	}
-	slices.SortFunc(out, func(a, b mine.Itemset) int {
-		if mine.LessItems(a.Items, b.Items) {
-			return -1
-		}
-		if mine.LessItems(b.Items, a.Items) {
-			return 1
-		}
-		return 0
-	})
+	mine.SortCanonical(out)
 	return out
 }
 
@@ -169,7 +159,8 @@ func (c *ResultCache) ServeTraced(key ResultKey, minSupport int) ([]mine.Itemset
 // a lower threshold replaces the cached one (it subsumes it); a listing
 // at the same or a higher threshold is dropped in favour of the cached
 // entry, which already answers it. Listings larger than the cap are not
-// cached. sets may be in any order; the cache canonicalizes its own copy.
+// cached. sets may be in any order, each itemset's items ascending as
+// mined; the cache canonicalizes its own copy.
 func (c *ResultCache) Insert(key ResultKey, minSupport int, sets []mine.Itemset) {
 	c.insert(key, minSupport, sets, "", 0)
 }

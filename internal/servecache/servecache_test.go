@@ -329,9 +329,10 @@ func listing(ss []mine.Itemset) string {
 func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 	c := NewResultCache(0)
 	key := ResultKey{ID: durable.Identity{Size: 9, Hash: 7}, Algo: "lcm", Patterns: "3"}
-	// Deliberately unordered, with unsorted items: the cache canonicalizes.
+	// Deliberately unordered: the cache sorts the listing. Each itemset's
+	// items are ascending, as every kernel emits them.
 	c.Insert(key, 2, sets(
-		[]dataset.Item{3, 1}, 4,
+		[]dataset.Item{1, 3}, 4,
 		[]dataset.Item{1}, 6,
 		[]dataset.Item{2}, 3,
 		[]dataset.Item{1, 2}, 2,
@@ -421,7 +422,7 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 func TestResultCacheCopiesOnInsert(t *testing.T) {
 	c := NewResultCache(0)
 	key := ResultKey{ID: durable.Identity{Size: 2, Hash: 2}, Algo: "lcm"}
-	in := sets([]dataset.Item{5, 1}, 3)
+	in := sets([]dataset.Item{1, 5}, 3)
 	c.Insert(key, 3, in)
 	in[0].Items[0] = 99
 	in[0].Support = -1
