@@ -710,7 +710,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		return func(b *testing.B) {
 			opts := []ParallelOption{}
 			if tr != nil {
-				opts = append(opts, ParallelTrace(tr))
+				opts = append(opts, WithTrace(tr))
 			}
 			m, err := NewParallel(4, LCM, 0, opts...)
 			if err != nil {

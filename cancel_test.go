@@ -160,9 +160,8 @@ func TestCancelPartitioned(t *testing.T) {
 	est := fimi.DBBytes(benchSkew)
 	ckpt := filepath.Join(dir, "skew.fpmck")
 	assertCancelsPromptly(t, func(ctx context.Context) error {
-		rc := PartitionRunConfig{Checkpoint: ckpt}
-		_, _, err := MinePartitionedWithConfig(path, LCM, 0, benchSkewSupport,
-			8*est/6, 2, rc, WithContext(ctx))
+		_, _, err := MinePartitioned(path, LCM, 0, benchSkewSupport,
+			8*est/6, 2, WithCheckpoint(ckpt, false), WithContext(ctx))
 		var ce *CancelledError
 		if err != nil && !errors.As(err, &ce) {
 			t.Fatalf("error %T does not wrap *CancelledError", err)

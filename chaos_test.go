@@ -121,9 +121,8 @@ func TestChaosKillResumeDifferential(t *testing.T) {
 			ckpt := filepath.Join(dir, "db.fpmck")
 
 			run := func(ctx context.Context) ([]Itemset, PartitionSnapshot, error) {
-				rc := PartitionRunConfig{Checkpoint: ckpt, Resume: true}
-				return MinePartitionedWithConfig(path, algo, Applicable(algo), tc.minsup,
-					budget, workers, rc, ParallelCutoff(64), WithContext(ctx))
+				return MinePartitioned(path, algo, Applicable(algo), tc.minsup,
+					budget, workers, WithCheckpoint(ckpt, true), ParallelCutoff(64), WithContext(ctx))
 			}
 
 			// Fault rounds: each arms one failure mode, runs, and checks

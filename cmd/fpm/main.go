@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		traceFile = f
-		popts = append(popts, fpm.WithTrace(f))
+		popts = append(popts, fpm.WithTrace(fpm.NewTraceRecorder(f)))
 	}
 	if *teleAddr != "" {
 		srv := telemetry.NewServer()
@@ -181,8 +181,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if ckptPath == "" && *resume {
 			ckptPath = *in + ".fpmck"
 		}
-		rc := fpm.PartitionRunConfig{Checkpoint: ckptPath, Resume: *resume}
-		sets, _, err := fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
+		if ckptPath != "" {
+			popts = append(popts, fpm.WithCheckpoint(ckptPath, *resume))
+		}
+		sets, _, err := fpm.MinePartitioned(*in, a, ps, *support, memBytes, *workers, popts...)
 		return finish(sets, rec.Snapshot(), traceFile, err, *out, *stats, *count, stdout)
 	}
 

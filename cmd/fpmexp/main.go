@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"os"
 
-	"fpm"
+	"fpm/internal/exp"
 )
 
 func main() {
@@ -36,61 +36,61 @@ func main() {
 	)
 	flag.Parse()
 
-	o := fpm.ExperimentOptions{Scale: *scale, Seed: *seed, MaxColumns: *cols, MaxVectors: *vecs}
+	o := exp.Options{Scale: *scale, Seed: *seed, MaxColumns: *cols, MaxVectors: *vecs}
 	w := os.Stdout
 	ran := false
 
 	if *all || *table == 2 {
 		fmt.Fprintln(w, "== Table 2: ALSO patterns and the properties they improve ==")
-		fpm.PrintTable2(w)
+		exp.Table2(w)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *table == 3 {
 		fmt.Fprintln(w, "== Table 3: characteristics of the studied kernels ==")
-		fpm.PrintTable3(w)
+		exp.Table3(w)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *table == 4 {
 		fmt.Fprintln(w, "== Table 4: optimization patterns applied per kernel ==")
-		fpm.PrintTable4(w)
+		exp.Table4(w)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *table == 5 {
 		fmt.Fprintln(w, "== Table 5: simulated platforms ==")
-		fpm.PrintTable5(w)
+		exp.Table5(w)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *table == 6 {
 		fmt.Fprintln(w, "== Table 6: evaluation datasets ==")
-		fpm.PrintTable6(w, o)
+		exp.Table6(w, o)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *fig == 2 {
-		fpm.PrintFigure2(w, o)
+		exp.PrintFigure2(w, o)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *fig == 8 {
-		fpm.PrintFigure8(w, o)
+		exp.PrintFigure8(w, o)
 		ran = true
 	}
 	if *all || *ablate {
-		fpm.PrintAblations(w, o)
+		exp.PrintAblations(w, o)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *baseline {
-		fpm.PrintBaselineTimes(w, o)
+		exp.PrintBaselineTimes(w, o)
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *all || *check {
-		fpm.PrintShapeChecks(w, o)
+		exp.PrintShapeChecks(w, o)
 		ran = true
 	}
 	if !ran {

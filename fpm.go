@@ -37,7 +37,6 @@ import (
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
 	"fpm/internal/eclat"
-	"fpm/internal/exp"
 	"fpm/internal/fimi"
 	"fpm/internal/fpgrowth"
 	"fpm/internal/gen"
@@ -79,11 +78,6 @@ type (
 	SliceCollector = mine.SliceCollector
 	// CountCollector counts itemsets without storing them.
 	CountCollector = mine.CountCollector
-	// ShardCollector is a worker-local batched result arena.
-	ShardCollector = mine.ShardCollector
-	// BatchCollector is the optional Collector extension that absorbs
-	// whole worker shards at merge time (see NewParallel).
-	BatchCollector = mine.BatchCollector
 	// Pattern is one ALSO tuning pattern flag.
 	Pattern = mine.Pattern
 	// PatternSet is a combination of tuning patterns.
@@ -228,14 +222,42 @@ func wrapCancelled(err error, rec *metrics.Recorder) error {
 	return err
 }
 
-// ParallelOption configures NewParallel beyond the worker count.
-type ParallelOption = parallel.Option
+// ParallelOption configures one mining run beyond the worker count. The
+// same options serve NewParallel, WithMetrics and MinePartitioned; only
+// MinePartitioned accepts WithCheckpoint.
+type ParallelOption func(*runOptions)
+
+// runOptions is what a run's ParallelOptions set: the pool's own options
+// plus the out-of-core checkpoint, which never reaches the pool.
+type runOptions struct {
+	pool       parallel.Options
+	checkpoint string
+	resume     bool
+}
+
+// newRunOptions applies opts over a run of the given worker count.
+func newRunOptions(workers int, opts []ParallelOption) runOptions {
+	ro := runOptions{pool: parallel.Options{Workers: workers}}
+	for _, fn := range opts {
+		fn(&ro)
+	}
+	return ro
+}
+
+// inMemory rejects a checkpoint given to an in-memory entry point, which
+// would otherwise drop it silently.
+func (ro runOptions) inMemory(entry string) error {
+	if ro.checkpoint != "" || ro.resume {
+		return fmt.Errorf("fpm: %s mines in memory; WithCheckpoint applies only to MinePartitioned", entry)
+	}
+	return nil
+}
 
 // ParallelCutoff sets the minimum estimated subtree weight (item
 // occurrences in the projected database) for a subtree to become a
 // stealable task; below it workers recurse sequentially. Zero or negative
 // selects the built-in default.
-func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weight) }
+func ParallelCutoff(weight int) ParallelOption { return func(o *runOptions) { o.pool.Cutoff = weight } }
 
 // NewParallel wraps any kernel in task-parallel mining over a
 // work-stealing worker pool. LCM, Eclat and FP-Growth split through their
@@ -254,22 +276,19 @@ func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weig
 // implementing mine.BatchCollector absorb whole shards without a
 // per-itemset replay.
 //
-// A Miner has no run boundary at which to flush a trace, so NewParallel
-// rejects WithTrace; trace it with ParallelTrace and a recorder the caller
-// starts, stops and flushes.
+// A Miner has no run boundary, so a WithTrace recorder records every Mine
+// call and the caller starts, stops and flushes it. WithContext cancels
+// every Mine call; WithCheckpoint is rejected.
 func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...ParallelOption) (Miner, error) {
 	k, err := kernel(algo)
 	if err != nil {
 		return nil, err
 	}
-	var po parallel.Options
-	for _, fn := range opts {
-		fn(&po)
+	ro := newRunOptions(workers, opts)
+	if err := ro.inMemory("NewParallel"); err != nil {
+		return nil, err
 	}
-	if _, ok := po.Trace.Output().(runTraceSink); ok {
-		return nil, errors.New("fpm: WithTrace traces only WithMetrics and MinePartitioned runs; give NewParallel a ParallelTrace recorder")
-	}
-	return parallel.New(workers, func() mine.Splitter { return k(patterns, nil, nil, nil) }, opts...), nil
+	return parallel.NewWithOptions(ro.pool, func() mine.Splitter { return k(patterns, nil, nil, nil) }), nil
 }
 
 // Observability (see internal/metrics): optionally-enabled run-time
@@ -299,45 +318,36 @@ func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder returns an enabled trace recorder whose Flush writes
-// the trace-event JSON to w. Thread it through a run with ParallelTrace
-// (or use WithTrace for the common one-shot case).
+// the trace-event JSON to w. Thread it through a run with WithTrace.
 func NewTraceRecorder(w io.Writer) *TraceRecorder {
 	return trace.NewRecorder(trace.WithOutput(w))
 }
 
-// WithTrace enables execution tracing for one observed mining run
-// (WithMetrics or MinePartitioned): span timelines for every scheduler
-// worker and partition phase are recorded and written to w as Chrome
-// trace-event JSON when the run ends. A failing writer never interrupts
-// mining — the run completes and the write error is returned once,
-// alongside the full results. NewParallel rejects it (see ParallelTrace).
-func WithTrace(w io.Writer) ParallelOption {
-	return parallel.WithTrace(trace.NewRecorder(trace.WithOutput(runTraceSink{w})))
-}
+// WithTrace records a run's span timelines — every scheduler worker, the
+// kernel's first-level subtrees on a sequential run and every partition
+// phase — into tr. WithMetrics and MinePartitioned start, stop and flush
+// tr around the run; a failing writer never interrupts mining — the run
+// completes and the flush error is returned once, alongside the full
+// results. A NewParallel caller starts, stops and flushes tr itself.
+func WithTrace(tr *TraceRecorder) ParallelOption { return func(o *runOptions) { o.pool.Trace = tr } }
 
-// runTraceSink marks the writer of a recorder WithTrace made, which only
-// an observed run flushes.
-type runTraceSink struct{ io.Writer }
-
-// ParallelTrace routes span timelines into an existing trace recorder,
-// for callers that manage the recorder lifecycle themselves (call Start
-// before mining, Stop after, and Flush/WriteJSON to serialise).
-func ParallelTrace(tr *TraceRecorder) ParallelOption { return parallel.WithTrace(tr) }
-
-// WithContext makes one observed run (WithMetrics, MinePartitioned or
-// MinePartitionedWithConfig) cancellable: when ctx is cancelled or its
+// WithContext makes a run cancellable: when ctx is cancelled or its
 // deadline expires, the kernels unwind within a few recursion nodes, the
-// scheduler drops its queued tasks, the partition passes stop at the next
-// chunk boundary, and the run returns a *CancelledError wrapping ctx.Err()
-// with the partial-progress Snapshot attached. A context that can never be
-// cancelled (context.Background()) adds no cost.
-func WithContext(ctx context.Context) ParallelOption { return parallel.WithContext(ctx) }
+// scheduler drops its queued tasks and the partition passes stop at the
+// next chunk boundary. WithMetrics and MinePartitioned then return a
+// *CancelledError wrapping ctx.Err() with the partial-progress Snapshot
+// attached; a NewParallel Miner returns ctx.Err() from every Mine call
+// after the cut. A context that can never be cancelled
+// (context.Background()) adds no cost.
+func WithContext(ctx context.Context) ParallelOption { return func(o *runOptions) { o.pool.Ctx = ctx } }
 
 // ParallelMetrics routes the work-stealing scheduler's counters (tasks
 // spawned/offered/stolen, steal failures, shard-merge time, per-worker
 // utilization) into rec. Kernel-level counters are recorded by the inner
 // miners when they are built with the same recorder (see WithMetrics).
-func ParallelMetrics(rec *MetricsRecorder) ParallelOption { return parallel.WithMetrics(rec) }
+func ParallelMetrics(rec *MetricsRecorder) ParallelOption {
+	return func(o *runOptions) { o.pool.Metrics = rec }
+}
 
 // poolSize is the worker count a run reports in its Snapshot: 0 for a
 // sequential run (workers == 1), GOMAXPROCS for workers <= 0.
@@ -363,11 +373,16 @@ func poolSize(workers int) int {
 //
 // ParallelMetrics routes the run into an existing recorder (so a live
 // telemetry server can scrape the counters mid-run); without it a private
-// recorder is used. WithTrace / ParallelTrace additionally record the
-// run's span timeline; a failing trace sink never interrupts mining — the
-// results and Snapshot are returned together with the single flush error.
+// recorder is used. WithTrace additionally records the run's span
+// timeline; a failing trace sink never interrupts mining — the results
+// and Snapshot are returned together with the single flush error.
+// WithCheckpoint is rejected.
 func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, workers int, opts ...ParallelOption) ([]Itemset, Snapshot, error) {
-	return observe(algo, patterns, workers, opts, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
+	ro := newRunOptions(workers, opts)
+	if err := ro.inMemory("WithMetrics"); err != nil {
+		return nil, Snapshot{}, err
+	}
+	return observe(algo, patterns, workers, ro.pool, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
 		var m Miner
 		if workers == 1 {
 			m = newKernel()
@@ -378,27 +393,23 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 	})
 }
 
-// observe is the one driver behind WithMetrics and
-// MinePartitionedWithConfig. It resolves algo, parses opts (supplying a
-// private recorder when ParallelMetrics is absent) and arms one
-// cancellation flag from WithContext, shared by the kernels (node-granular
-// latency) and the pool or partition passes; the flag's watcher goroutine
-// is joined before observe returns. setup receives a kernel builder that
-// records into the run's recorder, polls the flag and traces first-level
-// subtrees on sequential runs (under a pool the worker task spans own the
-// timeline), plus the resolved options; it returns the run's name and
-// body. The body runs between the recorder's and the trace's Start/Stop.
-// A context error becomes a *CancelledError; a failing trace sink is
-// returned once, alongside the complete results and Snapshot.
-func observe(algo Algorithm, patterns PatternSet, workers int, opts []ParallelOption,
+// observe is the one driver behind WithMetrics and MinePartitioned. It
+// resolves algo, completes po (supplying a private recorder when
+// ParallelMetrics is absent) and arms one cancellation flag from
+// WithContext, shared by the kernels (node-granular latency) and the pool
+// or partition passes; the flag's watcher goroutine is joined before
+// observe returns. setup receives a kernel builder that records into the
+// run's recorder, polls the flag and traces first-level subtrees on
+// sequential runs (under a pool the worker task spans own the timeline),
+// plus the completed options; it returns the run's name and body. The body
+// runs between the recorder's and the trace's Start/Stop. A context error
+// becomes a *CancelledError; a failing trace sink is returned once,
+// alongside the complete results and Snapshot.
+func observe(algo Algorithm, patterns PatternSet, workers int, po parallel.Options,
 	setup func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error)) ([]Itemset, Snapshot, error) {
 	k, err := kernel(algo)
 	if err != nil {
 		return nil, Snapshot{}, err
-	}
-	po := parallel.Options{Workers: workers}
-	for _, fn := range opts {
-		fn(&po)
 	}
 	if po.Metrics == nil {
 		po.Metrics = metrics.NewRecorder()
@@ -434,6 +445,24 @@ func observe(algo Algorithm, patterns PatternSet, workers int, opts []ParallelOp
 // pass. It is the `partition` section of the Snapshot schema.
 type PartitionSnapshot = metrics.PartitionStats
 
+// WithCheckpoint makes a MinePartitioned run crash-safe. Progress is
+// persisted to the sidecar file at path after every chunk with an atomic
+// temp-file + rename, so a crashed (or cancelled) run loses at most the
+// chunk in flight; the sidecar is removed when the run completes. Writes
+// are best-effort: a failing write is counted in the snapshot's
+// CheckpointsFailed and mining continues with the previous sidecar intact.
+//
+// Only resume reads a sidecar back: it validates the sidecar against this
+// run's input (size + content prefix hash + transaction count) and
+// configuration (kernel, patterns, support, memory budget) and skips every
+// chunk the previous run completed. A missing, corrupt or mismatched
+// sidecar silently degrades to a fresh run. Resuming stays an explicit
+// choice because the input identity is only sampled, so a changed file of
+// the same size and prefix would pass it.
+func WithCheckpoint(path string, resume bool) ParallelOption {
+	return func(o *runOptions) { o.checkpoint, o.resume = path, resume }
+}
+
 // MinePartitioned mines the FIMI file at path without ever holding more
 // than one bounded chunk of it in memory, and returns exactly the
 // itemsets Mine would return on the loaded database — in canonical order
@@ -446,42 +475,18 @@ type PartitionSnapshot = metrics.PartitionStats
 // file to count every candidate's exact global support and filters to the
 // true answer. The memory budget covers the resident chunk plus the
 // kernel's working set; peak heap is bounded by it (×2 with GC headroom)
-// rather than by the file size. The file must be seekable. Options are
-// the NewParallel options; ParallelMetrics additionally routes the
-// partition and scheduler counters into the given recorder (the returned
-// PartitionSnapshot is recorded either way), and WithTrace / ParallelTrace
-// record the run's span timeline — the partition phase track plus, when
-// workers != 1, the per-worker scheduler tracks. A failing trace sink
-// never interrupts mining: the results are returned together with the
-// single flush error.
+// rather than by the file size. The file must be seekable.
+//
+// ParallelMetrics additionally routes the partition and scheduler counters
+// into the given recorder (the returned PartitionSnapshot is recorded
+// either way), WithTrace records the run's span timeline — the partition
+// phase track plus, when workers != 1, the per-worker scheduler tracks —
+// and WithCheckpoint persists progress for a later resume. A failing trace
+// sink never interrupts mining: the results are returned together with
+// the single flush error.
 func MinePartitioned(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
-	return MinePartitionedWithConfig(path, algo, patterns, minSupport, memBudget, workers, PartitionRunConfig{}, opts...)
-}
-
-// PartitionRunConfig bundles the robustness knobs of an out-of-core run:
-// crash-safe checkpoint/resume. The zero value disables both
-// (MinePartitioned's behaviour); cancellation comes from the WithContext
-// option.
-type PartitionRunConfig struct {
-	// Checkpoint, when non-empty, is the sidecar file where progress is
-	// persisted after every chunk with an atomic temp-file + rename, so a
-	// crashed (or cancelled) run loses at most the chunk in flight. It is
-	// removed when the run completes. Writes are best-effort: a failing
-	// write is counted in the snapshot's CheckpointsFailed and mining
-	// continues with the previous sidecar intact.
-	Checkpoint string
-	// Resume, when true (with Checkpoint set), validates the sidecar
-	// against this run's input (size + content prefix hash + transaction
-	// count) and configuration (kernel, patterns, support, memory budget)
-	// and skips every chunk the previous run completed. A missing, corrupt
-	// or mismatched sidecar silently degrades to a fresh run.
-	Resume bool
-}
-
-// MinePartitionedWithConfig is MinePartitioned plus the robustness knobs of
-// PartitionRunConfig; see that type for the semantics.
-func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, rc PartitionRunConfig, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
-	sets, snap, err := observe(algo, patterns, workers, opts, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
+	ro := newRunOptions(workers, opts)
+	sets, snap, err := observe(algo, patterns, workers, ro.pool, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
 		cfg := partition.Config{
 			MemBudget:  memBudget,
 			Workers:    workers,
@@ -489,8 +494,8 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 			Metrics:    po.Metrics,
 			Trace:      po.Trace,
 			Cancel:     po.Cancel,
-			Checkpoint: rc.Checkpoint,
-			Resume:     rc.Resume,
+			Checkpoint: ro.checkpoint,
+			Resume:     ro.resume,
 		}
 		return "partitioned(" + newKernel().Name() + ")", func(c Collector) error {
 			return partition.Mine(path, newKernel, minSupport, cfg, c)
@@ -564,7 +569,7 @@ func GenerateCorpus(cfg CorpusConfig) *DB { return gen.Corpus(cfg) }
 // given scale (1.0 = the paper's sizes).
 func Table6Datasets(scale float64, seed int64) []NamedDataset { return gen.Table6(scale, seed) }
 
-// Machine models and simulation (see internal/memsim, internal/exp).
+// Machine models and simulation (see internal/memsim).
 type MachineConfig = memsim.Config
 
 // M1 returns the Pentium D 830 machine model (paper Table 5).
@@ -598,26 +603,3 @@ func Simulate(algo Algorithm, db *DB, minSupport int, patterns PatternSet, cfg M
 		return SimReport{}, fmt.Errorf("fpm: no instrumented kernel for %q", algo)
 	}
 }
-
-// ExperimentOptions configure the paper-reproduction harness.
-type ExperimentOptions = exp.Options
-
-// Experiment entry points: each regenerates one artifact of the paper's
-// evaluation (experiment ids per DESIGN.md §4).
-func PrintTable2(w io.Writer)                         { exp.Table2(w) }
-func PrintTable3(w io.Writer)                         { exp.Table3(w) }
-func PrintTable4(w io.Writer)                         { exp.Table4(w) }
-func PrintTable5(w io.Writer)                         { exp.Table5(w) }
-func PrintTable6(w io.Writer, o ExperimentOptions)    { exp.Table6(w, o) }
-func PrintFigure2(w io.Writer, o ExperimentOptions)   { exp.PrintFigure2(w, o) }
-func PrintFigure8(w io.Writer, o ExperimentOptions)   { exp.PrintFigure8(w, o) }
-func PrintAblations(w io.Writer, o ExperimentOptions) { exp.PrintAblations(w, o) }
-
-// PrintBaselineTimes measures and prints the untuned native kernels'
-// wall-clock times on the Table 6 datasets (the paper's "no single best
-// algorithm" comparison).
-func PrintBaselineTimes(w io.Writer, o ExperimentOptions) { exp.PrintBaselineTimes(w, o) }
-
-// PrintShapeChecks verifies the paper's quantitative claims against this
-// reproduction and prints a PASS/FAIL table (the core of EXPERIMENTS.md).
-func PrintShapeChecks(w io.Writer, o ExperimentOptions) { exp.PrintShapeChecks(w, o) }

@@ -2,7 +2,6 @@ package fpm
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -156,20 +155,6 @@ func TestStatsAndMachines(t *testing.T) {
 	}
 }
 
-func TestExperimentPrintersSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	PrintTable4(&buf)
-	PrintTable5(&buf)
-	o := ExperimentOptions{Scale: 0.001, Seed: 5, MaxColumns: 12, MaxVectors: 12}
-	PrintTable6(&buf, o)
-	out := buf.String()
-	for _, want := range []string{"SIMDization", "Pentium", "DS4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("experiment output missing %q", want)
-		}
-	}
-}
-
 func TestTable6DatasetsPublic(t *testing.T) {
 	sets := Table6Datasets(0.001, 9)
 	if len(sets) != 4 {
@@ -178,6 +163,19 @@ func TestTable6DatasetsPublic(t *testing.T) {
 	for _, d := range sets {
 		if err := d.DB.Validate(); err != nil {
 			t.Errorf("%s: %v", d.Name, err)
+		}
+	}
+}
+
+// A checkpoint only means something to MinePartitioned; the in-memory
+// entry points must refuse it rather than drop it.
+func TestInMemoryRejectsCheckpoint(t *testing.T) {
+	for _, opt := range []ParallelOption{WithCheckpoint("db.fpmck", false), WithCheckpoint("db.fpmck", true)} {
+		if _, _, err := WithMetrics(testDB(), LCM, 0, 20, 1, opt); err == nil {
+			t.Error("WithMetrics accepted WithCheckpoint")
+		}
+		if _, err := NewParallel(2, LCM, 0, opt); err == nil {
+			t.Error("NewParallel accepted WithCheckpoint")
 		}
 	}
 }

@@ -6,7 +6,6 @@ package mine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fpm/internal/dataset"
@@ -191,12 +190,12 @@ func (c *SliceCollector) Collect(items []dataset.Item, support int) {
 	c.Sets = append(c.Sets, Itemset{Items: c.arena[start:len(c.arena):len(c.arena)], Support: support})
 }
 
-// Key canonicalises an itemset (sorted, comma-joined) for set comparison.
+// Key joins an itemset's items with commas in the order given, without
+// sorting: every kernel emits its items ascending (see Collector), so two
+// listings compared by Key differ if either breaks that contract.
 func Key(items []dataset.Item) string {
-	s := append([]dataset.Item(nil), items...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
 	var b strings.Builder
-	for i, it := range s {
+	for i, it := range items {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -205,8 +204,9 @@ func Key(items []dataset.Item) string {
 	return b.String()
 }
 
-// ResultSet is a canonical map from itemset key to support, used to compare
-// miner outputs irrespective of enumeration order.
+// ResultSet maps each itemset's Key to its support, used to compare miner
+// outputs irrespective of the order itemsets are emitted in; the order of
+// items within an itemset is part of its key.
 type ResultSet map[string]int
 
 // Collect implements Collector.

@@ -85,11 +85,13 @@ func TestApplicableMatchesTable4(t *testing.T) {
 	}
 }
 
-func TestKeyCanonical(t *testing.T) {
-	a := Key([]dataset.Item{3, 1, 2})
-	b := Key([]dataset.Item{2, 3, 1})
-	if a != b || a != "1,2,3" {
-		t.Fatalf("Key not canonical: %q vs %q", a, b)
+// Key must not sort: a kernel emitting items out of order has to show up
+// as a ResultSet mismatch.
+func TestKeyKeepsItemOrder(t *testing.T) {
+	a := Key([]dataset.Item{1, 2, 3})
+	b := Key([]dataset.Item{3, 2, 1})
+	if a == b || a != "1,2,3" {
+		t.Fatalf("Key sorts or misjoins: %q vs %q", a, b)
 	}
 	if Key(nil) != "" {
 		t.Fatalf("Key(nil) = %q", Key(nil))

@@ -103,9 +103,6 @@ func WithTrace(tr *trace.Recorder) Option { return func(o *Options) { o.Trace = 
 // WithCancel attaches a cooperative cancellation flag (see Options.Cancel).
 func WithCancel(cf *cancel.Flag) Option { return func(o *Options) { o.Cancel = cf } }
 
-// WithContext arms a per-run cancellation flag from ctx (see Options.Ctx).
-func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx = ctx } }
-
 // New returns a parallel miner running opts-many workers (0 means
 // GOMAXPROCS), each using its own kernel from factory (kernels are not
 // required to be concurrency-safe).

@@ -355,14 +355,6 @@ func (r *Recorder) samplePoint() {
 	r.mu.Unlock()
 }
 
-// Output returns the writer attached with WithOutput, or nil.
-func (r *Recorder) Output() io.Writer {
-	if r == nil {
-		return nil
-	}
-	return r.out
-}
-
 // Flush serialises the trace into the writer attached with WithOutput,
 // exactly once; later calls return the first outcome. Without an attached
 // output it is a no-op. Mining is never interrupted by a failing trace

@@ -1,6 +1,6 @@
 package fpm
 
-// Tests for the public tracing surface: fpm.WithTrace / fpm.ParallelTrace
+// Tests for the public tracing surface: fpm.WithTrace
 // must produce a loadable Chrome trace-event file with one track per
 // scheduler worker and the partition-phase track, without changing the
 // mined results; a failing trace sink must never lose the mining results;
@@ -85,7 +85,7 @@ func TestTracePartitionedParallelHasWorkerAndPartitionTracks(t *testing.T) {
 
 	var buf bytes.Buffer
 	got, snap, err := MinePartitioned(path, LCM, 0, minsup, budget, workers,
-		ParallelCutoff(64), WithTrace(&buf))
+		ParallelCutoff(64), WithTrace(NewTraceRecorder(&buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTracePartitionedParallelHasWorkerAndPartitionTracks(t *testing.T) {
 func TestTraceSequentialKernelTrack(t *testing.T) {
 	db := testDB()
 	var buf bytes.Buffer
-	sets, _, err := WithMetrics(db, Eclat, Applicable(Eclat), 20, 1, WithTrace(&buf))
+	sets, _, err := WithMetrics(db, Eclat, Applicable(Eclat), 20, 1, WithTrace(NewTraceRecorder(&buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +162,12 @@ func TestTraceSequentialKernelTrack(t *testing.T) {
 	}
 }
 
-// NewParallel has no run boundary at which to flush a WithTrace sink, so
-// it must refuse one rather than mine and write nothing; a ParallelTrace
-// recorder, which the caller starts, stops and flushes, stays accepted.
-func TestNewParallelRejectsWithTrace(t *testing.T) {
+// NewParallel has no run boundary, so its caller starts, stops and
+// flushes the WithTrace recorder around its own Mine calls.
+func TestNewParallelTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := NewParallel(2, LCM, 0, WithTrace(&buf)); err == nil {
-		t.Fatal("NewParallel accepted a WithTrace sink it never flushes")
-	}
-
 	tr := NewTraceRecorder(&buf)
-	m, err := NewParallel(2, LCM, 0, ParallelTrace(tr))
+	m, err := NewParallel(2, LCM, 0, WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +181,7 @@ func TestNewParallelRejectsWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cc.N == 0 || buf.Len() == 0 {
-		t.Fatalf("ParallelTrace run mined %d itemsets and wrote %d trace bytes", cc.N, buf.Len())
+		t.Fatalf("traced NewParallel run mined %d itemsets and wrote %d trace bytes", cc.N, buf.Len())
 	}
 }
 
@@ -216,7 +211,7 @@ func TestTraceWriterFailureKeepsResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &brokenWriter{}
-	got, snap, err := WithMetrics(db, LCM, 0, 20, 4, WithTrace(w))
+	got, snap, err := WithMetrics(db, LCM, 0, 20, 4, WithTrace(NewTraceRecorder(w)))
 	if err == nil {
 		t.Fatal("flush error not surfaced")
 	}
