@@ -31,6 +31,7 @@ import (
 	"fpm/internal/bitvec"
 	"fpm/internal/cancel"
 	"fpm/internal/exp"
+	"fpm/internal/kernel"
 	"fpm/internal/memsim"
 	"fpm/internal/mine"
 	"fpm/internal/simkern"
@@ -606,25 +607,32 @@ func BenchmarkPartitionedVsInMemory(b *testing.B) {
 			b.ReportMetric(float64(peak)/(1<<20), "peakheapMiB")
 		}
 	})
-	b.Run("partitioned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var n int
-			peak := peakHeapDuring(func() {
-				sets, _, err := MinePartitioned(path, LCM, 0, minsup, budget, 1)
-				if err != nil {
-					b.Fatal(err)
+	// One leg per pass-1 worker count: two workers split the budget into
+	// two chunk buffers mined at once, and must stay under the same bound.
+	for _, leg := range []struct {
+		name    string
+		workers int
+	}{{"partitioned", 1}, {"partitioned-2workers", 2}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var n int
+				peak := peakHeapDuring(func() {
+					sets, _, err := MinePartitioned(path, LCM, 0, minsup, budget, leg.workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					n = len(sets)
+				})
+				if n == 0 {
+					b.Fatal("degenerate workload")
 				}
-				n = len(sets)
-			})
-			if n == 0 {
-				b.Fatal("degenerate workload")
+				if peak >= 2*budget {
+					b.Fatalf("partitioned peak heap growth %d B breaches 2x the %d B budget", peak, budget)
+				}
+				b.ReportMetric(float64(peak)/(1<<20), "peakheapMiB")
 			}
-			if peak >= 2*budget {
-				b.Fatalf("partitioned peak heap growth %d B breaches 2x the %d B budget", peak, budget)
-			}
-			b.ReportMetric(float64(peak)/(1<<20), "peakheapMiB")
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkMetricsOverhead measures the cost of the observability layer on
@@ -641,7 +649,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(rec *MetricsRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m := kernels[LCM](0, rec, nil, nil)
+			m := kernel.Table[LCM](0, rec, nil, nil)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {
@@ -691,7 +699,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(tr *TraceRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m := kernels[LCM](0, nil, tr, nil)
+			m := kernel.Table[LCM](0, nil, tr, nil)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {
@@ -746,7 +754,7 @@ func BenchmarkCancelOverhead(b *testing.B) {
 			// allocation noise and break the cross-PR comparison.
 			cf, stop := cancel.FromContext(ctx)
 			defer stop()
-			m := kernels[LCM](0, nil, nil, cf)
+			m := kernel.Table[LCM](0, nil, nil, cf)
 			for i := 0; i < b.N; i++ {
 				var cc CountCollector
 				if err := m.Mine(benchSkew, benchSkewSupport, &cc); err != nil {

@@ -32,6 +32,13 @@ const (
 	// latency is microseconds (one atomic load per recursion node).
 	cancelDelay = 30 * time.Millisecond
 	cancelBound = 2 * time.Second
+
+	// cancelSeqSupport is the support of the sequential-kernel runs. At
+	// benchSkewSupport eclat's bit-matrix kernel finishes the skewed
+	// corpus in about 20 ms on one core, before cancelDelay; at 150 every
+	// kernel runs several times past it (eclat about 100 ms, lcm and
+	// fpgrowth about 200 ms, apriori about a minute).
+	cancelSeqSupport = 150
 )
 
 // assertNoGoroutineGrowth polls until the goroutine count returns to its
@@ -94,7 +101,7 @@ func TestCancelSequentialKernels(t *testing.T) {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {
-				sets, _, err := WithMetrics(benchSkew, algo, Applicable(algo), benchSkewSupport, 1, WithContext(ctx))
+				sets, _, err := WithMetrics(benchSkew, algo, Applicable(algo), cancelSeqSupport, 1, WithContext(ctx))
 				if err == nil && len(sets) == 0 {
 					t.Fatal("completed run found nothing: degenerate corpus")
 				}

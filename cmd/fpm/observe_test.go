@@ -245,7 +245,9 @@ func TestCLITelemetryAddr(t *testing.T) {
 
 // TestServeJobAPI drives the `fpm serve` wiring through its handler: a
 // real mining job on testdata/small.dat runs to completion and its result
-// matches the known count; invalid jobs fail with a recorded error.
+// matches the known count; a request that breaks the job rules is refused
+// with 400 at submit, and a job whose input is missing fails with a
+// recorded error.
 func TestServeJobAPI(t *testing.T) {
 	srv, store := newServeServer()
 	defer store.Shutdown()
@@ -296,7 +298,6 @@ func TestServeJobAPI(t *testing.T) {
 	small := filepath.Join("testdata", "small.dat")
 	ok := submit(fmt.Sprintf(`{"path":%q,"algo":"lcm","min_support":2}`, small))
 	part := submit(fmt.Sprintf(`{"path":%q,"algo":"eclat","min_support":2,"mem_budget":1024,"workers":2}`, small))
-	badSupport := submit(fmt.Sprintf(`{"path":%q,"algo":"lcm"}`, small))
 	badPath := submit(`{"path":"does-not-exist.dat","algo":"lcm","min_support":2}`)
 
 	if j := wait(ok.ID); j.State != "done" || j.Itemsets != 9 {
@@ -309,8 +310,15 @@ func TestServeJobAPI(t *testing.T) {
 	} else if j.Stats == nil || j.Stats.Partition == nil || j.Stats.Partition.Chunks < 2 {
 		t.Fatalf("partitioned job stats missing partition section: %+v", j.Stats)
 	}
-	if j := wait(badSupport.ID); j.State != "failed" || !strings.Contains(j.Error, "min_support") {
-		t.Fatalf("zero-support job = %+v, want failed", j)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"path":%q,"algo":"lcm"}`, small)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "min_support") {
+		t.Fatalf("zero-support POST /jobs = %d: %s, want 400 naming min_support", resp.StatusCode, b)
 	}
 	if j := wait(badPath.ID); j.State != "failed" {
 		t.Fatalf("missing-file job = %+v, want failed", j)

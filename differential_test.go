@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"fpm/internal/fimi"
+	"fpm/internal/kernel"
 	"fpm/internal/mine"
 )
 
@@ -200,8 +201,8 @@ func canonListing(sets []Itemset) string {
 // holds the whole file (1 chunk, where the SON scaled threshold equals
 // minSupport exactly), one forcing a few chunks, and one forcing many —
 // and the canonical listing must be byte-identical to the in-memory
-// fpm.Mine answer for all four kernels. Workers alternate between 1
-// (sequential chunk mining) and 4 (work-stealing pool per chunk) across
+// fpm.Mine answer for all four kernels. Workers alternate between 1 and
+// 4 (up to four chunks mined at once on one work-stealing pool) across
 // cases; CI additionally runs this under -race -short.
 func TestDifferentialPartitionedEquivalence(t *testing.T) {
 	n := 30
@@ -223,15 +224,15 @@ func TestDifferentialPartitionedEquivalence(t *testing.T) {
 			est := fimi.DBBytes(tc.db)
 
 			// Budgets are derived from the file's estimated resident
-			// size; the resident chunk is capped at budget/8 (see
-			// internal/partition), so budget 8(est+64) holds the whole
-			// file in one chunk and 8·est/16 forces many chunks.
+			// size; pass 1's chunk is capped at budget/(8·workers) (see
+			// internal/partition), so budget 8·workers·(est+64) holds the
+			// whole file in one chunk and 8·est/16 forces many chunks.
 			regimes := []struct {
 				name      string
 				budget    int64
 				minChunks uint64
 			}{
-				{"single", 8 * (est + 64), 1},
+				{"single", 8 * int64(workers) * (est + 64), 1},
 				{"few", 8 * est / 3, 2},
 				{"many", 8 * est / 16, 4},
 			}
@@ -296,7 +297,7 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 			// Every kernel of the table, untuned and fully tuned: patterns
 			// are performance-only transformations and must not change
 			// results. Apriori has no applicable patterns, so it runs once.
-			for _, algo := range kernelNames() {
+			for _, algo := range kernel.Names() {
 				pss := []PatternSet{0}
 				if ap := Applicable(algo); ap != 0 {
 					pss = append(pss, ap)

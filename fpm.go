@@ -30,17 +30,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
 
-	"fpm/internal/apriori"
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
-	"fpm/internal/eclat"
 	"fpm/internal/fimi"
-	"fpm/internal/fpgrowth"
 	"fpm/internal/gen"
-	"fpm/internal/lcm"
+	"fpm/internal/kernel"
 	"fpm/internal/lexorder"
 	"fpm/internal/memsim"
 	"fpm/internal/metrics"
@@ -117,65 +112,10 @@ func Applicable(a Algorithm) PatternSet { return mine.Applicable(a) }
 // "all" is Applicable(algo).
 func ParsePatterns(s string, algo Algorithm) (PatternSet, error) { return mine.ParsePatterns(s, algo) }
 
-// kernelFunc builds one kernel with the given patterns, an optional
-// counter recorder, an optional kernel-span trace recorder and an optional
-// cancellation flag; any of the three may be nil. tr must only be set for
-// a miner that runs sequentially: under the scheduler the worker task
-// spans own the timeline. Every kernel is a mine.Splitter, the one form
-// the work-stealing pool runs.
-type kernelFunc func(PatternSet, *metrics.Recorder, *trace.Recorder, *cancel.Flag) mine.Splitter
-
-// kernels is the one place an Algorithm becomes a Miner: NewMiner,
-// NewParallel, WithMetrics and MinePartitioned all build their miners
-// through it, and every entry takes the same four arguments. LCM, Eclat
-// and FP-Growth record their own counters, trace first-level subtrees,
-// poll the cancellation flag at every recursion node and split through
-// their own recursion under the pool. Apriori records only its emissions,
-// polls the flag once per level and every 2^16 candidate tests of a
-// counting scan, and never splits: under the pool it runs as one task.
-var kernels = map[Algorithm]kernelFunc{
-	LCM: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
-		return lcm.New(lcm.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
-	},
-	Eclat: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
-		return eclat.New(eclat.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
-	},
-	FPGrowth: func(ps PatternSet, rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) mine.Splitter {
-		return fpgrowth.New(fpgrowth.Options{Patterns: ps, Metrics: rec, Trace: tr, Cancel: cf})
-	},
-	Apriori: func(_ PatternSet, rec *metrics.Recorder, _ *trace.Recorder, cf *cancel.Flag) mine.Splitter {
-		return apriori.New(apriori.Options{Metrics: rec, Cancel: cf})
-	},
-}
-
-// kernelNames lists the kernel table's algorithms in ascending order.
-func kernelNames() []Algorithm {
-	names := make([]Algorithm, 0, len(kernels))
-	for a := range kernels {
-		names = append(names, a)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
-}
-
-// kernel looks algo up in the kernel table; the error for an unknown name
-// lists the valid ones.
-func kernel(algo Algorithm) (kernelFunc, error) {
-	k, ok := kernels[algo]
-	if !ok {
-		valid := make([]string, 0, len(kernels))
-		for _, a := range kernelNames() {
-			valid = append(valid, string(a))
-		}
-		return nil, fmt.Errorf("fpm: unknown algorithm %q (valid: %s)", algo, strings.Join(valid, ", "))
-	}
-	return k, nil
-}
-
 // NewMiner constructs a miner for the given kernel with the given tuning
 // patterns; patterns outside Applicable(algo) are ignored by the kernels.
 func NewMiner(algo Algorithm, patterns PatternSet) (Miner, error) {
-	k, err := kernel(algo)
+	k, err := kernel.Lookup(algo)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +220,7 @@ func ParallelCutoff(weight int) ParallelOption { return func(o *runOptions) { o.
 // call and the caller starts, stops and flushes it. WithContext cancels
 // every Mine call; WithCheckpoint is rejected.
 func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...ParallelOption) (Miner, error) {
-	k, err := kernel(algo)
+	k, err := kernel.Lookup(algo)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +347,7 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 // alongside the complete results and Snapshot.
 func observe(algo Algorithm, patterns PatternSet, workers int, po parallel.Options,
 	setup func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error)) ([]Itemset, Snapshot, error) {
-	k, err := kernel(algo)
+	k, err := kernel.Lookup(algo)
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
@@ -464,23 +404,24 @@ func WithCheckpoint(path string, resume bool) ParallelOption {
 }
 
 // MinePartitioned mines the FIMI file at path without ever holding more
-// than one bounded chunk of it in memory, and returns exactly the
+// than memBudget's share of it in memory, and returns exactly the
 // itemsets Mine would return on the loaded database — in canonical order
 // (by size, then items) with exact global supports — alongside the run's
-// two-pass counters. Pass 1 streams the file in chunks sized to
-// memBudget, mining each with the chosen kernel (through the
-// work-stealing pool when workers != 1; 0 means GOMAXPROCS) at a support
-// threshold scaled to the chunk's share of the database, and unions the
-// locally-frequent results into a candidate trie; pass 2 re-streams the
-// file to count every candidate's exact global support and filters to the
-// true answer. The memory budget covers the resident chunk plus the
+// two-pass counters. Pass 1 streams the file in chunks and mines each
+// with the chosen kernel at a support threshold scaled to the chunk's
+// share of the database, on one work-stealing pool of workers (0 means
+// GOMAXPROCS) that mines up to workers chunks at once, each sized to
+// memBudget/(8·workers) — fewer and larger where smaller chunks would drop
+// the scaled threshold below 4; it unions the locally-frequent results
+// into a candidate trie. Pass 2 re-streams the file to count every candidate's
+// exact global support and filters to the true answer. The memory budget covers the resident chunk plus the
 // kernel's working set; peak heap is bounded by it (×2 with GC headroom)
 // rather than by the file size. The file must be seekable.
 //
 // ParallelMetrics additionally routes the partition and scheduler counters
 // into the given recorder (the returned PartitionSnapshot is recorded
 // either way), WithTrace records the run's span timeline — the partition
-// phase track plus, when workers != 1, the per-worker scheduler tracks —
+// phase track plus, with more than one worker, the scheduler tracks —
 // and WithCheckpoint persists progress for a later resume. A failing trace
 // sink never interrupts mining: the results are returned together with
 // the single flush error.

@@ -121,18 +121,15 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 // and prunes candidates with an infrequent (k-1)-subset — the classic
 // apriori-gen.
 func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
-	// Index the previous level for the prune step.
-	prev := make(map[string]bool, len(level))
-	for _, s := range level {
-		prev[mine.Key(s)] = true
-	}
 	// The level is produced in lexicographic order (maintained
 	// inductively; its sets share one length, so slices.Compare is that
-	// order); the join pairs sets with equal (k-2)-prefixes.
+	// order). The join pairs sets with equal (k-2)-prefixes, and the prune
+	// step finds subsets by binary search in the same order.
 	slices.SortFunc(level, slices.Compare)
 
 	var out [][]dataset.Item
 	k1 := len(level[0])
+	sub := make([]dataset.Item, 0, k1)
 	for i := 0; i < len(level); i++ {
 		for j := i + 1; j < len(level); j++ {
 			if !samePrefix(level[i], level[j], k1-1) {
@@ -141,7 +138,7 @@ func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
 			cand := make([]dataset.Item, k1+1)
 			copy(cand, level[i])
 			cand[k1] = level[j][k1-1]
-			if !pruned(cand, prev) {
+			if !pruned(cand, level, sub) {
 				out = append(out, cand)
 			}
 		}
@@ -150,14 +147,14 @@ func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
 }
 
 // pruned reports whether any (k-1)-subset of cand is missing from the
-// previous level.
-func pruned(cand []dataset.Item, prev map[string]bool) bool {
-	sub := make([]dataset.Item, 0, len(cand)-1)
-	for drop := range cand {
-		sub = sub[:0]
-		sub = append(sub, cand[:drop]...)
-		sub = append(sub, cand[drop+1:]...)
-		if !prev[mine.Key(sub)] {
+// previous level, which must be sorted by slices.Compare. sub is scratch
+// space of capacity len(cand)-1.
+func pruned(cand []dataset.Item, level [][]dataset.Item, sub []dataset.Item) bool {
+	// Dropping either of the last two items gives a joined parent, which
+	// is in the level by construction.
+	for drop := 0; drop < len(cand)-2; drop++ {
+		sub = append(append(sub[:0], cand[:drop]...), cand[drop+1:]...)
+		if _, ok := slices.BinarySearchFunc(level, sub, slices.Compare); !ok {
 			return true
 		}
 	}

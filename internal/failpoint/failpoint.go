@@ -28,10 +28,10 @@ const (
 	// the temp file is renamed into place — an armed error simulates a
 	// full disk / failed flush without leaving a torn sidecar.
 	PartitionCheckpointWrite = "partition.checkpoint.write"
-	// PartitionChunkMine fires at the top of each pass-1 chunk mine; arm a
-	// panic to exercise the chunk panic-recovery path, or an error to
-	// abort the run between checkpoints (a crash the resume path must
-	// survive).
+	// PartitionChunkMine fires as each pass-1 chunk is handed to the pool;
+	// arm an error to abort the run between checkpoints (a crash the
+	// resume path must survive). Panics inside a chunk's mining are the
+	// pool's, under ParallelWorkerTask.
 	PartitionChunkMine = "partition.chunk.mine"
 	// PartitionRecountChunk fires at the top of each pass-2 recount chunk;
 	// arm an error to crash the run between pass-2 checkpoints and

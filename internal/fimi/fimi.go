@@ -23,13 +23,23 @@ import (
 // parse error rather than an opaque scanner failure.
 const MaxLineBytes = 1 << 24
 
-// newScanner returns a line scanner with the package's buffer policy. The
-// byte stream is routed through the fimi.read failpoint, so robustness
-// tests can inject read errors and short reads under every reader in this
-// package; with no failpoint armed the stream is passed through untouched.
-func newScanner(r io.Reader) *bufio.Scanner {
+// Initial scanner buffer sizes; a buffer grows to MaxLineBytes for a long
+// line either way. Read loads a whole file. The streaming readers keep
+// their scanner for a pass beside memory-budgeted chunks, and a line is
+// all a scanner must hold, so they start small.
+const (
+	readBufBytes   = 1 << 20
+	streamBufBytes = 64 << 10
+)
+
+// newScanner returns a line scanner with the package's buffer policy,
+// starting from a buffer of size bytes. The byte stream is routed through
+// the fimi.read failpoint, so robustness tests can inject read errors and
+// short reads under every reader in this package; with no failpoint armed
+// the stream is passed through untouched.
+func newScanner(r io.Reader, size int) *bufio.Scanner {
 	sc := bufio.NewScanner(failpoint.WrapReader(failpoint.FimiRead, r))
-	sc.Buffer(make([]byte, 0, 1<<20), MaxLineBytes)
+	sc.Buffer(make([]byte, 0, size), MaxLineBytes)
 	return sc
 }
 
@@ -48,7 +58,7 @@ func scanErr(err error, lastLine int) error {
 // order and may repeat inside a line; the returned database is normalized
 // (sorted, deduplicated transactions).
 func Read(r io.Reader) (*dataset.DB, error) {
-	sc := newScanner(r)
+	sc := newScanner(r, readBufBytes)
 	var tx []dataset.Transaction
 	line := 0
 	for sc.Scan() {
@@ -99,81 +109,120 @@ func DBBytes(db *dataset.DB) int64 {
 // non-nil error from fn aborts the stream and is returned verbatim; chunks
 // already delivered stay delivered.
 func ReadChunks(r io.Reader, budget int64, fn func(chunk *dataset.DB) error) error {
-	return ReadChunksFrom(r, budget, 0, fn)
+	var c Chunk
+	next := func() (*Chunk, error) { return &c, nil }
+	return ReadChunksInto(r, budget, 0, next, func(c *Chunk) error {
+		c.Normalize()
+		return fn(&c.DB)
+	})
 }
 
-// ReadChunksFrom is ReadChunks starting after the first skipTx
-// transactions: the skipped lines are scanned (so malformed framing still
-// surfaces) but never parsed, and chunking begins at transaction skipTx
-// with an empty accumulator. Because chunk boundaries depend only on the
-// starting transaction and the budget — the size estimator sees the raw
-// token count of each line, before normalization, and the arena reuse
-// below changes where transactions live, never how they are framed —
-// resuming at a boundary recorded by a checkpoint reproduces exactly the
-// chunks a clean run would have produced from that point — the property
-// the out-of-core resume path relies on. Skipping past the end of the
-// stream yields no chunks and no error.
-func ReadChunksFrom(r io.Reader, budget int64, skipTx int, fn func(chunk *dataset.DB) error) error {
-	sc := newScanner(r)
-	var (
-		db    dataset.DB     // the reused chunk handed to fn
-		arena []dataset.Item // backing store for every transaction of the current chunk
-		size  int64
-		line  int
-	)
-	// flush normalizes and delivers the accumulated chunk, then resets the
-	// transaction table for reuse. The arena is deliberately NOT reset here:
-	// the caller may still need the tail of it (a parsed transaction being
-	// carried over a chunk boundary).
-	flush := func() error {
-		if len(db.Tx) == 0 {
-			return nil
-		}
-		db.NumItems = 0
-		for _, t := range db.Tx {
-			for _, it := range t {
-				if int(it) >= db.NumItems {
-					db.NumItems = int(it) + 1
-				}
+// Chunk is a reusable chunk buffer: the chunk database and the item arena
+// backing its transactions. The zero value is ready to use; a recycled
+// buffer's arena and transaction table are reused in place.
+type Chunk struct {
+	DB    dataset.DB
+	arena []dataset.Item
+}
+
+// Normalize sorts and deduplicates the chunk's transactions and sets its
+// NumItems to one past its largest item, as Read normalizes a database.
+func (c *Chunk) Normalize() {
+	db := &c.DB
+	db.NumItems = 0
+	for _, t := range db.Tx {
+		for _, it := range t {
+			if int(it) >= db.NumItems {
+				db.NumItems = int(it) + 1
 			}
 		}
-		db.Normalize()
-		err := fn(&db)
-		db.Tx, size = db.Tx[:0], 0
-		return err
+	}
+	db.Normalize()
+}
+
+// ReadChunksInto is ReadChunks over buffers the caller recycles, so
+// chunks can be consumed while the next one is parsed, starting after the
+// first skipTx transactions. next supplies the buffer each chunk is parsed
+// into, straight into its arena — it may block until the caller frees
+// one, and a non-nil error from it aborts the stream. fn receives each
+// filled buffer as parsed — items in line order, repeats kept, NumItems
+// unset — and owns it until the caller hands it out through next again;
+// Chunk.Normalize turns it into what ReadChunks delivers, on whichever
+// goroutine the caller chooses. The reader touches a buffer only between
+// next returning it and fn receiving it; a transaction carried over a
+// chunk boundary is copied from the previous buffer's arena, past its
+// chunk, into the next one.
+//
+// The skipped lines are scanned (so malformed framing still surfaces) but
+// never parsed, and chunking begins at transaction skipTx with an empty
+// accumulator. Chunk boundaries depend only on the starting transaction
+// and the budget — the size estimator sees the raw token count of each
+// line, and which buffers next returns changes where transactions live,
+// never how they are framed — so resuming at a boundary recorded by a
+// checkpoint reproduces exactly the chunks a clean run would have
+// produced from that point. Skipping past the end of the stream yields no
+// chunks and no error. A single buffer returned every time, normalized in
+// fn, is ReadChunks.
+func ReadChunksInto(r io.Reader, budget int64, skipTx int, next func() (*Chunk, error), fn func(*Chunk) error) error {
+	sc := newScanner(r, streamBufBytes)
+	var (
+		cur  *Chunk // the buffer being filled
+		size int64
+		line int
+	)
+	// take makes a buffer from next the one being filled, with carry — a
+	// parsed transaction that did not fit the previous chunk — at the
+	// front of its arena. carry still sits in the previous buffer's arena
+	// (past its chunk, so the consumer never reads it) or, when next
+	// returned the same buffer, in this one: append copies overlap-safely.
+	take := func(carry dataset.Transaction) (dataset.Transaction, error) {
+		nb, err := next()
+		if err != nil {
+			return nil, err
+		}
+		nb.DB.Tx, nb.arena = nb.DB.Tx[:0], append(nb.arena[:0], carry...)
+		cur, size = nb, 0
+		return nb.arena[:len(carry):len(carry)], nil
 	}
 	for sc.Scan() {
 		line++
 		if line <= skipTx {
 			continue
 		}
-		start := len(arena)
+		if cur == nil {
+			if _, err := take(nil); err != nil {
+				return err
+			}
+		}
+		start := len(cur.arena)
 		var err error
-		if arena, err = parseLine(sc.Bytes(), arena); err != nil {
+		if cur.arena, err = parseLine(sc.Bytes(), cur.arena); err != nil {
 			return fmt.Errorf("fimi: line %d: %w", line, err)
 		}
 		// Three-index slice: the transaction must stay fixed to its arena
 		// region even if a later line regrows the arena (regrowth leaves
 		// already-taken sub-slices valid on the old backing array).
-		t := arena[start:len(arena):len(arena)]
-		if est := TransactionBytes(len(t)); size+est > budget && len(db.Tx) > 0 {
-			if err := flush(); err != nil {
+		t := cur.arena[start:len(cur.arena):len(cur.arena)]
+		if est := TransactionBytes(len(t)); size+est > budget && len(cur.DB.Tx) > 0 {
+			if err := fn(cur); err != nil {
 				return err
 			}
-			// Carry t into the fresh chunk: its items still sit past the
-			// flushed region; move them to the arena front (copy is
-			// overlap-safe) so the arena never grows beyond one chunk.
-			n := copy(arena[:cap(arena)][:len(t)], t)
-			arena = arena[:n]
-			t = arena[:n:n]
+			// Carry t into the next chunk, at its arena front, so an arena
+			// never grows beyond one chunk.
+			if t, err = take(t); err != nil {
+				return err
+			}
 		}
-		db.Tx = append(db.Tx, t)
+		cur.DB.Tx = append(cur.DB.Tx, t)
 		size += TransactionBytes(len(t))
 	}
 	if err := sc.Err(); err != nil {
 		return scanErr(err, line)
 	}
-	return flush()
+	if cur == nil || len(cur.DB.Tx) == 0 {
+		return nil
+	}
+	return fn(cur)
 }
 
 // CountTransactions counts the transactions (lines) of a FIMI stream
@@ -182,7 +231,7 @@ func ReadChunksFrom(r io.Reader, budget int64, skipTx int, fn func(chunk *datase
 // transaction count up front). It counts exactly the lines Read would
 // parse, including blank lines and an unterminated final line.
 func CountTransactions(r io.Reader) (int, error) {
-	sc := newScanner(r)
+	sc := newScanner(r, streamBufBytes)
 	n := 0
 	for sc.Scan() {
 		n++

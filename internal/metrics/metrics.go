@@ -331,9 +331,9 @@ func (r *Recorder) Running() bool {
 }
 
 // AddWorker records one worker's totals at pool shutdown. When the same
-// recorder observes several pool runs — the out-of-core miner runs one
-// pool per chunk — stats for the same worker ID accumulate into one
-// entry, so the snapshot stays one row per worker slot.
+// recorder observes several pool runs — a parallel Miner mined more than
+// once — stats for the same worker ID accumulate into one entry, so the
+// snapshot stays one row per worker slot.
 func (r *Recorder) AddWorker(s WorkerStat) {
 	if r == nil {
 		return

@@ -1,7 +1,7 @@
 // Package parallel provides task-parallel frequent itemset mining with a
 // work-stealing scheduler. Each worker owns a LIFO deque of subtree tasks;
 // starved workers steal the oldest task from a randomised victim. Every
-// kernel implements mine.Splitter: the pool seeds the whole database as one
+// kernel implements mine.Splitter: the pool seeds a whole database as one
 // root task, and the kernel offers a recursion subtree as a stealable task
 // only while the pool is starved AND the subtree's estimated work (its
 // projected-database weight, in item occurrences) clears a cutoff — below
@@ -12,20 +12,23 @@
 // Ghoting et al. [11] — the thread-level direction the paper's §6 names as
 // future work on its own dual-core evaluation machines. A kernel with no
 // recursion to split (Apriori) never offers, and its root task runs on one
-// worker.
+// worker. A Session starts the workers once and accepts many roots, each
+// with its own database and support: the out-of-core miner submits every
+// SON chunk to one session, and Mine is a session with one root.
 //
-// Results are collected through per-worker mine.ShardCollector arenas —
-// one slice append per itemset instead of the former per-itemset channel
-// send plus allocation — and merged on the caller's goroutine once mining
-// finishes, preserving the Collector single-goroutine contract. The pool
-// keeps each itemset as its kernel emitted it — items ascending, per the
-// mine.Collector contract — and imposes no order across subtrees.
+// Results are collected through per-root, per-worker mine.ShardCollector
+// arenas — one slice append per itemset instead of the former per-itemset
+// channel send plus allocation — and merged on the caller's goroutine once
+// the root finishes, preserving the Collector single-goroutine contract.
+// The pool keeps each itemset as its kernel emitted it — items ascending,
+// per the mine.Collector contract — and imposes no order across subtrees.
 package parallel
 
 import (
 	"context"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"fpm/internal/cancel"
@@ -62,9 +65,9 @@ type Options struct {
 	// Trace, when non-nil, receives span timelines: one track per worker
 	// with task-run spans (labeled by the inner kernel and the subtree
 	// weight), idle spans for starved intervals and steal markers. Worker
-	// tracks are created once per Miner and reused across Mine calls, so a
-	// tracing Miner must not run concurrent Mines. Nil disables tracing at
-	// the cost of one nil check per task/hunt.
+	// tracks are created once per Miner and reused across sessions, so a
+	// tracing Miner must not run concurrent Mines or sessions. Nil
+	// disables tracing at the cost of one nil check per task/hunt.
 	Trace *trace.Recorder
 	// Cancel, when non-nil, aborts the pool cooperatively: workers drop
 	// queued tasks once it trips, Spawner.Cancelled reports true so the
@@ -73,9 +76,9 @@ type Options struct {
 	// latency is the same with or without the flag in the kernel factory.
 	Cancel *cancel.Flag
 	// Ctx is a convenience alternative to Cancel: when set (and Cancel is
-	// nil), every Mine call arms a fresh flag from it for the duration of
-	// the run. Context cancellation or deadline expiry then aborts the pool
-	// and Mine returns ctx.Err().
+	// nil), every session (every Mine call) arms a fresh flag from it for
+	// the duration of the run. Context cancellation or deadline expiry
+	// then aborts the pool and Mine returns ctx.Err().
 	Ctx context.Context
 }
 
@@ -128,8 +131,7 @@ func NewWithOptions(opts Options, factory func() mine.Splitter) *Miner {
 	m := &Miner{opts: opts, factory: factory, name: "parallel(" + inner + ")", inner: inner}
 	if opts.Trace != nil {
 		// One trace track per worker slot, created once and reused across
-		// Mine calls (the out-of-core miner runs one pool per chunk), so a
-		// multi-chunk run stays one timeline row per worker.
+		// sessions, so repeated runs stay one timeline row per worker.
 		m.tracks = make([]*trace.Track, opts.Workers)
 		for i := range m.tracks {
 			m.tracks[i] = opts.Trace.NewTrack("worker " + strconv.Itoa(i))
@@ -145,7 +147,8 @@ func (m *Miner) Name() string { return m.name }
 // kernel's, each itemset keeps the ascending item order its kernel emitted
 // it in, and the collector is invoked from this goroutine only. Emission
 // order across subtrees is scheduling-dependent; callers that print a
-// listing sort it with mine.SortCanonical.
+// listing sort it with mine.SortCanonical. Mine is one root on a session
+// of its own.
 func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -153,50 +156,132 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	if db.Len() == 0 {
 		return nil
 	}
-
-	cf := m.opts.Cancel
-	if cf == nil && m.opts.Ctx != nil {
-		var stop func()
-		cf, stop = cancel.FromContext(m.opts.Ctx)
-		defer stop()
-	}
-
-	p := newPool(m.opts.Workers, m.opts.Cutoff, m.factory, m.opts.Metrics, m.name, m.tracks)
-	p.inner = m.inner
-	p.cancel = cf
-
-	// The whole database is the one root task; the kernel's own Offer
-	// calls fan the recursion out as soon as workers starve.
-	p.rec.TaskSpawned()
-	p.active.Add(1)
-	p.push(p.workers[0], task{weight: db.Weight(), run: func(w *worker) error {
-		return w.inner.MineSplit(db, minSupport, &w.shard, w)
-	}})
-
-	if err := p.run(); err != nil {
+	s := m.Start()
+	r := s.Submit(db.Weight(), func(k mine.Splitter, c mine.Collector, sp mine.Spawner) error {
+		return k.MineSplit(db, minSupport, c, sp)
+	}, nil)
+	if err := s.Close(); err != nil {
 		return err
 	}
-	if m.opts.Metrics != nil {
-		t0 := time.Now()
-		m.merge(p, c)
-		m.opts.Metrics.AddMergeTime(time.Since(t0))
-		return nil
-	}
-	m.merge(p, c)
+	r.Emit(c)
 	return nil
 }
 
-// merge drains every worker shard into the caller's collector on the
-// calling goroutine. A BatchCollector takes whole shards; any other
-// collector gets the shards replayed one itemset at a time.
-func (m *Miner) merge(p *pool, c mine.Collector) {
-	if bc, ok := c.(mine.BatchCollector); ok {
-		for _, w := range p.workers {
-			bc.CollectBatch(&w.shard)
-		}
-		return
+// Session is one run of the pool: Start launches the workers once, Submit
+// adds root tasks — each with its own database and support, mined into
+// shards of its own — and Close waits for every root and stops the
+// workers. A worker that runs out of work steals subtrees of any root, so
+// the roots of one session share the workers exactly as the subtrees of
+// one root do. Submit, Abort and Close are called from one goroutine.
+type Session struct {
+	p    *pool
+	stop func() // releases the context watcher armed by Start
+	next int    // worker whose deque receives the next root
+}
+
+// Root is one submitted root task. Its itemsets stay in per-worker shards
+// until Emit hands them to a collector.
+type Root struct {
+	p       *pool
+	shards  []mine.ShardCollector // indexed by worker id
+	pending atomic.Int64          // unfinished tasks of this root
+	done    chan struct{}         // closed when pending reaches zero
+	notify  chan<- *Root          // receives the root when it completes; may be nil
+}
+
+// Start launches the miner's workers and returns the session that feeds
+// them. The cancellation flag (Options.Cancel, or one armed from
+// Options.Ctx) covers every root of the session. A tracing Miner must not
+// have two sessions open at once.
+func (m *Miner) Start() *Session {
+	cf, stop := m.opts.Cancel, func() {}
+	if cf == nil && m.opts.Ctx != nil {
+		cf, stop = cancel.FromContext(m.opts.Ctx)
 	}
-	for _, w := range p.workers {
-		w.shard.Emit(c)
+	p := newPool(m.opts.Workers, m.opts.Cutoff, m.factory, m.opts.Metrics, cf, m.name, m.inner, m.tracks)
+	p.start()
+	return &Session{p: p, stop: stop}
+}
+
+// RootFunc is a root task's body. It runs on a worker, mining with that
+// worker's kernel k into c and offering subtrees through sp — usually
+// k.MineSplit(db, minSupport, c, sp), after any preparation of db that
+// should run off the submitting goroutine.
+type RootFunc func(k mine.Splitter, c mine.Collector, sp mine.Spawner) error
+
+// Submit queues run as a new root task; weight (item occurrences, as
+// dataset.DB.Weight counts them) labels its trace span. The kernel's own
+// Offer calls fan the root's recursion out over the pool as soon as
+// workers starve. When notify is non-nil, the worker that finishes the
+// root's last task sends the root on it; the caller must leave room for
+// that send, which would otherwise stall the worker.
+func (s *Session) Submit(weight int, run RootFunc, notify chan<- *Root) *Root {
+	p := s.p
+	r := &Root{p: p, done: make(chan struct{}), notify: notify}
+	if n := len(p.spare); n > 0 {
+		r.shards, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		r.shards = make([]mine.ShardCollector, len(p.workers))
+	}
+	p.rec.TaskSpawned()
+	r.pending.Store(1)
+	p.active.Add(1)
+	w := p.workers[s.next]
+	s.next = (s.next + 1) % len(p.workers)
+	p.push(w, task{root: r, weight: weight, run: func(w *worker) error {
+		return run(w.inner, &r.shards[w.id], w)
+	}})
+	return r
+}
+
+// Abort records err as the session's first error (unless one is already
+// recorded): queued tasks of every root are dropped and running kernels
+// unwind.
+func (s *Session) Abort(err error) { s.p.fail(err) }
+
+// Close waits until every submitted root has finished, stops the workers
+// and returns the session's first error, or the cancellation cause.
+func (s *Session) Close() error {
+	err := s.p.join()
+	s.stop()
+	return err
+}
+
+// Wait blocks until every task of the root has finished and returns the
+// session's error at that point: a root that completes in a failed or
+// cancelled session may be missing subtrees, so its shards must not be
+// used.
+func (r *Root) Wait() error {
+	<-r.done
+	return r.p.result()
+}
+
+// Emit drains the root's shards into c on the calling goroutine, after
+// Wait returned nil (or Close did), and hands them, emptied, to the next
+// root Submit creates, so a long session regrows no shards. A
+// BatchCollector takes whole shards; any other collector gets the shards
+// replayed one itemset at a time. Emit is called on the goroutine that
+// calls Submit, at most once per root.
+func (r *Root) Emit(c mine.Collector) {
+	var t0 time.Time
+	if r.p.rec != nil {
+		t0 = time.Now()
+	}
+	if bc, ok := c.(mine.BatchCollector); ok {
+		for i := range r.shards {
+			bc.CollectBatch(&r.shards[i])
+		}
+	} else {
+		for i := range r.shards {
+			r.shards[i].Emit(c)
+		}
+	}
+	for i := range r.shards {
+		r.shards[i].Reset()
+	}
+	r.p.spare = append(r.p.spare, r.shards)
+	r.shards = nil
+	if r.p.rec != nil {
+		r.p.rec.AddMergeTime(time.Since(t0))
 	}
 }

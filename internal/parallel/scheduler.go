@@ -17,8 +17,9 @@ import (
 )
 
 // task is one schedulable unit: a weighted closure run with the executing
-// worker's context (its shard collector and spawner).
+// worker's context (its spawner, and its shard of the task's root).
 type task struct {
+	root   *Root
 	weight int
 	run    func(w *worker) error
 }
@@ -36,15 +37,18 @@ type pool struct {
 	inner   string            // inner kernel's Name(), labels task spans
 
 	idle    atomic.Int32 // workers currently hunting for work
-	active  atomic.Int64 // tasks created but not yet finished
+	active  atomic.Int64 // unfinished tasks, plus one while the session is open
 	stopped atomic.Bool  // set on first error; aborts remaining work
 	cancel  *cancel.Flag // external cancellation; nil when detached
 
 	errOnce sync.Once
 	err     error
 
-	done chan struct{} // closed when active reaches zero
-	wake chan struct{} // buffered wake signals for idle workers
+	spare [][]mine.ShardCollector // emptied root shards; the submitting goroutine's only
+
+	done chan struct{}  // closed when active reaches zero
+	wake chan struct{}  // buffered wake signals for idle workers
+	wg   sync.WaitGroup // joins the worker goroutines
 }
 
 // worker is one mining goroutine. It implements mine.Spawner: kernels
@@ -53,7 +57,7 @@ type worker struct {
 	id    int
 	pool  *pool
 	inner mine.Splitter
-	shard mine.ShardCollector
+	cur   *Root        // root of the task this worker is running
 	rng   uint64       // xorshift state for victim selection
 	tk    *trace.Track // span timeline; nil when tracing is disabled
 
@@ -66,11 +70,13 @@ type worker struct {
 	deque []task
 }
 
-func newPool(workers, cutoff int, factory func() mine.Splitter, rec *metrics.Recorder, name string, tracks []*trace.Track) *pool {
+func newPool(workers, cutoff int, factory func() mine.Splitter, rec *metrics.Recorder, cf *cancel.Flag, name, inner string, tracks []*trace.Track) *pool {
 	p := &pool{
 		cutoff: cutoff,
+		cancel: cf,
 		rec:    rec,
 		name:   name,
+		inner:  inner,
 		done:   make(chan struct{}),
 		wake:   make(chan struct{}, workers),
 	}
@@ -82,6 +88,9 @@ func newPool(workers, cutoff int, factory func() mine.Splitter, rec *metrics.Rec
 		}
 		p.workers[i] = w
 	}
+	// The open session holds one count, so the pool does not drain between
+	// roots; Session.Close releases it.
+	p.active.Store(1)
 	return p
 }
 
@@ -107,31 +116,44 @@ func (p *pool) fail(err error) {
 	})
 }
 
-// run starts the workers and blocks until every task has finished (or been
-// dropped after cancellation), then returns the first error.
-func (p *pool) run() error {
-	var wg sync.WaitGroup
+// start launches the worker goroutines; they run until the session is
+// closed and every task has finished (or been dropped after cancellation).
+func (p *pool) start() {
 	for _, w := range p.workers {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func(w *worker) {
-			defer wg.Done()
+			defer p.wg.Done()
 			// Label the worker goroutine so CPU profiles attribute samples
 			// to kernel and worker (`go tool pprof -tagfocus`).
 			labels := pprof.Labels("fpm_kernel", p.name, "fpm_worker", strconv.Itoa(w.id))
 			pprof.Do(context.Background(), labels, func(context.Context) { w.loop() })
 		}(w)
 	}
-	wg.Wait()
+}
+
+// join releases the session's hold, waits for the workers to exit and
+// flushes their utilization, then returns the session's result.
+func (p *pool) join() error {
+	if p.active.Add(-1) == 0 {
+		close(p.done)
+	}
+	p.wg.Wait()
 	if p.rec != nil {
 		for _, w := range p.workers {
 			p.rec.AddWorker(metrics.WorkerStat{ID: w.id, Tasks: w.tasks, BusyNanos: w.busyNanos})
 		}
 	}
-	if p.err != nil {
+	return p.result()
+}
+
+// result is the first error recorded, else the cancellation cause, else
+// nil. A cancelled pool drains without recording an error of its own, so
+// the cancellation cause is the run's result. Reading stopped first orders
+// the read of err after fail's write.
+func (p *pool) result() error {
+	if p.stopped.Load() {
 		return p.err
 	}
-	// A cancelled pool drains without recording an error of its own; the
-	// cancellation cause is the run's result.
 	return p.cancel.Err()
 }
 
@@ -149,11 +171,13 @@ func (w *worker) loop() {
 }
 
 // runTask executes t (unless mining was aborted or cancelled) and retires
-// it; the last retirement releases every hunting worker. Cancelled pools
+// it; the last task of a root completes the root, and the last retirement
+// after the session closes releases every hunting worker. Cancelled pools
 // keep draining: tasks are skipped, not run, so active reaches zero and the
 // pool joins promptly instead of hanging.
 func (w *worker) runTask(t task) {
 	p := w.pool
+	w.cur = t.root
 	if !p.stopped.Load() && !p.cancel.Cancelled() {
 		var t0 time.Time
 		if p.rec != nil {
@@ -173,6 +197,12 @@ func (w *worker) runTask(t task) {
 		}
 		if err != nil {
 			p.fail(err)
+		}
+	}
+	if r := t.root; r.pending.Add(-1) == 0 {
+		close(r.done)
+		if r.notify != nil {
+			r.notify <- r
 		}
 	}
 	if p.active.Add(-1) == 0 {
@@ -227,9 +257,10 @@ func (w *worker) stealFrom(v *worker) (task, bool) {
 	return t, true
 }
 
-// hunt is the starved path: scan victims in randomised order, then block
-// until new work is pushed or the pool drains. While at least one worker
-// is in hunt, p.idle is positive and Offers start being accepted.
+// hunt is the starved path: check the own deque, scan victims in
+// randomised order, then block until new work is pushed or the pool
+// drains. While at least one worker is in hunt, p.idle is positive and
+// Offers start being accepted.
 func (w *worker) hunt() (task, bool) {
 	p := w.pool
 	p.idle.Add(1)
@@ -242,6 +273,14 @@ func (w *worker) hunt() (task, bool) {
 		ts = w.tk.Begin()
 	}
 	for {
+		// A session may submit a root to this worker's own deque while it
+		// hunts.
+		if t, ok := w.pop(); ok {
+			if w.tk != nil {
+				w.tk.End(ts, "idle", trace.CatIdle, fails)
+			}
+			return t, true
+		}
 		n := len(p.workers)
 		start := int(w.nextRand() % uint64(n))
 		for i := 0; i < n; i++ {
@@ -306,9 +345,11 @@ func (w *worker) Offer(weight int, tf mine.TaskFunc) bool {
 		return false
 	}
 	p.rec.TaskSpawned()
+	r := w.cur
+	r.pending.Add(1)
 	p.active.Add(1)
-	p.push(w, task{weight: weight, run: func(rw *worker) error {
-		return tf(&rw.shard, rw)
+	p.push(w, task{root: r, weight: weight, run: func(rw *worker) error {
+		return tf(&r.shards[rw.id], rw)
 	}})
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -365,35 +366,53 @@ func TestResumeAfterCrashMatchesClean(t *testing.T) {
 	}
 }
 
+// TestResumeAcrossWorkerCountChange: pass 1 frames its chunks by the
+// worker count (the chunk budget is split between up to workers buffers),
+// so a run resumed under another count re-frames every chunk after the
+// checkpointed prefix. SON holds for any partition of the rows, so the
+// listing must still equal a clean run's, and the prefix must be skipped.
+// Here one worker frames chunks of about 200 rows, two of about 100 and
+// four (three buffers, see splitBuffers) of about 67.
 func TestResumeAcrossWorkerCountChange(t *testing.T) {
-	db := randomDB(13, 150, 14)
+	db := randomDB(13, 600, 14)
 	path := writeTemp(t, db)
-	const minsup, budget = 5, 2048
+	const minsup, budget = 40, 100 << 10
 
 	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "run.fpmck")
-	reg := failpoint.New()
-	boom := errors.New("simulated crash")
-	reg.FailAfter(failpoint.PartitionChunkMine, 1, boom)
-	failpoint.Enable(reg)
 	t.Cleanup(failpoint.Disable)
-	if _, err = mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 4,
-		Checkpoint: ckpt}); !errors.Is(err, boom) {
-		t.Fatalf("crashed run error = %v", err)
-	}
-	failpoint.Disable()
-	// Resume with a different pool size: identity deliberately excludes the
-	// worker count, so the checkpoint must still be honoured.
-	got, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("cross-worker resume diverges:\n%s", want.Diff(got, 10))
+	for _, tc := range []struct{ from, to int }{{4, 1}, {1, 2}, {2, 4}} {
+		t.Run(fmt.Sprintf("%d-to-%d", tc.from, tc.to), func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.fpmck")
+			// Crash as chunk tc.from is handed to the pool: the failing run
+			// still merges and checkpoints the tc.from chunks before it.
+			reg := failpoint.New()
+			boom := errors.New("simulated crash")
+			reg.FailAfter(failpoint.PartitionChunkMine, tc.from, boom)
+			failpoint.Enable(reg)
+			_, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: tc.from,
+				Checkpoint: ckpt})
+			failpoint.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("crashed run error = %v", err)
+			}
+			// Identity deliberately excludes the worker count, so the
+			// checkpoint must still be honoured.
+			rec := metrics.NewRecorder()
+			got, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: tc.to,
+				Checkpoint: ckpt, Resume: true, Metrics: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("cross-worker resume diverges:\n%s", want.Diff(got, 10))
+			}
+			if snap := rec.Snapshot(); snap.Partition == nil || snap.Partition.ChunksSkipped < 1 {
+				t.Fatalf("resume skipped no chunk: %+v", snap.Partition)
+			}
+		})
 	}
 }
 

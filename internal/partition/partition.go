@@ -3,19 +3,24 @@
 // Omiecinski & Navathe (SON) as cast onto secondary storage by Grahne &
 // Zhu ("Mining Frequent Itemsets from Secondary Memory"): pass 1 streams
 // the file in transaction chunks sized to a caller-supplied byte budget
-// and mines each chunk — with any in-memory kernel, through the
-// work-stealing pool of internal/parallel — for its locally-frequent
-// itemsets at a support threshold scaled to the chunk's share of the
-// database; the union of those local answers is a candidate superset of
-// the global answer (an itemset below the scaled threshold in every chunk
-// is below minSupport globally). Pass 2 re-streams the file and counts
-// every candidate's exact global support vertically, on one goroutine:
-// per chunk, one occurrence bit vector per trie item and one fused
+// and mines each chunk — with any in-memory kernel — for its
+// locally-frequent itemsets at a support threshold scaled to the chunk's
+// share of the database; the union of those local answers is a candidate
+// superset of the global answer (an itemset below the scaled threshold in
+// every chunk is below minSupport globally). Pass 1 runs one
+// work-stealing pool session (internal/parallel) for the whole run: the
+// budget is split into up to one chunk buffer per worker — as far as the
+// chunks keep a SON threshold of minSplitSupport — and every chunk is a
+// root task of the session, which normalizes the chunk, compacts its
+// alphabet and mines it on a worker: up to Workers chunks are mined at
+// once while the reader parses the next into a free buffer. Pass 2
+// re-streams the file and counts every candidate's exact global support
+// vertically, on one goroutine, while a reader goroutine parses the chunk
+// after: per chunk, one occurrence bit vector per trie item and one fused
 // AND+popcount per trie node (recount.go), then filters to the true
-// frequent set. Workers parallelise pass-1 mining only. The result is
-// exactly the in-memory answer — the differential tests assert identity
-// against every kernel — while the resident transaction data never
-// exceeds one chunk.
+// frequent set. The result is exactly the in-memory answer — the
+// differential tests assert identity against every kernel — while the
+// resident transaction data never exceeds the budget's chunk share.
 //
 // In the source paper's vocabulary this is pattern P6 (tiling) applied at
 // the coarsest grain: the disk-resident database is tiled into
@@ -29,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
 	"strconv"
@@ -45,51 +51,60 @@ import (
 	"fpm/internal/trace"
 )
 
-// chunkDivisor is the fraction of the memory budget given to the resident
-// chunk itself; the remainder is headroom for the mining kernel's working
+// chunkDivisor is the fraction of the memory budget given to resident
+// chunk data; the remainder is headroom for the mining kernels' working
 // set (lexicographic clone, projected databases, occurrence lists —
 // BenchmarkPartitionedVsInMemory measures LCM's full working set at ~6×
 // the resident transaction bytes) and the candidate trie, so the whole
 // run stays within the budget the caller configured (the out-of-core
-// benchmark asserts peak heap growth < 2× budget). Pass 2 holds no
-// kernel working set; its recount vectors take at most one more share.
+// benchmark asserts peak heap growth < 2× budget at one and two workers).
+// Pass 1 splits the share between up to one chunk buffer per worker, each
+// chunk carrying its own kernel working set. Pass 2 holds no kernel working
+// set: its two read-ahead chunks and its recount vectors take three
+// shares.
 const chunkDivisor = 8
 
 // Config parameterises one out-of-core run.
 type Config struct {
 	// MemBudget is the target resident-set bound in bytes for transaction
-	// data plus mining working set. Must be positive. The chunk itself is
-	// capped at MemBudget/8 (see chunkDivisor).
+	// data plus mining working set. Must be positive. Each pass-1 chunk is
+	// capped at MemBudget/(8·B), for the B ≤ Workers buffers splitBuffers
+	// picks, and each pass-2 chunk at MemBudget/8 (see chunkDivisor).
 	MemBudget int64
-	// Workers is the pass-1 mining parallelism: 1 mines each chunk
-	// sequentially, other values run the work-stealing pool per chunk
-	// (<= 0 means GOMAXPROCS). Chunks are processed one at a time either
-	// way — concurrency never holds more than one chunk resident. Pass 2
-	// always counts on the caller's goroutine.
+	// Workers is the pass-1 pool size (<= 0 means GOMAXPROCS): at most
+	// Workers chunks are resident, mined at once on one work-stealing
+	// session with idle workers stealing subtrees of any chunk, as far as
+	// splitting the budget keeps the chunks' SON threshold at
+	// minSplitSupport. Chunk boundaries therefore depend on Workers; the
+	// answer does not. Pass 2 always counts on the caller's goroutine.
 	Workers int
 	// Cutoff is the work-stealing task-spawn cutoff passed through to the
 	// pool; <= 0 selects the pool's default.
 	Cutoff int
 	// Metrics, when non-nil, receives the two-pass counters (chunks
 	// mined, candidates generated/surviving, bytes streamed, pass times)
-	// plus the scheduler counters of every per-chunk pool run. Nil
+	// plus, when Workers > 1, the pass-1 pool's scheduler counters. Nil
 	// disables recording.
 	Metrics *metrics.Recorder
 	// Trace, when non-nil, receives the run's span timeline: a "partition"
-	// phase track (sizing scan, one span per pass-1 chunk carrying its new
-	// candidate count, the pass-2 recount) plus the per-worker scheduler
-	// tracks when Workers != 1. Nil disables tracing.
+	// phase track (sizing scan, one span per pass-1 chunk's merge into the
+	// candidate union carrying its new candidate count, the pass-2
+	// recount) plus the per-worker scheduler tracks when Workers > 1. Nil
+	// disables tracing.
 	Trace *trace.Recorder
 	// Cancel, when non-nil, aborts the run cooperatively: it is polled
-	// before every pass-1 and pass-2 chunk, and drivers that inject the
-	// same flag into the kernel factory (and the pool, via Workers) get
+	// before every pass-1 and pass-2 chunk and by the pass-1 pool, and
+	// drivers that inject the same flag into the kernel factory get
 	// node-granular latency inside a chunk as well. A cancelled Mine
 	// returns Cancel.Err(); any checkpoint sidecar is left in place, so the
 	// run can be resumed.
 	Cancel *cancel.Flag
 	// Checkpoint, when non-empty, is the sidecar path where progress is
 	// persisted after every chunk (atomic temp-file + rename; see
-	// checkpoint.go). Writes are best-effort: a failed write is counted in
+	// checkpoint.go). A checkpoint records the completed prefix of the
+	// file; its trie may also hold candidates of later chunks, which is
+	// sound because pass 2 recounts every candidate. Writes are
+	// best-effort: a failed write is counted in
 	// metrics and the mine continues with the previous sidecar intact. The
 	// sidecar is removed when Mine completes successfully.
 	Checkpoint string
@@ -166,8 +181,8 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 
 	// Checkpoint identity and resume candidate. The kernel signature comes
 	// from the sequential factory (never the pool wrapper), so a run may
-	// resume with a different worker count — parallelism changes neither
-	// the result nor the chunk boundaries.
+	// resume with a different worker count: that re-frames the chunks
+	// after the checkpointed prefix, and SON holds for any framing.
 	sig := factory().Name()
 	var inSize int64
 	var inHash uint64
@@ -226,27 +241,17 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		resumed = nil
 	}
 
-	// Pass 1b — chunk mining into the candidate union. One chunk is
-	// resident at a time; the pool (or the sequential miner) is reused
-	// across chunks. A resumed checkpoint restores the trie and skips the
-	// transactions of every completed chunk; ReadChunksFrom reproduces the
-	// remaining chunk boundaries exactly.
-	var miner mine.Miner
-	if workers == 1 {
-		miner = factory()
-	} else {
-		popts := []parallel.Option{parallel.WithMetrics(rec)}
-		if cfg.Cutoff > 0 {
-			popts = append(popts, parallel.WithCutoff(cfg.Cutoff))
-		}
-		if cfg.Trace != nil {
-			popts = append(popts, parallel.WithTrace(cfg.Trace))
-		}
-		if cfg.Cancel != nil {
-			popts = append(popts, parallel.WithCancel(cfg.Cancel))
-		}
-		miner = parallel.New(workers, factory, popts...)
-	}
+	// Pass 1b — chunk mining into the candidate union, on one pool session
+	// for the whole run. At most workers chunk buffers are resident, each
+	// parsed into in place and recycled once its chunk is mined; the
+	// budget is split between them (splitBuffers), so up to that many
+	// chunks are mined at once while the reader fills a free buffer.
+	// Chunks are merged into the trie on this goroutine as they finish,
+	// and every checkpoint records the completed prefix of the file. A
+	// resumed checkpoint restores the trie and skips the transactions of
+	// that prefix; SON holds for any partition of the rows, so the chunks
+	// after it may be framed for a different worker count than the run
+	// that wrote it.
 	tr := newTrie()
 	var sl *sealed
 	skipTx, chunkIdx, txDone := 0, 0, 0
@@ -267,45 +272,148 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 			rec.ChunkSkipped()
 		}
 	}
-	tc := &trieCollector{tr: tr}
 	if !pass1Done {
+		buffers := 1
+		if workers > 1 {
+			if buffers, err = splitBuffers(f, chunkBudget, skipTx, workers, minSupport, totalTx); err != nil {
+				return err
+			}
+		}
 		if err := rewind(f); err != nil {
 			return err
 		}
-		cr = &countingReader{r: f}
-		err = fimi.ReadChunksFrom(cr, chunkBudget, skipTx, func(chunk *dataset.DB) error {
-			if err := cfg.Cancel.Err(); err != nil {
+		popts := []parallel.Option{parallel.WithCutoff(cfg.Cutoff), parallel.WithCancel(cfg.Cancel)}
+		if workers > 1 {
+			// A one-worker session schedules nothing: it reports, like the
+			// sequential kernel, only the kernel's own counters and spans.
+			popts = append(popts, parallel.WithMetrics(rec), parallel.WithTrace(cfg.Trace))
+		}
+		sess := parallel.New(workers, factory, popts...).Start()
+		tc := &trieCollector{tr: tr}
+		type inflight struct {
+			root   *parallel.Root // nil once merged
+			buf    *fimi.Chunk    // the chunk's buffer, until it is mined
+			orig   []dataset.Item // the chunk's local item → original item
+			idx    int            // the chunk's index in the file
+			tx     int            // the chunk's transactions
+			merged bool
+		}
+		var queue []*inflight // submitted chunks past the checkpointed prefix, oldest first
+		var free []*fimi.Chunk
+		var freeOrig [][]dataset.Item
+		// Chunks are normalized and compacted by their root task, on a
+		// worker: the reader only parses. At most workers root tasks run
+		// at once, so one compactor each never leaves a task waiting.
+		compactors := make(chan *compactor, workers)
+		for i := 0; i < workers; i++ {
+			compactors <- new(compactor)
+		}
+		bufs, submitted := 0, chunkIdx
+		// Every root in flight holds a buffer, so a slot per buffer keeps
+		// the workers' completion sends from blocking.
+		mined := make(chan *parallel.Root, buffers)
+		// await blocks until some submitted chunk is mined, merges its
+		// itemsets into the trie and recycles its buffer. Chunks finish in
+		// any order, and the trie takes them as they come, so it may hold
+		// candidates of chunks past the completed prefix; a checkpoint,
+		// written whenever that prefix grows, records only the prefix
+		// (DESIGN §11). Once the session has failed, await returns its
+		// error at once.
+		var sessErr error // the session's failure, once await has seen it
+		await := func() error {
+			if sessErr != nil {
+				return sessErr
+			}
+			r := <-mined
+			if err := r.Wait(); err != nil {
+				sessErr = err
 				return err
 			}
-			localSup := scaledSupport(minSupport, chunk.Len(), totalTx)
-			// Threshold collapse: at localSup 1 (and a real global support —
-			// minSupport 1 means the caller asked for full enumeration) the
-			// chunk's locally-frequent set is all subsets of its transactions.
-			// Refuse when that would explode rather than grind exponentially.
-			if localSup == 1 && minSupport > 1 {
-				if est := enumBound(chunk); est > maxChunkEnum {
-					return fmt.Errorf("%w: a %d-transaction chunk scales the local support floor to 1, "+
-						"and support-1 mining would enumerate ~%.3g itemsets there; "+
-						"chunks need more than totalTx/minSupport = %d transactions — raise MemBudget",
-						ErrBudgetTooSmall, chunk.Len(), est, totalTx/minSupport)
+			for _, j := range queue {
+				if j.root != r {
+					continue
 				}
+				cts := ptk.Begin()
+				tc.added, tc.orig = 0, j.orig
+				r.Emit(tc)
+				rec.ChunkMined()
+				rec.AddCandidates(uint64(tc.added))
+				ptk.End(cts, "chunk "+strconv.Itoa(j.idx), trace.CatChunk, int64(tc.added))
+				free, freeOrig = append(free, j.buf), append(freeOrig, j.orig)
+				j.root, j.buf, j.orig, j.merged = nil, nil, nil, true
 			}
-			tc.added = 0
-			cts := ptk.Begin()
-			if err := mineChunk(miner, chunk, localSup, tc); err != nil {
-				return err
+			grown := false
+			for len(queue) > 0 && queue[0].merged {
+				chunkIdx++
+				txDone += queue[0].tx
+				queue = queue[:copy(queue, queue[1:])]
+				grown = true
 			}
-			ptk.End(cts, "chunk "+strconv.Itoa(chunkIdx), trace.CatChunk, int64(tc.added))
-			chunkIdx++
-			txDone += chunk.Len()
-			rec.ChunkMined()
-			rec.AddCandidates(uint64(tc.added))
-			if cfg.Checkpoint != "" {
+			if grown && cfg.Checkpoint != "" {
 				saveCkpt(Checkpoint{TotalTx: totalTx, Phase: 1,
 					ChunksDone: chunkIdx, TxConsumed: txDone, trie: tr.Seal()})
 			}
 			return nil
+		}
+		next := func() (*fimi.Chunk, error) {
+			if len(free) == 0 && bufs < buffers {
+				bufs++
+				return new(fimi.Chunk), nil
+			}
+			if len(free) == 0 {
+				if err := await(); err != nil {
+					return nil, err
+				}
+			}
+			c := free[len(free)-1]
+			free = free[:len(free)-1]
+			return c, nil
+		}
+		cr = &countingReader{r: f}
+		err = fimi.ReadChunksInto(cr, chunkBudget/int64(buffers), skipTx, next, func(c *fimi.Chunk) error {
+			if err := cfg.Cancel.Err(); err != nil {
+				return err
+			}
+			chunk := &c.DB
+			localSup := scaledSupport(minSupport, chunk.Len(), totalTx)
+			if err := failpoint.Hit(failpoint.PartitionChunkMine); err != nil {
+				return err
+			}
+			j := &inflight{buf: c, idx: submitted, tx: chunk.Len()}
+			submitted++
+			if n := len(freeOrig); n > 0 {
+				j.orig, freeOrig = freeOrig[n-1][:0], freeOrig[:n-1]
+			}
+			j.root = sess.Submit(chunk.Weight(), func(k mine.Splitter, col mine.Collector, sp mine.Spawner) error {
+				c.Normalize()
+				if err := checkCollapse(chunk, localSup, minSupport, totalTx); err != nil {
+					return err
+				}
+				cp := <-compactors
+				j.orig = cp.compactAlphabet(chunk, j.orig)
+				compactors <- cp
+				return k.MineSplit(chunk, localSup, col, sp)
+			}, mined)
+			queue = append(queue, j)
+			return nil
 		})
+		// Merge every chunk already handed to the pool, also after a read
+		// error or a refused chunk: the checkpoint then covers all the work
+		// mined. A failed or cancelled session fails the first await.
+		for len(queue) > 0 {
+			if aerr := await(); aerr != nil {
+				if err == nil {
+					err = aerr
+				}
+				break
+			}
+		}
+		if err != nil {
+			sess.Abort(err)
+		}
+		if cerr := sess.Close(); err == nil {
+			err = cerr
+		}
 		rec.AddStreamedBytes(1, cr.n)
 		rec.AddPassTime(1, time.Since(t0))
 		if err != nil {
@@ -342,7 +450,7 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 	}
 	vc := newVertical(sl, chunkBudget)
 	cr = &countingReader{r: f}
-	err = fimi.ReadChunksFrom(cr, chunkBudget, p2skip, func(chunk *dataset.DB) error {
+	err = readAhead(cr, chunkBudget, p2skip, func(chunk *dataset.DB) error {
 		if err := cfg.Cancel.Err(); err != nil {
 			return err
 		}
@@ -375,21 +483,112 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 	return nil
 }
 
-// mineChunk runs one pass-1 chunk mine with panic containment: a kernel
-// panic (or the partition.chunk.mine failpoint standing in for one)
-// surfaces as this chunk's error and aborts the run cleanly — the
-// checkpoint written after the previous chunk stays valid, so the run is
-// resumable past the failure.
-func mineChunk(m mine.Miner, chunk *dataset.DB, minSupport int, c mine.Collector) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("partition: chunk mine panicked: %v", r)
-		}
+// errReaderStopped ends readAhead's reader goroutine once the consumer
+// has failed; it never reaches a caller.
+var errReaderStopped = errors.New("partition: reader stopped")
+
+// readAhead streams the chunks of r from transaction skipTx on, as
+// fimi.ReadChunks does, but parses each chunk on a reader goroutine
+// into one of two recycled buffers while the calling goroutine normalizes
+// the previous chunk and hands it to fn. fn sees the chunks in file order
+// and must not retain them. The reader is joined before readAhead
+// returns.
+func readAhead(r io.Reader, budget int64, skipTx int, fn func(chunk *dataset.DB) error) error {
+	free := make(chan *fimi.Chunk, 2) // the two buffers, when not in use
+	free <- new(fimi.Chunk)
+	free <- new(fimi.Chunk)
+	filled := make(chan *fimi.Chunk)
+	stop := make(chan struct{})
+	readErr := make(chan error, 1)
+	go func() {
+		defer close(filled)
+		readErr <- fimi.ReadChunksInto(r, budget, skipTx,
+			func() (*fimi.Chunk, error) {
+				select {
+				case c := <-free:
+					return c, nil
+				case <-stop:
+					return nil, errReaderStopped
+				}
+			},
+			func(c *fimi.Chunk) error {
+				select {
+				case filled <- c:
+					return nil
+				case <-stop:
+					return errReaderStopped
+				}
+			})
 	}()
-	if err := failpoint.Hit(failpoint.PartitionChunkMine); err != nil {
-		return err
+	var err error
+	for c := range filled {
+		c.Normalize()
+		if err = fn(&c.DB); err != nil {
+			close(stop)
+			for range filled {
+			}
+			break
+		}
+		free <- c
 	}
-	return m.Mine(chunk, minSupport, c)
+	if rerr := <-readErr; err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// minSplitSupport is the smallest SON threshold splitting the chunk
+// budget between pass-1 buffers may leave a chunk with. Collapse is not a
+// cliff at threshold 1: on bench's small mine-ooc corpus (4,000 Zipf
+// documents, support 120), chunks at threshold 3 let a few repeated long
+// documents make every subset locally frequent — 134,000 candidates for a
+// 195-itemset answer — where threshold 4 and up stay within 8× of it.
+const minSplitSupport = 4
+
+// errProbed stops splitBuffers' read after the first chunk.
+var errProbed = errors.New("partition: first chunk probed")
+
+// splitBuffers picks how many pass-1 chunk buffers, at most workers, share
+// the chunk budget. Each buffer halves (or thirds, …) the chunks and with
+// them their SON threshold, so the split goes only as far as keeps the
+// threshold at minSplitSupport or more. The first chunk, framed for
+// workers buffers, measures it; a file whose unsplit chunks are already
+// below it is read with one buffer, as with one worker. f is left at an
+// unspecified offset.
+func splitBuffers(f *os.File, chunkBudget int64, skipTx, workers, minSupport, totalTx int) (int, error) {
+	if err := rewind(f); err != nil {
+		return 0, err
+	}
+	var c fimi.Chunk
+	n := 0
+	err := fimi.ReadChunksInto(f, chunkBudget/int64(workers), skipTx,
+		func() (*fimi.Chunk, error) { return &c, nil },
+		func(c *fimi.Chunk) error { n = c.DB.Len(); return errProbed })
+	if err != nil && !errors.Is(err, errProbed) {
+		return 0, err
+	}
+	// The threshold scales with the chunk's rows, so b buffers give about
+	// minSupport·n·workers/(b·totalTx).
+	b := int(int64(minSupport) * int64(n) * int64(workers) / (int64(minSplitSupport) * int64(totalTx)))
+	return max(1, min(workers, b)), nil
+}
+
+// checkCollapse guards against threshold collapse: at localSup 1 (and a
+// real global support — minSupport 1 means the caller asked for full
+// enumeration) the chunk's locally-frequent set is all subsets of its
+// transactions. It refuses when that would explode rather than grind
+// exponentially.
+func checkCollapse(chunk *dataset.DB, localSup, minSupport, totalTx int) error {
+	if localSup > 1 || minSupport == 1 {
+		return nil
+	}
+	if est := enumBound(chunk); est > maxChunkEnum {
+		return fmt.Errorf("%w: a %d-transaction chunk scales the local support floor to 1, "+
+			"and support-1 mining would enumerate ~%.3g itemsets there; "+
+			"chunks need more than totalTx/minSupport = %d transactions — raise MemBudget",
+			ErrBudgetTooSmall, chunk.Len(), est, totalTx/minSupport)
+	}
+	return nil
 }
 
 // scaledSupport is the SON local threshold for a chunk of chunkTx
@@ -406,21 +605,70 @@ func scaledSupport(minSupport, chunkTx, totalTx int) int {
 	return int(s)
 }
 
-// trieCollector feeds locally-frequent itemsets into the candidate union;
-// their items arrive ascending (the mine.Collector contract), as the trie
+// compactAlphabet relabels chunk's items in place to 0..d-1, in
+// ascending order of their original ids, and returns the original id of
+// each local one, appended to orig. Kernels size per-item state by
+// NumItems, so a chunk of a file with a large alphabet then pays for the
+// d items it holds, not for the largest id in the file; halving the chunk
+// no longer doubles that cost per file. The relabel is monotonic, so the
+// transactions stay sorted and a mined itemset maps back item by item to
+// an ascending itemset. cp's scratch grows to the largest id seen.
+func (cp *compactor) compactAlphabet(chunk *dataset.DB, orig []dataset.Item) []dataset.Item {
+	if n := chunk.NumItems; len(cp.local) < n {
+		cp.local = make([]dataset.Item, n)
+		cp.seen = make([]uint64, (n+63)/64)
+	}
+	for _, t := range chunk.Tx {
+		for _, it := range t {
+			cp.seen[it/64] |= 1 << (it % 64)
+		}
+	}
+	// Walking the bitmap lists the items ascending and clears it.
+	for w, bitsw := range cp.seen[:(chunk.NumItems+63)/64] {
+		for ; bitsw != 0; bitsw &= bitsw - 1 {
+			it := dataset.Item(w*64 + bits.TrailingZeros64(bitsw))
+			cp.local[it] = dataset.Item(len(orig))
+			orig = append(orig, it)
+		}
+		cp.seen[w] = 0
+	}
+	for _, t := range chunk.Tx {
+		for i, it := range t {
+			t[i] = cp.local[it]
+		}
+	}
+	chunk.NumItems = len(orig)
+	return orig
+}
+
+// compactor is compactAlphabet's scratch, indexed by original item id:
+// a bitmap of the chunk's items, all zero between calls, and each item's
+// local id.
+type compactor struct {
+	seen  []uint64
+	local []dataset.Item
+}
+
+// trieCollector feeds locally-frequent itemsets into the candidate union,
+// mapping each item of a chunk's compacted alphabet back to its original
+// id; the items stay ascending (the mine.Collector contract), as the trie
 // requires. Local supports are discarded — only membership matters; pass
 // 2 recounts exactly.
 type trieCollector struct {
 	tr    *trie
-	added int // new candidates inserted by the current chunk
+	orig  []dataset.Item // local → original item of the chunk being merged
+	buf   []dataset.Item // the mapped itemset
+	added int            // new candidates inserted by the current chunk
 }
 
-// Collect implements mine.Collector. It is only ever invoked from one
-// goroutine at a time: sequential miners run on the caller's goroutine,
-// and the parallel miner merges worker shards on the caller's goroutine
-// after mining.
+// Collect implements mine.Collector. Pass 1 merges every chunk's shards
+// on its reader goroutine, so it is only ever invoked from one goroutine.
 func (tc *trieCollector) Collect(items []dataset.Item, support int) {
-	if tc.tr.Add(items) {
+	tc.buf = tc.buf[:0]
+	for _, it := range items {
+		tc.buf = append(tc.buf, tc.orig[it])
+	}
+	if tc.tr.Add(tc.buf) {
 		tc.added++
 	}
 }

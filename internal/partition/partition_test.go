@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fpm/internal/dataset"
@@ -260,5 +261,72 @@ func TestMineEclatPool(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("eclat partitioned diverges:\n%s", want.Diff(got, 10))
+	}
+}
+
+// TestMineBuildsKernelsOncePerRun: pass 1 mines every chunk on one pool
+// session, so a multi-chunk run builds workers+2 kernels at most — one
+// for the checkpoint signature, one for the pool's name and one per
+// worker — however many chunks it mines.
+func TestMineBuildsKernelsOncePerRun(t *testing.T) {
+	db := randomDB(21, 400, 12)
+	path := writeTemp(t, db)
+	const workers = 2
+	var built atomic.Int64
+	factory := func() mine.Splitter {
+		built.Add(1)
+		return lcmFactory()
+	}
+	rec := metrics.NewRecorder()
+	got := mine.ResultSet{}
+	if err := Mine(path, factory, 40, Config{MemBudget: 48 << 10, Workers: workers, Metrics: rec}, got); err != nil {
+		t.Fatal(err)
+	}
+	if chunks := rec.Snapshot().Partition.Chunks; chunks < 4 {
+		t.Fatalf("%d chunks; the budget must force several", chunks)
+	}
+	if n := built.Load(); n > workers+2 {
+		t.Fatalf("built %d kernels for %d chunks at %d workers, want at most %d",
+			n, rec.Snapshot().Partition.Chunks, workers, workers+2)
+	}
+	want := mine.ResultSet{}
+	if err := lcmFactory().Mine(db, 40, want); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("partitioned result diverges:\n%s", want.Diff(got, 10))
+	}
+}
+
+// TestSplitBuffersKeepsThreshold: two workers split the pass-1 chunk
+// budget between two buffers only while the halved chunks keep a SON
+// threshold of at least minSplitSupport; below it they frame the chunks
+// as one worker does. The answer is the in-memory one either way.
+func TestSplitBuffersKeepsThreshold(t *testing.T) {
+	db := randomDB(21, 400, 12)
+	path := writeTemp(t, db)
+	mineChunks := func(minsup, workers int) uint64 {
+		t.Helper()
+		rec := metrics.NewRecorder()
+		got := mine.ResultSet{}
+		if err := Mine(path, lcmFactory, minsup, Config{MemBudget: 48 << 10, Workers: workers, Metrics: rec}, got); err != nil {
+			t.Fatal(err)
+		}
+		want := mine.ResultSet{}
+		if err := lcmFactory().Mine(db, minsup, want); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("minsup %d, %d workers: partitioned result diverges:\n%s", minsup, workers, want.Diff(got, 10))
+		}
+		return rec.Snapshot().Partition.Chunks
+	}
+	// One worker's chunks hold about 100 of the 400 rows. At support 40
+	// half a chunk keeps a threshold of 5; at support 12 it would drop to 2.
+	if one, two := mineChunks(40, 1), mineChunks(40, 2); two < 2*one-1 {
+		t.Errorf("support 40: %d chunks at two workers, %d at one; want the budget split in two", two, one)
+	}
+	if one, two := mineChunks(12, 1), mineChunks(12, 2); two != one {
+		t.Errorf("support 12: %d chunks at two workers, %d at one; want no split", two, one)
 	}
 }

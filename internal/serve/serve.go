@@ -24,6 +24,7 @@ import (
 	"fpm"
 	"fpm/internal/durable"
 	"fpm/internal/jobs"
+	"fpm/internal/kernel"
 	"fpm/internal/servecache"
 	"fpm/internal/telemetry"
 )
@@ -230,7 +231,10 @@ func NewInstance(cfg Config) *Instance {
 		MaxRetries:       maxRetries,
 	})
 	inst.Store = store
-	srv.AttachJobs(store)
+	srv.AttachJobs(store, func(req jobs.JobRequest) error {
+		_, _, err := checkRequest(req)
+		return err
+	})
 	srv.AttachCaches(caches, inst.Persister)
 
 	// Replay what previous generations lost. Resubmission is
@@ -271,6 +275,34 @@ func (inst *Instance) mineJob(ctx context.Context, req jobs.JobRequest, rec *fpm
 	return mineWithCaches(ctx, req, rec, inst.Caches, inst.Persister != nil)
 }
 
+// checkRequest holds the job request rules: min_support >= 1, a kernel
+// the kernel table has and a pattern list that parses. It returns the
+// resolved kernel and patterns ("" and "all" mean every applicable
+// pattern, "none" the empty set). POST /jobs runs it before a job is
+// journaled or queued; mineWithCaches runs it again for requests recovered
+// from a journal written before that check. The kernel check is a table
+// lookup: no kernel is built.
+func checkRequest(req jobs.JobRequest) (fpm.Algorithm, fpm.PatternSet, error) {
+	if req.MinSupport < 1 {
+		return "", 0, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
+	}
+	a := fpm.Algorithm(req.Algo)
+	if _, err := kernel.Lookup(a); err != nil {
+		return "", 0, err
+	}
+	switch req.Patterns {
+	case "", "all":
+		return a, fpm.Applicable(a), nil
+	case "none":
+		return a, 0, nil
+	}
+	ps, err := fpm.ParsePatterns(req.Patterns, a)
+	if err != nil {
+		return "", 0, err
+	}
+	return a, ps, nil
+}
+
 // mineWithCaches executes one submitted job through the library's
 // observed mining paths, so the job's counters stream into rec while it
 // runs. ctx threads the job's cancellation and deadline into the run:
@@ -278,26 +310,14 @@ func (inst *Instance) mineJob(ctx context.Context, req jobs.JobRequest, rec *fpm
 // trips. A nil caches (or a nil cache in it) mines uncached; persist
 // stamps inserted listings with their origin for the snapshot.
 func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, persist bool) (jobs.MineResult, error) {
-	// A request that fails validation fails the same way on every attempt,
-	// so its errors are permanent: the store does not retry them.
-	if req.MinSupport < 1 {
-		return jobs.MineResult{}, jobs.Permanent(fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport))
-	}
-	// Resolve the kernel before the result cache: a restored snapshot may
+	// A request that fails the check fails the same way on every attempt,
+	// so its errors are permanent: the store does not retry them. The
+	// kernel is resolved before the result cache: a restored snapshot may
 	// hold listings under a name the kernel table no longer has, and such
 	// a request must fail cached or not.
-	a := fpm.Algorithm(req.Algo)
-	if _, err := fpm.NewMiner(a, 0); err != nil {
+	a, ps, err := checkRequest(req)
+	if err != nil {
 		return jobs.MineResult{}, jobs.Permanent(err)
-	}
-	var ps fpm.PatternSet
-	if req.Patterns == "" || req.Patterns == "all" {
-		ps = fpm.Applicable(a)
-	} else if req.Patterns != "none" {
-		var err error
-		if ps, err = fpm.ParsePatterns(req.Patterns, a); err != nil {
-			return jobs.MineResult{}, jobs.Permanent(err)
-		}
 	}
 
 	// Result cache first: a listing cached at a support threshold <= the
@@ -319,7 +339,6 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 
 	opts := []fpm.ParallelOption{fpm.ParallelMetrics(rec), fpm.WithContext(ctx)}
 	var sets []fpm.Itemset
-	var err error
 	if req.MemBudget > 0 {
 		// Out-of-core jobs stream from disk by design — caching the parsed
 		// DB would defeat the memory bound — but their listings still land

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -302,6 +304,50 @@ func TestServeDrainMidStorm(t *testing.T) {
 func TestMineJobValidation(t *testing.T) {
 	if _, err := mineWithCaches(context.Background(), jobs.JobRequest{Path: "nope", Algo: "lcm"}, fpm.NewMetricsRecorder(), nil, false); err == nil {
 		t.Fatal("min_support 0 must be rejected")
+	}
+}
+
+// TestServeRejectsBadRequestAtSubmit: a request the job rules reject — an
+// unknown kernel, a pattern list that does not parse, min_support 0 — is
+// answered 400 by POST /jobs before the store journals or queues it, so
+// it leaves no job record and no journal line.
+func TestServeRejectsBadRequestAtSubmit(t *testing.T) {
+	path := testDataset(t, 200, 31)
+	stateDir := t.TempDir()
+	inst := NewInstance(durableConfig(stateDir))
+	if inst.DurabilityErr != nil {
+		t.Fatal(inst.DurabilityErr)
+	}
+	ts := httptest.NewServer(inst.Server.Handler())
+	defer ts.Close()
+	for _, req := range []jobs.JobRequest{
+		{Path: path, Algo: "hmine", MinSupport: 5, Workers: 1},
+		{Path: path, Algo: "lcm", Patterns: "lex,bogus", MinSupport: 5, Workers: 1},
+		{Path: path, Algo: "lcm", MinSupport: 0, Workers: 1},
+	} {
+		if _, code := postJob(t, ts.URL, req); code != http.StatusBadRequest {
+			t.Errorf("POST %+v: status %d, want 400", req, code)
+		}
+	}
+	if got := inst.Store.List(); len(got) != 0 {
+		t.Fatalf("rejected requests left job records: %+v", got)
+	}
+	if st := inst.Store.Stats(); st.Submitted != 0 {
+		t.Fatalf("rejected requests counted as submitted: %+v", st)
+	}
+	closeInstance(t, inst)
+	entries, err := os.ReadDir(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(stateDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("hmine")) || bytes.Contains(data, []byte("bogus")) {
+			t.Fatalf("rejected request reached %s:\n%s", e.Name(), data)
+		}
 	}
 }
 

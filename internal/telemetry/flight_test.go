@@ -29,7 +29,7 @@ func TestEventsEndpoint(t *testing.T) {
 	st := jobs.NewStoreWithConfig(mine, nil, jobs.StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
-	srv.AttachJobs(st)
+	srv.AttachJobs(st, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -204,7 +204,7 @@ func TestMetricsEndpointHasJobHistograms(t *testing.T) {
 	st := jobs.NewStoreWithConfig(mine, nil, jobs.StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
-	srv.AttachJobs(st)
+	srv.AttachJobs(st, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

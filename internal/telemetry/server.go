@@ -41,7 +41,7 @@ import (
 //
 // and, when a job store is attached:
 //
-//	POST   /jobs     — submit a mining job
+//	POST   /jobs     — submit a mining job (400 when the check rejects it)
 //	GET    /jobs     — list jobs
 //	GET    /jobs/{id} — one job's state and result summary
 //	GET    /jobs/{id}/events — the job's flight-recorder timeline
@@ -50,6 +50,7 @@ type Server struct {
 	mu        sync.Mutex
 	rec       *metrics.Recorder
 	store     *jobs.Store
+	check     func(jobs.JobRequest) error // vets POST /jobs; nil accepts all
 	caches    *servecache.Caches
 	persister *servecache.Persister
 	srv       *http.Server
@@ -76,7 +77,12 @@ func (s *Server) Recorder() *metrics.Recorder {
 
 // AttachJobs wires a job store into the /jobs endpoints. Call before
 // Handler/Start; submitted jobs route their recorders through SetRecorder.
-func (s *Server) AttachJobs(st *jobs.Store) { s.store = st }
+// check, when non-nil, vets every POST /jobs request before the store
+// sees it: a request it rejects gets 400, and leaves no job record and no
+// journal line.
+func (s *Server) AttachJobs(st *jobs.Store, check func(jobs.JobRequest) error) {
+	s.store, s.check = st, check
+}
 
 // AttachCaches wires the serving caches' census into /metrics as the
 // fpm_cache_* family, and the snapshot persister's (nil when the server
@@ -167,6 +173,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
+		}
+		if s.check != nil {
+			if err := s.check(req); err != nil {
+				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+				return
+			}
 		}
 		job, err := s.store.Submit(req)
 		if err != nil {

@@ -158,7 +158,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	}
 	srv := NewServer()
 	store := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{})
-	srv.AttachJobs(store)
+	srv.AttachJobs(store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -287,7 +287,7 @@ func TestJobsBackpressureHTTP(t *testing.T) {
 	}
 	srv := NewServer()
 	store := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{QueueCap: 1})
-	srv.AttachJobs(store)
+	srv.AttachJobs(store, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -423,7 +423,7 @@ func TestServerDeleteJob(t *testing.T) {
 	}
 	srv := NewServer()
 	st := jobs.NewStoreWithConfig(mine, srv.SetRecorder, jobs.StoreConfig{})
-	srv.AttachJobs(st)
+	srv.AttachJobs(st, nil)
 	defer st.Shutdown()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

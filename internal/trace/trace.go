@@ -77,8 +77,8 @@ const (
 	// CatPhase is one out-of-core pass boundary (sizing scan, pass-2
 	// recount); payload = bytes streamed during the phase.
 	CatPhase
-	// CatChunk is one pass-1 chunk being mined; payload = candidates the
-	// chunk added to the union.
+	// CatChunk is one pass-1 chunk's merge into the candidate union;
+	// payload = candidates the chunk added to the union.
 	CatChunk
 )
 

@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"fpm/internal/kernel"
 )
 
 func resultMap(sets []Itemset) ResultSet {
@@ -28,7 +30,7 @@ func TestWithMetricsMatchesPlainMine(t *testing.T) {
 	}
 	wantRS := resultMap(want)
 
-	for _, algo := range kernelNames() {
+	for _, algo := range kernel.Names() {
 		for _, workers := range []int{1, 4} {
 			sets, snap, err := WithMetrics(db, algo, 0, minsup, workers)
 			if err != nil {
