@@ -42,8 +42,8 @@ const (
 )
 
 // assertNoGoroutineGrowth polls until the goroutine count returns to its
-// pre-run level (+1 slack for runtime helpers); cancellation must join the
-// context watcher and every pool worker.
+// pre-run level (+1 slack for runtime helpers); cancellation must join
+// every pool worker.
 func assertNoGoroutineGrowth(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -122,7 +122,7 @@ func TestChaosKillResumeDifferential(t *testing.T) {
 
 			run := func(ctx context.Context) ([]Itemset, PartitionSnapshot, error) {
 				return MinePartitioned(path, algo, Applicable(algo), tc.minsup,
-					budget, workers, WithCheckpoint(ckpt, true), ParallelCutoff(64), WithContext(ctx))
+					budget, workers, WithCheckpoint(ckpt, true), parallelCutoff(64), WithContext(ctx))
 			}
 
 			// Fault rounds: each arms one failure mode, runs, and checks

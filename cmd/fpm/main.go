@@ -5,7 +5,7 @@
 //	fpm -in transactions.dat -support 100
 //	    [-algo lcm|eclat|fpgrowth|apriori|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
-//	    [-workers N] [-cutoff W] [-out results.txt] [-count]
+//	    [-workers N] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume]
 //	    [-timeout 30s] [-stats table|json] [-describe]
 //
@@ -102,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		patterns = fs.String("patterns", "", "comma-separated tuning patterns, or \"all\" for every applicable pattern (ignored with -algo auto)")
 		count    = fs.Bool("count", false, "print only the number of frequent itemsets")
 		workers  = fs.Int("workers", 1, "work-stealing mining workers (1 = sequential; 0 = GOMAXPROCS)")
-		cutoff   = fs.Int("cutoff", 0, "minimum estimated subtree weight to spawn a stealable task (0 = default)")
 		stats    = fs.String("stats", "", "print run-time mining counters to stdout: \"table\" or \"json\" (itemset listing suppressed unless -out is set)")
 		describe = fs.Bool("describe", false, "print dataset statistics and the autotuner recommendation, then exit")
 		part     = fs.Bool("partition", false, "mine out-of-core: stream the file in bounded chunks (SON two-pass) instead of loading it")
@@ -135,9 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ctx, cancelRun := context.WithTimeout(context.Background(), *timeout)
 		defer cancelRun()
 		popts = append(popts, fpm.WithContext(ctx))
-	}
-	if *cutoff != 0 {
-		popts = append(popts, fpm.ParallelCutoff(*cutoff))
 	}
 	var traceFile *os.File
 	if *traceOut != "" {

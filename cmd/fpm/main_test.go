@@ -210,6 +210,8 @@ func TestCLIErrors(t *testing.T) {
 		// Checkpointing is an out-of-core feature: reject it without -partition.
 		{"-in", small, "-support", "2", "-algo", "lcm", "-checkpoint", "x.fpmck"},
 		{"-in", small, "-support", "2", "-algo", "lcm", "-resume"},
+		// The spawn cutoff is the pool's constant, not a flag.
+		{"-in", small, "-support", "2", "-algo", "lcm", "-workers", "2", "-cutoff", "1"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

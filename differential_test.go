@@ -252,7 +252,7 @@ func TestDifferentialPartitionedEquivalence(t *testing.T) {
 				want := canonListing(inMem)
 				for _, rg := range regimes {
 					sets, snap, err := MinePartitioned(path, algo, Applicable(algo), tc.minsup,
-						rg.budget, workers, ParallelCutoff(64))
+						rg.budget, workers, parallelCutoff(64))
 					if err != nil {
 						t.Fatalf("%s/%s: %v", algo, rg.name, err)
 					}
@@ -311,7 +311,7 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 				}
 			}
 			// Apriori on a four-worker pool, which runs it as one task.
-			am, err := NewParallel(4, Apriori, 0, ParallelCutoff(64))
+			am, err := NewParallel(4, Apriori, 0, parallelCutoff(64))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestDifferentialAllMinersAgree(t *testing.T) {
 				workers int
 				batch   bool
 			}{{1, false}, {4, false}, {4, true}} {
-				pm, err := NewParallel(pc.workers, tc.parAlgo, Applicable(tc.parAlgo), ParallelCutoff(64))
+				pm, err := NewParallel(pc.workers, tc.parAlgo, Applicable(tc.parAlgo), parallelCutoff(64))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -467,7 +467,7 @@ func TestDifferentialSparseAlphabets(t *testing.T) {
 						t.Fatal(err)
 					}
 					check(m.Name(), m)
-					pm, err := NewParallel(4, algo, ps, ParallelCutoff(64))
+					pm, err := NewParallel(4, algo, ps, parallelCutoff(64))
 					if err != nil {
 						t.Fatal(err)
 					}

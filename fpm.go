@@ -193,18 +193,13 @@ func (ro runOptions) inMemory(entry string) error {
 	return nil
 }
 
-// ParallelCutoff sets the minimum estimated subtree weight (item
-// occurrences in the projected database) for a subtree to become a
-// stealable task; below it workers recurse sequentially. Zero or negative
-// selects the built-in default.
-func ParallelCutoff(weight int) ParallelOption { return func(o *runOptions) { o.pool.Cutoff = weight } }
-
 // NewParallel wraps any kernel in task-parallel mining over a
 // work-stealing worker pool. LCM, Eclat and FP-Growth split through their
 // own recursion: any recursion subtree whose estimated work clears the
-// cutoff may be stolen by a starved worker, so skewed inputs (one hot item
-// owning most of the search tree) still balance. Apriori is level-wise and
-// has no subtree to offer, so it runs as one task on one worker.
+// pool's fixed spawn cutoff may be stolen by a starved worker, so skewed
+// inputs (one hot item owning most of the search tree) still balance.
+// Apriori is level-wise and has no subtree to offer, so it runs as one
+// task on one worker.
 // workers <= 0 means GOMAXPROCS.
 //
 // The result set equals the sequential kernel's and every itemset's
@@ -218,7 +213,8 @@ func ParallelCutoff(weight int) ParallelOption { return func(o *runOptions) { o.
 //
 // A Miner has no run boundary, so a WithTrace recorder records every Mine
 // call and the caller starts, stops and flushes it. WithContext cancels
-// every Mine call; WithCheckpoint is rejected.
+// every Mine call, through a flag armed per call; WithCheckpoint is
+// rejected.
 func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...ParallelOption) (Miner, error) {
 	k, err := kernel.Lookup(algo)
 	if err != nil {
@@ -228,7 +224,7 @@ func NewParallel(workers int, algo Algorithm, patterns PatternSet, opts ...Paral
 	if err := ro.inMemory("NewParallel"); err != nil {
 		return nil, err
 	}
-	return parallel.NewWithOptions(ro.pool, func() mine.Splitter { return k(patterns, nil, nil, nil) }), nil
+	return parallel.New(ro.pool, func() mine.Splitter { return k(patterns, nil, nil, nil) }), nil
 }
 
 // Observability (see internal/metrics): optionally-enabled run-time
@@ -260,7 +256,7 @@ type TraceRecorder = trace.Recorder
 // NewTraceRecorder returns an enabled trace recorder whose Flush writes
 // the trace-event JSON to w. Thread it through a run with WithTrace.
 func NewTraceRecorder(w io.Writer) *TraceRecorder {
-	return trace.NewRecorder(trace.WithOutput(w))
+	return trace.NewRecorder(w)
 }
 
 // WithTrace records a run's span timelines — every scheduler worker, the
@@ -276,9 +272,11 @@ func WithTrace(tr *TraceRecorder) ParallelOption { return func(o *runOptions) { 
 // scheduler drops its queued tasks and the partition passes stop at the
 // next chunk boundary. WithMetrics and MinePartitioned then return a
 // *CancelledError wrapping ctx.Err() with the partial-progress Snapshot
-// attached; a NewParallel Miner returns ctx.Err() from every Mine call
-// after the cut. A context that can never be cancelled
-// (context.Background()) adds no cost.
+// attached. A NewParallel Miner has no run boundary, so it arms a flag
+// from ctx for each Mine call and returns ctx.Err() from every call after
+// the cut. Arming registers a callback on ctx and starts no goroutine; a
+// context that can never be cancelled (context.Background()) adds no
+// cost.
 func WithContext(ctx context.Context) ParallelOption { return func(o *runOptions) { o.pool.Ctx = ctx } }
 
 // ParallelMetrics routes the work-stealing scheduler's counters (tasks
@@ -327,7 +325,7 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 		if workers == 1 {
 			m = newKernel()
 		} else {
-			m = parallel.NewWithOptions(po, newKernel)
+			m = parallel.New(po, newKernel)
 		}
 		return m.Name(), func(c Collector) error { return m.Mine(db, minSupport, c) }
 	})
@@ -337,7 +335,7 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 // resolves algo, completes po (supplying a private recorder when
 // ParallelMetrics is absent) and arms one cancellation flag from
 // WithContext, shared by the kernels (node-granular latency) and the pool
-// or partition passes; the flag's watcher goroutine is joined before
+// or partition passes; the flag's context callback is released before
 // observe returns. setup receives a kernel builder that records into the
 // run's recorder, polls the flag and traces first-level subtrees on
 // sequential runs (under a pool the worker task spans own the timeline),
@@ -428,16 +426,7 @@ func WithCheckpoint(path string, resume bool) ParallelOption {
 func MinePartitioned(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
 	ro := newRunOptions(workers, opts)
 	sets, snap, err := observe(algo, patterns, workers, ro.pool, func(newKernel func() mine.Splitter, po parallel.Options) (string, func(Collector) error) {
-		cfg := partition.Config{
-			MemBudget:  memBudget,
-			Workers:    workers,
-			Cutoff:     po.Cutoff,
-			Metrics:    po.Metrics,
-			Trace:      po.Trace,
-			Cancel:     po.Cancel,
-			Checkpoint: ro.checkpoint,
-			Resume:     ro.resume,
-		}
+		cfg := partition.Config{MemBudget: memBudget, Pool: po, Checkpoint: ro.checkpoint, Resume: ro.resume}
 		return "partitioned(" + newKernel().Name() + ")", func(c Collector) error {
 			return partition.Mine(path, newKernel, minSupport, cfg, c)
 		}

@@ -7,8 +7,9 @@
 //
 // The split matters because ctx.Done() is a channel receive — too heavy to
 // poll inside a recursion that expands millions of nodes — while an atomic
-// load is effectively free next to the work one node performs. One watcher
-// goroutine per run converts the channel edge into the flag exactly once.
+// load is effectively free next to the work one node performs. A
+// context.AfterFunc callback converts the channel edge into the flag
+// exactly once, without a goroutine of its own while the run is live.
 package cancel
 
 import (
@@ -61,36 +62,34 @@ func (f *Flag) Set(err error) {
 }
 
 // FromContext returns a flag that trips when ctx is cancelled or times
-// out, plus a stop function the caller must invoke when the run ends (it
-// joins the watcher goroutine, so runs never leak goroutines; stop is
-// idempotent). A nil context, or one that can never be cancelled
-// (ctx.Done() == nil, e.g. context.Background()), yields a nil flag and a
-// no-op stop — the zero-cost disabled path.
+// out, plus a stop function the caller must invoke when the run ends. stop
+// is idempotent and, if the flag's callback has started, returns only once
+// it has finished, so nothing of the run outlives stop. A nil context, or
+// one that can never be cancelled (ctx.Done() == nil, e.g.
+// context.Background()), yields a nil flag and a no-op stop — the
+// zero-cost disabled path.
 func FromContext(ctx context.Context) (*Flag, func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}
 	}
 	f := &Flag{}
-	// An already-cancelled context trips the flag synchronously: the watcher
-	// goroutine may not be scheduled before a short run completes, and a run
-	// submitted after its deadline must deterministically not start.
+	// An already-cancelled context trips the flag synchronously, so a run
+	// submitted after its deadline deterministically does not start.
 	if err := ctx.Err(); err != nil {
 		f.Set(err)
 		return f, func() {}
 	}
-	stopC := make(chan struct{})
-	doneC := make(chan struct{})
-	go func() {
-		defer close(doneC)
-		select {
-		case <-ctx.Done():
-			f.Set(ctx.Err())
-		case <-stopC:
-		}
-	}()
+	fired := make(chan struct{})
+	stopCallback := context.AfterFunc(ctx, func() {
+		defer close(fired)
+		f.Set(ctx.Err())
+	})
 	var once sync.Once
 	return f, func() {
-		once.Do(func() { close(stopC) })
-		<-doneC
+		once.Do(func() {
+			if !stopCallback() {
+				<-fired
+			}
+		})
 	}
 }

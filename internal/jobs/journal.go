@@ -38,12 +38,13 @@ import (
 )
 
 // Journal ops. "submitted" carries the request (the record recovery
-// replays); "running" and "terminal" carry lifecycle evidence; "requeue"
-// is a terminal written by a graceful drain that wants the job
-// resubmitted on the next boot (rolling restarts keep their backlog).
+// replays); "terminal" marks the job finished; "requeue" is a terminal
+// written by a graceful drain that wants the job resubmitted on the next
+// boot (rolling restarts keep their backlog). Journals written before
+// this set also hold "running" records; recovery skips them, as it skips
+// any op it does not know.
 const (
 	JournalOpSubmitted = "submitted"
-	JournalOpRunning   = "running"
 	JournalOpTerminal  = "terminal"
 	JournalOpRequeue   = "requeue"
 )

@@ -28,7 +28,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 	}
 	req := JobRequest{Path: "a.dat", Algo: "lcm", MinSupport: 3}
 	j.Append(JournalRecord{Op: JournalOpSubmitted, Job: 0, TS: time.Now(), Req: &req})
-	j.Append(JournalRecord{Op: JournalOpRunning, Job: 0, TS: time.Now()})
+	j.Append(JournalRecord{Op: "running", Job: 0, TS: time.Now()}) // as older journals hold
 	j.Append(JournalRecord{Op: JournalOpTerminal, Job: 0, TS: time.Now(), State: "done"})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestJournalTornTailKeepsPrefix(t *testing.T) {
 	}
 	req := JobRequest{Path: "a.dat", Algo: "lcm", MinSupport: 3}
 	j.Append(JournalRecord{Op: JournalOpSubmitted, Job: 0, Req: &req})
-	j.Append(JournalRecord{Op: JournalOpRunning, Job: 0})
+	j.Append(JournalRecord{Op: "running", Job: 0}) // as older journals hold
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPendingRequests(t *testing.T) {
 		{Op: JournalOpSubmitted, Job: 1, Req: req("crashed.dat")},
 		{Op: JournalOpSubmitted, Job: 2, Req: req("requeued.dat")},
 		{Op: JournalOpSubmitted, Job: 3}, // torn: no replayable request
-		{Op: JournalOpRunning, Job: 1},
+		{Op: "running", Job: 1},          // older journals hold these; recovery skips them
 		{Op: JournalOpTerminal, Job: 0, State: "done"},
 		{Op: JournalOpRequeue, Job: 2, State: "requeued"},
 	}
@@ -237,6 +237,37 @@ func TestSubmitRecoveredProvenance(t *testing.T) {
 	ev, _ := st.Events(job.ID)
 	if len(ev.Events) == 0 || ev.Events[0].Outcome != "recovered" {
 		t.Fatalf("submitted event = %+v, want outcome recovered", ev.Events)
+	}
+}
+
+// A job that runs to completion journals two records, its submission and
+// its terminal: recovery reads nothing else.
+func TestJournalFinishedJobWritesTwoRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal.1")
+	jnl, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStoreWithConfig(instantMine, nil, StoreConfig{Journal: jnl})
+	job, err := st.Submit(JobRequest{Path: "x.dat", Algo: "lcm", MinSupport: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, st.Get, job.ID, "done")
+	st.Close()
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, rec := range recs {
+		ops = append(ops, rec.Op)
+	}
+	if want := []string{JournalOpSubmitted, JournalOpTerminal}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("journal ops = %v, want %v", ops, want)
 	}
 }
 

@@ -138,6 +138,9 @@ var ErrQueueFull = errors.New("jobs: job queue full")
 // ErrClosed is returned by Submit after Close or Shutdown.
 var ErrClosed = errors.New("jobs: job store closed")
 
+// errRequeued is the Error of a job a journaled Shutdown drained.
+var errRequeued = errors.New("shutdown: requeued for restart")
+
 // Store queues submitted jobs and runs them on a fixed pool of runner
 // goroutines under memory-budget admission control. Jobs are admitted in
 // strict FIFO order: the head of the queue runs as soon as a runner is
@@ -464,13 +467,34 @@ func (st *Store) Histograms() JobHists {
 	return st.hists
 }
 
-// recordTerminalLocked folds a job reaching its final state into the
-// histograms and emits the terminal flight-recorder event. Every job path
-// out of the store — run to completion, cancelled while queued, drained
-// by Shutdown — funnels through here exactly once. Jobs that never ran
-// have no Started; their whole life was queue wait and their mine time is
-// zero.
-func (st *Store) recordTerminalLocked(job *Job) {
+// finishLocked moves a job to its terminal state — "done", "failed",
+// "cancelled" or "requeued" — with err (nil for "done") as its Error,
+// counts it in that state's counter, folds it into the histograms, emits
+// the terminal flight-recorder event and journals it. Every job path out
+// of the store — run to completion, cancelled while queued, drained by
+// Shutdown — funnels through here exactly once. A queued job leaves the
+// Queued gauge here; a running one, run takes out of the running set.
+// Jobs that never ran have no Started; their whole life was queue wait and
+// their mine time is zero. Callers hold st.mu.
+func (st *Store) finishLocked(job *Job, state string, err error) {
+	if job.State == "queued" {
+		st.stats.Queued--
+	}
+	job.State = state
+	if err != nil {
+		job.Error = err.Error()
+	}
+	job.Finished = time.Now()
+	switch state {
+	case "done":
+		st.stats.Done++
+	case "failed":
+		st.stats.Failed++
+	case "cancelled":
+		st.stats.Cancelled++
+	case "requeued":
+		st.stats.Requeued++
+	}
 	started := job.Started
 	if started.IsZero() {
 		started = job.Finished
@@ -524,12 +548,7 @@ func (st *Store) Cancel(id int) (Job, bool) {
 	var cancelRunning context.CancelFunc
 	switch job.State {
 	case "queued":
-		job.State = "cancelled"
-		job.Error = context.Canceled.Error()
-		job.Finished = time.Now()
-		st.stats.Queued--
-		st.stats.Cancelled++
-		st.recordTerminalLocked(job)
+		st.finishLocked(job, "cancelled", context.Canceled)
 	case "running":
 		cancelRunning = job.cancel
 	}
@@ -582,17 +601,10 @@ func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFun
 				// backlog. Without one there is no restart story, so the
 				// pre-journal semantics hold: queued jobs are cancelled.
 				if st.journal != nil {
-					job.State = "requeued"
-					job.Error = "shutdown: requeued for restart"
-					st.stats.Requeued++
+					st.finishLocked(job, "requeued", errRequeued)
 				} else {
-					job.State = "cancelled"
-					job.Error = context.Canceled.Error()
-					st.stats.Cancelled++
+					st.finishLocked(job, "cancelled", context.Canceled)
 				}
-				job.Finished = time.Now()
-				st.stats.Queued--
-				st.recordTerminalLocked(job)
 				st.pending = st.pending[1:]
 				continue
 			}
@@ -670,7 +682,6 @@ func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFun
 		st.stats.Queued--
 		st.running[id] = job
 		st.emitLocked(job, Event{Type: "running", Estimate: est})
-		st.journal.Append(JournalRecord{Op: JournalOpRunning, Job: id, TS: job.Started})
 		return job, ctx, cancel, true
 	}
 }
@@ -737,7 +748,6 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 	heapEnd := readLiveHeap()
 
 	st.mu.Lock()
-	job.Finished = time.Now()
 	job.Itemsets = res.Itemsets
 	job.ServedFromCache = res.FromCache
 	job.Stats = &snap
@@ -753,21 +763,15 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 	st.memUsed -= est
 	switch {
 	case err == nil:
-		job.State = "done"
-		st.stats.Done++
 		if res.FromCache {
 			st.stats.CacheServed++
 		}
+		st.finishLocked(job, "done", nil)
 	case errors.Is(err, context.Canceled):
-		job.State = "cancelled"
-		job.Error = err.Error()
-		st.stats.Cancelled++
+		st.finishLocked(job, "cancelled", err)
 	default:
-		job.State = "failed"
-		job.Error = err.Error()
-		st.stats.Failed++
+		st.finishLocked(job, "failed", err)
 	}
-	st.recordTerminalLocked(job)
 	observe := st.observeFootprint
 	peak := job.PeakBytes
 	done := job.State == "done" && !res.FromCache

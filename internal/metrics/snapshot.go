@@ -104,7 +104,9 @@ type PartitionStats struct {
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// InputBytes is the on-disk size of the mined file (schema v2); the
 	// live-telemetry progress endpoint derives completion fractions from
-	// it (the file is streamed three times: sizing scan, pass 1, pass 2).
+	// it (the file is streamed three times: sizing scan, pass 1, pass 2;
+	// with more than one worker the first pass-1 chunk is also read once
+	// to size the chunk buffers, which the streamed bytes do not count).
 	InputBytes int64 `json:"input_bytes,omitempty"`
 }
 

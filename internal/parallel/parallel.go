@@ -46,15 +46,20 @@ import (
 // same occurrences through the vertical representation (each support is
 // one item's set-bit count over the transactions containing the prefix).
 // Below the cutoff the synchronisation and task bookkeeping outweigh the
-// subtree's work; 2048 occurrences ≈ a few microseconds of kernel time.
+// subtree's work: LCM takes about 170 µs on a 2,300-occurrence
+// out-of-core chunk, so 2048 occurrences is of the order of 150 µs of
+// kernel time. The cutoff is not a run option: at 64 the out-of-core
+// benchmark is no faster and BenchmarkParallelDense at two workers is up
+// to 5% slower (EXPERIMENTS.md "The spawn cutoff is a constant").
 const DefaultCutoff = 2048
 
-// Options configure a parallel Miner beyond the worker count.
+// Options configure a parallel Miner.
 type Options struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
 	// Cutoff is the minimum estimated subtree weight for task spawning;
-	// <= 0 means DefaultCutoff.
+	// <= 0 means DefaultCutoff. Only tests set it, to force splits on
+	// inputs too small to clear the default.
 	Cutoff int
 	// Metrics, when non-nil, receives the scheduler's counters: tasks
 	// spawned/offered/stolen, steal failures, shard-merge time and
@@ -91,34 +96,10 @@ type Miner struct {
 	tracks  []*trace.Track // per-worker trace tracks, reused across Mine calls
 }
 
-// Option mutates Options; see With*.
-type Option func(*Options)
-
-// WithCutoff sets the task-spawn weight cutoff.
-func WithCutoff(n int) Option { return func(o *Options) { o.Cutoff = n } }
-
-// WithMetrics routes scheduler counters into rec.
-func WithMetrics(rec *metrics.Recorder) Option { return func(o *Options) { o.Metrics = rec } }
-
-// WithTrace routes worker span timelines into tr (see Options.Trace).
-func WithTrace(tr *trace.Recorder) Option { return func(o *Options) { o.Trace = tr } }
-
-// WithCancel attaches a cooperative cancellation flag (see Options.Cancel).
-func WithCancel(cf *cancel.Flag) Option { return func(o *Options) { o.Cancel = cf } }
-
-// New returns a parallel miner running opts-many workers (0 means
+// New returns a parallel miner running opts.Workers workers (<= 0 means
 // GOMAXPROCS), each using its own kernel from factory (kernels are not
 // required to be concurrency-safe).
-func New(workers int, factory func() mine.Splitter, opts ...Option) *Miner {
-	o := Options{Workers: workers}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return NewWithOptions(o, factory)
-}
-
-// NewWithOptions is New with explicit Options.
-func NewWithOptions(opts Options, factory func() mine.Splitter) *Miner {
+func New(opts Options, factory func() mine.Splitter) *Miner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -175,7 +156,7 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 // one root do. Submit, Abort and Close are called from one goroutine.
 type Session struct {
 	p    *pool
-	stop func() // releases the context watcher armed by Start
+	stop func() // releases the context callback armed by Start
 	next int    // worker whose deque receives the next root
 }
 

@@ -64,7 +64,7 @@ func TestMatchesSequentialAllKernels(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 0} {
 				// Cutoff 1 forces spawning whenever the pool is starved,
 				// maximising scheduler traffic.
-				m := New(workers, factory, WithCutoff(1))
+				m := New(Options{Workers: workers, Cutoff: 1}, factory)
 				rs := mine.ResultSet{}
 				if err := m.Mine(db, minsup, rs); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -92,7 +92,7 @@ func TestCanonicalItemOrder(t *testing.T) {
 				if run == "sequential" {
 					err = factory().MineSplit(db, 30, &sc, nil)
 				} else {
-					err = New(4, factory, WithCutoff(1)).Mine(db, 30, &sc)
+					err = New(Options{Workers: 4, Cutoff: 1}, factory).Mine(db, 30, &sc)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", run, err)
@@ -132,7 +132,7 @@ func mineOrTimeout(t *testing.T, m *Miner, db *dataset.DB, minSupport int, c min
 }
 
 func TestEdgeCases(t *testing.T) {
-	m := New(2, lcmFactory)
+	m := New(Options{Workers: 2}, lcmFactory)
 	if err := m.Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
 		t.Fatalf("empty DB: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestEdgeCases(t *testing.T) {
 	// hang — for every kernel.
 	db := dataset.New([]dataset.Transaction{{0, 1}, {1, 2}, {0, 2}})
 	for name, factory := range kernelFactories() {
-		m := New(2, factory)
+		m := New(Options{Workers: 2}, factory)
 		rs := mine.ResultSet{}
 		if err := mineOrTimeout(t, m, db, 100, rs); err != nil {
 			t.Fatalf("%s high support: %v", name, err)
@@ -162,7 +162,7 @@ func TestNameCached(t *testing.T) {
 		calls.Add(1)
 		return lcm.New(lcm.Options{})
 	}
-	m := New(2, factory)
+	m := New(Options{Workers: 2}, factory)
 	after := calls.Load()
 	if m.Name() != "parallel(lcm(baseline))" {
 		t.Fatalf("name = %q", m.Name())
@@ -189,7 +189,7 @@ func TestErrorPropagationWithoutDeadlock(t *testing.T) {
 	// A failing root task must not deadlock the idle workers, and its
 	// error must surface.
 	db := gen.Quest(gen.QuestConfig{Transactions: 200, AvgLen: 10, AvgPatternLen: 3, Items: 40, Patterns: 15, Seed: 5})
-	m := New(3, func() mine.Splitter { return failingMiner{} })
+	m := New(Options{Workers: 3}, func() mine.Splitter { return failingMiner{} })
 	err := m.Mine(db, 5, mine.ResultSet{})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
@@ -226,7 +226,7 @@ func (s splitFailMiner) MineSplit(db *dataset.DB, minSupport int, c mine.Collect
 func TestSplitterErrorFirstWinsAndStops(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0}})
 	var ran atomic.Int32
-	m := New(4, func() mine.Splitter { return splitFailMiner{ran: &ran} }, WithCutoff(1))
+	m := New(Options{Workers: 4, Cutoff: 1}, func() mine.Splitter { return splitFailMiner{ran: &ran} })
 	err := m.Mine(db, 1, mine.ResultSet{})
 	if err == nil {
 		t.Fatal("no error propagated")
@@ -249,7 +249,7 @@ func TestMatchesBruteForceProperty(t *testing.T) {
 			return false
 		}
 		rs := mine.ResultSet{}
-		if err := New(3, lcmFactory, WithCutoff(1)).Mine(db, minsup, rs); err != nil {
+		if err := New(Options{Workers: 3, Cutoff: 1}, lcmFactory).Mine(db, minsup, rs); err != nil {
 			return false
 		}
 		if !rs.Equal(want) {

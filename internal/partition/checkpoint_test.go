@@ -17,6 +17,7 @@ import (
 	"fpm/internal/failpoint"
 	"fpm/internal/metrics"
 	"fpm/internal/mine"
+	"fpm/internal/parallel"
 )
 
 // testTrie builds a small trie with a few candidates for round-trip tests.
@@ -324,7 +325,7 @@ func TestResumeAfterCrashMatchesClean(t *testing.T) {
 	path := writeTemp(t, db)
 	const minsup, budget = 6, 2048
 
-	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1})
+	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Pool: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +338,8 @@ func TestResumeAfterCrashMatchesClean(t *testing.T) {
 	failpoint.Enable(reg)
 	t.Cleanup(failpoint.Disable)
 	rec := metrics.NewRecorder()
-	_, err = mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Metrics: rec})
+	_, err = mineAll(t, path, minsup, Config{MemBudget: budget,
+		Checkpoint: ckpt, Pool: parallel.Options{Workers: 1, Metrics: rec}})
 	failpoint.Disable()
 	if !errors.Is(err, boom) {
 		t.Fatalf("crashed run error = %v, want injected crash", err)
@@ -349,8 +350,8 @@ func TestResumeAfterCrashMatchesClean(t *testing.T) {
 
 	// Resume: must skip the completed chunks and produce the clean answer.
 	rec2 := metrics.NewRecorder()
-	got, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Resume: true, Metrics: rec2})
+	got, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+		Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: 1, Metrics: rec2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestResumeAcrossWorkerCountChange(t *testing.T) {
 	path := writeTemp(t, db)
 	const minsup, budget = 40, 100 << 10
 
-	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1})
+	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Pool: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +393,8 @@ func TestResumeAcrossWorkerCountChange(t *testing.T) {
 			boom := errors.New("simulated crash")
 			reg.FailAfter(failpoint.PartitionChunkMine, tc.from, boom)
 			failpoint.Enable(reg)
-			_, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: tc.from,
-				Checkpoint: ckpt})
+			_, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+				Checkpoint: ckpt, Pool: parallel.Options{Workers: tc.from}})
 			failpoint.Disable()
 			if !errors.Is(err, boom) {
 				t.Fatalf("crashed run error = %v", err)
@@ -401,8 +402,8 @@ func TestResumeAcrossWorkerCountChange(t *testing.T) {
 			// Identity deliberately excludes the worker count, so the
 			// checkpoint must still be honoured.
 			rec := metrics.NewRecorder()
-			got, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: tc.to,
-				Checkpoint: ckpt, Resume: true, Metrics: rec})
+			got, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+				Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: tc.to, Metrics: rec}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +423,7 @@ func TestResumeIdentityMismatch(t *testing.T) {
 	db := randomDB(17, 140, 15)
 	path := writeTemp(t, db)
 	const minsup, budget = 5, 2048
-	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1})
+	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Pool: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestResumeIdentityMismatch(t *testing.T) {
 		reg := failpoint.New()
 		reg.FailAfter(failpoint.PartitionChunkMine, 1, errors.New("crash"))
 		failpoint.Enable(reg)
-		_, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1, Checkpoint: ckpt})
+		_, err := mineAll(t, path, minsup, Config{MemBudget: budget, Checkpoint: ckpt, Pool: parallel.Options{Workers: 1}})
 		failpoint.Disable()
 		if err == nil {
 			t.Fatal("crash did not crash")
@@ -443,8 +444,8 @@ func TestResumeIdentityMismatch(t *testing.T) {
 
 	// Different support: the sidecar's config identity must not match.
 	crash()
-	got, err := mineAll(t, path, minsup+1, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Resume: true})
+	got, err := mineAll(t, path, minsup+1, Config{MemBudget: budget,
+		Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +467,8 @@ func TestResumeIdentityMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Resume: true}); err != nil {
+	if _, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+		Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: 1}}); err != nil {
 		t.Fatalf("resume against changed input failed instead of starting fresh: %v", err)
 	}
 
@@ -475,8 +476,8 @@ func TestResumeIdentityMismatch(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte("FPCKgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := mineAll(t, path, minsup, Config{MemBudget: budget, Workers: 1,
-		Checkpoint: ckpt, Resume: true})
+	got2, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+		Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestCheckpointWriteFailureIsBestEffort(t *testing.T) {
 	t.Cleanup(failpoint.Disable)
 	rec := metrics.NewRecorder()
 	got, err := mineAll(t, path, 5, Config{MemBudget: 2048,
-		Checkpoint: filepath.Join(t.TempDir(), "x.fpmck"), Metrics: rec})
+		Checkpoint: filepath.Join(t.TempDir(), "x.fpmck"), Pool: parallel.Options{Metrics: rec}})
 	failpoint.Disable()
 	if err != nil {
 		t.Fatalf("best-effort checkpointing failed the mine: %v", err)
@@ -534,7 +535,7 @@ func TestCancelLeavesSidecarForResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.fpmck")
 	cf := cancel.New()
 	cf.Set(context.Canceled)
-	_, err = mineAll(t, path, minsup, Config{MemBudget: budget, Cancel: cf, Checkpoint: ckpt})
+	_, err = mineAll(t, path, minsup, Config{MemBudget: budget, Checkpoint: ckpt, Pool: parallel.Options{Cancel: cf}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}

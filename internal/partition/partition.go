@@ -40,12 +40,10 @@ import (
 	"strconv"
 	"time"
 
-	"fpm/internal/cancel"
 	"fpm/internal/dataset"
 	"fpm/internal/durable"
 	"fpm/internal/failpoint"
 	"fpm/internal/fimi"
-	"fpm/internal/metrics"
 	"fpm/internal/mine"
 	"fpm/internal/parallel"
 	"fpm/internal/trace"
@@ -71,34 +69,30 @@ type Config struct {
 	// capped at MemBudget/(8·B), for the B ≤ Workers buffers splitBuffers
 	// picks, and each pass-2 chunk at MemBudget/8 (see chunkDivisor).
 	MemBudget int64
-	// Workers is the pass-1 pool size (<= 0 means GOMAXPROCS): at most
-	// Workers chunks are resident, mined at once on one work-stealing
-	// session with idle workers stealing subtrees of any chunk, as far as
-	// splitting the budget keeps the chunks' SON threshold at
-	// minSplitSupport. Chunk boundaries therefore depend on Workers; the
-	// answer does not. Pass 2 always counts on the caller's goroutine.
-	Workers int
-	// Cutoff is the work-stealing task-spawn cutoff passed through to the
-	// pool; <= 0 selects the pool's default.
-	Cutoff int
-	// Metrics, when non-nil, receives the two-pass counters (chunks
-	// mined, candidates generated/surviving, bytes streamed, pass times)
-	// plus, when Workers > 1, the pass-1 pool's scheduler counters. Nil
-	// disables recording.
-	Metrics *metrics.Recorder
-	// Trace, when non-nil, receives the run's span timeline: a "partition"
-	// phase track (sizing scan, one span per pass-1 chunk's merge into the
-	// candidate union carrying its new candidate count, the pass-2
-	// recount) plus the per-worker scheduler tracks when Workers > 1. Nil
-	// disables tracing.
-	Trace *trace.Recorder
-	// Cancel, when non-nil, aborts the run cooperatively: it is polled
-	// before every pass-1 and pass-2 chunk and by the pass-1 pool, and
-	// drivers that inject the same flag into the kernel factory get
-	// node-granular latency inside a chunk as well. A cancelled Mine
-	// returns Cancel.Err(); any checkpoint sidecar is left in place, so the
-	// run can be resumed.
-	Cancel *cancel.Flag
+	// Pool configures the pass-1 work-stealing pool, and its fields
+	// reach the rest of the run too:
+	//   - Workers (<= 0 means GOMAXPROCS) bounds the resident chunks: at
+	//     most Workers chunks are mined at once on one session, with idle
+	//     workers stealing subtrees of any chunk, as far as splitting the
+	//     budget keeps the chunks' SON threshold at minSplitSupport. Chunk
+	//     boundaries therefore depend on Workers; the answer does not.
+	//     Pass 2 always counts on the caller's goroutine.
+	//   - Metrics, when non-nil, receives the two-pass counters (chunks
+	//     mined, candidates generated/surviving, bytes streamed, pass
+	//     times) plus, when Workers > 1, the scheduler's counters.
+	//   - Trace, when non-nil, receives a "partition" phase track (sizing
+	//     scan, one span per pass-1 chunk's merge into the candidate union
+	//     carrying its new candidate count, the pass-2 recount) plus, when
+	//     Workers > 1, the per-worker scheduler tracks.
+	//   - Cancel, when non-nil, aborts the run cooperatively: it is polled
+	//     before every pass-1 and pass-2 chunk and by the pool, and drivers
+	//     that inject the same flag into the kernel factory get
+	//     node-granular latency inside a chunk as well. A cancelled Mine
+	//     returns Cancel.Err(); any checkpoint sidecar is left in place, so
+	//     the run can be resumed.
+	//   - Ctx is not used: arm Cancel from a context with
+	//     cancel.FromContext, so the passes see it too.
+	Pool parallel.Options
 	// Checkpoint, when non-empty, is the sidecar path where progress is
 	// persisted after every chunk (atomic temp-file + rename; see
 	// checkpoint.go). A checkpoint records the completed prefix of the
@@ -148,8 +142,11 @@ func enumBound(chunk *dataset.DB) float64 {
 // path, mining chunks with kernels from factory, and reports
 // every itemset with exact global support >= minSupport to c in canonical
 // order (mine.SortCanonical), each exactly once. The
-// file must be seekable (it is streamed three times: a parse-free sizing
-// scan, the chunk-mining pass and the recount pass).
+// file must be seekable: it is streamed three times (a parse-free sizing
+// scan, the chunk-mining pass and the recount pass), and with more than
+// one worker splitBuffers also reads the first pass-1 chunk before pass 1
+// to size the chunk buffers. The streamed-bytes counters leave that probe
+// out.
 func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config, c mine.Collector) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -157,11 +154,11 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 	if cfg.MemBudget <= 0 {
 		return ErrBadBudget
 	}
-	workers := cfg.Workers
+	workers := cfg.Pool.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rec := cfg.Metrics
+	rec := cfg.Pool.Metrics
 	rec.SetMemBudget(cfg.MemBudget)
 	chunkBudget := cfg.MemBudget / chunkDivisor
 	if chunkBudget < 1 {
@@ -214,9 +211,9 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		}
 	}
 
-	// All partition-phase spans land on one track; a nil cfg.Trace yields a
-	// nil track and every span call below degrades to a nil-check.
-	ptk := cfg.Trace.NewTrack("partition")
+	// All partition-phase spans land on one track; a nil cfg.Pool.Trace
+	// yields a nil track and every span call below degrades to a nil-check.
+	ptk := cfg.Pool.Trace.NewTrack("partition")
 
 	// Pass 1a — parse-free sizing scan: SON's per-chunk support scaling
 	// needs the total transaction count before the first chunk is mined.
@@ -282,13 +279,14 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		if err := rewind(f); err != nil {
 			return err
 		}
-		popts := []parallel.Option{parallel.WithCutoff(cfg.Cutoff), parallel.WithCancel(cfg.Cancel)}
-		if workers > 1 {
+		po := cfg.Pool
+		po.Workers, po.Ctx = workers, nil
+		if workers == 1 {
 			// A one-worker session schedules nothing: it reports, like the
 			// sequential kernel, only the kernel's own counters and spans.
-			popts = append(popts, parallel.WithMetrics(rec), parallel.WithTrace(cfg.Trace))
+			po.Metrics, po.Trace = nil, nil
 		}
-		sess := parallel.New(workers, factory, popts...).Start()
+		sess := parallel.New(po, factory).Start()
 		tc := &trieCollector{tr: tr}
 		type inflight struct {
 			root   *parallel.Root // nil once merged
@@ -371,7 +369,7 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		}
 		cr = &countingReader{r: f}
 		err = fimi.ReadChunksInto(cr, chunkBudget/int64(buffers), skipTx, next, func(c *fimi.Chunk) error {
-			if err := cfg.Cancel.Err(); err != nil {
+			if err := cfg.Pool.Cancel.Err(); err != nil {
 				return err
 			}
 			chunk := &c.DB
@@ -451,7 +449,7 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 	vc := newVertical(sl, chunkBudget)
 	cr = &countingReader{r: f}
 	err = readAhead(cr, chunkBudget, p2skip, func(chunk *dataset.DB) error {
-		if err := cfg.Cancel.Err(); err != nil {
+		if err := cfg.Pool.Cancel.Err(); err != nil {
 			return err
 		}
 		if err := failpoint.Hit(failpoint.PartitionRecountChunk); err != nil {

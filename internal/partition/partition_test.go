@@ -16,6 +16,7 @@ import (
 	"fpm/internal/lcm"
 	"fpm/internal/metrics"
 	"fpm/internal/mine"
+	"fpm/internal/parallel"
 )
 
 // writeFileRaw writes literal file content (for malformed-input cases).
@@ -67,7 +68,7 @@ func TestMineMatchesInMemory(t *testing.T) {
 		for _, budget := range []int64{1 << 20, 4096, 600} {
 			for _, workers := range []int{1, 3} {
 				got := mine.ResultSet{}
-				cfg := Config{MemBudget: budget, Workers: workers}
+				cfg := Config{MemBudget: budget, Pool: parallel.Options{Workers: workers}}
 				if err := Mine(path, lcmFactory, minsup, cfg, got); err != nil {
 					t.Fatalf("seed %d budget %d workers %d: %v", seed, budget, workers, err)
 				}
@@ -87,7 +88,7 @@ func TestMineCanonicalOrder(t *testing.T) {
 	db := randomDB(7, 150, 15)
 	path := writeTemp(t, db)
 	var sc mine.SliceCollector
-	if err := Mine(path, lcmFactory, 5, Config{MemBudget: 2048, Workers: 2}, &sc); err != nil {
+	if err := Mine(path, lcmFactory, 5, Config{MemBudget: 2048, Pool: parallel.Options{Workers: 2}}, &sc); err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.Sets) < 10 {
@@ -217,7 +218,8 @@ func TestMineRecordsMetrics(t *testing.T) {
 	rec := metrics.NewRecorder()
 	var sc mine.SliceCollector
 	budget := int64(2000)
-	if err := Mine(path, lcmFactory, 4, Config{MemBudget: budget, Workers: 2, Metrics: rec}, &sc); err != nil {
+	if err := Mine(path, lcmFactory, 4, Config{MemBudget: budget,
+		Pool: parallel.Options{Workers: 2, Metrics: rec}}, &sc); err != nil {
 		t.Fatal(err)
 	}
 	pt := rec.Snapshot().Partition
@@ -255,7 +257,7 @@ func TestMineEclatPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := mine.ResultSet{}
-	cfg := Config{MemBudget: 1500, Workers: 4}
+	cfg := Config{MemBudget: 1500, Pool: parallel.Options{Workers: 4}}
 	if err := Mine(path, func() mine.Splitter { return eclat.New(eclat.Options{}) }, 5, cfg, got); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,8 @@ func TestMineBuildsKernelsOncePerRun(t *testing.T) {
 	}
 	rec := metrics.NewRecorder()
 	got := mine.ResultSet{}
-	if err := Mine(path, factory, 40, Config{MemBudget: 48 << 10, Workers: workers, Metrics: rec}, got); err != nil {
+	if err := Mine(path, factory, 40, Config{MemBudget: 48 << 10,
+		Pool: parallel.Options{Workers: workers, Metrics: rec}}, got); err != nil {
 		t.Fatal(err)
 	}
 	if chunks := rec.Snapshot().Partition.Chunks; chunks < 4 {
@@ -309,7 +312,8 @@ func TestSplitBuffersKeepsThreshold(t *testing.T) {
 		t.Helper()
 		rec := metrics.NewRecorder()
 		got := mine.ResultSet{}
-		if err := Mine(path, lcmFactory, minsup, Config{MemBudget: 48 << 10, Workers: workers, Metrics: rec}, got); err != nil {
+		if err := Mine(path, lcmFactory, minsup, Config{MemBudget: 48 << 10,
+			Pool: parallel.Options{Workers: workers, Metrics: rec}}, got); err != nil {
 			t.Fatal(err)
 		}
 		want := mine.ResultSet{}

@@ -121,7 +121,7 @@ func TestServeJournalRecoveryAfterCrash(t *testing.T) {
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 1, Req: &req})
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 2, Req: &removed})
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpSubmitted, Job: 3, Req: &queued})
-	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpRunning, Job: 1})
+	jnl.Append(jobs.JournalRecord{Op: "running", Job: 1}) // as older journals hold
 	jnl.Append(jobs.JournalRecord{Op: jobs.JournalOpTerminal, Job: 0, State: "done"})
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)

@@ -330,7 +330,7 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 		if id, _, err := durable.FileIdentity(req.Path, false); err == nil {
 			key = servecache.ResultKey{ID: id, Algo: req.Algo, Patterns: strconv.FormatUint(uint64(ps), 10)}
 			haveKey = true
-			if sets, outcome, ok := caches.Results.ServeTraced(key, req.MinSupport); ok {
+			if sets, outcome, ok := caches.Results.Serve(key, req.MinSupport); ok {
 				jobs.Emit(ctx, jobs.Event{Type: "result_cache", Outcome: outcome})
 				return jobs.MineResult{Itemsets: len(sets), FromCache: true}, nil
 			}
@@ -349,7 +349,7 @@ func mineWithCaches(ctx context.Context, req jobs.JobRequest, rec *fpm.MetricsRe
 	} else if caches != nil && caches.Datasets != nil {
 		var entry *servecache.Dataset
 		var outcome string
-		entry, outcome, err = caches.Datasets.AcquireTraced(req.Path)
+		entry, outcome, err = caches.Datasets.Acquire(req.Path)
 		if err != nil {
 			return jobs.MineResult{}, err
 		}

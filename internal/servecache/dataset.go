@@ -79,16 +79,11 @@ func NewDatasetCache(maxBytes int64) *DatasetCache {
 // it. If the parsed database cannot be made resident under the cap (all
 // of the cache is ref-held by other jobs, or the database alone exceeds
 // it), the database is still returned but stays uncached — the handle is
-// then a detached one and Release is a no-op for it.
-func (c *DatasetCache) Acquire(path string) (*Dataset, error) {
-	e, _, err := c.AcquireTraced(path)
-	return e, err
-}
-
-// AcquireTraced is Acquire plus the outcome the flight recorder wants:
-// "hit" (the parse was already resident), "coalesced" (another job's
-// in-flight parse was joined), or "miss" (this call ran the parse).
-func (c *DatasetCache) AcquireTraced(path string) (*Dataset, string, error) {
+// then a detached one and Release is a no-op for it. The outcome, for the
+// flight recorder, is "hit" (the parse was already resident), "coalesced"
+// (another job's in-flight parse was joined) or "miss" (this call ran the
+// parse).
+func (c *DatasetCache) Acquire(path string) (*Dataset, string, error) {
 	id, _, err := durable.FileIdentity(path, false)
 	if err != nil {
 		return nil, "", err

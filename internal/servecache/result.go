@@ -123,17 +123,10 @@ func Filter(sets []mine.Itemset, minSupport int) []mine.Itemset {
 // Serve answers a query for (key, minSupport) from the cache: an entry
 // mined at a threshold <= minSupport yields the exact answer by
 // filtering. The returned listing is in canonical order and must be
-// treated as read-only.
-func (c *ResultCache) Serve(key ResultKey, minSupport int) ([]mine.Itemset, bool) {
-	sets, _, ok := c.ServeTraced(key, minSupport)
-	return sets, ok
-}
-
-// ServeTraced is Serve plus the outcome the flight recorder wants:
-// "hit" (the cached listing's threshold matched exactly) or "subsume"
-// (a lower-threshold listing answered by filtering). Outcome is empty on
-// a miss.
-func (c *ResultCache) ServeTraced(key ResultKey, minSupport int) ([]mine.Itemset, string, bool) {
+// treated as read-only. The outcome, for the flight recorder, is "hit"
+// (the cached listing's threshold matched exactly) or "subsume" (a
+// lower-threshold listing answered by filtering); it is empty on a miss.
+func (c *ResultCache) Serve(key ResultKey, minSupport int) ([]mine.Itemset, string, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok || e.minsup > minSupport {

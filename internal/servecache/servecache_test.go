@@ -127,14 +127,14 @@ func TestDatasetCacheHitMissRelease(t *testing.T) {
 	alias := writeFIMI(t, dir, "alias.dat", 50) // same bytes under another name
 	c := NewDatasetCache(0)
 
-	e1, err := c.Acquire(path)
+	e1, _, err := c.Acquire(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1.DB == nil || e1.DB.Len() != 50 || e1.Bytes <= 0 {
 		t.Fatalf("acquired entry = %+v", e1)
 	}
-	e2, err := c.Acquire(alias) // same identity: must share the parse
+	e2, _, err := c.Acquire(alias) // same identity: must share the parse
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDatasetCacheHitMissRelease(t *testing.T) {
 	if got := c.Resident(); got != e1.Bytes {
 		t.Fatalf("resident after release = %d, want %d (entry stays cached)", got, e1.Bytes)
 	}
-	e3, err := c.Acquire(path)
+	e3, _, err := c.Acquire(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDatasetCacheCoalescesParses(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire(path)
+			e, _, err := c.Acquire(path)
 			if err != nil {
 				t.Error(err)
 				return
@@ -199,18 +199,18 @@ func TestDatasetCacheEvictionLRU(t *testing.T) {
 	unit := fimi.DBBytes(db1)
 	c := NewDatasetCache(2*unit + unit/2) // room for ~two entries
 
-	e1, err := c.Acquire(small1)
+	e1, _, err := c.Acquire(small1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Release(e1)
-	e2, err := c.Acquire(small2)
+	e2, _, err := c.Acquire(small2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Release(e2)
 	// Touch s1 so s2 becomes the LRU cold entry, then force an eviction.
-	if e, err := c.Acquire(small1); err != nil {
+	if e, _, err := c.Acquire(small1); err != nil {
 		t.Fatal(err)
 	} else {
 		c.Release(e)
@@ -218,7 +218,7 @@ func TestDatasetCacheEvictionLRU(t *testing.T) {
 	// A third, similar-sized dataset: fitting it needs one eviction, and
 	// that eviction must pick the LRU cold entry (s2), not s1.
 	third := writeFIMI(t, dir, "third.dat", 22)
-	e3, err := c.Acquire(third)
+	e3, _, err := c.Acquire(third)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDatasetCacheEvictionLRU(t *testing.T) {
 func TestDatasetCacheDetachedWhenOverCap(t *testing.T) {
 	path := writeFIMI(t, t.TempDir(), "a.dat", 100)
 	c := NewDatasetCache(1) // nothing fits
-	e, err := c.Acquire(path)
+	e, _, err := c.Acquire(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +266,13 @@ func TestDatasetCacheParseErrorRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewDatasetCache(0)
-	if _, err := c.Acquire(path); err == nil {
+	if _, _, err := c.Acquire(path); err == nil {
 		t.Fatal("acquire of malformed FIMI must error")
 	}
 	if err := os.WriteFile(path, []byte("1 2 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := c.Acquire(path)
+	e, _, err := c.Acquire(path)
 	if err != nil {
 		t.Fatalf("retry after fixing the file: %v", err)
 	}
@@ -285,11 +285,11 @@ func TestDatasetCacheParseErrorRetries(t *testing.T) {
 func TestDatasetCacheShed(t *testing.T) {
 	dir := t.TempDir()
 	c := NewDatasetCache(0)
-	pinned, err := c.Acquire(writeFIMI(t, dir, "pinned.dat", 30))
+	pinned, _, err := c.Acquire(writeFIMI(t, dir, "pinned.dat", 30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := c.Acquire(writeFIMI(t, dir, "cold.dat", 31))
+	cold, _, err := c.Acquire(writeFIMI(t, dir, "cold.dat", 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 		[]dataset.Item{1, 2}, 2,
 	))
 
-	got, ok := c.Serve(key, 2)
+	got, _, ok := c.Serve(key, 2)
 	if !ok {
 		t.Fatal("exact-threshold serve missed")
 	}
@@ -347,7 +347,7 @@ func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 		t.Fatalf("exact serve listing:\n%scached want:\n%s", listing(got), want)
 	}
 
-	got, ok = c.Serve(key, 4) // subsumed: filter support >= 4
+	got, _, ok = c.Serve(key, 4) // subsumed: filter support >= 4
 	if !ok {
 		t.Fatal("subsumed serve missed")
 	}
@@ -355,10 +355,10 @@ func TestResultCacheExactAndSubsumedHits(t *testing.T) {
 		t.Fatalf("subsumed serve listing:\n%swant:\n%s", listing(got), want)
 	}
 
-	if _, ok := c.Serve(key, 1); ok {
+	if _, _, ok := c.Serve(key, 1); ok {
 		t.Fatal("a minsup below the cached threshold must miss (cache cannot invent itemsets)")
 	}
-	if _, ok := c.Serve(ResultKey{ID: key.ID, Algo: "eclat", Patterns: key.Patterns}, 2); ok {
+	if _, _, ok := c.Serve(ResultKey{ID: key.ID, Algo: "eclat", Patterns: key.Patterns}, 2); ok {
 		t.Fatal("a different kernel must miss")
 	}
 	s := c.Stats()
@@ -372,11 +372,11 @@ func TestResultCacheLowerThresholdReplaces(t *testing.T) {
 	key := ResultKey{ID: durable.Identity{Size: 1, Hash: 1}, Algo: "lcm"}
 	c.Insert(key, 5, sets([]dataset.Item{1}, 9))
 	c.Insert(key, 7, sets([]dataset.Item{1}, 9)) // higher threshold: dropped
-	if _, ok := c.Serve(key, 5); !ok {
+	if _, _, ok := c.Serve(key, 5); !ok {
 		t.Fatal("higher-threshold insert replaced a subsuming entry")
 	}
 	c.Insert(key, 3, sets([]dataset.Item{1}, 9, []dataset.Item{2}, 4)) // lower: replaces
-	got, ok := c.Serve(key, 3)
+	got, _, ok := c.Serve(key, 3)
 	if !ok || len(got) != 2 {
 		t.Fatalf("lower-threshold insert did not replace: ok=%v sets=%d", ok, len(got))
 	}
@@ -394,10 +394,10 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 	c.Insert(k(2), 2, one)
 	c.Serve(k(1), 2)       // touch k1: k2 becomes LRU
 	c.Insert(k(3), 2, one) // must evict k2
-	if _, ok := c.Serve(k(2), 2); ok {
+	if _, _, ok := c.Serve(k(2), 2); ok {
 		t.Fatal("LRU entry survived an over-cap insert")
 	}
-	if _, ok := c.Serve(k(1), 2); !ok {
+	if _, _, ok := c.Serve(k(1), 2); !ok {
 		t.Fatal("recently-served entry was evicted instead of the LRU one")
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {
@@ -412,7 +412,7 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 		big[i] = mine.Itemset{Items: []dataset.Item{dataset.Item(i)}, Support: 2}
 	}
 	c.Insert(k(9), 2, big)
-	if _, ok := c.Serve(k(9), 2); ok {
+	if _, _, ok := c.Serve(k(9), 2); ok {
 		t.Fatal("listing larger than the cap was cached")
 	}
 }
@@ -426,7 +426,7 @@ func TestResultCacheCopiesOnInsert(t *testing.T) {
 	c.Insert(key, 3, in)
 	in[0].Items[0] = 99
 	in[0].Support = -1
-	got, ok := c.Serve(key, 3)
+	got, _, ok := c.Serve(key, 3)
 	if !ok || len(got) != 1 || got[0].Items[0] != 1 || got[0].Items[1] != 5 || got[0].Support != 3 {
 		t.Fatalf("cached listing aliased caller memory: %+v", got)
 	}

@@ -51,7 +51,7 @@ func TestDatasetCacheStormNoEvictWhileHeld(t *testing.T) {
 				} else {
 					path = paths[2+rng.Intn(len(paths)-2)]
 				}
-				e, err := c.Acquire(path)
+				e, _, err := c.Acquire(path)
 				if err != nil {
 					t.Errorf("acquire %s: %v", path, err)
 					return
@@ -131,7 +131,7 @@ func TestResultCacheStorm(t *testing.T) {
 				case 1:
 					c.Shed(64)
 				default:
-					if sets, ok := c.Serve(key, 2+rng.Intn(8)); ok {
+					if sets, _, ok := c.Serve(key, 2+rng.Intn(8)); ok {
 						// Served listings are immutable snapshots: they must
 						// stay canonical even while writers churn the cache.
 						for k := 1; k < len(sets); k++ {

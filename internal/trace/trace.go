@@ -46,14 +46,14 @@ import (
 // counter series change incompatibly. Version 1 is the initial format.
 const SchemaVersion = 1
 
-// DefaultCapacity is the per-track span ring size. At 48 bytes per span a
+// defaultCapacity is the per-track span ring size. At 48 bytes per span a
 // full track costs ~384 KiB; an 8-worker pool tops out around 3 MiB.
-const DefaultCapacity = 8192
+const defaultCapacity = 8192
 
-// DefaultSampleInterval is the counter-series sampling period. 25ms keeps
+// defaultSampleInterval is the counter-series sampling period. 25ms keeps
 // a multi-minute partitioned run under a few thousand points while still
 // resolving per-chunk counter slopes.
-const DefaultSampleInterval = 25 * time.Millisecond
+const defaultSampleInterval = 25 * time.Millisecond
 
 // maxCounterPoints bounds the sampled counter series; beyond it samples
 // are dropped (the final Stop sample is always recorded).
@@ -207,33 +207,11 @@ type counterPoint struct {
 	bytes      int64
 }
 
-// Option configures a Recorder.
-type Option func(*Recorder)
-
-// WithOutput attaches the writer Flush serialises the trace into. Without
-// an output, Flush is a no-op and the caller drives WriteJSON directly.
-func WithOutput(w io.Writer) Option { return func(r *Recorder) { r.out = w } }
-
-// WithCapacity overrides the per-track span ring size.
-func WithCapacity(n int) Option {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.cap = n
-		}
-	}
-}
-
-// WithSampleInterval overrides the counter-series sampling period; <= 0
-// disables periodic sampling (the final Stop sample is still taken).
-func WithSampleInterval(d time.Duration) Option {
-	return func(r *Recorder) { r.sample = d }
-}
-
 // Recorder owns one run's trace: the clock origin, the tracks, the
 // sampled counter series and the output writer. All methods are nil-safe.
 type Recorder struct {
-	cap    int
-	sample time.Duration
+	cap    int           // per-track span ring size
+	sample time.Duration // counter-series period; <= 0 samples only at Stop
 	out    io.Writer
 
 	start  time.Time
@@ -251,14 +229,12 @@ type Recorder struct {
 	flushErr  error
 }
 
-// NewRecorder returns an enabled span recorder. The clock origin is
-// stamped now and re-stamped by Start.
-func NewRecorder(opts ...Option) *Recorder {
-	r := &Recorder{cap: DefaultCapacity, sample: DefaultSampleInterval, start: time.Now()}
-	for _, fn := range opts {
-		fn(r)
-	}
-	return r
+// NewRecorder returns an enabled span recorder whose Flush writes the
+// trace into out; with a nil out, Flush is a no-op and the caller drives
+// WriteJSON directly. The clock origin is stamped now and re-stamped by
+// Start.
+func NewRecorder(out io.Writer) *Recorder {
+	return &Recorder{cap: defaultCapacity, sample: defaultSampleInterval, out: out, start: time.Now()}
 }
 
 // Enabled reports whether r records anything.
@@ -355,7 +331,7 @@ func (r *Recorder) samplePoint() {
 	r.mu.Unlock()
 }
 
-// Flush serialises the trace into the writer attached with WithOutput,
+// Flush serialises the trace into the writer given to NewRecorder,
 // exactly once; later calls return the first outcome. Without an attached
 // output it is a no-op. Mining is never interrupted by a failing trace
 // sink: drivers flush after the run completes and surface the error once.

@@ -66,7 +66,8 @@ func TestNilRecorderAndTrackAreNoOps(t *testing.T) {
 // Every event must carry the fields Perfetto requires; "X" events must
 // have a non-negative duration; each track must be named by an "M" event.
 func TestWriteJSONEventFormat(t *testing.T) {
-	r := NewRecorder(WithSampleInterval(0))
+	r := NewRecorder(nil)
+	r.sample = 0
 	r.Start("eclat(Lex)", nil)
 	w0 := r.NewTrack("worker 0")
 	w1 := r.NewTrack("worker 1")
@@ -128,7 +129,8 @@ func TestWriteJSONEventFormat(t *testing.T) {
 // Overflowing a track's ring must keep the newest spans, count the
 // overwritten ones and surface a spans_dropped marker in the output.
 func TestRingOverflowKeepsNewestAndReportsDropped(t *testing.T) {
-	r := NewRecorder(WithCapacity(4), WithSampleInterval(0))
+	r := NewRecorder(nil)
+	r.cap, r.sample = 4, 0
 	tk := r.NewTrack("w")
 	for i := 0; i < 10; i++ {
 		tk.End(tk.Begin(), "s", CatTask, int64(i))
@@ -175,7 +177,8 @@ func TestCounterSeriesSampledFromMetrics(t *testing.T) {
 	l.Emit()
 	src.Flush(l)
 
-	r := NewRecorder(WithSampleInterval(0)) // periodic sampling off; Stop still samples
+	r := NewRecorder(nil)
+	r.sample = 0 // periodic sampling off; Stop still samples
 	r.Start("lcm", src)
 	r.Stop()
 	src.Stop()
@@ -229,7 +232,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // re-writing.
 func TestFlushSurfacesWriterErrorOnce(t *testing.T) {
 	w := &failAfter{n: 64}
-	r := NewRecorder(WithOutput(w), WithSampleInterval(0))
+	r := NewRecorder(w)
+	r.sample = 0
 	tk := r.NewTrack("w")
 	for i := 0; i < 20; i++ {
 		tk.End(tk.Begin(), "s", CatTask, int64(i))
@@ -262,7 +266,8 @@ func (s *shortWriter) Write(p []byte) (int, error) {
 }
 
 func TestFlushDetectsShortWrite(t *testing.T) {
-	r := NewRecorder(WithOutput(&shortWriter{}), WithSampleInterval(0))
+	r := NewRecorder(&shortWriter{})
+	r.sample = 0
 	tk := r.NewTrack("w")
 	tk.End(tk.Begin(), "s", CatTask, 1)
 	if err := r.Flush(); !errors.Is(err, io.ErrShortWrite) {
@@ -272,7 +277,8 @@ func TestFlushDetectsShortWrite(t *testing.T) {
 
 // Flush without an attached output is a no-op, not an error.
 func TestFlushWithoutOutputIsNoOp(t *testing.T) {
-	r := NewRecorder(WithSampleInterval(0))
+	r := NewRecorder(nil)
+	r.sample = 0
 	r.NewTrack("w").Instant("x", CatSteal, 0)
 	if err := r.Flush(); err != nil {
 		t.Fatalf("Flush without output = %v", err)

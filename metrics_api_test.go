@@ -62,7 +62,7 @@ func TestWithMetricsSequentialParallelCountersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, par, err := WithMetrics(db, LCM, 0, minsup, 4, ParallelCutoff(64))
+	_, par, err := WithMetrics(db, LCM, 0, minsup, 4, parallelCutoff(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,15 @@ func TestParallelDoesSequentialWork(t *testing.T) {
 		{"zipf", GenerateCorpus(CorpusConfig{Docs: 750, Vocab: 2000, AvgLen: 24, ZipfS: 1.3,
 			Topics: 8, TopicShare: 0.7, TopicPool: 50, Seed: 21}), 87},
 	}
+	// A subtree is offered only while some worker is idle, so one short run
+	// may offer none. Over its four forced-split runs every kernel offers
+	// subtrees on every corpus; at the default cutoff FP-Growth offers none
+	// on the Quest corpus.
+	offered := map[string]uint64{}
 	for _, algo := range []Algorithm{Eclat, FPGrowth} {
 		for _, c := range corpora {
+			pair := fmt.Sprintf("%s/%s", algo, c.name)
+			offered[pair] = 0
 			for _, ps := range []PatternSet{0, Applicable(algo)} {
 				t.Run(fmt.Sprintf("%s/%s/%s", algo, c.name, ps), func(t *testing.T) {
 					seq, want := mineWork(t, c.db, algo, ps, c.minsup, 1)
@@ -34,7 +41,10 @@ func TestParallelDoesSequentialWork(t *testing.T) {
 					}
 					for _, workers := range []int{2, 4} {
 						// Cutoff 1 lets every subtree the pool would take become a task.
-						got, snap := mineWork(t, c.db, algo, ps, c.minsup, workers, ParallelCutoff(1))
+						got, snap := mineWork(t, c.db, algo, ps, c.minsup, workers, parallelCutoff(1))
+						if snap.Parallel != nil {
+							offered[pair] += snap.Parallel.TasksOffered
+						}
 						if snap.Nodes != want.Nodes || snap.Supports != want.Supports ||
 							snap.Prunes != want.Prunes || snap.Emitted != want.Emitted {
 							t.Errorf("workers=%d: nodes/supports/prunes/emitted = %d/%d/%d/%d, sequential %d/%d/%d/%d",
@@ -55,6 +65,17 @@ func TestParallelDoesSequentialWork(t *testing.T) {
 			}
 		}
 	}
+	for pair, n := range offered {
+		if n == 0 {
+			t.Errorf("%s: no forced-split run offered a subtree to the pool", pair)
+		}
+	}
+}
+
+// parallelCutoff sets the pool's spawn cutoff for one run, so a test can
+// force splits on an input too small to clear parallel.DefaultCutoff.
+func parallelCutoff(weight int) ParallelOption {
+	return func(o *runOptions) { o.pool.Cutoff = weight }
 }
 
 // mineWork mines db through WithMetrics and returns the itemsets keyed by

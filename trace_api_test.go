@@ -78,14 +78,14 @@ func TestTracePartitionedParallelHasWorkerAndPartitionTracks(t *testing.T) {
 	// while keeping each chunk large enough for SON's scaled threshold.
 	budget := 8 * fimi.DBBytes(db) / 3
 
-	want, _, err := MinePartitioned(path, LCM, 0, minsup, budget, workers, ParallelCutoff(64))
+	want, _, err := MinePartitioned(path, LCM, 0, minsup, budget, workers, parallelCutoff(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
 	got, snap, err := MinePartitioned(path, LCM, 0, minsup, budget, workers,
-		ParallelCutoff(64), WithTrace(NewTraceRecorder(&buf)))
+		parallelCutoff(64), WithTrace(NewTraceRecorder(&buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestConcurrentSnapshotDuringPartitionedMine(t *testing.T) {
 	}()
 
 	sets, _, err := MinePartitioned(path, LCM, 0, 20, 8*fimi.DBBytes(db)/3, 4,
-		ParallelCutoff(64), ParallelMetrics(rec))
+		parallelCutoff(64), ParallelMetrics(rec))
 	close(stop)
 	wg.Wait()
 	if err != nil {
