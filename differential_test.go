@@ -9,6 +9,7 @@ package fpm
 // between configurations is a bug.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -519,5 +520,43 @@ func TestBenchCellsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeHotRequestAgrees mines the benchmark's serve hot request, T3's
+// medium.dat at support 12 (the Quest parameters of bench/serve.go),
+// written and parsed back as the server parses it, with each splitting
+// kernel untuned and with every applicable pattern. Every listing must
+// hold strictly ascending itemsets and equal untuned Eclat's. The
+// mine-dense cells above check against LCM; a fault that tuned and
+// untuned LCM shared would pass them, so this reference is Eclat.
+func TestServeHotRequestAgrees(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFIMI(&buf, GenerateQuest(QuestConfig{Transactions: 4000, AvgLen: 10, AvgPatternLen: 4,
+		Items: 400, Patterns: 800, Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	db, err := ReadFIMI(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ResultSet
+	for _, algo := range []Algorithm{Eclat, LCM, FPGrowth} {
+		for _, ps := range []PatternSet{0, Applicable(algo)} {
+			m, err := NewMiner(algo, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc SliceCollector
+			if err := m.Mine(db, 12, &sc); err != nil {
+				t.Fatalf("%s: %v", m.Name(), err)
+			}
+			got := ascendingSet(t, m.Name(), sc.Sets)
+			if want == nil {
+				want = got // untuned Eclat runs first
+				continue
+			}
+			checkAgainst(t, m.Name(), want, got)
+		}
 	}
 }

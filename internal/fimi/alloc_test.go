@@ -59,3 +59,30 @@ func TestReadChunksAllocs(t *testing.T) {
 		t.Fatalf("allocations scale with input: %.0f for 1000 tx vs %.0f for 8000 tx", small, large)
 	}
 }
+
+// TestReadAllocs pins Read's allocations to the logarithm of its input:
+// every line is parsed into one growing arena, so 8× the lines may cost
+// more growths of the arena (three doublings) and of the line table
+// (append grows a large slice by about 1.25×, about ten growths per 8×),
+// but not one allocation per line. One slice per line cost 3,775
+// allocations for 1,000 lines and 29,874 for 8,000 (go1.24,
+// linux/amd64).
+func TestReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	run := func(data []byte, want int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			db, err := Read(bytes.NewReader(data))
+			if err != nil || db.Len() != want {
+				t.Fatalf("Read: %d transactions, err %v", db.Len(), err)
+			}
+		})
+	}
+	small := run(benchCorpus(1000, 12, 500, 3), 1000)
+	large := run(benchCorpus(8000, 12, 500, 3), 8000)
+	t.Logf("allocations per Read: %.0f for 1000 lines, %.0f for 8000", small, large)
+	if large > small+16 {
+		t.Fatalf("allocations scale with input: %.0f for 1000 lines vs %.0f for 8000", small, large)
+	}
+}

@@ -57,20 +57,42 @@ func scanErr(err error, lastLine int) error {
 // Read parses a FIMI-format stream into a database. Items may appear in any
 // order and may repeat inside a line; the returned database is normalized
 // (sorted, deduplicated transactions).
+//
+// Every line is parsed into one growing arena, as ReadChunksInto parses a
+// chunk, so allocations grow with the logarithm of the input, not with its
+// lines. The arena is then copied once to its exact size, and the rows are
+// cut from the copy: a database that outlives the read (the serve dataset
+// cache holds parsed ones) keeps no spare capacity.
 func Read(r io.Reader) (*dataset.DB, error) {
 	sc := newScanner(r, readBufBytes)
-	var tx []dataset.Transaction
-	line := 0
+	var (
+		arena []dataset.Item
+		ends  []int32
+		err   error
+	)
 	for sc.Scan() {
-		line++
-		t, err := parseLine(sc.Bytes(), nil)
-		if err != nil {
-			return nil, fmt.Errorf("fimi: line %d: %w", line, err)
+		b := sc.Bytes()
+		// A line of n bytes holds at most (n+1)/2 items. Doubling the
+		// arena whenever that might not fit keeps the discarded arenas,
+		// together, smaller than the last one.
+		if need := (len(b) + 1) / 2; cap(arena)-len(arena) < need {
+			arena = append(make([]dataset.Item, 0, 2*cap(arena)+need), arena...)
 		}
-		tx = append(tx, t)
+		if arena, err = parseLine(b, arena); err != nil {
+			return nil, fmt.Errorf("fimi: line %d: %w", len(ends)+1, err)
+		}
+		ends = append(ends, int32(len(arena)))
 	}
 	if err := sc.Err(); err != nil {
-		return nil, scanErr(err, line)
+		return nil, scanErr(err, len(ends))
+	}
+	items := make([]dataset.Item, len(arena))
+	copy(items, arena)
+	tx := make([]dataset.Transaction, len(ends))
+	start := int32(0)
+	for i, end := range ends {
+		tx[i] = items[start:end:end]
+		start = end
 	}
 	db := dataset.New(tx)
 	db.Normalize()

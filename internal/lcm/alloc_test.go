@@ -6,6 +6,7 @@ import (
 
 	"fpm/internal/dataset"
 	"fpm/internal/gen"
+	"fpm/internal/metrics"
 	"fpm/internal/mine"
 )
 
@@ -135,4 +136,56 @@ func TestTunedBytesIgnoreInfrequentItems(t *testing.T) {
 	if bytes > limit {
 		t.Fatalf("%d bytes per mine over a %d-item alphabet; limit %d", bytes, vocab, limit)
 	}
+}
+
+// TestNodeWorkIndependentOfAlphabet checks that a node's work follows the
+// items of its conditional database, not its alphabet bound: mining a
+// Quest database untuned, and again with every item id multiplied by
+// 1,000, yields the same itemsets up to that relabelling, and the spread
+// run's support countings exceed the compact run's only by the root's
+// extra alphabet. Charging every node its alphabet bound made the spread
+// run count about nodes × 1,000 times more.
+func TestNodeWorkIndependentOfAlphabet(t *testing.T) {
+	const spread = 1000
+	compact := gen.Quest(gen.QuestConfig{Transactions: 1000, AvgLen: 10, AvgPatternLen: 4, Items: 50, Patterns: 40, Seed: 5})
+	wide := &dataset.DB{Tx: make([]dataset.Transaction, len(compact.Tx)), NumItems: spread * compact.NumItems}
+	for i, row := range compact.Tx {
+		for _, it := range row {
+			wide.Tx[i] = append(wide.Tx[i], spread*it)
+		}
+	}
+	run := func(db *dataset.DB, c mine.Collector) metrics.Snapshot {
+		rec := metrics.NewRecorder()
+		if err := New(Options{Metrics: rec}).Mine(db, 20, c); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Snapshot()
+	}
+	got, want := mine.ResultSet{}, mine.ResultSet{}
+	wideSnap := run(wide, got)
+	compactSnap := run(compact, spreadCollector{want, spread})
+	if len(want) < 100 || !got.Equal(want) {
+		t.Fatalf("%d itemsets compact, %d spread; differences:\n%s", len(want), len(got), got.Diff(want, 10))
+	}
+	extra := uint64(wide.NumItems - compact.NumItems)
+	t.Logf("%d nodes; support countings %d compact, %d spread", compactSnap.Nodes, compactSnap.Supports, wideSnap.Supports)
+	if wideSnap.Nodes != compactSnap.Nodes || wideSnap.Supports > compactSnap.Supports+extra {
+		t.Fatalf("spread run: %d nodes, %d support countings; compact run: %d nodes, %d support countings; the root's extra alphabet is %d",
+			wideSnap.Nodes, wideSnap.Supports, compactSnap.Nodes, compactSnap.Supports, extra)
+	}
+}
+
+// spreadCollector collects each itemset into a ResultSet with its item
+// ids multiplied by by.
+type spreadCollector struct {
+	mine.ResultSet
+	by dataset.Item
+}
+
+func (c spreadCollector) Collect(items []dataset.Item, support int) {
+	scaled := make([]dataset.Item, len(items))
+	for i, it := range items {
+		scaled[i] = c.by * it
+	}
+	c.ResultSet.Collect(scaled, support)
 }

@@ -11,6 +11,11 @@
 //   - RmDupTrans (25% of runtime): merge identical conditional
 //     transactions via bucket (radix-style) sorting, accumulating weights.
 //
+// Each conditional database carries the ascending list of the items that
+// occur in it, built while it is projected, so a node's counting, OccArray
+// set-up and extension loop walk that list, not the alphabet below its
+// bound; only the root's set-up scans the alphabet, once per mine.
+//
 // Applicable patterns (Table 4): P1 Lex (initial database layout), P3
 // Aggregation (the RmDupTrans bucket lists), P4 Compaction (the frequency
 // counters), P6.1 Tiling (slicing the OccArray by transaction-offset
@@ -24,6 +29,8 @@
 package lcm
 
 import (
+	"slices"
+
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
 	"fpm/internal/lexorder"
@@ -85,10 +92,15 @@ func (m *Miner) Name() string { return "lcm(" + m.opts.Patterns.String() + ")" }
 // cdb is a (conditional) database: weighted transactions whose items are
 // strictly below the alphabet bound `items`, stored in increasing order.
 // Children keep the parent's item identities; only the bound shrinks.
+// list holds, ascending, the items that occur in the transactions: a
+// node's work walks it instead of the alphabet below the bound. The root
+// starts without one and buildOcc lists its items in the mine's one pass
+// over the alphabet.
 type cdb struct {
 	tx    [][]dataset.Item
 	w     []int32
 	items int
+	list  []dataset.Item
 }
 
 // Mine implements mine.Miner.
@@ -184,14 +196,15 @@ type state struct {
 }
 
 // level is one recursion depth's storage: the conditional database mined
-// at that depth (rows cut from one item arena) and its OccArray. The next
-// sibling at the depth rebuilds both in place, once the previous sibling's
-// subtree has been mined.
+// at that depth (rows cut from one item arena, and its item list) and its
+// OccArray. The next sibling at the depth rebuilds both in place, once the
+// previous sibling's subtree has been mined.
 type level struct {
 	db    cdb
 	items []dataset.Item // db's rows, back to back
 	// occ's columns are consecutive slices of flat; support holds each
-	// item's weighted support.
+	// item's weighted support. Both are indexed by item id and only the
+	// listed items' entries are meaningful.
 	occ     [][]int32
 	flat    []int32
 	support []int32
@@ -214,7 +227,8 @@ func (st *state) level(d int) *level {
 // back, sized by total, the item occurrences of d.
 func (d *cdb) clone(total int) *cdb {
 	arena := make([]dataset.Item, 0, total)
-	c := &cdb{items: d.items, tx: make([][]dataset.Item, len(d.tx)), w: append([]int32(nil), d.w...)}
+	c := &cdb{items: d.items, tx: make([][]dataset.Item, len(d.tx)), w: append([]int32(nil), d.w...),
+		list: append([]dataset.Item(nil), d.list...)}
 	for i, t := range d.tx {
 		start := len(arena)
 		arena = append(arena, t...)
@@ -281,11 +295,16 @@ func (st *state) mineNode(d *cdb, root bool) {
 	if st.aborted() {
 		return
 	}
-	occ, support := st.level(len(st.prefix)).buildOcc(d)
-	// One node expanded; its support countings are the support values just
-	// computed over the conditional alphabet.
+	// One node expanded; its support countings are the support values
+	// buildOcc computes: the whole alphabet at the root, the listed items
+	// below it.
 	st.met.Node()
-	st.met.Support(d.items)
+	if root {
+		st.met.Support(d.items)
+	} else {
+		st.met.Support(len(d.list))
+	}
+	occ, support := st.level(len(st.prefix)).buildOcc(d)
 	if root && st.m.opts.Patterns.Has(mine.Tile) {
 		// The tiled root interleaves per-tile counter accumulation across
 		// items, so per-subtree spans do not apply; one span covers it.
@@ -301,11 +320,10 @@ func (st *state) mineNode(d *cdb, root bool) {
 	}
 	// Descending item order: each child database only contains items
 	// smaller than the extension, so every itemset is enumerated once.
-	for e := dataset.Item(d.items) - 1; e >= 0; e-- {
+	for i := len(d.list) - 1; i >= 0; i-- {
+		e := d.list[i]
 		if support[e] < st.minsup {
-			if support[e] > 0 {
-				st.met.Prune()
-			}
+			st.met.Prune()
 			continue
 		}
 		// Coarse trace boundary: each first-level subtree is one span
@@ -332,14 +350,22 @@ func (st *state) mineNode(d *cdb, root bool) {
 }
 
 // buildOcc computes, in lv's OccArray storage, the OccArray of d — for
-// each item the row indices of the transactions containing it, in
-// increasing row order — plus each item's weighted support. A counting
-// pass sizes every column first, so the columns are consecutive slices of
-// one array.
+// each listed item the row indices of the transactions containing it, in
+// increasing row order — plus each listed item's weighted support. A
+// counting pass sizes every column first, so the columns are consecutive
+// slices of one array. Only the listed items' entries are set up, counted
+// and reset, so a node costs its rows and its list, not its alphabet. A
+// database without a list, the root, has every support cleared and its
+// occurring items listed here.
 func (lv *level) buildOcc(d *cdb) ([][]int32, []int32) {
 	occ := grow(lv.occ, d.items)
 	support := grow(lv.support, d.items)
-	clear(support)
+	if d.list == nil {
+		clear(support)
+	}
+	for _, it := range d.list {
+		support[it] = 0
+	}
 	total := 0
 	for _, t := range d.tx {
 		total += len(t)
@@ -347,10 +373,18 @@ func (lv *level) buildOcc(d *cdb) ([][]int32, []int32) {
 			support[it]++
 		}
 	}
+	if d.list == nil {
+		for it, n := range support {
+			if n > 0 {
+				d.list = append(d.list, dataset.Item(it))
+			}
+		}
+	}
 	flat := grow(lv.flat, total)
 	lv.occ, lv.support, lv.flat = occ, support, flat
 	off := int32(0)
-	for it, n := range support {
+	for _, it := range d.list {
+		n := support[it]
 		occ[it] = flat[off : off : off+n]
 		off += n
 		support[it] = 0
@@ -396,26 +430,40 @@ func (st *state) calcFreq(d *cdb, col []int32, e dataset.Item) {
 	}
 }
 
+// listed marks, in project's frequency counters, an item already kept and
+// listed. Kept items have a frequency of at least minsup ≥ 1 and dropped
+// ones a non-negative one below it, so the mark is neither.
+const listed = -1
+
 // project materialises the conditional database of e: the rows of occ
 // column e restricted to items below e that are frequent in the child
 // (freq holds their conditional frequencies), followed by RmDupTrans.
-// Returns nil when the child is empty.
+// Returns nil when the child is empty. The child's list gathers each kept
+// item on its first occurrence, which project marks in freq: the counters
+// are spent by the call.
 //
 // The child is built in the storage of the depth it is mined at, the
 // prefix length: its rows are cut from that depth's item arena and its
-// row headers and weights reuse that depth's slices, so once a depth has
-// grown to fit its largest sibling a projection allocates nothing. The
-// child is valid until the next projection at the same depth.
+// row headers, weights and list reuse that depth's slices, so once a
+// depth has grown to fit its largest sibling a projection allocates
+// nothing. The child is valid until the next projection at the same
+// depth.
 func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb {
 	lv := st.level(len(st.prefix))
-	items, ends, w := lv.items[:0], st.projEnds[:0], lv.db.w[:0]
+	items, ends, w, list := lv.items[:0], st.projEnds[:0], lv.db.w[:0], lv.db.list[:0]
 	for _, ti := range col {
 		start := len(items)
 		for _, it := range d.tx[ti] {
 			if it >= e {
 				break
 			}
-			if freq[it] >= st.minsup {
+			// As unsigned, the listed mark is above every frequency, so
+			// one comparison keeps the frequent and the listed items.
+			if f := freq[it]; uint32(f) >= uint32(st.minsup) {
+				if f != listed {
+					freq[it] = listed
+					list = append(list, it)
+				}
 				items = append(items, it)
 			}
 		}
@@ -424,17 +472,18 @@ func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb
 			w = append(w, d.w[ti])
 		}
 	}
-	lv.items, st.projEnds = items, ends
+	lv.items, st.projEnds, lv.db.list = items, ends, list
 	if len(ends) == 0 {
 		return nil
 	}
+	slices.Sort(list)
 	tx := grow(lv.db.tx, len(ends))
 	start := int32(0)
 	for i, end := range ends {
 		tx[i] = items[start:end:end]
 		start = end
 	}
-	lv.db = cdb{tx: tx, w: w, items: int(e)}
+	lv.db.tx, lv.db.w, lv.db.items = tx, w, int(e)
 	return st.rmDupTrans(&lv.db)
 }
 
@@ -447,10 +496,10 @@ func (st *state) project(d *cdb, col []int32, e dataset.Item, freq []int32) *cdb
 // the OccArray".
 func (st *state) mineRootTiled(d *cdb, occ [][]int32, support []int32) {
 	var freqItems []dataset.Item
-	for e := dataset.Item(0); int(e) < d.items; e++ {
+	for _, e := range d.list {
 		if support[e] >= st.minsup {
 			freqItems = append(freqItems, e)
-		} else if support[e] > 0 {
+		} else {
 			st.met.Prune()
 		}
 	}

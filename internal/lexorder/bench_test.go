@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpm/internal/dataset"
+	"fpm/internal/gen"
 )
 
 func benchDB(n, m, avgLen int) *dataset.DB {
@@ -34,6 +35,30 @@ func BenchmarkApply(b *testing.B) {
 				lexed, _ := Apply(db)
 				if lexed.Len() != db.Len() {
 					b.Fatal("lost transactions")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrequent times the P1 layout the tuned kernels build before
+// mining: the repository benchmark's quest4k corpus at its mine-dense
+// support, and one chunk of its mine-ooc corpus — 230 Zipf documents over
+// a 10,000-term vocabulary — at the corpus support scaled to the chunk.
+func BenchmarkFrequent(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		db     *dataset.DB
+		minsup int
+	}{
+		{"quest4k", gen.Quest(gen.QuestConfig{Transactions: 4000, AvgLen: 20, AvgPatternLen: 6, Items: 400, Patterns: 80, Seed: 11}), 80},
+		{"ooc-chunk", gen.Corpus(gen.CorpusConfig{Docs: 230, Vocab: 10000, AvgLen: 10, ZipfS: 1.1, Seed: 13}), 7},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if lexed, _ := Frequent(c.db, c.minsup); lexed.Len() == 0 {
+					b.Fatal("no frequent items")
 				}
 			}
 		})

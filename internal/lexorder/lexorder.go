@@ -18,6 +18,7 @@ package lexorder
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"fpm/internal/dataset"
@@ -114,26 +115,54 @@ func ApplyRelabelOnly(db *dataset.DB) (*dataset.DB, *Ordering) {
 // ranks, with each row sorted by rank. The rows are cut from one arena of
 // exactly the kept occurrences, capacity-capped so no row can grow into
 // its neighbour. dropEmpty leaves out the rows that keep no item.
+//
+// The rows come out sorted without a sort: the occurrences are bucketed by
+// rank, and the buckets are then written into their rows in rank order, so
+// the work is linear in the occurrences, the rows and the ranked items.
+// o.Freq, db's occurrence counts, sizes the buckets.
 func relabel(db *dataset.DB, o *Ordering, dropEmpty bool) *dataset.DB {
-	total := 0
-	for _, it := range o.Orig {
-		total += o.Freq[it]
+	// bucket[r] is where rank r's next row index goes in occ; filling the
+	// buckets moves each to its bucket's end. cur[ti] counts row ti's kept
+	// items.
+	bucket := make([]int32, len(o.Orig))
+	total := int32(0)
+	for r, it := range o.Orig {
+		bucket[r] = total
+		total += int32(o.Freq[it])
 	}
-	arena := make([]dataset.Item, 0, total)
-	out := &dataset.DB{Tx: make([]dataset.Transaction, 0, len(db.Tx)), NumItems: len(o.Orig)}
-	for _, t := range db.Tx {
-		start := len(arena)
+	occ := make([]int32, total)
+	cur := make([]int32, len(db.Tx))
+	kept := 0
+	for ti, t := range db.Tx {
 		for _, it := range t {
 			if r := o.Rank[it]; r >= 0 {
-				arena = append(arena, r)
+				occ[bucket[r]] = int32(ti)
+				bucket[r]++
+				cur[ti]++
 			}
 		}
-		if dropEmpty && len(arena) == start {
-			continue
+		if cur[ti] > 0 || !dropEmpty {
+			kept++
 		}
-		row := arena[start:len(arena):len(arena)]
-		slices.Sort(row)
-		out.Tx = append(out.Tx, row)
+	}
+	arena := make([]dataset.Item, total)
+	out := &dataset.DB{Tx: make([]dataset.Transaction, 0, kept), NumItems: len(o.Orig)}
+	// Cut the rows; cur[ti] becomes row ti's write cursor, at its start.
+	off := int32(0)
+	for ti, n := range cur {
+		if n > 0 || !dropEmpty {
+			out.Tx = append(out.Tx, arena[off:off+n:off+n])
+		}
+		cur[ti] = off
+		off += n
+	}
+	start := int32(0)
+	for r, end := range bucket {
+		for _, ti := range occ[start:end] {
+			arena[cur[ti]] = dataset.Item(r)
+			cur[ti]++
+		}
+		start = end
 	}
 	return out
 }
@@ -142,8 +171,87 @@ func relabel(db *dataset.DB, o *Ordering, dropEmpty bool) *dataset.DB {
 // compared element-wise; a proper prefix sorts before its extensions.
 // Transactions that compare equal have equal contents, so the unstable
 // sort yields the same layout as a stable one.
+//
+// The sort is a multikey quicksort (Bentley and Sedgewick): it partitions
+// the rows three ways on their item at one depth and moves to the next
+// depth only inside the equal part, so a shared prefix is read once per
+// partitioning step rather than once per comparison. Small parts finish by
+// insertion sort from their depth, and a part that keeps splitting badly
+// falls back to a comparison sort, so no input makes it quadratic.
 func SortTransactions(db *dataset.DB) {
-	slices.SortFunc(db.Tx, slices.Compare)
+	multikey(db.Tx, 0, badSplits(len(db.Tx)))
+}
+
+// insertionRows is the part size below which multikey finishes by
+// insertion sort.
+const insertionRows = 12
+
+// badSplits is the number of partitioning steps multikey allows a part of
+// n rows at one depth before it falls back to a comparison sort: twice
+// the depth of a balanced split.
+func badSplits(n int) int { return 2 * bits.Len(uint(n)) }
+
+// multikey sorts tx, whose rows all share their first d items, by their
+// items from depth d on. budget bounds the partitioning steps left at
+// depth d.
+func multikey(tx []dataset.Transaction, d, budget int) {
+	for len(tx) > insertionRows {
+		if budget == 0 {
+			slices.SortFunc(tx, func(a, b dataset.Transaction) int { return slices.Compare(a[d:], b[d:]) })
+			return
+		}
+		budget--
+		p := pivot(tx, d)
+		// Dijkstra's three-way partition: tx[:lt] < p, tx[lt:i] == p,
+		// tx[gt:] > p.
+		lt, i, gt := 0, 0, len(tx)
+		for i < gt {
+			switch k := at(tx[i], d); {
+			case k < p:
+				tx[lt], tx[i] = tx[i], tx[lt]
+				lt++
+				i++
+			case k > p:
+				gt--
+				tx[gt], tx[i] = tx[i], tx[gt]
+			default:
+				i++
+			}
+		}
+		multikey(tx[:lt], d, budget)
+		multikey(tx[gt:], d, budget)
+		if p < 0 {
+			return // the equal rows all end at depth d: they are equal
+		}
+		tx, d = tx[lt:gt], d+1
+		budget = badSplits(len(tx))
+	}
+	for i := 1; i < len(tx); i++ {
+		for j := i; j > 0 && slices.Compare(tx[j][d:], tx[j-1][d:]) < 0; j-- {
+			tx[j], tx[j-1] = tx[j-1], tx[j]
+		}
+	}
+}
+
+// at is row t's item at depth d, or -1, below every item, past its end.
+func at(t dataset.Transaction, d int) dataset.Item {
+	if d < len(t) {
+		return t[d]
+	}
+	return -1
+}
+
+// pivot is the median of the items at depth d of the first, middle and
+// last rows of tx.
+func pivot(tx []dataset.Transaction, d int) dataset.Item {
+	a, b, c := at(tx[0], d), at(tx[len(tx)/2], d), at(tx[len(tx)-1], d)
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // Less reports whether transaction a precedes b lexicographically.

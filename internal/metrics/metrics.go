@@ -40,7 +40,7 @@ import (
 // nil-check.
 type Local struct {
 	Nodes    uint64 // search-tree nodes expanded
-	Supports uint64 // support countings performed
+	Supports uint64 // support values computed
 	Emitted  uint64 // frequent itemsets emitted
 	Prunes   uint64 // candidate extensions pruned (support < minsup)
 }

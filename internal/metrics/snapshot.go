@@ -41,8 +41,8 @@ type Snapshot struct {
 	// Nodes counts expanded search-tree nodes (conditional databases /
 	// equivalence-class members / header tables entered).
 	Nodes uint64 `json:"nodes_expanded"`
-	// Supports counts support countings performed (candidate extensions
-	// whose support was computed).
+	// Supports counts support countings: the individual support values a
+	// kernel computed.
 	Supports uint64 `json:"support_countings"`
 	// Emitted counts frequent itemsets reported to the collector.
 	Emitted uint64 `json:"itemsets_emitted"`
