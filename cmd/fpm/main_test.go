@@ -221,6 +221,20 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// `fpm serve` has no server-wide memory budget: -mem-budget is an unknown
+// flag there and exits 2 before a server is built, so the unlistenable
+// address is never reached. A job bounds its own memory with the
+// "mem_budget" request field instead.
+func TestServeRejectsMemBudgetFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"serve", "-mem-budget", "1G", "-addr", "bad:addr:x"}, &stdout, &stderr); err != errUsage {
+		t.Fatalf("run(serve -mem-budget 1G) = %v, want errUsage (exit 2)", err)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -mem-budget") {
+		t.Fatalf("stderr does not name the unknown flag:\n%s", stderr.String())
+	}
+}
+
 // TestStatsParallelSmoke exercises -stats with workers > 1 (not golden:
 // scheduler counters are nondeterministic) and checks the parallel section
 // is present and self-consistent.

@@ -1,21 +1,21 @@
-// The `fpm serve` subcommand: a long-lived multi-tenant mining server.
-// Jobs are submitted over HTTP and mined on a pool of -max-concurrent
-// runners under -mem-budget admission control (a job whose estimated
-// footprint does not fit waits in queue instead of OOMing the process).
-// Repeated jobs are cheap: parsed datasets are shared through a
-// ref-counted cache, and answers are served from a result cache that also
-// subsumes higher support thresholds. The telemetry endpoints (/metrics,
-// /progress) follow whichever run started most recently, so a dashboard
-// or `curl` loop can watch a long partitioned mine progress. Jobs may
-// carry a per-job timeout and can be cancelled mid-run with DELETE. The
-// pending queue is bounded: submissions beyond -queue-cap get HTTP 429.
+// The `fpm serve` subcommand: a long-lived mining server. Jobs are
+// submitted over HTTP and mined on a pool of -max-concurrent runners; a
+// job that must fit a memory limit carries its own "mem_budget" and mines
+// out-of-core under it. Repeated jobs are cheap: parsed datasets are
+// shared through a ref-counted cache, and answers are served from a
+// result cache that also subsumes higher support thresholds. The
+// telemetry endpoints (/metrics, /progress) follow whichever run started
+// most recently, so a dashboard or `curl` loop can watch a long
+// partitioned mine progress. Jobs may carry a per-job timeout and can be
+// cancelled mid-run with DELETE. The pending queue is bounded:
+// submissions beyond -queue-cap get HTTP 429.
 //
 // Every job carries a bounded flight recorder — a structured event
-// timeline (submitted, admission holds, cache outcomes, mine start/end,
+// timeline (submitted, running, cache outcomes, mine start/end, retries,
 // terminal) served at GET /jobs/{id}/events and, with -log-json,
 // streamed to stdout as NDJSON while the server runs.
 //
-//	fpm serve -addr localhost:9090 -queue-cap 64 -max-concurrent 4 -mem-budget 2G
+//	fpm serve -addr localhost:9090 -queue-cap 64 -max-concurrent 4
 //	curl -X POST -d '{"path":"tx.dat","algo":"lcm","min_support":100,"timeout_ms":60000}' http://localhost:9090/jobs
 //	curl http://localhost:9090/progress
 //	curl http://localhost:9090/jobs/0/events
@@ -61,7 +61,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", "localhost:9090", "HTTP listen address")
 	queueCap := fs.Int("queue-cap", jobs.DefaultQueueCap, "max pending jobs before POST /jobs returns 429")
 	maxConc := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrent job runners")
-	memBudget := fs.String("mem-budget", "0", "global memory budget for admission control, e.g. 2G (0 = unlimited)")
 	dsCache := fs.String("dataset-cache", "", "dataset cache cap, e.g. 256M; 0 disables, empty = default")
 	resCache := fs.String("result-cache", "", "result cache cap, e.g. 64M; 0 disables, empty = default")
 	logJSON := fs.Bool("log-json", false, "stream every job's flight-recorder events to stdout as NDJSON (one JSON event per line)")
@@ -71,16 +70,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
-	var budgetBytes int64
-	if *memBudget != "" && *memBudget != "0" {
-		var err error
-		budgetBytes, err = parseBytes(*memBudget)
-		if err != nil {
-			fmt.Fprintf(stderr, "fpm serve: bad -mem-budget: %v\n", err)
-			return errUsage
-		}
-	}
-	cfg := serve.Config{QueueCap: *queueCap, MaxConcurrent: *maxConc, MemBudget: budgetBytes,
+	cfg := serve.Config{QueueCap: *queueCap, MaxConcurrent: *maxConc,
 		StateDir: *cachePersist, PersistInterval: *persistInterval}
 	if *maxRetries <= 0 {
 		cfg.MaxRetries = -1 // 0 on the flag means "no retries", not "default"

@@ -1,14 +1,14 @@
 // Package hdr is the repo's dependency-free HDR-style log-linear
 // histogram: O(1) allocation-free Record, and quantiles that never
 // understate a recorded value and overstate it by at most 1/32 relative
-// error. The job store records per-job queue-wait / mine / e2e seconds
-// and footprint bytes into it, exported as native Prometheus histograms;
-// the serve gate tests record the same job timestamps client-side into
-// the same geometry, which is what lets them cross-check the server's
-// view of a run against their own within one shared error bound.
+// error. The job store records per-job queue-wait / mine / e2e times
+// into it, exported as native Prometheus histograms; the serve gate tests
+// record the same job timestamps client-side into the same geometry,
+// which is what lets them cross-check the server's view of a run against
+// their own within one shared error bound.
 //
-// Values are unit-agnostic int64s — nanoseconds for latencies, bytes for
-// footprints; the caller owns the unit.
+// Values are unit-agnostic int64s (nanoseconds for the job latencies);
+// the caller owns the unit.
 package hdr
 
 import "math/bits"

@@ -13,11 +13,7 @@ import (
 // meaningful depends on Type:
 //
 //	submitted       — job entered the queue
-//	admission_held  — head of queue, blocked on the memory budget
-//	                  {Estimate, MemUsed, Budget}
-//	cache_shed      — admission asked the caches for cold bytes
-//	                  {Estimate: bytes still needed, Freed: bytes shed}
-//	running         — claimed by a runner {Estimate: admitted charge}
+//	running         — claimed by a runner
 //	dataset_cache   — dataset acquire {Outcome: hit|miss|coalesced}
 //	result_cache    — result cache {Outcome: hit|store|subsume}
 //	mine_start      — kernel execution began (after cache consultation)
@@ -25,7 +21,7 @@ import (
 //	retry           — a transient mine failure will be retried after
 //	                  backoff {Attempt, Error}
 //	terminal        — job reached a final state
-//	                  {State, Error, Itemsets, PeakBytes}
+//	                  {State, Error, Itemsets}
 type Event struct {
 	Job int `json:"job"`
 	// Seq orders events within one job; gaps after a drop are visible as
@@ -34,16 +30,11 @@ type Event struct {
 	TS   time.Time `json:"ts"`
 	Type string    `json:"type"`
 
-	Estimate  int64  `json:"estimate,omitempty"`
-	MemUsed   int64  `json:"mem_used,omitempty"`
-	Budget    int64  `json:"budget,omitempty"`
-	Freed     int64  `json:"freed,omitempty"`
-	Outcome   string `json:"outcome,omitempty"`
-	State     string `json:"state,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Itemsets  int    `json:"itemsets,omitempty"`
-	PeakBytes int64  `json:"peak_bytes,omitempty"`
-	Attempt   int    `json:"attempt,omitempty"`
+	Outcome  string `json:"outcome,omitempty"`
+	State    string `json:"state,omitempty"`
+	Error    string `json:"error,omitempty"`
+	Itemsets int    `json:"itemsets,omitempty"`
+	Attempt  int    `json:"attempt,omitempty"`
 }
 
 // EventLog is the retrievable view of one job's flight recorder.
@@ -55,9 +46,9 @@ type EventLog struct {
 	Events  []Event `json:"events"`
 }
 
-// DefaultEventCap bounds each job's event ring. Sixteen store-level
-// events cover any admission saga; the rest is headroom for serve-path
-// cache events on churny jobs.
+// DefaultEventCap bounds each job's event ring. A job's store-level
+// events are a handful plus one per retry; the rest is headroom for
+// serve-path cache events on churny jobs.
 const DefaultEventCap = 64
 
 // eventRing is a bounded drop-oldest buffer of one job's events. All
@@ -80,16 +71,6 @@ func (r *eventRing) append(ev Event) Event {
 	r.start = (r.start + 1) % DefaultEventCap
 	r.dropped++
 	return ev
-}
-
-// lastType reports the most recent event's type ("" when empty); used to
-// collapse runs of identical admission_held events while a blocked head
-// is repeatedly woken and re-parked.
-func (r *eventRing) lastType() string {
-	if len(r.buf) == 0 {
-		return ""
-	}
-	return r.buf[(r.start+len(r.buf)-1)%len(r.buf)].Type
 }
 
 // snapshot returns the ring's events oldest-first.

@@ -1,14 +1,12 @@
 package jobs
 
-// Tests for the per-job flight recorder: event timelines, the bounded
-// ring, and the measured peak footprint the terminal event carries.
+// Tests for the per-job flight recorder: event timelines and the bounded
+// ring.
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"fpm/internal/metrics"
 )
@@ -133,48 +131,4 @@ func TestFlightRecorderRingBound(t *testing.T) {
 	if log.Events[len(log.Events)-1].Type != "terminal" {
 		t.Fatal("terminal event must survive the ring")
 	}
-}
-
-// A job that holds a real allocation through its mine must report a
-// measured peak on that allocation's order, and the matching estimate
-// ratio. The bound is half the allocation, not all of it: the
-// runtime/metrics live-heap estimate deliberately tolerates per-P cache
-// slack (that is what makes reading it cheap enough for a sampler), so
-// the delta routinely lands ~10% under the true figure.
-func TestStoreMeasuresPeakFootprint(t *testing.T) {
-	const alloc = 8 << 20
-	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
-		buf := make([]byte, alloc)
-		for i := range buf {
-			buf[i] = byte(i)
-		}
-		time.Sleep(2 * time.Millisecond)
-		runtime.KeepAlive(buf)
-		return MineResult{Itemsets: int(buf[123])}, nil
-	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
-		QueueCap: 4, MaxConcurrent: 1, MemBudget: 1 << 30,
-		Footprint: func(JobRequest) (int64, bool) { return 16 << 20, false },
-	})
-	defer st.Close()
-	job, _ := st.Submit(JobRequest{})
-	j := waitState(t, st.Get, job.ID, "done")
-	if j.PeakBytes < alloc/2 {
-		t.Fatalf("peak_bytes = %d, want >= %d (half the held allocation)", j.PeakBytes, alloc/2)
-	}
-	if j.EstimateRatio <= 0 || j.EstimateRatio != float64(j.PeakBytes)/float64(j.MemEstimate) {
-		t.Fatalf("estimate_ratio = %g with peak %d / estimate %d", j.EstimateRatio, j.PeakBytes, j.MemEstimate)
-	}
-	if last := mustEvents(t, st, job.ID); last.PeakBytes != j.PeakBytes {
-		t.Fatalf("terminal event peak %d != job record %d", last.PeakBytes, j.PeakBytes)
-	}
-}
-
-func mustEvents(t *testing.T, st *Store, id int) Event {
-	t.Helper()
-	log, ok := st.Events(id)
-	if !ok || len(log.Events) == 0 {
-		t.Fatalf("no events for job %d", id)
-	}
-	return log.Events[len(log.Events)-1]
 }

@@ -536,3 +536,48 @@ func TestJournalRetireNeedsDurableSync(t *testing.T) {
 		t.Fatalf("next boot recovered %+v\nwant %+v", again, fixturePending)
 	}
 }
+
+// A crash with a full queue and busy runners leaves more pending requests
+// than the queue holds. Recovery must resubmit every one of them — they
+// were admitted before the crash, and the generations that recorded them
+// are retired once Resubmit returns — while new submissions still see a
+// full queue. The recovered jobs stay durable: a requeue-on-restart drain
+// hands every one still queued to the next boot.
+func TestJournalRecoveredBeyondQueueCap(t *testing.T) {
+	dir := fixtureDir(t)
+	jnl, pending, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{}, len(pending))
+	mine := func(ctx context.Context, _ JobRequest, _ *metrics.Recorder) (MineResult, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return MineResult{}, ctx.Err()
+	}
+	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 2, MaxConcurrent: 1, Journal: jnl})
+	recovered := st.Resubmit(pending)
+	if len(recovered) != len(pending) {
+		t.Fatalf("resubmitted %d of %d recovered requests into a 2-slot queue", len(recovered), len(pending))
+	}
+	<-started // the runner holds the first job; the other five stay queued
+	if _, err := st.Submit(JobRequest{Path: "new.dat", Algo: "lcm", MinSupport: 1}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit with the queue over its cap = %v, want ErrQueueFull", err)
+	}
+	if s := st.Stats(); s.Recovered != uint64(len(pending)) || s.Queued != len(pending)-1 || s.Running != 1 || s.Rejected != 1 {
+		t.Fatalf("stats after recovery = %+v", s)
+	}
+	st.Shutdown()
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl2, again, err := OpenJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl2.Close()
+	if !reflect.DeepEqual(again, fixturePending[1:]) {
+		t.Fatalf("next boot recovered %+v\nwant %+v", again, fixturePending[1:])
+	}
+}

@@ -1,9 +1,8 @@
 package jobs
 
 // Concurrency battery for the multi-runner scheduler: pool-width
-// saturation, memory-budget admission (including the shed hook and the
-// oversized-job force-admit), a mixed submit/cancel/shutdown storm, and
-// goroutine hygiene. CI runs this package under -race; these tests are
+// saturation, a mixed submit/cancel/shutdown storm, and goroutine
+// hygiene. CI runs this package under -race; these tests are
 // what that flag is for.
 
 import (
@@ -66,7 +65,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // checkRunningSet asserts, under one hold of the store lock, that the
-// running set the sampler and Shutdown walk holds exactly the jobs in
+// running set Shutdown walks holds exactly the jobs in
 // state "running" — so its size, which Stats reports as Running, is the
 // true count of jobs on runners.
 func checkRunningSet(t *testing.T, st *Store) {
@@ -88,8 +87,7 @@ func checkRunningSet(t *testing.T, st *Store) {
 	}
 }
 
-// With no memory budget, the pool must actually run MaxConcurrent jobs at
-// once — and never more.
+// The pool must actually run MaxConcurrent jobs at once — and never more.
 func TestSchedulerSaturatesPool(t *testing.T) {
 	var g gate
 	release := make(chan struct{})
@@ -122,192 +120,6 @@ func TestSchedulerSaturatesPool(t *testing.T) {
 	}
 }
 
-// With a budget that fits one job at a time, admission must serialize the
-// pool down to width 1 even though four runners are idle, and the shed
-// hook must be consulted for the deficit.
-func TestSchedulerAdmissionSerializesUnderBudget(t *testing.T) {
-	var g gate
-	var sheds atomic.Int64
-	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
-		g.enter()
-		defer g.exit()
-		time.Sleep(2 * time.Millisecond)
-		return MineResult{}, nil
-	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
-		QueueCap:      64,
-		MaxConcurrent: 4,
-		MemBudget:     100,
-		Footprint:     func(JobRequest) (int64, bool) { return 60, false }, // two never fit
-		Shed:          func(need int64) int64 { sheds.Add(1); return 0 },
-	})
-	for i := 0; i < 8; i++ {
-		if _, err := st.Submit(JobRequest{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	if hi := g.high(); hi != 1 {
-		t.Fatalf("concurrency high-water = %d, want 1 (budget fits one 60-byte job)", hi)
-	}
-	if s := st.Stats(); s.Done != 8 {
-		t.Fatalf("census = %+v", s)
-	}
-	if sheds.Load() == 0 {
-		t.Fatal("admission never consulted the shed hook while over budget")
-	}
-	// The shed consultations must be visible on /metrics, not just to the
-	// hook: the counter and the hook must agree exactly.
-	if s := st.Stats(); int64(s.Shed) != sheds.Load() {
-		t.Fatalf("stats.Shed = %d, want %d (one per shed-hook call)", s.Shed, sheds.Load())
-	}
-	// Every admitted job carried a heuristic estimate (the Footprint func
-	// reports learned=false), and the split must account for all of them.
-	if s := st.Stats(); s.FootprintHeuristic != 8 || s.FootprintLearned != 0 {
-		t.Fatalf("footprint split = learned %d / heuristic %d, want 0/8", s.FootprintLearned, s.FootprintHeuristic)
-	}
-}
-
-// A job bigger than the whole budget must still run once nothing else is
-// in flight (admission degrades to serialization, never deadlock), and a
-// successful shed must be retried before waiting.
-func TestSchedulerOversizedJobForceAdmitted(t *testing.T) {
-	cached := int64(500) // pretend half a KiB of cached state
-	st := NewStoreWithConfig(
-		func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
-			return MineResult{Itemsets: 1}, nil
-		},
-		nil,
-		StoreConfig{
-			QueueCap:      8,
-			MaxConcurrent: 2,
-			MemBudget:     100,
-			Footprint:     func(JobRequest) (int64, bool) { return 1000, false },
-			CacheResident: func() int64 { return atomic.LoadInt64(&cached) },
-			Shed: func(need int64) int64 {
-				// First call frees the cached bytes; later calls find nothing.
-				return atomic.SwapInt64(&cached, 0)
-			},
-		})
-	job, err := st.Submit(JobRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		j, _ := st.Get(job.ID)
-		if j.State == "done" {
-			if j.MemEstimate != 1000 {
-				t.Fatalf("job ran with estimate %d, want 1000", j.MemEstimate)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("oversized job deadlocked in admission: %+v", j)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := atomic.LoadInt64(&cached); got != 0 {
-		t.Fatal("admission never shed the cached bytes")
-	}
-	st.Close()
-}
-
-// Oversized jobs must truly serialize: force-admission is gated on the
-// Running gauge, which moves in the same critical section that pops the
-// queue. With a gate that lagged the pop, two runners could both see
-// "nothing in flight" and run two over-budget jobs at once — exactly the
-// OOM the budget exists to prevent.
-func TestSchedulerOversizedJobsNeverOverlap(t *testing.T) {
-	var g gate
-	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
-		g.enter()
-		defer g.exit()
-		time.Sleep(2 * time.Millisecond)
-		return MineResult{}, nil
-	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
-		QueueCap:      64,
-		MaxConcurrent: 4,
-		MemBudget:     100,
-		Footprint:     func(JobRequest) (int64, bool) { return 1000, false }, // every job oversized
-	})
-	for i := 0; i < 10; i++ {
-		if _, err := st.Submit(JobRequest{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	if hi := g.high(); hi != 1 {
-		t.Fatalf("oversized-job concurrency high-water = %d, want 1", hi)
-	}
-	if s := st.Stats(); s.Done != 10 {
-		t.Fatalf("census = %+v", s)
-	}
-}
-
-// While a runner is inside the shed hook the store lock is dropped, so the
-// queue head it captured can be cancelled or claimed by a peer. The runner
-// must re-validate the head after re-locking instead of popping blind —
-// popping blind runs cancelled jobs, double-decrements the queued gauge,
-// or strands a different job in "queued" forever. A slow shed hook widens
-// that window while cancels and submits hammer the queue.
-func TestSchedulerShedWindowCancelStorm(t *testing.T) {
-	base := runtime.NumGoroutine()
-	mine := func(ctx context.Context, _ JobRequest, _ *metrics.Recorder) (MineResult, error) {
-		time.Sleep(200 * time.Microsecond)
-		return MineResult{Itemsets: 1}, nil
-	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
-		QueueCap:      256,
-		MaxConcurrent: 4,
-		MemBudget:     100,
-		Footprint:     func(JobRequest) (int64, bool) { return 60, false }, // only one fits: shed runs constantly
-		Shed: func(int64) int64 {
-			time.Sleep(100 * time.Microsecond) // widen the unlocked window
-			return 0
-		},
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				job, err := st.Submit(JobRequest{})
-				checkRunningSet(t, st)
-				if err != nil {
-					continue // queue full is fine; keep the pressure up
-				}
-				if rng.Intn(2) == 0 {
-					st.Cancel(job.ID)
-				}
-			}
-		}(int64(w) + 1)
-	}
-	wg.Wait()
-	st.Close()
-
-	s := st.Stats()
-	if got := s.Done + s.Failed + s.Cancelled; got != s.Submitted {
-		t.Fatalf("census leak: done %d + failed %d + cancelled %d != submitted %d",
-			s.Done, s.Failed, s.Cancelled, s.Submitted)
-	}
-	if s.Running != 0 || s.Queued != 0 || s.MemUsed != 0 {
-		t.Fatalf("store not quiescent after drain: %+v", s)
-	}
-	checkRunningSet(t, st)
-	for _, j := range st.List() {
-		switch j.State {
-		case "done", "failed", "cancelled":
-		default:
-			t.Fatalf("job %d stranded in state %q", j.ID, j.State)
-		}
-	}
-	waitGoroutines(t, base)
-}
-
 // The storm: four runners, a mix of instant / slow / failing / blocking
 // jobs submitted from eight goroutines, random cancellations mid-flight,
 // then a mid-storm Shutdown. Afterwards: full census (every submission
@@ -331,12 +143,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 			}
 		}
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
-		QueueCap:      256,
-		MaxConcurrent: 4,
-		MemBudget:     1 << 20,
-		Footprint:     func(JobRequest) (int64, bool) { return 1 << 10, false },
-	})
+	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 256, MaxConcurrent: 4})
 
 	var submitted, rejected atomic.Int64
 	var wg sync.WaitGroup
@@ -379,7 +186,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 	if s.Submitted != uint64(submitted.Load()) {
 		t.Fatalf("store counted %d submissions, clients saw %d accepted", s.Submitted, submitted.Load())
 	}
-	if s.Running != 0 || s.Queued != 0 || s.MemUsed != 0 {
+	if s.Running != 0 || s.Queued != 0 {
 		t.Fatalf("store not quiescent after shutdown: %+v", s)
 	}
 	checkRunningSet(t, st)

@@ -1,22 +1,19 @@
-// Package jobs is the job scheduler behind `fpm serve`: a FIFO queue of
-// mining jobs run by a fixed pool of runner goroutines under memory-budget
-// admission control, with a bounded flight recorder per job (Event), the
-// server-side latency and footprint histograms (JobHists), transparent
-// retry of transient failures, and an append-only journal that lets a
-// restarted server resubmit the jobs a crash or a graceful drain left
-// behind (OpenJournalDir, Store.Resubmit).
+// Package jobs is the job scheduler behind `fpm serve`: a bounded FIFO
+// queue of mining jobs run by a fixed pool of runner goroutines, with a
+// bounded flight recorder per job (Event), the server-side latency
+// histograms (JobHists), transparent retry of transient failures, and an
+// append-only journal that lets a restarted server resubmit the jobs a
+// crash or a graceful drain left behind (OpenJournalDir, Store.Resubmit).
 //
 // The package knows nothing about HTTP, Prometheus or the serving caches:
-// the miner, the footprint estimator and the cache hooks are injected
-// through StoreConfig and MineFunc, internal/telemetry serves the store
-// over HTTP, and internal/serve wires the real miner in.
+// the miner is injected as a MineFunc, internal/telemetry serves the
+// store over HTTP, and internal/serve wires the real miner in.
 package jobs
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	runtimemetrics "runtime/metrics"
 	"sync"
 	"time"
 
@@ -74,21 +71,6 @@ type Job struct {
 	// mine time (Finished - Started) is then the cache lookup, not a
 	// mining run — load harnesses split their latency attribution on it.
 	ServedFromCache bool `json:"served_from_cache,omitempty"`
-	// MemEstimate is the footprint estimate the admission controller
-	// charged against the memory budget while the job ran.
-	MemEstimate int64 `json:"mem_estimate,omitempty"`
-	// PeakBytes is the job's measured peak live-heap growth while it ran:
-	// the maximum of the process heap observed at the mine boundaries and
-	// by the in-flight sampler, minus the heap at mine start. With
-	// concurrent runners the whole process delta is attributed to each
-	// running job, so it is an upper bound — the conservative direction
-	// for feeding admission. Zero until the job ends (and for cache-served
-	// answers, which allocate nothing worth learning from).
-	PeakBytes int64 `json:"peak_bytes,omitempty"`
-	// EstimateRatio is PeakBytes / MemEstimate — below 1 the admission
-	// estimate over-charged the budget (jobs queued that could have run),
-	// above 1 it under-charged (the budget did not protect the process).
-	EstimateRatio float64 `json:"estimate_ratio,omitempty"`
 	// Stats is the run's final counter snapshot (nil until the job ends).
 	Stats *metrics.Snapshot `json:"stats,omitempty"`
 
@@ -98,11 +80,6 @@ type Job struct {
 	// store's mutex and excluded from the JSON record — GET
 	// /jobs/{id}/events serves it.
 	events *eventRing
-	// heapBase/heapPeak carry the sampler's live-heap observations while
-	// the job runs: base is the heap at mine start, peak the largest heap
-	// seen since. Guarded by the store's mutex.
-	heapBase int64
-	heapPeak int64
 }
 
 // MineResult is what a MineFunc reports for a finished job.
@@ -122,16 +99,6 @@ type MineResult struct {
 // wires the real miner in internal/serve).
 type MineFunc func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error)
 
-// FootprintFunc estimates a job's peak resident footprint in bytes, for
-// admission control against StoreConfig.MemBudget. Estimates are
-// deliberately conservative: over-estimating delays a job, while
-// under-estimating OOMs the process. learned reports whether the estimate
-// came from observed footprints of earlier runs rather than a static
-// heuristic — the store counts the split (StoreStats.FootprintLearned /
-// FootprintHeuristic) so the learning loop's coverage is visible on
-// /metrics.
-type FootprintFunc func(req JobRequest) (est int64, learned bool)
-
 // ErrQueueFull is returned by Submit when the job queue has no room.
 var ErrQueueFull = errors.New("jobs: job queue full")
 
@@ -142,28 +109,17 @@ var ErrClosed = errors.New("jobs: job store closed")
 var errRequeued = errors.New("shutdown: requeued for restart")
 
 // Store queues submitted jobs and runs them on a fixed pool of runner
-// goroutines under memory-budget admission control. Jobs are admitted in
-// strict FIFO order: the head of the queue runs as soon as a runner is
-// free AND its estimated footprint fits under the memory budget
-// (alongside everything already running and the bytes the serving caches
-// hold). A head job that does not fit first asks the caches to shed cold
-// bytes, then waits for running jobs to finish — it blocks the jobs
-// behind it (head-of-line) rather than being bypassed, which keeps
-// admission starvation-free: no stream of small jobs can park a big one
-// forever. A job bigger than the whole budget still runs, alone, when
-// nothing else is in flight — admission degrades to serialization, never
-// to deadlock.
+// goroutines in strict FIFO order: the head of the queue runs as soon as
+// a runner is free. The server's bounds are the runner count
+// (StoreConfig.MaxConcurrent) and the queue cap (StoreConfig.QueueCap);
+// a job that must fit a memory limit asks for one itself
+// (JobRequest.MemBudget mines out-of-core under it).
 type Store struct {
 	mine MineFunc
 	// onStart receives each job's fresh recorder just before mining, so
 	// the server's scrape endpoints follow a run in flight (with
 	// concurrent runners, the most recently started one).
 	onStart func(*metrics.Recorder)
-
-	footprint     FootprintFunc
-	cacheResident func() int64
-	shed          func(need int64) int64
-	memBudget     int64
 
 	journal    *Journal
 	maxRetries int
@@ -172,57 +128,43 @@ type Store struct {
 	cond *sync.Cond
 	jobs []*Job
 	// running holds the jobs claimed by a runner and not yet terminal,
-	// by id: the sampler and Shutdown walk it instead of every job ever
-	// submitted, so their lock hold time does not grow with uptime. Its
-	// size is StoreStats.Running.
+	// by id: Shutdown walks it instead of every job ever submitted, so its
+	// lock hold time does not grow with uptime. Its size is
+	// StoreStats.Running.
 	running  map[int]*Job
 	pending  []int // queued job ids, FIFO
-	memUsed  int64 // admission reservations of running jobs
 	closed   bool  // queue closed; no further submissions
 	aborting bool  // Shutdown in progress; queued jobs drain as cancelled
 	stats    StoreStats
 
-	// hists are the server-side latency and footprint histograms, one
-	// Record per job at its terminal transition (including jobs cancelled
-	// while queued, with zero mine time, so every family's count equals
-	// jobs finished). Guarded by mu; Histograms() snapshots them.
+	// hists are the server-side latency histograms, one Record per job at
+	// its terminal transition (including jobs cancelled while queued, with
+	// zero mine time, so every family's count equals jobs finished).
+	// Guarded by mu; Histograms() snapshots them.
 	hists JobHists
 
-	eventSink        func(Event)
-	observeFootprint func(req JobRequest, peakBytes int64)
-
-	// sampler lifecycle: started lazily by the first run() (stores that
-	// never run a job never pay for the goroutine), joined by
-	// Close/Shutdown after the runners drain.
-	samplerOnce sync.Once
-	samplerStop chan struct{}
-	stopOnce    sync.Once
-	samplerWG   sync.WaitGroup
+	eventSink func(Event)
 
 	wg sync.WaitGroup // runner goroutines
 }
 
-// JobHists bundles the store's per-job histograms: queue wait
-// (Started-Submitted), mine time (Finished-Started), end-to-end
-// (Finished-Submitted) — all in nanoseconds — and measured peak footprint
-// in bytes. Each is recorded exactly once per job at its terminal
-// transition, so the families' counts stay equal.
+// JobHists bundles the store's per-job latency histograms, in
+// nanoseconds: queue wait (Started-Submitted), mine time
+// (Finished-Started) and end-to-end (Finished-Submitted). Each is
+// recorded exactly once per job at its terminal transition, so the
+// families' counts stay equal.
 type JobHists struct {
 	QueueWait hdr.Hist
 	Mine      hdr.Hist
 	E2E       hdr.Hist
-	Footprint hdr.Hist
 }
 
 // StoreStats is a consistent point-in-time view of the job store, for the
-// /metrics gauges and for load harnesses watching backpressure. Queued,
-// Running and MemUsed are instantaneous; the rest are cumulative since
-// start.
+// /metrics gauges and for load harnesses watching backpressure. Queued
+// and Running are instantaneous; the rest are cumulative since start.
 type StoreStats struct {
 	QueueCap      int    `json:"queue_cap"`
 	MaxConcurrent int    `json:"max_concurrent"`
-	MemBudget     int64  `json:"mem_budget,omitempty"`
-	MemUsed       int64  `json:"mem_used"`
 	Queued        int    `json:"queued"`
 	Running       int    `json:"running"`
 	Submitted     uint64 `json:"submitted"`
@@ -232,14 +174,6 @@ type StoreStats struct {
 	Cancelled     uint64 `json:"cancelled"`
 	// CacheServed counts done jobs answered from the result cache.
 	CacheServed uint64 `json:"cache_served"`
-	// Shed counts the times admission asked the caches to shed cold bytes
-	// on behalf of a memory-blocked head job.
-	Shed uint64 `json:"shed"`
-	// FootprintLearned / FootprintHeuristic split admitted jobs by where
-	// their footprint estimate came from: observed earlier runs vs the
-	// static heuristic (see FootprintFunc).
-	FootprintLearned   uint64 `json:"footprint_learned"`
-	FootprintHeuristic uint64 `json:"footprint_heuristic"`
 	// Retried counts mine attempts retried after a transient failure;
 	// Recovered counts jobs resubmitted from the journal at startup;
 	// Requeued counts jobs a graceful shutdown drained as
@@ -257,36 +191,16 @@ const DefaultQueueCap = 64
 type StoreConfig struct {
 	// QueueCap bounds the pending-job queue (minimum 1); submissions
 	// beyond it are rejected with ErrQueueFull. 0 means DefaultQueueCap.
+	// Resubmit alone may exceed it (see there).
 	QueueCap int
 	// MaxConcurrent is the runner-goroutine count (minimum 1). Mining
 	// parallelism inside a job (JobRequest.Workers) is independent.
 	MaxConcurrent int
-	// MemBudget, when positive, is the global memory budget in bytes that
-	// admission control enforces: a job is admitted only when its
-	// Footprint estimate fits alongside the running jobs' estimates plus
-	// CacheResident(). 0 disables admission control.
-	MemBudget int64
-	// Footprint estimates a job's peak resident bytes; nil means 0 (every
-	// job fits).
-	Footprint FootprintFunc
-	// CacheResident reports the bytes the serving caches currently hold,
-	// so cached state and running jobs share one budget; nil means 0.
-	CacheResident func() int64
-	// Shed asks the caches to free up to need cold bytes and returns the
-	// bytes freed; admission calls it before making the head job wait.
-	// nil means nothing can be shed.
-	Shed func(need int64) int64
 	// EventSink, when non-nil, receives every recorded event as it is
 	// appended — the hook `fpm serve -log-json` streams NDJSON through.
 	// It runs under the store's lock: keep it fast, never call back into
 	// the Store.
 	EventSink func(Event)
-	// ObserveFootprint, when non-nil, receives each mined job's request
-	// and measured peak footprint after the job finishes "done" without
-	// being served from the result cache — the feedback edge that lets a
-	// learner turn Footprint estimates into measured costs. Called outside
-	// the store's lock.
-	ObserveFootprint func(req JobRequest, peakBytes int64)
 	// Journal, when non-nil, receives one WAL record per job state
 	// transition (submitted/running/terminal), making the store's queue
 	// recoverable across restarts: see OpenJournalDir / Resubmit. A
@@ -320,23 +234,16 @@ func NewStoreWithConfig(mine MineFunc, onStart func(*metrics.Recorder), cfg Stor
 		cfg.MaxConcurrent = 1
 	}
 	st := &Store{
-		mine:             mine,
-		onStart:          onStart,
-		footprint:        cfg.Footprint,
-		cacheResident:    cfg.CacheResident,
-		shed:             cfg.Shed,
-		memBudget:        cfg.MemBudget,
-		journal:          cfg.Journal,
-		maxRetries:       max(cfg.MaxRetries, 0),
-		running:          make(map[int]*Job),
-		eventSink:        cfg.EventSink,
-		observeFootprint: cfg.ObserveFootprint,
-		samplerStop:      make(chan struct{}),
+		mine:       mine,
+		onStart:    onStart,
+		journal:    cfg.Journal,
+		maxRetries: max(cfg.MaxRetries, 0),
+		running:    make(map[int]*Job),
+		eventSink:  cfg.EventSink,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	st.stats.QueueCap = cfg.QueueCap
 	st.stats.MaxConcurrent = cfg.MaxConcurrent
-	st.stats.MemBudget = cfg.MemBudget
 	st.wg.Add(cfg.MaxConcurrent)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		go st.runner()
@@ -351,7 +258,6 @@ func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.stats
-	s.MemUsed = st.memUsed
 	s.Running = len(st.running)
 	return s
 }
@@ -365,7 +271,6 @@ func (st *Store) Close() {
 	st.mu.Unlock()
 	st.cond.Broadcast()
 	st.wg.Wait()
-	st.stopSampler()
 }
 
 // Shutdown stops accepting jobs, cancels the jobs in flight (if any),
@@ -388,15 +293,6 @@ func (st *Store) Shutdown() {
 		c()
 	}
 	st.wg.Wait()
-	st.stopSampler()
-}
-
-// stopSampler joins the peak-heap sampler if one was started. Runner
-// goroutines are already drained when this runs, so the samplerOnce that
-// could start one has fired (or never will).
-func (st *Store) stopSampler() {
-	st.stopOnce.Do(func() { close(st.samplerStop) })
-	st.samplerWG.Wait()
 }
 
 // Submit enqueues a job and returns its record in the "queued" state.
@@ -411,12 +307,18 @@ func (st *Store) Submit(req JobRequest) (Job, error) {
 // startup. Each is Submit with the recovery provenance attached: the job
 // record (and its journal trail) carries recovered:true, and StoreStats.
 // Recovered counts it — so a restarted server can report exactly what a
-// crash (or a requeue-on-restart drain) handed back to it. Requests the
-// queue rejects are dropped. Once the resubmissions are journaled, the
-// journal syncs and only then retires the generations recovery read: if
-// the sync fails, the old generations stay on disk and the next boot
-// replays them again, rather than losing the only durable record of these
-// jobs. Replay is therefore at-least-once.
+// crash (or a requeue-on-restart drain) handed back to it.
+//
+// Recovered requests skip the queue-cap check: each was admitted before
+// the crash, and a crash with a full queue and busy runners hands back up
+// to QueueCap+MaxConcurrent of them. The queue may therefore start over
+// its cap by at most MaxConcurrent jobs (more only if the previous
+// process ran with a larger cap or more runners); Submit keeps answering
+// ErrQueueFull until it drains below the cap. Once the resubmissions are
+// journaled, the journal syncs and only then retires the generations
+// recovery read: if the sync fails, the old generations stay on disk and
+// the next boot replays them again, rather than losing the only durable
+// record of these jobs. Replay is therefore at-least-once.
 func (st *Store) Resubmit(reqs []JobRequest) []Job {
 	var out []Job
 	for _, req := range reqs {
@@ -434,7 +336,7 @@ func (st *Store) submit(req JobRequest, recovered bool) (Job, error) {
 		st.mu.Unlock()
 		return Job{}, ErrClosed
 	}
-	if len(st.pending) >= st.stats.QueueCap {
+	if !recovered && len(st.pending) >= st.stats.QueueCap {
 		st.stats.Rejected++
 		st.mu.Unlock()
 		return Job{}, ErrQueueFull
@@ -459,8 +361,8 @@ func (st *Store) submit(req JobRequest, recovered bool) (Job, error) {
 	return snap, nil
 }
 
-// Histograms returns a consistent snapshot of the per-job latency and
-// footprint histograms, for the /metrics exporter and load harnesses.
+// Histograms returns a consistent snapshot of the per-job latency
+// histograms, for the /metrics exporter and load harnesses.
 func (st *Store) Histograms() JobHists {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -502,9 +404,8 @@ func (st *Store) finishLocked(job *Job, state string, err error) {
 	st.hists.QueueWait.Record(started.Sub(job.Submitted).Nanoseconds())
 	st.hists.Mine.Record(job.Finished.Sub(started).Nanoseconds())
 	st.hists.E2E.Record(job.Finished.Sub(job.Submitted).Nanoseconds())
-	st.hists.Footprint.Record(job.PeakBytes)
 	st.emitLocked(job, Event{Type: "terminal", State: job.State, Error: job.Error,
-		Itemsets: job.Itemsets, PeakBytes: job.PeakBytes})
+		Itemsets: job.Itemsets})
 	op := JournalOpTerminal
 	if job.State == "requeued" {
 		op = JournalOpRequeue
@@ -554,16 +455,13 @@ func (st *Store) Cancel(id int) (Job, bool) {
 	}
 	snap := *job
 	st.mu.Unlock()
-	// A cancelled queued job may have been the memory-blocked head; wake
-	// the runners so the next job gets its admission check.
-	st.cond.Broadcast()
 	if cancelRunning != nil {
 		cancelRunning()
 	}
 	return snap, true
 }
 
-// runner is one worker of the pool: it claims admitted jobs until the
+// runner is one worker of the pool: it claims queued jobs until the
 // store drains.
 func (st *Store) runner() {
 	defer st.wg.Done()
@@ -576,13 +474,12 @@ func (st *Store) runner() {
 	}
 }
 
-// next blocks until the head of the queue is admitted to this runner (or
-// the store drains; ok is then false) and claims it: in the critical
-// section that pops the queue the job becomes "running", moves from the
-// Queued gauge into the running set, reserves its estimate of the memory
-// budget and gets the context a Cancel or Shutdown aborts it through.
-// There is no window in which a popped job still looks queued. run
-// releases the reservation and cancels ctx when the job ends.
+// next blocks until the queue has a head for this runner (or the store
+// drains; ok is then false) and claims it: in the critical section that
+// pops the queue the job becomes "running", moves from the Queued gauge
+// into the running set and gets the context a Cancel or Shutdown aborts
+// it through. There is no window in which a popped job still looks
+// queued. run cancels ctx when the job ends.
 func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFunc, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -610,114 +507,38 @@ func (st *Store) next() (job *Job, ctx context.Context, cancel context.CancelFun
 			}
 			break
 		}
-		if len(st.pending) == 0 {
-			if st.closed {
-				return nil, nil, nil, false
-			}
-			st.cond.Wait()
-			continue
+		if len(st.pending) > 0 {
+			break
 		}
-
-		id := st.pending[0]
-		var est int64
-		learned := false
-		if st.footprint != nil {
-			est, learned = st.footprint(st.jobs[id].Request)
+		if st.closed {
+			return nil, nil, nil, false
 		}
-		if deficit := st.overBudgetLocked(est); deficit > 0 {
-			// Head does not fit. First ask the caches for cold bytes
-			// (outside the lock: shed takes the cache locks), then — if
-			// nothing is admitted that could free budget by finishing —
-			// force-admit rather than deadlock on an oversized job.
-			if job := st.jobs[id]; job.events.lastType() != "admission_held" {
-				// Collapse the wake/re-park churn of a blocked head into
-				// one event per hold episode.
-				st.emitLocked(job, Event{Type: "admission_held", Estimate: est,
-					MemUsed: st.memUsed, Budget: st.memBudget})
-			}
-			if st.shed != nil {
-				st.stats.Shed++
-				st.mu.Unlock()
-				freed := st.shed(deficit)
-				st.mu.Lock()
-				// The lock was dropped for shed: the head may have been
-				// cancelled, claimed by another runner whose deficit
-				// cleared, or caught by a Shutdown. Never act on the
-				// stale id — start over unless this exact job is still
-				// the queued head.
-				if st.aborting || len(st.pending) == 0 || st.pending[0] != id ||
-					st.jobs[id].State != "queued" {
-					continue
-				}
-				st.emitLocked(st.jobs[id], Event{Type: "cache_shed", Estimate: deficit, Freed: freed})
-				if freed > 0 {
-					continue // budget changed: re-check the fit
-				}
-			}
-			if len(st.running) > 0 {
-				st.cond.Wait()
-				continue
-			}
-		}
-		st.pending = st.pending[1:]
-		st.memUsed += est
-		if st.footprint != nil {
-			if learned {
-				st.stats.FootprintLearned++
-			} else {
-				st.stats.FootprintHeuristic++
-			}
-		}
-		job = st.jobs[id]
-		if job.Request.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(job.Request.TimeoutMS)*time.Millisecond)
-		} else {
-			ctx, cancel = context.WithCancel(context.Background())
-		}
-		ctx = WithEmitter(ctx, func(ev Event) { st.emitJob(id, ev) })
-		job.State = "running"
-		job.Started = time.Now()
-		job.cancel = cancel
-		job.MemEstimate = est
-		st.stats.Queued--
-		st.running[id] = job
-		st.emitLocked(job, Event{Type: "running", Estimate: est})
-		return job, ctx, cancel, true
+		st.cond.Wait()
 	}
-}
-
-// overBudgetLocked returns how many bytes over budget admitting est would
-// land (0 when it fits or no budget is set). Callers hold st.mu.
-func (st *Store) overBudgetLocked(est int64) int64 {
-	if st.memBudget <= 0 {
-		return 0
+	id := st.pending[0]
+	st.pending = st.pending[1:]
+	job = st.jobs[id]
+	if job.Request.TimeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), time.Duration(job.Request.TimeoutMS)*time.Millisecond)
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
 	}
-	used := st.memUsed + est
-	if st.cacheResident != nil {
-		used += st.cacheResident()
-	}
-	if used <= st.memBudget {
-		return 0
-	}
-	return used - st.memBudget
+	ctx = WithEmitter(ctx, func(ev Event) { st.emitJob(id, ev) })
+	job.State = "running"
+	job.Started = time.Now()
+	job.cancel = cancel
+	st.stats.Queued--
+	st.running[id] = job
+	st.emitLocked(job, Event{Type: "running"})
+	return job, ctx, cancel, true
 }
 
 // run mines a job next() claimed and records its terminal state.
 func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 	defer cancel()
-	st.samplerOnce.Do(func() {
-		st.samplerWG.Add(1)
-		go st.sampler()
-	})
-	// job.Request and job.MemEstimate are only written before the claim,
-	// so they are read here without the lock.
-	req, est := job.Request, job.MemEstimate
-	heapBase := readLiveHeap()
-	st.mu.Lock()
-	job.heapBase = heapBase
-	job.heapPeak = max(job.heapPeak, heapBase)
-	st.mu.Unlock()
-
+	// job.Request is only written before the claim, so it is read here
+	// without the lock.
+	req := job.Request
 	rec := metrics.NewRecorder()
 	if st.onStart != nil {
 		st.onStart(rec)
@@ -745,22 +566,13 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 		}
 	}
 	snap := rec.Snapshot()
-	heapEnd := readLiveHeap()
 
 	st.mu.Lock()
 	job.Itemsets = res.Itemsets
 	job.ServedFromCache = res.FromCache
 	job.Stats = &snap
 	job.cancel = nil
-	job.heapPeak = max(job.heapPeak, heapEnd)
-	if peak := job.heapPeak - job.heapBase; peak > 0 && !res.FromCache {
-		job.PeakBytes = peak
-		if est > 0 {
-			job.EstimateRatio = float64(peak) / float64(est)
-		}
-	}
 	delete(st.running, job.ID)
-	st.memUsed -= est
 	switch {
 	case err == nil:
 		if res.FromCache {
@@ -772,15 +584,7 @@ func (st *Store) run(ctx context.Context, job *Job, cancel context.CancelFunc) {
 	default:
 		st.finishLocked(job, "failed", err)
 	}
-	observe := st.observeFootprint
-	peak := job.PeakBytes
-	done := job.State == "done" && !res.FromCache
 	st.mu.Unlock()
-	// Budget and a runner freed up: wake admission waiters.
-	st.cond.Broadcast()
-	if observe != nil && done && peak > 0 {
-		observe(req, peak)
-	}
 }
 
 // retryable classifies a mine error: anything is presumed transient and
@@ -831,56 +635,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// heapSampleInterval paces the in-flight peak-heap sampler. Coarse on
-// purpose: one runtime/metrics read per tick for the whole store, so the
-// recorder's steady-state cost is noise while still catching the peak of
-// any mine phase longer than a few ticks (the boundary reads in run()
-// already cover shorter jobs).
-const heapSampleInterval = 25 * time.Millisecond
-
-// readLiveHeap returns the process's live-heap bytes via runtime/metrics
-// — the cheap estimate the runtime maintains anyway (no stop-the-world,
-// unlike runtime.ReadMemStats).
-func readLiveHeap() int64 {
-	sample := [1]runtimemetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	runtimemetrics.Read(sample[:])
-	if sample[0].Value.Kind() != runtimemetrics.KindUint64 {
-		return 0
-	}
-	v := sample[0].Value.Uint64()
-	if v > 1<<62 {
-		return 1 << 62
-	}
-	return int64(v)
-}
-
-// sampler is the store's single in-flight peak-heap observer, started
-// lazily by the first run() and joined by Close/Shutdown.
-func (st *Store) sampler() {
-	defer st.samplerWG.Done()
-	tick := time.NewTicker(heapSampleInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-st.samplerStop:
-			return
-		case <-tick.C:
-		}
-		st.sampleHeap()
-	}
-}
-
-// sampleHeap is one sampler tick: read the live heap once and raise the
-// running jobs' heapPeak watermarks. It walks only the running set, so
-// the store lock is held for a time bounded by the runner count, not by
-// how many jobs the store has ever seen.
-func (st *Store) sampleHeap() {
-	cur := readLiveHeap()
-	st.mu.Lock()
-	for _, j := range st.running {
-		j.heapPeak = max(j.heapPeak, cur)
-	}
-	st.mu.Unlock()
 }

@@ -13,7 +13,7 @@ import (
 // real mining job end to end through the production instance (submit →
 // mine → terminal), result cache disabled so every iteration actually
 // mines. Observability added to the serve path — the flight-recorder
-// events, the peak-heap sampler — must keep this number within 3% of the
+// events, the latency histograms — must keep this number within 3% of the
 // pre-change baseline with event streaming off (no Config.EventLog, i.e.
 // `fpm serve -log-json` off), per the repo's overhead-budget discipline.
 func BenchmarkServeOverhead(b *testing.B) {

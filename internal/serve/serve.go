@@ -1,12 +1,14 @@
 // Package serve wires the real mining library into the job scheduler
 // (internal/jobs) and serves it over the telemetry HTTP server: it owns
 // the MineFunc that executes submitted jobs through the observed in-memory
-// and partitioned paths, the serving caches that make repeated jobs
-// cheap, and the admission-control hooks that keep N concurrent jobs under
-// one memory budget. Split out of cmd/fpm so that the `fpm serve`
-// subcommand, the repository benchmark's in-process serve workloads and
-// this package's serve gate tests all host an identical server — the
-// gates exercise exactly the production wiring, not a test double.
+// and partitioned paths, and the serving caches that make repeated jobs
+// cheap. The server's bounds are the runner count, the queue cap and the
+// caches' byte caps; a job that must fit a memory limit mines out-of-core
+// under its own JobRequest.MemBudget. Split out of cmd/fpm so that the
+// `fpm serve` subcommand, the repository benchmark's in-process serve
+// workloads and this package's serve gate tests all host an identical
+// server — the gates exercise exactly the production wiring, not a test
+// double.
 package serve
 
 import (
@@ -30,15 +32,11 @@ import (
 )
 
 // Default byte caps for the serving caches when the caller does not size
-// them. Both shrink under a configured memory budget (see NewInstance).
+// them.
 const (
 	DefaultDatasetCacheBytes = 256 << 20
 	DefaultResultCacheBytes  = 64 << 20
 )
-
-// footprintFloor is the minimum per-job footprint estimate: even a tiny
-// file costs parse buffers, per-worker collectors and scheduler state.
-const footprintFloor = 1 << 20
 
 // DefaultMaxRetries is how many times a transiently failed mine attempt
 // is retried when the caller does not choose (Config.MaxRetries == 0).
@@ -54,17 +52,11 @@ type Config struct {
 	// QueueCap bounds the pending-job queue; submissions beyond it are
 	// rejected with HTTP 429. Zero means jobs.DefaultQueueCap.
 	QueueCap int
-	// MaxConcurrent is the job-runner pool size; zero means 1 (the
-	// pre-multi-tenant behaviour). Mining parallelism inside a job
-	// (JobRequest.Workers) is independent.
+	// MaxConcurrent is the job-runner pool size; zero means 1. Mining
+	// parallelism inside a job (JobRequest.Workers) is independent.
 	MaxConcurrent int
-	// MemBudget, when positive, is the global memory budget in bytes:
-	// a job whose estimated footprint does not fit alongside the running
-	// jobs and the cached state waits in queue instead of OOMing the
-	// process. Zero disables admission control.
-	MemBudget int64
 	// DatasetCacheBytes / ResultCacheBytes cap the serving caches; zero
-	// picks the defaults (bounded further by MemBudget when set).
+	// picks the defaults.
 	DatasetCacheBytes int64
 	ResultCacheBytes  int64
 	// DisableDatasetCache / DisableResultCache turn a cache off entirely —
@@ -96,14 +88,12 @@ type Config struct {
 }
 
 // Instance is one hosted serving stack: HTTP surface, job scheduler, the
-// caches they share, the footprint learner feeding admission, and — when
-// Config.StateDir is set — the durability pair (snapshot persister and
-// job journal).
+// caches they share, and — when Config.StateDir is set — the durability
+// pair (snapshot persister and job journal).
 type Instance struct {
-	Server  *telemetry.Server
-	Store   *jobs.Store
-	Caches  *servecache.Caches
-	Learner *FootprintLearner
+	Server *telemetry.Server
+	Store  *jobs.Store
+	Caches *servecache.Caches
 	// Persister snapshots the result cache to the state dir; nil when the
 	// instance is not durable (no StateDir, or the result cache is
 	// disabled).
@@ -150,21 +140,12 @@ func NewInstance(cfg Config) *Instance {
 		if b <= 0 {
 			b = DefaultDatasetCacheBytes
 		}
-		// Cached state is charged against the memory budget, so never let a
-		// cache cap alone exceed half the budget — otherwise cold cached
-		// bytes could crowd out admission before shedding kicks in.
-		if cfg.MemBudget > 0 && b > cfg.MemBudget/2 {
-			b = cfg.MemBudget / 2
-		}
 		caches.Datasets = servecache.NewDatasetCache(b)
 	}
 	if !cfg.DisableResultCache {
 		b := cfg.ResultCacheBytes
 		if b <= 0 {
 			b = DefaultResultCacheBytes
-		}
-		if cfg.MemBudget > 0 && b > cfg.MemBudget/4 {
-			b = cfg.MemBudget / 4
 		}
 		caches.Results = servecache.NewResultCache(b)
 	}
@@ -176,8 +157,7 @@ func NewInstance(cfg Config) *Instance {
 		maxRetries = 0
 	}
 	srv := telemetry.NewServer()
-	learner := NewFootprintLearner()
-	inst := &Instance{Server: srv, Caches: caches, Learner: learner}
+	inst := &Instance{Server: srv, Caches: caches}
 
 	// Durability setup. Everything here degrades: a corrupt snapshot or
 	// journal means a cold start, an unusable directory means a
@@ -219,16 +199,11 @@ func NewInstance(cfg Config) *Instance {
 		sink = func(ev jobs.Event) { _ = enc.Encode(ev) }
 	}
 	store := jobs.NewStoreWithConfig(inst.mineJob, srv.SetRecorder, jobs.StoreConfig{
-		QueueCap:         cfg.QueueCap,
-		MaxConcurrent:    cfg.MaxConcurrent,
-		MemBudget:        cfg.MemBudget,
-		Footprint:        learner.footprint,
-		CacheResident:    caches.Resident,
-		Shed:             caches.Shed,
-		EventSink:        sink,
-		ObserveFootprint: learner.observe,
-		Journal:          inst.Journal,
-		MaxRetries:       maxRetries,
+		QueueCap:      cfg.QueueCap,
+		MaxConcurrent: cfg.MaxConcurrent,
+		EventSink:     sink,
+		Journal:       inst.Journal,
+		MaxRetries:    maxRetries,
 	})
 	inst.Store = store
 	srv.AttachJobs(store, func(req jobs.JobRequest) error {
@@ -243,29 +218,6 @@ func NewInstance(cfg Config) *Instance {
 	// the cache, not re-mined.
 	inst.Recovered = store.Resubmit(pending)
 	return inst
-}
-
-// EstimateFootprint is the admission controller's cold-start per-job
-// memory estimate, used until the FootprintLearner has a measured peak
-// for the job's (dataset identity, kernel) — see FootprintLearner for the
-// learned path. Partitioned jobs are bounded by their own budget (doubled:
-// the candidate union and pass-2 counters live outside the chunk
-// budget); in-memory jobs scale with the on-disk input size — the parsed
-// DB, the kernel's projections and the collectors together run a few
-// multiples of it. Deliberately conservative: over-estimating delays a
-// job, under-estimating OOMs the process.
-func EstimateFootprint(req jobs.JobRequest) int64 {
-	if req.MemBudget > 0 {
-		return 2 * req.MemBudget
-	}
-	est := int64(0)
-	if fi, err := os.Stat(req.Path); err == nil {
-		est = fi.Size() * 3
-	}
-	if est < footprintFloor {
-		est = footprintFloor
-	}
-	return est
 }
 
 // mineJob is the store's MineFunc: mineWithCaches over the instance's

@@ -109,7 +109,6 @@ func TestServeSubmitCancelScrapeStorm(t *testing.T) {
 	inst := NewInstance(Config{
 		QueueCap:          32,
 		MaxConcurrent:     4,
-		MemBudget:         256 << 20,
 		DatasetCacheBytes: 512 << 10, // ~a couple of parsed DBs: forces eviction
 		ResultCacheBytes:  8 << 20,   // roomy enough that hot listings stick
 	})

@@ -63,8 +63,7 @@ type Dataset struct {
 func (d *Dataset) Evicted() bool { return d.evicted }
 
 // NewDatasetCache builds a cache bounded to maxBytes of resident parsed
-// databases (<= 0 means unbounded — callers normally pass a slice of the
-// serve memory budget).
+// databases (<= 0 means unbounded).
 func NewDatasetCache(maxBytes int64) *DatasetCache {
 	return &DatasetCache{
 		maxBytes: maxBytes,
@@ -175,20 +174,9 @@ func (c *DatasetCache) Release(e *Dataset) {
 	}
 }
 
-// Shed evicts cold entries, oldest first, until at least need bytes were
-// freed or no cold entry remains; it returns the bytes actually freed.
-// The admission controller calls this when a queued job does not fit
-// under the global budget — cached-but-unpinned datasets are the memory
-// the service can give back without killing work.
-func (c *DatasetCache) Shed(need int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictLocked(need)
-}
-
-// evictLocked frees >= need bytes of cold entries (LRU first); callers
-// hold c.mu. Returns the bytes freed.
-func (c *DatasetCache) evictLocked(need int64) int64 {
+// evictLocked frees >= need bytes of cold entries (LRU first), or every
+// cold entry if they hold less; callers hold c.mu.
+func (c *DatasetCache) evictLocked(need int64) {
 	var freed int64
 	for freed < need {
 		back := c.lru.Back()
@@ -204,7 +192,6 @@ func (c *DatasetCache) evictLocked(need int64) int64 {
 		freed += e.Bytes
 		c.stats.Evictions++
 	}
-	return freed
 }
 
 // makeRoom evicts cold entries until adding n bytes would fit under the
@@ -220,13 +207,6 @@ func (c *DatasetCache) makeRoom(n int64) bool {
 		c.evictLocked(over)
 	}
 	return c.resident+n <= c.maxBytes
-}
-
-// Resident returns the bytes of parsed databases currently held.
-func (c *DatasetCache) Resident() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
 }
 
 // Stats returns a consistent snapshot of the cache counters.

@@ -36,21 +36,27 @@ type PersistStats struct {
 
 // Persister periodically snapshots a ResultCache's durable entries into
 // an atomic sidecar file (durable.WriteFile).
-// Writes are debounced — a tick writes only when the cache mutated since
-// the last successful write — and ordered after removals: the rename is
-// taken under the cache lock only if no entry was removed since the
-// snapshot was encoded, so a shed-under-memory-pressure can never be
-// resurrected by a concurrently written stale snapshot. Close performs a
-// final write, making graceful shutdown durable without waiting a tick.
+// Writes are serialised: one runs at a time, from encode to recording
+// its generation, so two writers never share the temp file and the
+// recorded generation is always the one on disk. Writes are debounced: a
+// tick writes only when the cache mutated since the last successful
+// write. Writes are ordered after removals: the rename is taken under the
+// cache lock only if no entry was removed since the snapshot was encoded,
+// so an evicted or replaced entry can never be resurrected by a stale
+// snapshot. Close performs a final write, making graceful shutdown
+// durable without waiting a tick.
 type Persister struct {
 	cache    *ResultCache
 	path     string
 	interval time.Duration
 
-	mu      sync.Mutex
-	stats   PersistStats
+	// wmu serialises writes and guards lastGen and wrote.
+	wmu     sync.Mutex
 	lastGen uint64 // cache mutGen captured by the last successful write
 	wrote   bool   // at least one successful write (lastGen is meaningful)
+
+	mu    sync.Mutex // guards stats
+	stats PersistStats
 
 	stop chan struct{}
 	done chan struct{}
@@ -119,34 +125,41 @@ func (p *Persister) loop() {
 // writeIfStale writes a snapshot unless the on-disk one already reflects
 // the cache's current mutation generation.
 func (p *Persister) writeIfStale() {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	p.cache.mu.Lock()
 	gen := p.cache.mutGen
 	p.cache.mu.Unlock()
-	p.mu.Lock()
-	fresh := p.wrote && gen == p.lastGen
-	p.mu.Unlock()
-	if fresh {
+	if p.wrote && gen == p.lastGen {
 		return
 	}
-	p.WriteNow()
+	p.writeLocked()
 }
 
 // snapAttempts bounds the encode/write/rename retries one WriteNow makes
 // when removals keep racing the encode. Giving up leaves the snapshot
 // stale for this round; the next tick retries, so persistence converges
-// once a write window is free of sheds.
+// once a write window is free of removals.
 const snapAttempts = 5
 
 // WriteNow synchronously snapshots the cache to the sidecar path: encode
 // under the cache lock (capturing the removal generation), write + fsync
 // a temp file, then rename into place — but only if no removal happened
-// since the encode. The rename is taken under the cache lock, so a Shed
-// serialises either entirely before the encode (the shed entry is not in
-// the snapshot) or entirely after the rename check (the stale temp file
-// is discarded and the attempt retried). An injected
-// servecache.persist.write failure, a full disk, or a lost race all
-// leave the previous snapshot intact.
+// since the encode. The rename is taken under the cache lock, so an
+// eviction or replacement serialises either entirely before the encode
+// (the removed entry is not in the snapshot) or entirely after the rename
+// check (the stale temp file is discarded and the attempt retried). An
+// injected servecache.persist.write failure, a full disk, or a lost race
+// all leave the previous snapshot intact. Concurrent calls, and the
+// background writer, take turns.
 func (p *Persister) WriteNow() error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	return p.writeLocked()
+}
+
+// writeLocked is WriteNow's body; callers hold p.wmu.
+func (p *Persister) writeLocked() error {
 	var lastErr error
 	for attempt := 0; attempt < snapAttempts; attempt++ {
 		data, mutGen, removeGen := p.cache.EncodeSnapshot()
@@ -163,9 +176,9 @@ func (p *Persister) WriteNow() error {
 		p.mu.Lock()
 		p.stats.Writes++
 		p.stats.LastBytes = int64(len(data))
+		p.mu.Unlock()
 		p.lastGen = mutGen
 		p.wrote = true
-		p.mu.Unlock()
 		return nil
 	}
 	return lastErr
@@ -179,8 +192,8 @@ func (p *Persister) writeAtomic(data []byte, removeGen uint64) error {
 	if err := failpoint.Hit(failpoint.ServecachePersistWrite); err != nil {
 		return err
 	}
-	// The commit point. Under the cache lock: a removal (evict, shed,
-	// replace) after the encode makes this snapshot stale in the dangerous
+	// The commit point. Under the cache lock: a removal (eviction or
+	// replacement) after the encode makes this snapshot stale in the dangerous
 	// direction — it still contains the removed entry — so it must not
 	// land. Removals bump removeGen under the same lock, which makes the
 	// check and the rename one atomic step against them.

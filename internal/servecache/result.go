@@ -37,11 +37,11 @@ type ResultCache struct {
 	resident int64
 	stats    ResultStats
 	// mutGen counts every entry mutation (insert, replace, removal) and
-	// removeGen only removals (evict, shed, replace). The persister uses
+	// removeGen only removals (eviction, replacement). The persister uses
 	// mutGen to decide whether the on-disk snapshot is stale and removeGen
-	// to guarantee write-after-shed ordering: a snapshot encoded before a
-	// removal is never renamed into place after it (an entry shed under
-	// memory pressure must not be resurrected from disk by a concurrent
+	// to guarantee write-after-removal ordering: a snapshot encoded before
+	// a removal is never renamed into place after it (an evicted or
+	// replaced entry must not be resurrected from disk by a concurrent
 	// writer).
 	mutGen    uint64
 	removeGen uint64
@@ -209,32 +209,6 @@ func (c *ResultCache) removeLocked(e *resultEntry) {
 	c.resident -= e.bytes
 	c.mutGen++
 	c.removeGen++
-}
-
-// Shed evicts entries, coldest first, until at least need bytes were
-// freed or the cache is empty; returns the bytes freed.
-func (c *ResultCache) Shed(need int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var freed int64
-	for freed < need {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*resultEntry)
-		c.removeLocked(e)
-		c.stats.Evictions++
-		freed += e.bytes
-	}
-	return freed
-}
-
-// Resident returns the bytes of listings currently held.
-func (c *ResultCache) Resident() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
 }
 
 // Stats returns a consistent snapshot of the cache counters.

@@ -143,7 +143,7 @@ func TestDatasetCacheHitMissRelease(t *testing.T) {
 	}
 	c.Release(e1)
 	c.Release(e2)
-	if got := c.Resident(); got != e1.Bytes {
+	if got := c.Stats().Bytes; got != e1.Bytes {
 		t.Fatalf("resident after release = %d, want %d (entry stays cached)", got, e1.Bytes)
 	}
 	e3, _, err := c.Acquire(path)
@@ -246,7 +246,7 @@ func TestDatasetCacheDetachedWhenOverCap(t *testing.T) {
 	if e.DB == nil || e.DB.Len() != 100 {
 		t.Fatalf("detached acquire lost the parse: %+v", e)
 	}
-	if got := c.Resident(); got != 0 {
+	if got := c.Stats().Bytes; got != 0 {
 		t.Fatalf("resident = %d, want 0 (entry must stay out of the cache)", got)
 	}
 	c.Release(e)
@@ -280,34 +280,6 @@ func TestDatasetCacheParseErrorRetries(t *testing.T) {
 	if s := c.Stats(); s.Misses != 2 {
 		t.Fatalf("stats = %+v, want 2 misses (no cached failure)", s)
 	}
-}
-
-func TestDatasetCacheShed(t *testing.T) {
-	dir := t.TempDir()
-	c := NewDatasetCache(0)
-	pinned, _, err := c.Acquire(writeFIMI(t, dir, "pinned.dat", 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, _, err := c.Acquire(writeFIMI(t, dir, "cold.dat", 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Release(cold)
-	freed := c.Shed(1 << 40) // shed everything sheddable
-	if freed != cold.Bytes {
-		t.Fatalf("shed %d bytes, want exactly the cold entry's %d", freed, cold.Bytes)
-	}
-	if pinned.Evicted() {
-		t.Fatal("shed evicted a ref-held entry")
-	}
-	if !cold.Evicted() {
-		t.Fatal("shed left the cold entry resident")
-	}
-	if got := c.Resident(); got != pinned.Bytes {
-		t.Fatalf("resident = %d, want the pinned entry's %d", got, pinned.Bytes)
-	}
-	c.Release(pinned)
 }
 
 func sets(pairs ...any) []mine.Itemset {
@@ -403,8 +375,19 @@ func TestResultCacheEvictionAndShed(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if freed := c.Shed(1); freed <= 0 {
-		t.Fatal("shed freed nothing with cold entries resident")
+	// An insert too big to fit beside any one entry sheds every cold
+	// entry, not just the coldest.
+	two := sets([]dataset.Item{1, 2, 3}, 5, []dataset.Item{4, 5, 6}, 5)
+	twoCost := setsBytes(Canonicalize(two))
+	if twoCost <= cost || twoCost > 2*cost {
+		t.Fatalf("fixture: a two-itemset listing costs %d, want (%d, %d]", twoCost, cost, 2*cost)
+	}
+	c.Insert(k(4), 2, two)
+	if _, _, ok := c.Serve(k(4), 2); !ok {
+		t.Fatal("listing within the cap was not cached")
+	}
+	if s := c.Stats(); s.Evictions != 3 || s.Entries != 1 || s.Bytes != twoCost {
+		t.Fatalf("stats after an insert that needs both entries' room = %+v", s)
 	}
 	// An oversized listing must be refused, not thrash the whole cache.
 	big := make([]mine.Itemset, 200)

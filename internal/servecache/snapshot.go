@@ -180,7 +180,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // with InsertDurable) under the cache lock, returning the encoded bytes
 // together with the mutation and removal generations at encode time. The
 // persister uses mutGen to tell whether the on-disk file is stale and
-// removeGen to order writes after sheds (see Persister).
+// removeGen to order writes after removals (see Persister).
 func (c *ResultCache) EncodeSnapshot() (data []byte, mutGen, removeGen uint64) {
 	c.mu.Lock()
 	snap := &Snapshot{}

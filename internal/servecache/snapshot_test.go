@@ -98,8 +98,9 @@ func TestSnapshotRoundTripAndRestore(t *testing.T) {
 }
 
 // The snapshot encodes coldest-first, so a restore reproduces the LRU
-// warmth order: after restoring, the first eviction removes the entry
-// that was coldest before the snapshot.
+// warmth order: after restoring into a cache with room for exactly the
+// two listings, the insert that overflows the cap evicts the entry that
+// was coldest before the snapshot.
 func TestSnapshotPreservesWarmthOrder(t *testing.T) {
 	dir := t.TempDir()
 	pa := writeFIMI(t, dir, "a.dat", 20)
@@ -114,16 +115,21 @@ func TestSnapshotPreservesWarmthOrder(t *testing.T) {
 	}
 
 	data, _, _ := c.EncodeSnapshot()
-	c2 := NewResultCache(0)
-	if _, err := c2.RestoreSnapshot(data); err != nil {
-		t.Fatal(err)
+	costB := setsBytes(Canonicalize(sets2()))
+	c2 := NewResultCache(setsBytes(Canonicalize(sets1())) + costB)
+	if st, err := c2.RestoreSnapshot(data); err != nil || st.Restored != 2 {
+		t.Fatalf("restore = %+v, %v; want both listings", st, err)
 	}
-	c2.Shed(1) // evicts exactly the coldest entry
+	// A listing as large as B fits once exactly one entry is evicted.
+	c2.Insert(ResultKey{ID: durable.Identity{Size: 1, Hash: 1}, Algo: "lcm"}, 4, sets2())
+	if s := c2.Stats(); s.Evictions != 1 {
+		t.Fatalf("overflowing insert evicted %d entries, want 1", s.Evictions)
+	}
 	if _, _, ok := c2.Serve(kb, 4); ok {
-		t.Fatal("B survived the shed; restore lost the warmth order")
+		t.Fatal("B survived the eviction; restore lost the warmth order")
 	}
 	if _, _, ok := c2.Serve(ka, 4); !ok {
-		t.Fatal("A (the warm entry) was shed first")
+		t.Fatal("A (the warm entry) was evicted first")
 	}
 }
 

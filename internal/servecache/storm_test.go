@@ -1,11 +1,13 @@
 package servecache
 
 // Concurrency storm for the caches, run under -race in CI. The dataset
-// storm hammers a deliberately tiny cache with mixed hot/cold acquires
-// plus concurrent Shed calls, pinning the cache's core safety claim: a
-// handle is never observed evicted while its reference is held, and the
-// DB behind it stays readable for the full hold. The result storm mixes
-// concurrent Insert/Serve/Shed on overlapping keys.
+// storm hammers a cache capped at two parsed DBs with mixed hot/cold
+// acquires, so every miss evicts while other workers hold references,
+// pinning the cache's core safety claim: a handle is never observed
+// evicted while its reference is held, and the DB behind it stays
+// readable for the full hold. The result storm mixes concurrent
+// Insert/Serve on overlapping keys under a cap that evicts constantly.
+// Both end by checking the byte accounting against the entries left.
 
 import (
 	"fmt"
@@ -22,7 +24,7 @@ import (
 func TestDatasetCacheStormNoEvictWhileHeld(t *testing.T) {
 	dir := t.TempDir()
 	// Two hot files plus a spread of cold ones, and a cap that holds only
-	// ~3 parsed DBs — eviction churns constantly under the storm.
+	// ~2 parsed DBs — eviction churns constantly under the storm.
 	paths := make([]string, 10)
 	for i := range paths {
 		paths[i] = writeFIMI(t, dir, fmt.Sprintf("f%02d.dat", i), 20+3*i)
@@ -31,7 +33,7 @@ func TestDatasetCacheStormNoEvictWhileHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewDatasetCache(3 * fimi.DBBytes(db0))
+	c := NewDatasetCache(2 * fimi.DBBytes(db0))
 
 	const workers = 12
 	iters := 300
@@ -74,9 +76,6 @@ func TestDatasetCacheStormNoEvictWhileHeld(t *testing.T) {
 				if e.Evicted() {
 					t.Error("entry evicted mid-read while ref-held")
 				}
-				if rng.Intn(8) == 0 {
-					c.Shed(1 << 20) // concurrent eviction pressure
-				}
 				c.Release(e)
 			}
 		}(int64(w) + 1)
@@ -90,11 +89,23 @@ func TestDatasetCacheStormNoEvictWhileHeld(t *testing.T) {
 	if s.Evictions == 0 && s.Skipped == 0 {
 		t.Fatalf("storm never hit the cap: %+v", s)
 	}
-	// Quiescent: every ref released, so everything is sheddable and the
-	// accounting must return to zero.
-	c.Shed(1 << 62)
-	if got := c.Resident(); got != 0 {
-		t.Fatalf("resident %d after full shed at quiescence (accounting leak)", got)
+	// Quiescent: every ref released, so every entry is cold, and the
+	// resident bytes are exactly the entries' bytes, within the cap.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for _, e := range c.entries {
+		if e.refs != 0 || e.elem == nil {
+			t.Fatalf("entry %v still held at quiescence (refs %d)", e.ID, e.refs)
+		}
+		sum += e.Bytes
+	}
+	if c.resident != sum || c.lru.Len() != len(c.entries) {
+		t.Fatalf("resident %d for entries of %d bytes, %d on the LRU of %d (accounting leak)",
+			c.resident, sum, c.lru.Len(), len(c.entries))
+	}
+	if c.resident > c.maxBytes {
+		t.Fatalf("resident %d over the %d-byte cap", c.resident, c.maxBytes)
 	}
 }
 
@@ -106,7 +117,7 @@ func TestResultCacheStorm(t *testing.T) {
 		}
 		return out
 	}
-	c := NewResultCache(8 * setsBytes(Canonicalize(one(20))))
+	c := NewResultCache(3 * setsBytes(Canonicalize(one(20))))
 	keys := make([]ResultKey, 6)
 	for i := range keys {
 		keys[i] = ResultKey{ID: durable.Identity{Size: int64(i + 1), Hash: uint64(i)}, Algo: "lcm"}
@@ -125,11 +136,9 @@ func TestResultCacheStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				key := keys[rng.Intn(len(keys))]
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					c.Insert(key, 2+rng.Intn(6), one(5+rng.Intn(20)))
-				case 1:
-					c.Shed(64)
 				default:
 					if sets, _, ok := c.Serve(key, 2+rng.Intn(8)); ok {
 						// Served listings are immutable snapshots: they must
@@ -146,8 +155,21 @@ func TestResultCacheStorm(t *testing.T) {
 		}(int64(w) + 1)
 	}
 	wg.Wait()
-	c.Shed(1 << 62)
-	if got := c.Resident(); got != 0 {
-		t.Fatalf("resident %d after full shed at quiescence (accounting leak)", got)
+	s := c.Stats()
+	if s.Evictions == 0 {
+		t.Fatalf("storm never hit the cap: %+v", s)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for _, e := range c.entries {
+		sum += e.bytes
+	}
+	if c.resident != sum || c.lru.Len() != len(c.entries) {
+		t.Fatalf("resident %d for entries of %d bytes, %d on the LRU of %d (accounting leak)",
+			c.resident, sum, c.lru.Len(), len(c.entries))
+	}
+	if c.resident > c.maxBytes {
+		t.Fatalf("resident %d over the %d-byte cap", c.resident, c.maxBytes)
 	}
 }

@@ -94,7 +94,7 @@ func TestJobHistogramsRendered(t *testing.T) {
 	jh := st.Histograms()
 	for name, h := range map[string]uint64{
 		"queue_wait": jh.QueueWait.Count(), "mine": jh.Mine.Count(),
-		"e2e": jh.E2E.Count(), "footprint": jh.Footprint.Count(),
+		"e2e": jh.E2E.Count(),
 	} {
 		if h != finished {
 			t.Fatalf("%s histogram count = %d, want %d", name, h, finished)
@@ -112,7 +112,6 @@ func TestJobHistogramsRendered(t *testing.T) {
 		"fpm_job_queue_wait_seconds": finished,
 		"fpm_job_mine_seconds":       finished,
 		"fpm_job_e2e_seconds":        finished,
-		"fpm_job_footprint_bytes":    finished,
 	})
 	for _, gauge := range []string{
 		"fpm_job_e2e_seconds_p50_seconds", "fpm_job_e2e_seconds_p99_seconds",
@@ -224,9 +223,9 @@ func TestMetricsEndpointHasJobHistograms(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE fpm_job_e2e_seconds histogram",
 		"fpm_job_e2e_seconds_count 1",
-		"# TYPE fpm_jobs_shed_total counter",
-		"# TYPE fpm_jobs_footprint_learned_total counter",
-		"# TYPE fpm_jobs_footprint_heuristic_total counter",
+		"# TYPE fpm_jobs_retried_total counter",
+		"# TYPE fpm_jobs_recovered_total counter",
+		"# TYPE fpm_jobs_requeued_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)

@@ -29,16 +29,15 @@ func goldenMetrics(persist bool) []byte {
 		},
 	}
 	store := jobs.StoreStats{
-		QueueCap: 64, MaxConcurrent: 4, MemBudget: 2 << 30, MemUsed: 96 << 20, Queued: 5, Running: 3,
-		Submitted: 500, Rejected: 11, Done: 440, Failed: 7, Cancelled: 45, CacheServed: 345, Shed: 6,
-		FootprintLearned: 400, FootprintHeuristic: 92, Retried: 4, Recovered: 2, Requeued: 1,
+		QueueCap: 64, MaxConcurrent: 4, Queued: 5, Running: 3,
+		Submitted: 500, Rejected: 11, Done: 440, Failed: 7, Cancelled: 45, CacheServed: 345,
+		Retried: 4, Recovered: 2, Requeued: 1,
 	}
 	var hists jobs.JobHists
-	for i, ns := range []int64{800_000, 3_000_000, 12_000_000, 40_000_000, 260_000_000, 1_700_000_000} {
+	for _, ns := range []int64{800_000, 3_000_000, 12_000_000, 40_000_000, 260_000_000, 1_700_000_000} {
 		hists.QueueWait.Record(ns / 4)
 		hists.Mine.Record(ns)
 		hists.E2E.Record(ns + ns/4)
-		hists.Footprint.Record(int64(i+1) << 21)
 	}
 	caches := servecache.Stats{
 		Dataset: servecache.DatasetStats{Entries: 3, Bytes: 4 << 20, Hits: 120, Misses: 9, Evictions: 2, Skipped: 1},

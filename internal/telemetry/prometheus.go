@@ -94,7 +94,7 @@ func WritePrometheus(w io.Writer, s metrics.Snapshot, running bool) error {
 // counters in the Prometheus text exposition format. Served after the run
 // snapshot on /metrics when a job store is attached, so operators and load
 // harnesses can watch queue backpressure (fpm_jobs_queued vs
-// fpm_jobs_queue_cap) and the admission-rejection rate.
+// fpm_jobs_queue_cap) and the queue-full rejection rate.
 func WriteJobMetrics(w io.Writer, js jobs.StoreStats) error {
 	var b bytes.Buffer
 	gauge := func(name, help string, v float64) {
@@ -107,19 +107,12 @@ func WriteJobMetrics(w io.Writer, js jobs.StoreStats) error {
 	gauge("fpm_jobs_running", "Jobs currently mining (up to fpm_jobs_max_concurrent).", float64(js.Running))
 	gauge("fpm_jobs_queue_cap", "Configured pending-job queue capacity.", float64(js.QueueCap))
 	gauge("fpm_jobs_max_concurrent", "Configured runner-pool size.", float64(js.MaxConcurrent))
-	if js.MemBudget > 0 {
-		gauge("fpm_jobs_mem_budget_bytes", "Global memory budget admission control enforces.", float64(js.MemBudget))
-	}
-	gauge("fpm_jobs_mem_used_bytes", "Footprint estimates reserved by the jobs currently running.", float64(js.MemUsed))
 	counter("fpm_jobs_submitted_total", "Jobs admitted to the queue.", float64(js.Submitted))
 	counter("fpm_jobs_rejected_total", "Submissions rejected because the queue was full (HTTP 429).", float64(js.Rejected))
 	counter("fpm_jobs_done_total", "Jobs finished successfully.", float64(js.Done))
 	counter("fpm_jobs_failed_total", "Jobs finished with an error (including per-job deadline overruns).", float64(js.Failed))
 	counter("fpm_jobs_cancelled_total", "Jobs cancelled before or during mining.", float64(js.Cancelled))
 	counter("fpm_jobs_cache_served_total", "Jobs answered from the result cache without mining.", float64(js.CacheServed))
-	counter("fpm_jobs_shed_total", "Times admission asked the caches to shed cold bytes for a memory-blocked head job.", float64(js.Shed))
-	counter("fpm_jobs_footprint_learned_total", "Admitted jobs whose footprint estimate came from observed earlier runs.", float64(js.FootprintLearned))
-	counter("fpm_jobs_footprint_heuristic_total", "Admitted jobs whose footprint estimate fell back to the static heuristic.", float64(js.FootprintHeuristic))
 	counter("fpm_jobs_retried_total", "Mine attempts retried with backoff after a transient failure.", float64(js.Retried))
 	counter("fpm_jobs_recovered_total", "Jobs resubmitted from the journal after a restart.", float64(js.Recovered))
 	counter("fpm_jobs_requeued_total", "Queued jobs a graceful shutdown journaled as requeue-on-restart instead of cancelling.", float64(js.Requeued))
@@ -127,32 +120,25 @@ func WriteJobMetrics(w io.Writer, js jobs.StoreStats) error {
 	return err
 }
 
-// Export bucket ladders for the job histograms. Histogram buckets are a
+// Export bucket ladder for the job histograms. Histogram buckets are a
 // rendering choice, not a recording one — the hdr recorder keeps full
 // 1/32-relative-error resolution and CumulativeLE collapses it onto any
-// ladder at scrape time — so these only fix what a Prometheus query can
-// distinguish. Latencies: 1ms to 120s, the span between a result-cache
-// hit and the serve SLO ceiling. Footprints: powers of four from 256KiB
-// to 4GiB, bracketing the serve footprint floor (1MiB) and any budget a
-// test rig uses.
-var (
-	jobTimeBucketsNS = []int64{
-		1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000,
-		100_000_000, 250_000_000, 500_000_000, 1_000_000_000, 2_500_000_000,
-		5_000_000_000, 10_000_000_000, 30_000_000_000, 60_000_000_000, 120_000_000_000,
-	}
-	jobByteBuckets = []int64{
-		1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28, 1 << 30, 1 << 32,
-	}
-)
+// ladder at scrape time — so this only fixes what a Prometheus query can
+// distinguish: 1ms to 120s, the span between a result-cache hit and the
+// serve SLO ceiling.
+var jobTimeBucketsNS = []int64{
+	1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000,
+	100_000_000, 250_000_000, 500_000_000, 1_000_000_000, 2_500_000_000,
+	5_000_000_000, 10_000_000_000, 30_000_000_000, 60_000_000_000, 120_000_000_000,
+}
 
-// WriteJobHistograms renders the store's per-job latency and footprint
-// histograms as native Prometheus histogram families (text 0.0.4):
+// WriteJobHistograms renders the store's per-job latency histograms as
+// native Prometheus histogram families (text 0.0.4):
 // cumulative `_bucket{le="..."}` samples from hdr.CumulativeLE — monotone
 // by construction, and conservatively rounded in the slow direction (a
 // bucket may include observations up to 1/32 above its bound, never
 // below) — with the `+Inf` bucket equal to `_count` and an exact `_sum`.
-// Alongside each latency family's p50/p99 as gauges computed from the
+// Alongside each family's p50/p99 as gauges computed from the
 // full-resolution recorder, because the ladder above is far coarser than
 // the recorder: a quantile interpolated from `_bucket` by a Prometheus
 // server is bounded by the ladder, while the gauges keep the 1/32 bound —
@@ -179,16 +165,6 @@ func WriteJobHistograms(w io.Writer, jh jobs.JobHists) error {
 	seconds("fpm_job_queue_wait_seconds", "Per-job wait from submission to a runner claiming it.", &jh.QueueWait)
 	seconds("fpm_job_mine_seconds", "Per-job time on a runner (mining or cache lookup); zero for jobs cancelled while queued.", &jh.Mine)
 	seconds("fpm_job_e2e_seconds", "Per-job end-to-end time from submission to terminal state.", &jh.E2E)
-
-	name := "fpm_job_footprint_bytes"
-	fmt.Fprintf(&b, "# HELP %s Measured peak live-heap growth per mined job; zero for cache-served and never-run jobs.\n# TYPE %s histogram\n", name, name)
-	for _, ub := range jobByteBuckets {
-		fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d\n", name,
-			strconv.FormatFloat(float64(ub), 'g', -1, 64), jh.Footprint.CumulativeLE(ub))
-	}
-	fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, jh.Footprint.Count())
-	fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", name, jh.Footprint.Sum(), name, jh.Footprint.Count())
-
 	_, err := w.Write(b.Bytes())
 	return err
 }

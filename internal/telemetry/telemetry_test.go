@@ -272,7 +272,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestJobsBackpressureHTTP pins the admission-control surface: with a
+// TestJobsBackpressureHTTP pins the queue-cap surface: with a
 // 1-slot queue and the runner occupied, the overflow POST must get HTTP
 // 429 with a JSON body carrying the queue depth, the /metrics scrape must
 // show the fpm_jobs_* gauges mid-storm, and the rejection must leave no
