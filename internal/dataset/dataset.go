@@ -92,12 +92,36 @@ func (db *DB) Validate() error {
 // generators and readers call this before returning a database. It never
 // allocates (slices.Sort, unlike a sort.Slice closure, needs no escape of
 // the transaction) — the streaming reader's zero-allocation chunk path
-// depends on that.
-func (db *DB) Normalize() {
+// depends on that. A row that is already strictly ascending, as every row
+// fimi.Write produces is, is left as it is.
+//
+// Normalize returns one past the largest item of the normalized rows (0
+// when there is none), read from each row's last item: readers that
+// build a database take NumItems from it instead of scanning every item
+// as New does. NumItems itself is left unchanged.
+func (db *DB) Normalize() int {
+	n := 0
 	for i, t := range db.Tx {
-		slices.Sort(t)
-		db.Tx[i] = dedupSorted(t)
+		if !strictlyAscending(t) {
+			slices.Sort(t)
+			t = dedupSorted(t)
+			db.Tx[i] = t
+		}
+		if len(t) > 0 {
+			n = max(n, int(t[len(t)-1])+1)
+		}
 	}
+	return n
+}
+
+// strictlyAscending reports whether t is sorted with no repeated item.
+func strictlyAscending(t Transaction) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i] <= t[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func dedupSorted(t Transaction) Transaction {

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,48 @@ func TestNormalizeEmptyAndSingle(t *testing.T) {
 	db.Normalize()
 	if len(db.Tx[0]) != 0 || !reflect.DeepEqual(db.Tx[1], tx(4)) {
 		t.Fatalf("Normalize mangled trivial transactions: %v", db.Tx)
+	}
+}
+
+// TestNormalizeSkipsAscendingRows: rows that are already strictly
+// ascending are left in place, every other row is sorted and deduplicated,
+// and the alphabet Normalize returns is the one New computes from every
+// item.
+func TestNormalizeSkipsAscendingRows(t *testing.T) {
+	rows := []Transaction{
+		tx(1, 4, 9),       // ascending
+		tx(9, 4, 1),       // descending
+		tx(2, 7, 7, 3, 2), // duplicates
+		{},                // empty
+		tx(12),            // single item
+		tx(0, 5, 6, 8),    // ascending
+		tx(3, 3),          // only duplicates
+	}
+	want := []Transaction{tx(1, 4, 9), tx(1, 4, 9), tx(2, 3, 7), {}, tx(12), tx(0, 5, 6, 8), tx(3)}
+	wantItems := New(rows).NumItems
+	db := &DB{Tx: slices.Clone(rows)}
+	ascending := []int{0, 5}
+	before := make([]*Item, len(ascending))
+	for i, r := range ascending {
+		before[i] = &db.Tx[r][0]
+	}
+	got := db.Normalize()
+	if !txsEqual(db.Tx, want) {
+		t.Fatalf("Normalize = %v, want %v", db.Tx, want)
+	}
+	for i, r := range ascending {
+		if &db.Tx[r][0] != before[i] || len(db.Tx[r]) != len(rows[r]) || cap(db.Tx[r]) != cap(rows[r]) {
+			t.Fatalf("ascending row %d was rewritten: %v", r, db.Tx[r])
+		}
+	}
+	if got != wantItems || got != 13 {
+		t.Fatalf("Normalize returned alphabet %d, New computes %d", got, wantItems)
+	}
+	if db.NumItems != 0 {
+		t.Fatalf("Normalize set NumItems to %d", db.NumItems)
+	}
+	if n := (&DB{}).Normalize(); n != 0 {
+		t.Fatalf("empty database: alphabet %d, want 0", n)
 	}
 }
 

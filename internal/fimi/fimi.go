@@ -94,8 +94,8 @@ func Read(r io.Reader) (*dataset.DB, error) {
 		tx[i] = items[start:end:end]
 		start = end
 	}
-	db := dataset.New(tx)
-	db.Normalize()
+	db := &dataset.DB{Tx: tx}
+	db.NumItems = db.Normalize()
 	return db, nil
 }
 
@@ -150,16 +150,7 @@ type Chunk struct {
 // Normalize sorts and deduplicates the chunk's transactions and sets its
 // NumItems to one past its largest item, as Read normalizes a database.
 func (c *Chunk) Normalize() {
-	db := &c.DB
-	db.NumItems = 0
-	for _, t := range db.Tx {
-		for _, it := range t {
-			if int(it) >= db.NumItems {
-				db.NumItems = int(it) + 1
-			}
-		}
-	}
-	db.Normalize()
+	c.DB.NumItems = c.DB.Normalize()
 }
 
 // ReadChunksInto is ReadChunks over buffers the caller recycles, so
@@ -270,7 +261,42 @@ func CountTransactions(r io.Reader) (int, error) {
 // success path performs zero allocations: tokens are parsed digit-by-digit
 // in place instead of through strconv.ParseInt, whose string(...) argument
 // escapes every token to the heap.
+//
+// Each byte is read once: digits accumulate into the current item and a
+// space ends it. Any other byte (a sign, a letter) or a value past
+// MaxInt32 drops what this call appended and hands the whole line to
+// parseLineSlow, which owns every accept/reject rule and error message.
 func parseLine(b []byte, t dataset.Transaction) (dataset.Transaction, error) {
+	n0 := len(t)
+	var v uint64
+	in := false // a token is open
+	for _, c := range b {
+		if d := c - '0'; d <= 9 {
+			v = v*10 + uint64(d)
+			if v > 1<<31-1 {
+				return parseLineSlow(b, t[:n0])
+			}
+			in = true
+			continue
+		}
+		if !isSpace(c) {
+			return parseLineSlow(b, t[:n0])
+		}
+		if in {
+			t = append(t, dataset.Item(v))
+			v, in = 0, false
+		}
+	}
+	if in {
+		t = append(t, dataset.Item(v))
+	}
+	return t, nil
+}
+
+// parseLineSlow is parseLine token by token: each whitespace-separated
+// token goes through parseItem, which accepts signs and reports why a
+// token is rejected.
+func parseLineSlow(b []byte, t dataset.Transaction) (dataset.Transaction, error) {
 	i := 0
 	for i < len(b) {
 		for i < len(b) && isSpace(b[i]) {

@@ -19,6 +19,9 @@ import (
 // or normalization. parseLine must never panic, and its output is checked
 // against an independent reference parse (strings.Fields + ParseInt): the
 // two must agree on success/failure and, on success, on every item value.
+// parseLine appends to a scratch row that already holds items, as the
+// readers' arenas do, so a line that falls back to the slow path part-way
+// must leave those items alone and add each of its own exactly once.
 // A checked-in seed corpus lives in testdata/fuzz/FuzzParseFIMI; explore
 // further with `go test -fuzz=FuzzParseFIMI ./internal/fimi`.
 func FuzzParseFIMI(f *testing.F) {
@@ -43,7 +46,8 @@ func FuzzParseFIMI(f *testing.F) {
 			// parseLine's contract is a single scanner line.
 			return
 		}
-		got, err := parseLine(line, nil)
+		held := dataset.Transaction{11, 3}
+		got, err := parseLine(line, append(make(dataset.Transaction, 0, 4), held...))
 
 		// Reference parse. strings.Fields splits on unicode whitespace;
 		// restrict it to parseLine's space set so tokenization matches.
@@ -70,6 +74,10 @@ func FuzzParseFIMI(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parseLine(%q) rejected a valid line: %v", line, err)
 		}
+		if len(got) < len(held) || got[0] != held[0] || got[1] != held[1] {
+			t.Fatalf("parseLine(%q) overwrote the items it was given: %v", line, got)
+		}
+		got = got[len(held):]
 		if len(got) != len(want) {
 			t.Fatalf("parseLine(%q): %d items, reference %d", line, len(got), len(want))
 		}

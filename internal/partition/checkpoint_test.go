@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fpm/internal/cancel"
@@ -412,6 +413,78 @@ func TestResumeAcrossWorkerCountChange(t *testing.T) {
 			}
 			if snap := rec.Snapshot(); snap.Partition == nil || snap.Partition.ChunksSkipped < 1 {
 				t.Fatalf("resume skipped no chunk: %+v", snap.Partition)
+			}
+		})
+	}
+}
+
+// TestResumeAfterPass2Crash: pass 2 counts its chunks on the pool's
+// workers, each into its own counts, and adds them in file order. A run
+// at two workers that fails as pass-2 chunk k+1 is handed out must leave a
+// phase-2 sidecar whose counts are exactly a one-worker recount of the
+// transactions it records, and a resumed run must give the clean answer
+// without recounting those transactions.
+func TestResumeAfterPass2Crash(t *testing.T) {
+	db := randomDB(29, 600, 14)
+	path := writeTemp(t, db)
+	const minsup, budget = 40, 100 << 10
+	t.Cleanup(failpoint.Disable)
+
+	// The clean run counts how many pass-2 chunks there are.
+	reg := failpoint.New()
+	failpoint.Enable(reg)
+	want, err := mineAll(t, path, minsup, Config{MemBudget: budget, Pool: parallel.Options{Workers: 2}})
+	failpoint.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := reg.Hits(failpoint.PartitionRecountChunk)
+	if chunks < 4 {
+		t.Fatalf("clean run counted %d pass-2 chunks; the test needs at least 4", chunks)
+	}
+	for _, k := range []int{1, chunks - 2} {
+		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.fpmck")
+			reg := failpoint.New()
+			boom := errors.New("simulated crash")
+			reg.FailAfter(failpoint.PartitionRecountChunk, k, boom)
+			failpoint.Enable(reg)
+			_, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+				Checkpoint: ckpt, Pool: parallel.Options{Workers: 2}})
+			failpoint.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("crashed run error = %v, want injected crash", err)
+			}
+			ck, err := LoadCheckpoint(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Phase != 2 || ck.TxConsumed <= 0 || ck.TxConsumed >= db.Len() {
+				t.Fatalf("sidecar phase %d records %d of %d transactions", ck.Phase, ck.TxConsumed, db.Len())
+			}
+			wantCounts := verticalCounts(ck.trie, db.Tx[:ck.TxConsumed])
+			if !slices.Equal(ck.counts, wantCounts) {
+				t.Fatalf("sidecar counts differ from a recount of its %d transactions:\n got %v\nwant %v",
+					ck.TxConsumed, ck.counts, wantCounts)
+			}
+
+			reg = failpoint.New()
+			failpoint.Enable(reg)
+			rec := metrics.NewRecorder()
+			got, err := mineAll(t, path, minsup, Config{MemBudget: budget,
+				Checkpoint: ckpt, Resume: true, Pool: parallel.Options{Workers: 2, Metrics: rec}})
+			failpoint.Disable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("resumed run diverges from clean run:\n%s", want.Diff(got, 10))
+			}
+			if snap := rec.Snapshot(); snap.Partition == nil || snap.Partition.ChunksSkipped < 1 {
+				t.Fatalf("resume skipped no chunk: %+v", snap.Partition)
+			}
+			if n := reg.Hits(failpoint.PartitionRecountChunk); n != chunks-k {
+				t.Fatalf("resumed run recounted %d pass-2 chunks, want the %d after the sidecar's", n, chunks-k)
 			}
 		})
 	}

@@ -13,12 +13,14 @@
 // chunks keep a SON threshold of minSplitSupport — and every chunk is a
 // root task of the session, which normalizes the chunk, compacts its
 // alphabet and mines it on a worker: up to Workers chunks are mined at
-// once while the reader parses the next into a free buffer. Pass 2
-// re-streams the file and counts every candidate's exact global support
-// vertically, on one goroutine, while a reader goroutine parses the chunk
-// after: per chunk, one occurrence bit vector per trie item and one fused
-// AND+popcount per trie node (recount.go), then filters to the true
-// frequent set. The result is exactly the in-memory answer — the
+// once while the calling goroutine parses the next into a free buffer.
+// Pass 2 re-streams the file and counts every candidate's exact global
+// support vertically on the same session: every chunk is a root task that
+// builds one occurrence bit vector per trie item and runs one fused
+// AND+popcount per trie node (recount.go) into the chunk's own counts,
+// which the calling goroutine adds up in file order while it parses the
+// chunks after; the counts are then filtered to the true frequent set.
+// The result is exactly the in-memory answer — the
 // differential tests assert identity against every kernel — while the
 // resident transaction data never exceeds the budget's chunk share.
 //
@@ -58,8 +60,8 @@ import (
 // benchmark asserts peak heap growth < 2× budget at one and two workers).
 // Pass 1 splits the share between up to one chunk buffer per worker, each
 // chunk carrying its own kernel working set. Pass 2 holds no kernel working
-// set: its two read-ahead chunks and its recount vectors take three
-// shares.
+// set: its Workers+1 chunk buffers split two shares, and the workers'
+// recount vectors split a third.
 const chunkDivisor = 8
 
 // Config parameterises one out-of-core run.
@@ -67,19 +69,21 @@ type Config struct {
 	// MemBudget is the target resident-set bound in bytes for transaction
 	// data plus mining working set. Must be positive. Each pass-1 chunk is
 	// capped at MemBudget/(8·B), for the B ≤ Workers buffers splitBuffers
-	// picks, and each pass-2 chunk at MemBudget/8 (see chunkDivisor).
+	// picks, and each pass-2 chunk at 2·MemBudget/(8·(Workers+1)) (see
+	// chunkDivisor).
 	MemBudget int64
-	// Pool configures the pass-1 work-stealing pool, and its fields
-	// reach the rest of the run too:
+	// Pool configures the work-stealing pool both passes run on, and its
+	// fields reach the rest of the run too:
 	//   - Workers (<= 0 means GOMAXPROCS) bounds the resident chunks: at
 	//     most Workers chunks are mined at once on one session, with idle
 	//     workers stealing subtrees of any chunk, as far as splitting the
-	//     budget keeps the chunks' SON threshold at minSplitSupport. Chunk
+	//     budget keeps the chunks' SON threshold at minSplitSupport, and
+	//     at most Workers pass-2 chunks are counted at once. Chunk
 	//     boundaries therefore depend on Workers; the answer does not.
-	//     Pass 2 always counts on the caller's goroutine.
 	//   - Metrics, when non-nil, receives the two-pass counters (chunks
 	//     mined, candidates generated/surviving, bytes streamed, pass
-	//     times) plus, when Workers > 1, the scheduler's counters.
+	//     times) plus, when Workers > 1, the scheduler's counters, where
+	//     every pass-1 and pass-2 chunk counts as a spawned task.
 	//   - Trace, when non-nil, receives a "partition" phase track (sizing
 	//     scan, one span per pass-1 chunk's merge into the candidate union
 	//     carrying its new candidate count, the pass-2 recount) plus, when
@@ -238,8 +242,8 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		resumed = nil
 	}
 
-	// Pass 1b — chunk mining into the candidate union, on one pool session
-	// for the whole run. At most workers chunk buffers are resident, each
+	// Pass 1b — chunk mining into the candidate union, on the run's one
+	// pool session. At most workers chunk buffers are resident, each
 	// parsed into in place and recycled once its chunk is mined; the
 	// budget is split between them (splitBuffers), so up to that many
 	// chunks are mined at once while the reader fills a free buffer.
@@ -269,24 +273,37 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 			rec.ChunkSkipped()
 		}
 	}
+	po := cfg.Pool
+	po.Workers, po.Ctx = workers, nil
+	if workers == 1 {
+		// A one-worker session schedules nothing: it reports, like the
+		// sequential kernel, only the kernel's own counters and spans.
+		po.Metrics, po.Trace = nil, nil
+	}
+	sess := parallel.New(po, factory).Start()
+	// finish ends the session, which both passes run on: a failed run
+	// aborts it first, so queued tasks are dropped, and the session's own
+	// error (a failed task, or the cancellation cause) is returned when the
+	// run has none.
+	finish := func(err error) error {
+		if err != nil {
+			sess.Abort(err)
+		}
+		if cerr := sess.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
 	if !pass1Done {
 		buffers := 1
 		if workers > 1 {
 			if buffers, err = splitBuffers(f, chunkBudget, skipTx, workers, minSupport, totalTx); err != nil {
-				return err
+				return finish(err)
 			}
 		}
 		if err := rewind(f); err != nil {
-			return err
+			return finish(err)
 		}
-		po := cfg.Pool
-		po.Workers, po.Ctx = workers, nil
-		if workers == 1 {
-			// A one-worker session schedules nothing: it reports, like the
-			// sequential kernel, only the kernel's own counters and spans.
-			po.Metrics, po.Trace = nil, nil
-		}
-		sess := parallel.New(po, factory).Start()
 		tc := &trieCollector{tr: tr}
 		type inflight struct {
 			root   *parallel.Root // nil once merged
@@ -406,16 +423,10 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 				break
 			}
 		}
-		if err != nil {
-			sess.Abort(err)
-		}
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
 		rec.AddStreamedBytes(1, cr.n)
 		rec.AddPassTime(1, time.Since(t0))
 		if err != nil {
-			return err
+			return finish(err)
 		}
 		// Pass 1 is over: no more inserts. Flatten the candidate union into
 		// the sealed arena form (P3+P4) that pass 2's vertical recount and
@@ -426,15 +437,21 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		ptk.End(sts, "seal trie", trace.CatPhase, int64(sl.Candidates()))
 	}
 	if sl.Candidates() == 0 {
+		if err := finish(nil); err != nil {
+			return err
+		}
 		removeCheckpoint(cfg.Checkpoint)
 		return nil
 	}
 
 	// Pass 2 — exact global recount: re-stream the file and count every
-	// candidate vertically, chunk by chunk (recount.go), on this goroutine
-	// into one count array indexed by candidate id. Checkpoints persist the
-	// partial counts per chunk; a phase-2 resume restores them and skips
-	// the counted transactions.
+	// candidate vertically (recount.go). Every chunk is a root task of the
+	// same session, which normalizes it and counts it with its worker's
+	// vertical into the chunk's own count array; this goroutine parses the
+	// next chunk meanwhile, and adds each chunk's counts into counts in
+	// file order. Checkpoints persist the counts of the prefix added so
+	// far; a phase-2 resume restores them and skips the counted
+	// transactions.
 	t1 := time.Now()
 	p2ts := ptk.Begin()
 	counts := make([]uint32, sl.Candidates())
@@ -444,27 +461,96 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		p2skip, p2done = resumed.TxConsumed, resumed.TxConsumed
 	}
 	if err := rewind(f); err != nil {
-		return err
+		return finish(err)
 	}
-	vc := newVertical(sl, chunkBudget)
-	cr = &countingReader{r: f}
-	err = readAhead(cr, chunkBudget, p2skip, func(chunk *dataset.DB) error {
-		if err := cfg.Pool.Cancel.Err(); err != nil {
+	// Pass 2 holds three chunk shares, whatever workers is: workers+1
+	// buffers split two of them, so one worker counts a chunk while the
+	// next is parsed, and the workers' verticals split the third.
+	p2bufs := workers + 1
+	verticals := make(chan *vertical, workers)
+	for i := 0; i < workers; i++ {
+		verticals <- newVertical(sl, chunkBudget/int64(workers))
+	}
+	type counting struct {
+		root   *parallel.Root
+		buf    *fimi.Chunk
+		counts []uint32 // the chunk's own counts, zero when recycled
+		tx     int
+	}
+	var queue []counting // submitted chunks past the counted prefix, oldest first
+	var free []*fimi.Chunk
+	var freeCounts [][]uint32
+	bufs := 0
+	// add waits for the oldest submitted chunk to be counted, adds its
+	// counts into counts, recycles its buffer and count array and
+	// checkpoints the prefix it completes.
+	add := func() error {
+		j := queue[0]
+		if err := j.root.Wait(); err != nil {
 			return err
 		}
-		if err := failpoint.Hit(failpoint.PartitionRecountChunk); err != nil {
-			return err
+		queue = queue[:copy(queue, queue[1:])]
+		for i, n := range j.counts {
+			counts[i] += n
+			j.counts[i] = 0
 		}
-		vc.Count(chunk.Tx, counts)
-		p2done += chunk.Len()
+		p2done += j.tx
+		free, freeCounts = append(free, j.buf), append(freeCounts, j.counts)
 		if cfg.Checkpoint != "" {
 			saveCkpt(Checkpoint{TotalTx: totalTx, Phase: 2, ChunksDone: chunkIdx,
 				TxConsumed: p2done, trie: sl, counts: counts})
 		}
 		return nil
-	})
+	}
+	cr = &countingReader{r: f}
+	err = fimi.ReadChunksInto(cr, 2*chunkBudget/int64(p2bufs), p2skip,
+		func() (*fimi.Chunk, error) {
+			if len(free) == 0 && bufs < p2bufs {
+				bufs++
+				freeCounts = append(freeCounts, make([]uint32, len(counts)))
+				return new(fimi.Chunk), nil
+			}
+			if len(free) == 0 {
+				if err := add(); err != nil {
+					return nil, err
+				}
+			}
+			c := free[len(free)-1]
+			free = free[:len(free)-1]
+			return c, nil
+		},
+		func(c *fimi.Chunk) error {
+			if err := cfg.Pool.Cancel.Err(); err != nil {
+				return err
+			}
+			if err := failpoint.Hit(failpoint.PartitionRecountChunk); err != nil {
+				return err
+			}
+			tx, n := c.DB.Len(), len(freeCounts)
+			cc := freeCounts[n-1]
+			freeCounts = freeCounts[:n-1]
+			r := sess.Submit(c.DB.Weight(), func(mine.Splitter, mine.Collector, mine.Spawner) error {
+				c.Normalize()
+				vc := <-verticals
+				vc.Count(c.DB.Tx, cc)
+				verticals <- vc
+				return nil
+			}, nil)
+			queue = append(queue, counting{root: r, buf: c, counts: cc, tx: tx})
+			return nil
+		})
+	// Add every chunk already handed to the pool, also after a read error
+	// or a refused chunk, so the checkpoint covers all the counting done.
+	for len(queue) > 0 {
+		if aerr := add(); aerr != nil {
+			if err == nil {
+				err = aerr
+			}
+			break
+		}
+	}
 	rec.AddStreamedBytes(2, cr.n)
-	if err != nil {
+	if err = finish(err); err != nil {
 		rec.AddPassTime(2, time.Since(t1))
 		return err
 	}
@@ -479,60 +565,6 @@ func Mine(path string, factory func() mine.Splitter, minSupport int, cfg Config,
 		c.Collect(s.Items, s.Support)
 	}
 	return nil
-}
-
-// errReaderStopped ends readAhead's reader goroutine once the consumer
-// has failed; it never reaches a caller.
-var errReaderStopped = errors.New("partition: reader stopped")
-
-// readAhead streams the chunks of r from transaction skipTx on, as
-// fimi.ReadChunks does, but parses each chunk on a reader goroutine
-// into one of two recycled buffers while the calling goroutine normalizes
-// the previous chunk and hands it to fn. fn sees the chunks in file order
-// and must not retain them. The reader is joined before readAhead
-// returns.
-func readAhead(r io.Reader, budget int64, skipTx int, fn func(chunk *dataset.DB) error) error {
-	free := make(chan *fimi.Chunk, 2) // the two buffers, when not in use
-	free <- new(fimi.Chunk)
-	free <- new(fimi.Chunk)
-	filled := make(chan *fimi.Chunk)
-	stop := make(chan struct{})
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(filled)
-		readErr <- fimi.ReadChunksInto(r, budget, skipTx,
-			func() (*fimi.Chunk, error) {
-				select {
-				case c := <-free:
-					return c, nil
-				case <-stop:
-					return nil, errReaderStopped
-				}
-			},
-			func(c *fimi.Chunk) error {
-				select {
-				case filled <- c:
-					return nil
-				case <-stop:
-					return errReaderStopped
-				}
-			})
-	}()
-	var err error
-	for c := range filled {
-		c.Normalize()
-		if err = fn(&c.DB); err != nil {
-			close(stop)
-			for range filled {
-			}
-			break
-		}
-		free <- c
-	}
-	if rerr := <-readErr; err == nil {
-		err = rerr
-	}
-	return err
 }
 
 // minSplitSupport is the smallest SON threshold splitting the chunk
@@ -660,7 +692,8 @@ type trieCollector struct {
 }
 
 // Collect implements mine.Collector. Pass 1 merges every chunk's shards
-// on its reader goroutine, so it is only ever invoked from one goroutine.
+// on the goroutine that parses the chunks, so it is only ever invoked from
+// one goroutine.
 func (tc *trieCollector) Collect(items []dataset.Item, support int) {
 	tc.buf = tc.buf[:0]
 	for _, it := range items {
